@@ -240,9 +240,6 @@ def cmd_forecast(config: RunConfig, out: Path) -> tuple[list[str], dict]:
         {"mean": result.mean_density, "lo90": result.lower_90, "hi90": result.upper_90},
     )
     integral = float(np.trapezoid(result.mean_density, result.grid))
-    first = float(np.trapezoid(result.grid * result.mean_density, result.grid))
-    second = float(np.trapezoid(result.grid**2 * result.mean_density, result.grid))
-    sd = float(np.sqrt(max(second - first**2, 0.0)))
     diag = dict(echo)
     diag.update(
         {
@@ -251,7 +248,8 @@ def cmd_forecast(config: RunConfig, out: Path) -> tuple[list[str], dict]:
             "mode": config.mode,
             "integral": integral,
             "integral_ok": bool(abs(integral - 1.0) <= 1e-3),
-            "predictive_sd": sd,
+            "predictive_mean": result.predictive_mean,
+            "predictive_sd": result.predictive_sd,
         }
     )
     return [str(grid_path)], diag

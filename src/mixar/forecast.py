@@ -2,23 +2,28 @@
 
 The one-step predictive density is the conditional mixture itself.  For
 horizons h >= 2 the exact predictive density expands the g^h component
-paths: conditional on a path, the forecast is Gaussian with mean and
-variance propagated through the AR recursions, so the predictive density is
-a path-weighted Gaussian mixture.  A Monte Carlo mode instead averages
-one-step conditional densities over simulated continuations.  Posterior-
-averaged forecasts evaluate the chosen mode per retained draw and average
-pointwise, with 5%/95% pointwise bands.
+paths: conditional on a path, the last p values are jointly Gaussian, with
+mean vector and covariance propagated through the AR recursions, so the
+predictive density is a path-weighted Gaussian mixture.  A Monte Carlo mode
+instead averages one-step conditional densities over simulated
+continuations.  The predictive mean and variance, and with them the default
+grid, come from a moment recursion that carries the mean vector and the
+covariance of the last p values through the mixture without expanding
+paths, so they exist at any horizon.  Posterior-averaged forecasts evaluate
+the chosen mode per retained draw and average pointwise, with 5%/95%
+pointwise bands.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .model import MARSpec, TimeSeries
 from .sampler import ChainOutput
+from .summary import mixture_density
 
 MAX_EXACT_PATHS = 1_000_000
 PRUNE_WEIGHT = 1e-12
@@ -59,10 +64,20 @@ class ForecastRequest:
 
 @dataclass(frozen=True)
 class ForecastResult:
+    """Averaged density on the grid with its bands, and the predictive moments.
+
+    predictive_mean and predictive_sd are the moments of the posterior-
+    averaged predictive distribution over the same thinned draws as the
+    density, from the moment recursion, so they include the mass beyond
+    the grid's ends.
+    """
+
     grid: np.ndarray
     mean_density: np.ndarray
     lower_90: np.ndarray
     upper_90: np.ndarray
+    predictive_mean: float
+    predictive_sd: float
     per_draw: np.ndarray | None = None
 
 
@@ -74,20 +89,34 @@ def _history(series: TimeSeries, origin: int, p: int) -> np.ndarray:
 
 def _onestep_density(spec: MARSpec, recent: np.ndarray, grid: np.ndarray) -> np.ndarray:
     """Conditional mixture density on the grid; recent holds the last p values."""
-    phi = spec.phi_matrix()
-    nu = spec.shifts + phi @ recent[::-1]
-    out = np.zeros_like(grid)
-    for k in range(spec.g):
-        s = spec.scales[k]
-        out += spec.weights[k] / s * np.exp(-0.5 * ((grid - nu[k]) / s) ** 2)
-    return out / math.sqrt(2.0 * math.pi)
+    nu = spec.shifts + spec.phi_matrix() @ recent[::-1]
+    return mixture_density(spec.weights, nu, spec.scales, grid)
+
+
+def _push(mean, cov, y_mean, y_var, cross):
+    """Mean and covariance of the last p values once y joins them as the most recent.
+
+    mean (..., p) and cov (..., p, p) describe the window before y, most
+    recent first; y has mean y_mean, variance y_var and covariance cross
+    (..., p) with that window.  The oldest value leaves the window.
+    """
+    new_cov = np.empty_like(cov)
+    new_cov[..., 0, 0] = y_var
+    new_cov[..., 0, 1:] = cross[..., :-1]
+    new_cov[..., 1:, 0] = cross[..., :-1]
+    new_cov[..., 1:, 1:] = cov[..., :-1, :-1]
+    return np.concatenate((y_mean[..., None], mean[..., :-1]), axis=-1), new_cov
 
 
 def _exact_paths(spec: MARSpec, recent: np.ndarray, horizon: int):
     """Expand component paths; returns (weights, means, variances) at horizon.
 
-    Path weights below PRUNE_WEIGHT are dropped and the remainder
-    renormalized.  recent holds the last p observed values, oldest first.
+    All paths are held at once: weights (paths,), and the mean vector
+    (paths, p) and covariance (paths, p, p) of the last p values, most
+    recent first.  Each step extends path i by component k as path
+    i * g + k.  Path weights below PRUNE_WEIGHT are dropped and the
+    remainder renormalized.  recent holds the last p observed values,
+    oldest first.
     """
     g = spec.g
     if g**horizon > MAX_EXACT_PATHS:
@@ -97,42 +126,45 @@ def _exact_paths(spec: MARSpec, recent: np.ndarray, horizon: int):
         )
     p = spec.max_order
     phi = spec.phi_matrix()
-    # per path: last p pseudo-values as (mean, noise coefficient rows)
-    lastm0 = recent[::-1].copy()  # most recent first
-    lastc0 = np.zeros((p, horizon))
-    paths = [(1.0, lastm0, lastc0)]
-    for j in range(1, horizon + 1):
-        new_paths = []
-        for w, lastm, lastc in paths:
-            for k in range(g):
-                w2 = w * spec.weights[k]
-                if w2 < PRUNE_WEIGHT:
-                    continue
-                m2 = spec.shifts[k] + phi[k] @ lastm
-                c2 = phi[k] @ lastc
-                c2[j - 1] += spec.scales[k]
-                new_m = np.concatenate(([m2], lastm[:-1]))
-                new_c = np.vstack((c2, lastc[:-1]))
-                new_paths.append((w2, new_m, new_c))
-        paths = new_paths
-        if not paths:
+    w = np.ones(1)
+    mean = recent[::-1][None, :].astype(float)
+    cov = np.zeros((1, p, p))
+    for _ in range(horizon):
+        w = (w[:, None] * spec.weights).reshape(-1)
+        rows = np.flatnonzero(w >= PRUNE_WEIGHT)
+        if rows.size == 0:
             raise ValueError("all forecast paths pruned; weights degenerate")
-    w = np.array([pw for pw, _, _ in paths])
-    m = np.array([pm[0] for _, pm, _ in paths])
-    v = np.array([float(pc[0] @ pc[0]) for _, _, pc in paths])
-    w = w / w.sum()
-    return w, m, v
+        src, k = np.divmod(rows, g)
+        w, mean, cov, f = w[rows], mean[src], cov[src], phi[k]
+        cross = np.einsum("nij,nj->ni", cov, f)
+        y_mean = spec.shifts[k] + np.einsum("ni,ni->n", f, mean)
+        y_var = np.einsum("ni,ni->n", f, cross) + spec.scales[k] ** 2
+        mean, cov = _push(mean, cov, y_mean, y_var, cross)
+    return w / w.sum(), mean[:, 0], cov[:, 0, 0]
 
 
 def predictive_moments(
     spec: MARSpec, series: TimeSeries, origin: int, horizon: int
 ) -> tuple[float, float]:
-    """Mean and variance of y_{origin+horizon} given data up to origin."""
+    """Mean and variance of y_{origin+horizon} given data up to origin.
+
+    With the component K drawn afresh each step, y = shift_K + phi_K . lags
+    + scale_K eps, so the mean vector and covariance of the last p values
+    follow in closed form: O(horizon g p^2), with no path expansion.
+    """
     recent = _history(series, origin, spec.max_order)
-    w, m, v = _exact_paths(spec, recent, horizon)
-    mean = float(w @ m)
-    var = float(w @ (v + m**2) - mean**2)
-    return mean, var
+    phi = spec.phi_matrix()
+    mean = recent[::-1].astype(float)
+    cov = np.zeros((mean.size, mean.size))
+    for _ in range(horizon):
+        nu = spec.shifts + phi @ mean
+        y_mean = spec.weights @ nu
+        cross = cov @ (spec.weights @ phi)
+        y_var = spec.weights @ (
+            np.einsum("ki,ij,kj->k", phi, cov, phi) + spec.scales**2 + (nu - y_mean) ** 2
+        )
+        mean, cov = _push(mean, cov, y_mean, y_var, cross)
+    return float(mean[0]), float(cov[0, 0])
 
 
 def predictive_density_fixed(
@@ -157,11 +189,7 @@ def predictive_density_fixed(
         return _onestep_density(spec, recent, grid)
     if mode == "exact":
         w, m, v = _exact_paths(spec, recent, horizon)
-        sd = np.sqrt(v)
-        out = np.zeros_like(grid)
-        for wi, mi, si in zip(w, m, sd):
-            out += wi / si * np.exp(-0.5 * ((grid - mi) / si) ** 2)
-        return out / math.sqrt(2.0 * math.pi)
+        return mixture_density(w, m, np.sqrt(v), grid)
     if mode != "monte-carlo":
         raise ValueError(f"unknown mode {mode!r}")
     if rng is None:
@@ -183,14 +211,12 @@ def _mc_density(spec, recent, horizon, grid, rng, n_paths, chunk=4096):
             nu = spec.shifts[labels] + np.einsum("ij,ij->i", phi[labels], hist)
             y = nu + spec.scales[labels] * rng.standard_normal(m)
             hist = np.column_stack((y, hist[:, : p - 1])) if p > 1 else y[:, None]
-        dens = np.zeros((m, grid.size))
-        for k in range(g):
-            nu_k = spec.shifts[k] + hist @ phi[k]
-            s = spec.scales[k]
-            dens += spec.weights[k] / s * np.exp(-0.5 * ((grid[None, :] - nu_k[:, None]) / s) ** 2)
-        acc += dens.sum(axis=0)
+        nu = spec.shifts + hist @ phi.T
+        acc += mixture_density(
+            np.tile(spec.weights, m), nu.reshape(-1), np.tile(spec.scales, m), grid
+        )
         done += m
-    return acc / (n_paths * math.sqrt(2.0 * math.pi))
+    return acc / n_paths
 
 
 def default_grid(
@@ -228,7 +254,9 @@ def posterior_averaged_forecast(
     """Average per-draw predictive densities over the thinned chain.
 
     Returns the pointwise mean density and pointwise 5%/95% quantile bands
-    across the per-draw density ordinates.
+    across the per-draw density ordinates, and the mean and SD of the
+    averaged predictive distribution: the mean of the per-draw means, and
+    E[var + mean^2] - mean^2 over the same draws.
     """
     origin = series.n if request.origin is None else request.origin
     if request.grid is not None:
@@ -238,9 +266,11 @@ def posterior_averaged_forecast(
     idx = range(0, output.n_draws, request.thin)
     rng = np.random.default_rng(request.seed)
     rows = np.empty((len(idx), grid.size))
+    moments = np.empty((len(idx), 2))
     for r, i in enumerate(idx):
+        spec = output.spec_at(i)
         rows[r] = predictive_density_fixed(
-            output.spec_at(i),
+            spec,
             series,
             origin,
             request.horizon,
@@ -249,10 +279,15 @@ def posterior_averaged_forecast(
             rng=rng,
             mc_paths=request.mc_paths,
         )
+        moments[r] = predictive_moments(spec, series, origin, request.horizon)
+    mean = float(moments[:, 0].mean())
+    second = float(np.mean(moments[:, 1] + moments[:, 0] ** 2))
     return ForecastResult(
         grid=grid,
         mean_density=rows.mean(axis=0),
         lower_90=np.quantile(rows, 0.05, axis=0),
         upper_90=np.quantile(rows, 0.95, axis=0),
+        predictive_mean=mean,
+        predictive_sd=math.sqrt(max(second - mean**2, 0.0)),
         per_draw=rows,
     )

@@ -6,7 +6,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import gaussian_kde
 
 try:
     from numpy import trapezoid as _trapezoid
@@ -14,6 +13,7 @@ except ImportError:  # numpy < 2
     from numpy import trapz as _trapezoid
 
 GRID_POINTS = 512
+BLOCK = 4096
 
 
 @dataclass(frozen=True)
@@ -53,6 +53,36 @@ class DensityGrid:
         return float(self.x[int(np.argmax(self.density))])
 
 
+def mixture_density(
+    weights: np.ndarray, means: np.ndarray, sds: np.ndarray, x: np.ndarray
+) -> np.ndarray:
+    """Gaussian mixture density sum_i weights_i N(x; means_i, sds_i^2) at the points x.
+
+    Components are taken BLOCK at a time, so memory stays O(BLOCK * x.size)
+    however many there are.
+    """
+    out = np.zeros(x.size)
+    for a in range(0, weights.size, BLOCK):
+        s = sds[a : a + BLOCK]
+        z = np.subtract(x, means[a : a + BLOCK, None])
+        z /= s[:, None]
+        z *= z
+        z *= -0.5
+        out += (weights[a : a + BLOCK] / s) @ np.exp(z, out=z)
+    return out / math.sqrt(2.0 * math.pi)
+
+
+def kde(draws: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Gaussian kernel density estimate of the draws at x, Silverman bandwidth.
+
+    The bandwidth is std(ddof=1) * (3n/4)^(-1/5), as in
+    scipy.stats.gaussian_kde(draws, bw_method="silverman").
+    """
+    n = draws.size
+    h = float(draws.std(ddof=1)) * (0.75 * n) ** -0.2
+    return mixture_density(np.full(n, 1.0 / n), draws, np.full(n, h), x)
+
+
 def _shortest_interval(sorted_draws: np.ndarray, mass: float) -> tuple[float, float]:
     n = sorted_draws.size
     m = int(math.ceil(mass * n))
@@ -84,8 +114,7 @@ def summarize(draws: np.ndarray, name: str = "") -> ParameterSummary:
         hd = float(srt[0])
     else:
         grid = np.linspace(srt[0], srt[-1], GRID_POINTS)
-        kde = gaussian_kde(draws, bw_method="silverman")
-        hd = float(grid[int(np.argmax(kde(grid)))])
+        hd = float(grid[int(np.argmax(kde(draws, grid)))])
     return ParameterSummary(
         name=name, mean=mean, standard_error=sd, hpdr_90=hpdr, hd_value=hd
     )
@@ -103,8 +132,7 @@ def density_grid(
     if draws.size < 2 or np.all(draws == draws[0]):
         raise ValueError("draws are degenerate; a kernel density estimate is undefined")
     x = np.linspace(lower, upper, points)
-    kde = gaussian_kde(draws, bw_method="silverman")
-    return DensityGrid(x=x, density=kde(x))
+    return DensityGrid(x=x, density=kde(draws, x))
 
 
 def average_density(grids: list[DensityGrid]) -> DensityGrid:

@@ -29,9 +29,12 @@ from mixar.io import (
     read_json,
     read_series_csv,
     summaries_payload,
+    write_draws_csv,
     write_series_csv,
 )
+from mixar.datasets import model_b_spec
 from mixar.model import MARSpec, simulate_path
+from mixar.sampler import ChainOutput
 
 QUIET = pytest.mark.filterwarnings("ignore:warm-start variance")
 
@@ -256,6 +259,23 @@ class TestSimulate:
         assert (out / "series.csv").exists()
 
 
+def test_cli_import_leaves_out_scipy_stats():
+    """`import mixar.cli` must not pull in scipy.stats.
+
+    No mixar module uses it, and importing it would add about as much start-up
+    time to every command as the rest of the package does.
+    """
+    package_root = str(Path(mixar.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+    res = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, mixar.cli; assert 'scipy.stats' not in sys.modules"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert res.returncode == 0, res.stderr
+
+
 def _declared_scripts():
     """The `[project.scripts]` table of the repository's pyproject.toml."""
     if sys.version_info >= (3, 11):
@@ -265,6 +285,25 @@ def _declared_scripts():
     pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
     with pyproject.open("rb") as fh:
         return tomllib.load(fh).get("project", {}).get("scripts", {})
+
+
+@pytest.fixture(scope="module")
+def b_draws(tmp_path_factory):
+    """A spec-B series and a draws file holding spec B three times (g=3)."""
+    root = tmp_path_factory.mktemp("bdraws")
+    spec = model_b_spec()
+    write_series_csv(root / "series.csv", simulate_path(spec, 100, seed=5).values)
+    n = 3
+    write_draws_csv(root / "draws.csv", ChainOutput(
+        g=3, cond=2,
+        weights=np.tile(spec.weights, (n, 1)), shifts=np.tile(spec.shifts, (n, 1)),
+        means=np.tile(spec.shifts, (n, 1)), scales=np.tile(spec.scales, (n, 1)),
+        ar=np.tile(spec.phi_matrix(), (n, 1, 1)), orders=np.tile(spec.orders, (n, 1)),
+        lam=np.ones(n), log_likelihoods=np.zeros(n), log_posteriors=np.zeros(n),
+        acceptance=None, stability_rejections=0, gamma=None, seed=None, burn_in=0,
+        fixed_shift=False,
+    ))
+    return root / "series.csv", root / "draws.csv"
 
 
 @pytest.fixture(scope="module")
@@ -397,6 +436,23 @@ class TestForecast:
         diag = read_json(fc / "manifest.json")["diagnostics"]
         assert diag["mode"] == "monte-carlo"
         assert abs(diag["integral"] - 1.0) <= 5e-3
+
+    def test_long_horizon_monte_carlo_on_three_components(self, b_draws, tmp_path, capsys):
+        # 3^13 paths exceed the exact expansion's limit; the Monte Carlo mode
+        # and its grid need no path expansion
+        series, draws = b_draws
+        base = ["forecast", "--set", f"input={series}", "--set", f"draws={draws}",
+                "--set", "horizon=13", "--set", "thin=1"]
+        fc = tmp_path / "mc13"
+        code = run_cli(base + ["--set", f"output_dir={fc}", "--set", "mode=monte-carlo",
+                               "--set", "mc_paths=500"])
+        assert code == 0
+        assert read_csv_columns(fc / "forecast.csv")["y"].size == 512
+        assert read_json(fc / "manifest.json")["diagnostics"]["predictive_sd"] > 0
+        code = run_cli(base + ["--set", f"output_dir={tmp_path / 'exact13'}",
+                               "--set", "mode=exact"])
+        assert code == 2
+        assert "use the Monte Carlo mode" in capsys.readouterr().err
 
     def test_missing_draws_file(self, fitted, tmp_path, capsys):
         sim, _ = fitted

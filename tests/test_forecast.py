@@ -5,9 +5,11 @@ import math
 import numpy as np
 import pytest
 
-from mixar.datasets import model_a_spec
+from mixar.datasets import model_a_spec, model_b_spec
 from mixar.forecast import (
+    PRUNE_WEIGHT,
     ForecastRequest,
+    _exact_paths,
     default_grid,
     posterior_averaged_forecast,
     predictive_density_fixed,
@@ -36,6 +38,58 @@ def mixture_pdf(spec, grid, recent):
             s * math.sqrt(2 * math.pi)
         )
     return out
+
+
+def reference_paths(spec, recent, horizon):
+    """Path expansion one path at a time, as (weight, means, noise rows) tuples.
+
+    The test-only oracle for the array expansion: each path carries the last
+    p pseudo-values as a mean and rows of coefficients on the unit noises,
+    so its variance is the squared norm of the first row.
+    """
+    g = spec.g
+    p = spec.max_order
+    phi = spec.phi_matrix()
+    lastm0 = recent[::-1].copy()  # most recent first
+    lastc0 = np.zeros((p, horizon))
+    paths = [(1.0, lastm0, lastc0)]
+    for j in range(1, horizon + 1):
+        new_paths = []
+        for w, lastm, lastc in paths:
+            for k in range(g):
+                w2 = w * spec.weights[k]
+                if w2 < PRUNE_WEIGHT:
+                    continue
+                m2 = spec.shifts[k] + phi[k] @ lastm
+                c2 = phi[k] @ lastc
+                c2[j - 1] += spec.scales[k]
+                new_m = np.concatenate(([m2], lastm[:-1]))
+                new_c = np.vstack((c2, lastc[:-1]))
+                new_paths.append((w2, new_m, new_c))
+        paths = new_paths
+    w = np.array([pw for pw, _, _ in paths])
+    m = np.array([pm[0] for _, pm, _ in paths])
+    v = np.array([float(pc[0] @ pc[0]) for _, _, pc in paths])
+    return w / w.sum(), m, v
+
+
+def random_spec(rng, g):
+    orders = rng.integers(1, 4, size=g)
+    return MARSpec(
+        weights=rng.dirichlet(np.ones(g)),
+        shifts=rng.normal(0.0, 1.0, g),
+        ar_coeffs=tuple(rng.uniform(-0.6, 0.6, p) for p in orders),
+        scales=rng.uniform(0.3, 3.0, g),
+    )
+
+
+def near_degenerate_spec():
+    return MARSpec(
+        weights=np.array([1.0 - 1e-13, 1e-13]),
+        shifts=np.zeros(2),
+        ar_coeffs=(np.array([0.5]), np.array([-0.5])),
+        scales=np.array([1.0, 1.0]),
+    )
 
 
 class TestRequest:
@@ -131,12 +185,7 @@ class TestExactExpansion:
             )
 
     def test_negligible_paths_pruned_cleanly(self):
-        spec = MARSpec(
-            weights=np.array([1.0 - 1e-13, 1e-13]),
-            shifts=np.zeros(2),
-            ar_coeffs=(np.array([0.5]), np.array([-0.5])),
-            scales=np.array([1.0, 1.0]),
-        )
+        spec = near_degenerate_spec()
         series = TimeSeries([0.2, 0.4])
         grid = np.linspace(-6, 6, 301)
         dens = predictive_density_fixed(spec, series, 2, 2, grid)
@@ -149,6 +198,65 @@ class TestExactExpansion:
             predictive_moments(spec, series, 0, 1)
         with pytest.raises(ValueError, match="origin"):
             predictive_moments(spec, series, 4, 1)
+
+
+class TestArrayExpansion:
+    CASES = [(seed, g, h) for seed, g in enumerate((1, 2, 3, 2, 3, 3)) for h in range(1, 7)]
+
+    @pytest.mark.parametrize("seed,g,horizon", CASES)
+    def test_paths_match_reference(self, seed, g, horizon):
+        rng = np.random.default_rng(100 + seed)
+        spec = random_spec(rng, g)
+        recent = rng.normal(0.0, 2.0, spec.max_order)
+        w, m, v = _exact_paths(spec, recent, horizon)
+        rw, rm, rv = reference_paths(spec, recent, horizon)
+        assert w.shape == rw.shape == (g**horizon,)
+        np.testing.assert_allclose(w, rw, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(m, rm, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(v, rv, rtol=1e-12, atol=0)
+        # the moment recursion against the moments of the expanded mixture
+        series = TimeSeries(recent)
+        mean, var = predictive_moments(spec, series, series.n, horizon)
+        ref_mean = float(rw @ rm)
+        assert mean == pytest.approx(ref_mean, rel=1e-9, abs=1e-9)
+        assert var == pytest.approx(float(rw @ (rv + rm**2)) - ref_mean**2, rel=1e-9)
+
+    @pytest.mark.parametrize("horizon", [2, 3, 6])
+    def test_pruning_matches_reference(self, horizon):
+        spec = near_degenerate_spec()
+        recent = np.array([0.4])
+        w, m, v = _exact_paths(spec, recent, horizon)
+        rw, rm, rv = reference_paths(spec, recent, horizon)
+        assert w.size == rw.size < 2**horizon
+        np.testing.assert_allclose(w, rw, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(m, rm, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(v, rv, rtol=1e-12, atol=0)
+
+    def test_density_matches_reference_mixture(self):
+        spec = model_b_spec()
+        series = simulate_path(spec, 80, seed=14)
+        grid = default_grid(spec, series, series.n, 7)
+        dens = predictive_density_fixed(spec, series, series.n, 7, grid)
+        w, m, v = reference_paths(spec, series.values[-2:], 7)
+        sd = np.sqrt(v)
+        ref = np.zeros_like(grid)
+        for wi, mi, si in zip(w, m, sd):
+            ref += wi / si * np.exp(-0.5 * ((grid - mi) / si) ** 2)
+        ref /= math.sqrt(2.0 * math.pi)
+        assert w.size == 3**7
+        assert np.max(np.abs(dens - ref)) <= 1e-12 * ref.max()
+
+    def test_moments_need_no_path_expansion(self):
+        # exact mode refuses 2^25 paths; the moments still follow the AR(1)
+        # recursion of the mixture's mean and second moment
+        spec = model_a_spec()
+        series = TimeSeries([0.3, -0.7])
+        mean, var = predictive_moments(spec, series, 2, 25)
+        m, s2 = -0.7, 0.49
+        for _ in range(25):
+            m, s2 = 0.25 * m, 0.5 * (0.25 * s2 + 1.0) + 0.5 * (s2 + 4.0)
+        assert mean == pytest.approx(m, abs=1e-12)
+        assert var == pytest.approx(s2 - m**2, rel=1e-12)
 
 
 class TestMonteCarlo:
@@ -220,6 +328,49 @@ class TestPosteriorAveraging:
         assert np.all(res.lower_90 <= res.mean_density + 1e-12)
         assert np.all(res.mean_density <= res.upper_90 + 1e-12)
         assert np.trapezoid(res.mean_density, res.grid) == pytest.approx(1.0, abs=1e-3)
+
+    def test_predictive_sd_single_component_closed_form(self):
+        spec = ar1_spec()
+        series = TimeSeries([0.3, -0.1, 1.0])
+        res = posterior_averaged_forecast(
+            one_draw_output(spec), series, ForecastRequest(horizon=3, thin=1)
+        )
+        assert res.predictive_mean == pytest.approx(0.608, abs=1e-12)
+        assert res.predictive_sd == pytest.approx(math.sqrt(0.25 * 1.4896), abs=1e-12)
+
+    def test_predictive_sd_averages_draw_moments(self):
+        rng = np.random.default_rng(15)
+        specs = [random_spec(rng, 3) for _ in range(6)]
+        p = max(s.max_order for s in specs)
+        out = ChainOutput(
+            g=3,
+            cond=p,
+            weights=np.array([s.weights for s in specs]),
+            shifts=np.array([s.shifts for s in specs]),
+            means=np.array([s.shifts for s in specs]),
+            scales=np.array([s.scales for s in specs]),
+            ar=np.array([s.phi_matrix(p) for s in specs]),
+            orders=np.array([s.orders for s in specs]),
+            lam=np.ones(6),
+            log_likelihoods=np.zeros(6),
+            log_posteriors=np.zeros(6),
+            acceptance=None,
+            stability_rejections=0,
+            gamma=None,
+            seed=None,
+            burn_in=0,
+            fixed_shift=False,
+        )
+        series = TimeSeries(rng.normal(0.0, 1.0, 10))
+        res = posterior_averaged_forecast(out, series, ForecastRequest(horizon=4, thin=2))
+        first = second = 0.0
+        for i in (0, 2, 4):
+            spec = out.spec_at(i)
+            w, m, v = reference_paths(spec, series.values[-spec.max_order :], 4)
+            first += float(w @ m) / 3
+            second += float(w @ (v + m**2)) / 3
+        assert res.predictive_mean == pytest.approx(first, rel=1e-10)
+        assert res.predictive_sd == pytest.approx(math.sqrt(second - first**2), rel=1e-10)
 
     def test_grid_override_respected(self):
         series = simulate_path(model_a_spec(), 40, seed=13)

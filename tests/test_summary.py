@@ -8,6 +8,7 @@ from mixar.summary import (
     DensityGrid,
     average_density,
     density_grid,
+    kde,
     summarize,
 )
 
@@ -57,6 +58,16 @@ class TestSummarize:
             summarize(np.zeros(99))
         with pytest.raises(ValueError, match="finite"):
             summarize(np.r_[np.zeros(150), np.nan])
+
+
+class TestKde:
+    @pytest.mark.parametrize("n", [100, 800, 5_000])
+    def test_matches_scipy_silverman(self, n):
+        draws = np.random.default_rng(n).standard_t(3, size=n)
+        x = np.linspace(draws.min(), draws.max(), 512)
+        ref = stats.gaussian_kde(draws, bw_method="silverman")(x)
+        np.testing.assert_allclose(kde(draws, x), ref, rtol=1e-12, atol=0)
+        assert summarize(draws).hd_value == x[int(np.argmax(ref))]
 
 
 class TestDensityGrid:
