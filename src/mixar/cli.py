@@ -101,18 +101,21 @@ def _model_shape(config: RunConfig) -> tuple[int, tuple[int, ...] | None, bool]:
     return config.g, config.orders, config.fixed_shift
 
 
-def _hyper(config: RunConfig, series: TimeSeries, g: int, fixed_shift: bool) -> Hyperparams:
-    overrides = dict(
+def _chain_settings(config: RunConfig) -> dict:
+    """Prior shapes and run lengths that every chain takes from the configuration."""
+    return dict(
         a=config.a,
         c=config.c,
-        fixed_shift=fixed_shift,
-        p_max=config.p_max,
         burn_in=config.burn_in,
         n_iter=config.n_iter,
         pilot_iters=config.pilot_iters,
     )
+
+
+def _hyper(config: RunConfig, series: TimeSeries, fixed_shift: bool) -> Hyperparams:
+    overrides = dict(_chain_settings(config), fixed_shift=fixed_shift)
     if config.gamma is not None:
-        overrides["gamma"] = np.full(g, config.gamma)
+        overrides["gamma"] = (config.gamma,)
     return default_hyperparams(series, **overrides)
 
 
@@ -171,7 +174,7 @@ def cmd_fit(config: RunConfig, out: Path) -> tuple[list[str], dict]:
     g, orders, fixed_shift = _model_shape(config)
     if orders is None:
         raise ValueError("fit needs orders=<comma separated list, one per component>")
-    hyper = _hyper(config, series, g, fixed_shift)
+    hyper = _hyper(config, series, fixed_shift)
     output = run_chain(series, g, orders, hyper, config.seed)
     output = relabel_chain(output, _relabel_config(config))
     summaries = _fit_summaries(output)
@@ -195,7 +198,7 @@ def cmd_fit(config: RunConfig, out: Path) -> tuple[list[str], dict]:
 
 def cmd_select(config: RunConfig, out: Path) -> tuple[list[str], dict]:
     series, echo = _load_series(config)
-    hyper = _hyper(config, series, max(config.g_range), config.fixed_shift)
+    hyper = _hyper(config, series, config.fixed_shift)
     pinned = None
     if config.orders is not None and len(config.g_range) == 1:
         pinned = config.orders if len(config.orders) == config.g_range[0] else None
@@ -303,14 +306,7 @@ def _replicate_worker(job) -> dict[str, np.ndarray]:
 def cmd_replicate(config: RunConfig, out: Path) -> tuple[list[str], dict]:
     truth = BUILTIN_SPECS[config.spec]()
     n = config.replica_length
-    overrides = dict(
-        a=config.a,
-        c=config.c,
-        p_max=config.p_max,
-        burn_in=config.burn_in,
-        n_iter=config.n_iter,
-        pilot_iters=config.pilot_iters,
-    )
+    overrides = _chain_settings(config)
     children = np.random.SeedSequence(config.seed).spawn(config.replicas)
     jobs = []
     for child in children:

@@ -8,7 +8,7 @@ comma separated, and "none" clears an optional value.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 

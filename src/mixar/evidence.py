@@ -19,36 +19,40 @@ chain), the remaining blocks by Rao-Blackwellized averages of their exact
 full-conditional densities.  p(p*|y, g) is the visit share of the selected
 order configuration in the order-move run, p(p*|g) is uniform over the
 p_max^g configurations, and the prior over g is uniform over the candidate
-range (stored separately, not folded into the evidence).
+range (stored separately, not folded into the evidence).  Every term
+conditions on the first p_max observations, as the order-move run does; with
+p_max = 1 that run could only visit orders (1, ..., 1), so it is skipped.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 from scipy.special import logsumexp
 
-from .model import MARSpec, TimeSeries, log_likelihood, shift_from_mean
+from .model import LOG_2PI, MARSpec, TimeSeries, _design, log_likelihood, shift_from_mean
 from .relabel import RelabelConfig, relabel_chain
-from .rjmcmc import OrderMoveConfig, rjmcmc_run
+from .rjmcmc import OrderMoveConfig, OrderTrace, rjmcmc_run
 from .sampler import (
     ChainOutput,
     ChainState,
     Hyperparams,
     UpdateMask,
-    _design,
     _dirichlet_prior,
-    allocation_probabilities,
+    dirichlet_log_density,
+    draw_allocations,
+    draw_lambda,
     gibbs_sweep,
     log_prior_density,
+    means_conditional,
+    precisions_conditional,
     run_chain,
+    swap_log_alpha,
 )
 from .stability import is_stable
-
-LOG_2PI = math.log(2.0 * math.pi)
 
 
 @dataclass(frozen=True)
@@ -99,7 +103,7 @@ class EvidenceResult:
     log_p_g: float | None = None
 
     def recompose(self) -> float:
-        """Re-assemble log_marginal from parts (should match to ~1e-10)."""
+        """The evidence identity: log_marginal assembled from its parts."""
         p = self.parts
         return (
             p["log_likelihood"]
@@ -144,64 +148,36 @@ def starred_point(output: ChainOutput, index: int | None = None) -> StarredPoint
     return StarredPoint(spec=spec, means=means, index=i)
 
 
-def _start_state(
-    star: StarredPoint, series: TimeSeries, hyper: Hyperparams, rng, cond: int
-) -> ChainState:
-    probs = allocation_probabilities(star.spec, series, cond)
-    u = rng.random(probs.shape[0])
-    labels = (u[:, None] > np.cumsum(probs, axis=1)).sum(axis=1)
-    labels = np.minimum(labels, star.spec.g - 1)
-    from .model import LatentAllocation
+def _reduced_log_mean(
+    mask, term, series, star, hyper, gamma, config, rng, cond, n_keep=None
+) -> float:
+    """Run one reduced chain from theta*; log of the mean of exp(term(state)) over its draws.
 
-    alloc = LatentAllocation(z=labels + 1, g=star.spec.g)
-    lam = float(
-        rng.gamma(
-            hyper.a + star.spec.g * hyper.c,
-            1.0 / (hyper.b + float(star.spec.precisions.sum())),
-        )
+    The chain starts at theta* with allocations and lambda drawn from their
+    full conditionals, then sweeps the blocks that `mask` leaves free for
+    config.reduced_burn_in plus n_keep sweeps (default config.n_i).
+    """
+    n_keep = config.n_i if n_keep is None else n_keep
+    burn = config.reduced_burn_in
+    yt, lm = _design(series.values, cond)
+    state = ChainState(
+        spec=star.spec,
+        alloc=draw_allocations(star.spec, yt, lm, rng),
+        lam=draw_lambda(star.spec.scales, hyper, rng),
+        iteration=0,
+        means=star.means,
     )
-    return ChainState(spec=star.spec, alloc=alloc, lam=lam, iteration=0, means=star.means)
-
-
-def _reduced_loop(series, hyper, star, gamma, cond, n_keep, burn, rng, mask, record):
-    state = _start_state(star, series, hyper, rng, cond)
+    terms = np.empty(n_keep)
     for i in range(burn + n_keep):
         state, _ = gibbs_sweep(state, series, hyper, rng, cond=cond, gamma=gamma, update=mask)
         if i >= burn:
-            record(state)
+            terms[i - burn] = term(state)
+    return float(logsumexp(terms) - math.log(n_keep))
 
 
 def _log_normal_q(phi_star_k, phi_cur, gamma_k):
     d = phi_star_k - phi_cur
     return float(0.5 * phi_star_k.size * (math.log(gamma_k) - LOG_2PI) - 0.5 * gamma_k * (d @ d))
-
-
-def _swap_log_lr(state, yt, lm, k, new_coeffs):
-    """Allocated-point log likelihood ratio of replacing component k's AR block."""
-    spec = state.spec
-    mask = state.alloc.z == k
-    if not mask.any():
-        return 0.0
-    shift = spec.shifts[k - 1]
-    tau = 1.0 / spec.scales[k - 1] ** 2
-    x_new = lm[mask, : new_coeffs.size]
-    x_cur = lm[mask, : spec.ar_coeffs[k - 1].size]
-    r = yt[mask] - shift
-    e_new = r - x_new @ new_coeffs
-    e_cur = r - x_cur @ spec.ar_coeffs[k - 1]
-    return -0.5 * tau * float(e_new @ e_new - e_cur @ e_cur)
-
-
-def _swap_stable(state, k, new_coeffs):
-    ar = list(state.spec.ar_coeffs)
-    ar[k - 1] = new_coeffs
-    cand = MARSpec(
-        weights=state.spec.weights,
-        shifts=state.spec.shifts,
-        ar_coeffs=tuple(ar),
-        scales=state.spec.scales,
-    )
-    return is_stable(cand).stable
 
 
 def estimate_phi_ordinate(
@@ -224,50 +200,24 @@ def estimate_phi_ordinate(
     """
     g = star.spec.g
     yt, lm = _design(series.values, cond)
+    args = (series, star, hyper, gamma, config, rng, cond)
     per_k: list[float] = []
     for k in range(1, g + 1):
         phi_star_k = star.spec.ar_coeffs[k - 1]
         gamma_k = float(gamma[k - 1])
 
-        num_terms = np.empty(config.n_j)
-        j = 0
+        def to_star(state):
+            log_alpha = swap_log_alpha(state, yt, lm, k, phi_star_k)
+            return log_alpha + _log_normal_q(phi_star_k, state.spec.ar_coeffs[k - 1], gamma_k)
 
-        def record_num(state):
-            nonlocal j
-            phi_cur = state.spec.ar_coeffs[k - 1]
-            if _swap_stable(state, k, phi_star_k):
-                log_alpha = min(0.0, _swap_log_lr(state, yt, lm, k, phi_star_k))
-            else:
-                log_alpha = -math.inf
-            num_terms[j] = log_alpha + _log_normal_q(phi_star_k, phi_cur, gamma_k)
-            j += 1
+        def from_star(state):
+            prop = phi_star_k + rng.normal(0.0, 1.0 / math.sqrt(gamma_k), phi_star_k.size)
+            return swap_log_alpha(state, yt, lm, k, prop)
 
         mask1 = UpdateMask(ar=frozenset(range(k, g + 1)))
-        _reduced_loop(
-            series, hyper, star, gamma, cond, config.n_j, config.reduced_burn_in,
-            rng, mask1, record_num,
-        )
-
-        den_terms = np.empty(config.n_i)
-        i = 0
-
-        def record_den(state):
-            nonlocal i
-            prop = phi_star_k + rng.normal(0.0, 1.0 / math.sqrt(gamma_k), phi_star_k.size)
-            if _swap_stable(state, k, prop):
-                den_terms[i] = min(0.0, _swap_log_lr(state, yt, lm, k, prop))
-            else:
-                den_terms[i] = -math.inf
-            i += 1
-
         mask2 = UpdateMask(ar=frozenset(range(k + 1, g + 1)))
-        _reduced_loop(
-            series, hyper, star, gamma, cond, config.n_i, config.reduced_burn_in,
-            rng, mask2, record_den,
-        )
-
-        log_num = logsumexp(num_terms) - math.log(config.n_j)
-        log_den = logsumexp(den_terms) - math.log(config.n_i)
+        log_num = _reduced_log_mean(mask1, to_star, *args, n_keep=config.n_j)
+        log_den = _reduced_log_mean(mask2, from_star, *args)
         if not np.isfinite(log_num) or not np.isfinite(log_den):
             raise ValueError(
                 f"AR ordinate for component {k} degenerate (numerator {log_num}, "
@@ -294,29 +244,21 @@ def estimate_mu_ordinate(
     phi_mat = star.spec.phi_matrix(lm.shape[1])
     r_star = yt[:, None] - lm @ phi_mat.T  # shift-free residuals at phi*
     bk = 1.0 - phi_mat.sum(axis=1)
-    terms = np.empty(config.n_i)
-    i = 0
 
-    def record(state):
-        nonlocal i
-        z0 = state.alloc.z - 1
-        counts = state.alloc.counts
-        tau = state.spec.precisions
+    def term(state):
+        alloc = state.alloc
+        m, prec = means_conditional(
+            r_star, alloc.z - 1, alloc.counts, state.spec.precisions, bk, hyper
+        )
         total = 0.0
         for k in range(g):
-            nk = counts[k]
-            ebar = r_star[z0 == k, k].mean() if nk > 0 else 0.0
-            prec = tau[k] * nk * bk[k] ** 2 + hyper.kappa
-            m = (tau[k] * nk * ebar * bk[k] + hyper.kappa * hyper.zeta) / prec
-            total += 0.5 * (math.log(prec) - LOG_2PI) - 0.5 * prec * (star.means[k] - m) ** 2
-        terms[i] = total
-        i += 1
+            total += (
+                0.5 * (math.log(prec[k]) - LOG_2PI) - 0.5 * prec[k] * (star.means[k] - m[k]) ** 2
+            )
+        return total
 
     mask = UpdateMask(ar=frozenset())
-    _reduced_loop(
-        series, hyper, star, gamma, cond, config.n_i, config.reduced_burn_in, rng, mask, record
-    )
-    return float(logsumexp(terms) - math.log(config.n_i))
+    return _reduced_log_mean(mask, term, series, star, hyper, gamma, config, rng, cond)
 
 
 def estimate_tau_ordinate(
@@ -331,38 +273,24 @@ def estimate_tau_ordinate(
     """Rao-Blackwellized log ordinate of the precisions given starred AR and means."""
     g = star.spec.g
     yt, lm = _design(series.values, cond)
-    phi_mat = star.spec.phi_matrix(lm.shape[1])
-    e_star = yt[:, None] - star.spec.shifts[None, :] - lm @ phi_mat.T
+    e_star = yt[:, None] - star.spec.shifts[None, :] - lm @ star.spec.phi_matrix(lm.shape[1]).T
     tau_star = star.spec.precisions
-    c = hyper.c
-    terms = np.empty(config.n_i)
-    i = 0
 
-    def record(state):
-        nonlocal i
-        z0 = state.alloc.z - 1
-        counts = state.alloc.counts
-        lam = state.lam
+    def term(state):
+        alloc = state.alloc
+        shape, rate = precisions_conditional(e_star, alloc.z - 1, alloc.counts, state.lam, hyper)
         total = 0.0
         for k in range(g):
-            nk = counts[k]
-            sse = float(np.sum(e_star[z0 == k, k] ** 2)) if nk > 0 else 0.0
-            shape = c + nk / 2.0
-            rate = lam + sse / 2.0
             total += (
-                shape * math.log(rate)
-                - math.lgamma(shape)
-                + (shape - 1.0) * math.log(tau_star[k])
-                - rate * tau_star[k]
+                shape[k] * math.log(rate[k])
+                - math.lgamma(shape[k])
+                + (shape[k] - 1.0) * math.log(tau_star[k])
+                - rate[k] * tau_star[k]
             )
-        terms[i] = total
-        i += 1
+        return total
 
     mask = UpdateMask(ar=frozenset(), means=False)
-    _reduced_loop(
-        series, hyper, star, gamma, cond, config.n_i, config.reduced_burn_in, rng, mask, record
-    )
-    return float(logsumexp(terms) - math.log(config.n_i))
+    return _reduced_log_mean(mask, term, series, star, hyper, gamma, config, rng, cond)
 
 
 def estimate_pi_ordinate(
@@ -375,27 +303,14 @@ def estimate_pi_ordinate(
     cond: int,
 ) -> float:
     """Rao-Blackwellized log ordinate of the weights given all other starred blocks."""
-    g = star.spec.g
-    dw = _dirichlet_prior(hyper, g)
+    dw = _dirichlet_prior(hyper, star.spec.g)
     log_pi_star = np.log(star.spec.weights)
-    terms = np.empty(config.n_i)
-    i = 0
 
-    def record(state):
-        nonlocal i
-        alpha = dw + state.alloc.counts
-        terms[i] = (
-            math.lgamma(float(alpha.sum()))
-            - float(np.sum([math.lgamma(float(x)) for x in alpha]))
-            + float(np.dot(alpha - 1.0, log_pi_star))
-        )
-        i += 1
+    def term(state):
+        return dirichlet_log_density(dw + state.alloc.counts, log_pi_star)
 
     mask = UpdateMask(ar=frozenset(), means=False, precisions=False)
-    _reduced_loop(
-        series, hyper, star, gamma, cond, config.n_i, config.reduced_burn_in, rng, mask, record
-    )
-    return float(logsumexp(terms) - math.log(config.n_i))
+    return _reduced_log_mean(mask, term, series, star, hyper, gamma, config, rng, cond)
 
 
 def _child_seeds(seed: int, n: int) -> list[int]:
@@ -412,13 +327,19 @@ def marginal_log_likelihood(
 ) -> EvidenceResult:
     """Full evidence pipeline for one component count.
 
-    Runs the order-move chain, fixes the order configuration (modal or the
-    one requested), refits at fixed orders, relabels, picks theta*, then
+    Runs the order-move chain (not needed when p_max = 1), fixes the order
+    configuration (modal or the one requested), refits at fixed orders
+    conditioning on p_max observations, relabels, picks theta*, then
     estimates the four posterior ordinates in their required sequence and
     assembles the evidence identity.
     """
     s_rj, s_fit, s_ord = _child_seeds(seed, 3)
-    trace, _ = rjmcmc_run(series, g, hyper, config.order_config, s_rj)
+    p_max = config.order_config.p_max
+    if p_max > 1:
+        trace, _ = rjmcmc_run(series, g, hyper, config.order_config, s_rj)
+    else:
+        # an order chain capped at 1 can only visit (1, ..., 1)
+        trace = OrderTrace(orders=np.ones((1, g), dtype=np.int64))
     orders = config.orders if config.orders is not None else trace.modal()
     orders = tuple(int(p) for p in orders)
     preference = trace.preference(orders)
@@ -428,7 +349,7 @@ def marginal_log_likelihood(
             "cannot estimate its posterior probability"
         )
 
-    output = run_chain(series, g, orders, hyper, s_fit)
+    output = run_chain(series, g, orders, hyper, s_fit, cond=p_max)
     output = relabel_chain(output, config.relabel)
     star = starred_point(output)
     cond = output.cond
@@ -436,39 +357,29 @@ def marginal_log_likelihood(
     rng = np.random.default_rng(s_ord)
 
     log_phi, per_k = estimate_phi_ordinate(series, star, hyper, gamma, config, rng, cond)
-    log_mu = estimate_mu_ordinate(series, star, hyper, gamma, config, rng, cond)
-    log_tau = estimate_tau_ordinate(series, star, hyper, gamma, config, rng, cond)
-    log_pi = estimate_pi_ordinate(series, star, hyper, gamma, config, rng, cond)
-
-    ll = log_likelihood(star.spec, series, cond)
-    lp = log_prior_density(star.spec.weights, star.means, star.spec.scales, hyper)
-    log_order_prior = -g * math.log(config.order_config.p_max)
-    log_order_post = math.log(preference)
-
     parts = {
-        "log_likelihood": ll,
-        "log_prior": lp,
-        "log_order_prior": log_order_prior,
+        "log_likelihood": log_likelihood(star.spec, series, cond),
+        "log_prior": log_prior_density(star.spec.weights, star.means, star.spec.scales, hyper),
+        "log_order_prior": -g * math.log(p_max),
         "log_phi_ordinate": log_phi,
-        "log_mu_ordinate": log_mu,
-        "log_tau_ordinate": log_tau,
-        "log_pi_ordinate": log_pi,
-        "log_order_posterior": log_order_post,
+        "log_mu_ordinate": estimate_mu_ordinate(series, star, hyper, gamma, config, rng, cond),
+        "log_tau_ordinate": estimate_tau_ordinate(series, star, hyper, gamma, config, rng, cond),
+        "log_pi_ordinate": estimate_pi_ordinate(series, star, hyper, gamma, config, rng, cond),
+        "log_order_posterior": math.log(preference),
     }
     for k, v in enumerate(per_k, start=1):
         parts[f"log_phi_ordinate_{k}"] = v
-    log_marginal = (
-        ll + lp + log_order_prior - log_phi - log_mu - log_tau - log_pi - log_order_post
-    )
-    return EvidenceResult(
+    result = EvidenceResult(
         g=g,
         orders=orders,
         preference=preference,
-        log_marginal=log_marginal,
+        log_marginal=math.nan,
         parts=parts,
         theta_star=star.spec,
         theta_star_means=star.means,
     )
+    result.log_marginal = result.recompose()
+    return result
 
 
 def _evidence_worker(args):

@@ -101,6 +101,14 @@ class MARSpec:
             out[k, : a.size] = a
         return out
 
+    def with_ar(self, k: int, coeffs: np.ndarray) -> MARSpec:
+        """The same model with component k's (1-based) AR block replaced by coeffs."""
+        ar = list(self.ar_coeffs)
+        ar[k - 1] = coeffs
+        return MARSpec(
+            weights=self.weights, shifts=self.shifts, ar_coeffs=tuple(ar), scales=self.scales
+        )
+
 
 @dataclass(frozen=True)
 class TimeSeries:
@@ -169,6 +177,36 @@ def lag_matrix(values: np.ndarray, p: int, t0: int) -> np.ndarray:
     return np.column_stack(cols) if cols else np.empty((n - t0 + 1, 0))
 
 
+def _resolve_cond(spec: MARSpec, series: TimeSeries, cond: int | None) -> int:
+    """Number of leading observations to condition on; defaults to the maximum order."""
+    c = spec.max_order if cond is None else int(cond)
+    if c < spec.max_order:
+        raise ValueError("cannot condition on fewer observations than the maximum order")
+    if series.n <= c:
+        raise ValueError(f"series of length {series.n} too short to condition on {c} values")
+    return c
+
+
+def _design(values: np.ndarray, cond: int) -> tuple[np.ndarray, np.ndarray]:
+    """Targets y_t and the (T, cond) lag matrix for t = cond+1 .. n."""
+    return values[cond:], lag_matrix(values, cond, cond + 1)
+
+
+def _log_terms(spec: MARSpec, yt: np.ndarray, lm: np.ndarray) -> np.ndarray:
+    """(T, g) matrix of log(pi_k / sigma_k phi(e_tk / sigma_k)), rows unnormalized.
+
+    yt and lm are design arrays from `_design`; lm may be wider than the
+    maximum order (the extra columns meet zero coefficients).
+    """
+    e = (yt[:, None] - spec.shifts[None, :] - lm @ spec.phi_matrix(lm.shape[1]).T) / spec.scales
+    return np.log(spec.weights) - np.log(spec.scales) - 0.5 * e**2 - 0.5 * LOG_2PI
+
+
+def _mixture_loglik(spec: MARSpec, yt: np.ndarray, lm: np.ndarray) -> float:
+    """Sum over rows of log sum_k exp(log term): the conditional log likelihood."""
+    return float(np.sum(logsumexp(_log_terms(spec, yt, lm), axis=1)))
+
+
 def component_means_at(spec: MARSpec, values: np.ndarray, t: int) -> np.ndarray:
     """Conditional component means nu_tk = phi_k0 + sum_i phi_ki y_{t-i}."""
     p = spec.max_order
@@ -188,10 +226,8 @@ def component_residual(spec: MARSpec, series: TimeSeries, k: int, t: int) -> flo
 def conditional_pdf(spec: MARSpec, series: TimeSeries, t: int) -> float:
     """One-step-ahead predictive density of y_t given its past."""
     _check_time(series, t, spec.max_order)
-    nu = component_means_at(spec, series.values, t)
-    e = (series.values[t - 1] - nu) / spec.scales
-    log_terms = np.log(spec.weights) - np.log(spec.scales) - 0.5 * e**2 - 0.5 * LOG_2PI
-    return float(np.exp(logsumexp(log_terms)))
+    lags = _lag_vector(series.values, t, spec.max_order)[None, :]
+    return float(np.exp(logsumexp(_log_terms(spec, series.values[t - 1 : t], lags))))
 
 
 def conditional_cdf(spec: MARSpec, series: TimeSeries, t: int) -> float:
@@ -237,37 +273,13 @@ def shift_from_mean(mu: float, ar: np.ndarray) -> float:
     return float(mu) * (1.0 - float(np.sum(ar)))
 
 
-def _conditional_logpdf_rows(spec: MARSpec, values: np.ndarray, t0: int) -> np.ndarray:
-    """Per-component log contributions log(pi_k/sigma_k phi(e_tk/sigma_k)).
-
-    Returns a (n - t0 + 1, g) matrix of log pi_k - log sigma_k + log phi,
-    rows covering t = t0..n.
-    """
-    p = spec.max_order
-    lm = lag_matrix(values, p, t0)
-    yt = values[t0 - 1 :]
-    e = (yt[:, None] - spec.shifts[None, :] - lm @ spec.phi_matrix().T) / spec.scales[None, :]
-    return (
-        np.log(spec.weights)[None, :]
-        - np.log(spec.scales)[None, :]
-        - 0.5 * e**2
-        - 0.5 * LOG_2PI
-    )
-
-
 def log_likelihood(spec: MARSpec, series: TimeSeries, cond: int | None = None) -> float:
     """Conditional log likelihood sum_{t>cond} log f(y_t | past).
 
     The first `cond` observations (default: the maximum order) are
     conditioned on and contribute no terms.
     """
-    p = spec.max_order if cond is None else int(cond)
-    if p < spec.max_order:
-        raise ValueError("cannot condition on fewer observations than the maximum order")
-    if series.n <= p:
-        raise ValueError(f"series of length {series.n} too short for conditioning on {p} values")
-    rows = _conditional_logpdf_rows(spec, series.values, p + 1)
-    out = float(np.sum(logsumexp(rows, axis=1)))
+    out = _mixture_loglik(spec, *_design(series.values, _resolve_cond(spec, series, cond)))
     if not np.isfinite(out):
         raise ValueError("log likelihood is not finite; model collapsed numerically")
     return out
@@ -283,10 +295,7 @@ def complete_data_log_likelihood(
 
     sum_t [ log pi_{z_t} - log sigma_{z_t} - e_{t,z_t}^2 / (2 sigma^2) - log(2 pi)/2 ].
     """
-    p = spec.max_order if cond is None else int(cond)
-    if p < spec.max_order:
-        raise ValueError("cannot condition on fewer observations than the maximum order")
-    rows = _conditional_logpdf_rows(spec, series.values, p + 1)
+    rows = _log_terms(spec, *_design(series.values, _resolve_cond(spec, series, cond)))
     if alloc.z.size != rows.shape[0]:
         raise ValueError(
             f"allocation covers {alloc.z.size} observations, expected {rows.shape[0]}"

@@ -21,22 +21,13 @@ that leave the stability region are rejected outright.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from collections import Counter
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .model import MARSpec, TimeSeries
-from .sampler import (
-    ChainOutput,
-    ChainState,
-    Hyperparams,
-    _design,
-    gibbs_sweep,
-    initial_state,
-    log_prior_density,
-    tune_gamma,
-)
-from .stability import is_stable
+from .model import TimeSeries, _design
+from .sampler import ChainOutput, ChainState, Hyperparams, _run, swap_log_alpha
 
 
 @dataclass(frozen=True)
@@ -75,32 +66,6 @@ def propose_order_move(
     return "birth" if rng.random() < config.birth_prob(p) else "death"
 
 
-def _component_sse(yt, lm, mask, shift, coeffs) -> float:
-    e = yt[mask] - shift - lm[mask, : coeffs.size] @ coeffs
-    return float(e @ e)
-
-
-def _order_log_lr(state: ChainState, yt, lm, k: int, new_coeffs: np.ndarray) -> float:
-    """Log likelihood ratio restricted to points allocated to component k."""
-    spec = state.spec
-    mask = state.alloc.z == k
-    if not mask.any():
-        return 0.0
-    shift = spec.shifts[k - 1]
-    tau = 1.0 / spec.scales[k - 1] ** 2
-    sse_new = _component_sse(yt, lm, mask, shift, new_coeffs)
-    sse_cur = _component_sse(yt, lm, mask, shift, spec.ar_coeffs[k - 1])
-    return -0.5 * tau * (sse_new - sse_cur)
-
-
-def _candidate_spec(spec: MARSpec, k: int, new_coeffs: np.ndarray) -> MARSpec:
-    ar = list(spec.ar_coeffs)
-    ar[k - 1] = new_coeffs
-    return MARSpec(
-        weights=spec.weights, shifts=spec.shifts, ar_coeffs=tuple(ar), scales=spec.scales
-    )
-
-
 def birth_acceptance(
     state: ChainState,
     series: TimeSeries,
@@ -114,15 +79,14 @@ def birth_acceptance(
     p = spec.orders[k - 1]
     if p >= config.p_max:
         raise ValueError(f"component {k} already at p_max={config.p_max}")
-    cond = config.p_max if cond is None else cond
-    yt, lm = _design(series.values, cond)
-    new_coeffs = np.append(spec.ar_coeffs[k - 1], proposed_coeff)
-    if not is_stable(_candidate_spec(spec, k, new_coeffs)).stable:
-        return 0.0
-    log_lr = _order_log_lr(state, yt, lm, k, new_coeffs)
+    yt, lm = _design(series.values, config.p_max if cond is None else cond)
     ratio = config.death_prob(p + 1) / config.birth_prob(p)
-    log_alpha = log_lr + math.log(ratio) + math.log(2.0 * config.birth_half_width)
-    return min(1.0, math.exp(min(log_alpha, 0.0)))
+    new_coeffs = np.append(spec.ar_coeffs[k - 1], proposed_coeff)
+    return math.exp(
+        swap_log_alpha(
+            state, yt, lm, k, new_coeffs, math.log(ratio), math.log(2.0 * config.birth_half_width)
+        )
+    )
 
 
 def death_acceptance(
@@ -138,12 +102,7 @@ def death_acceptance(
     p = spec.orders[k - 1]
     if p <= 1:
         raise ValueError(f"component {k} already at order 1")
-    cond = config.p_max if cond is None else cond
-    yt, lm = _design(series.values, cond)
     dropped = float(spec.ar_coeffs[k - 1][-1])
-    new_coeffs = spec.ar_coeffs[k - 1][:-1].copy()
-    if not is_stable(_candidate_spec(spec, k, new_coeffs)).stable:
-        return 0.0
     if config.literal_death_density:
         if gamma_k is None:
             raise ValueError("the literal death density needs the RWM proposal precision")
@@ -153,10 +112,10 @@ def death_acceptance(
         dens = 1.0 / (2.0 * w) if abs(dropped) < w else 0.0
     if dens == 0.0:
         return 0.0
-    log_lr = _order_log_lr(state, yt, lm, k, new_coeffs)
+    yt, lm = _design(series.values, config.p_max if cond is None else cond)
     ratio = config.birth_prob(p - 1) / config.death_prob(p)
-    log_alpha = log_lr + math.log(ratio) + math.log(dens)
-    return min(1.0, math.exp(min(log_alpha, 0.0)))
+    new_coeffs = spec.ar_coeffs[k - 1][:-1].copy()
+    return math.exp(swap_log_alpha(state, yt, lm, k, new_coeffs, math.log(ratio), math.log(dens)))
 
 
 @dataclass(frozen=True)
@@ -189,22 +148,15 @@ def order_move(
         new_coeffs = state.spec.ar_coeffs[k - 1][:-1].copy()
     accepted = rng.random() < alpha
     if accepted:
-        state = ChainState(
-            spec=_candidate_spec(state.spec, k, new_coeffs),
-            alloc=state.alloc,
-            lam=state.lam,
-            iteration=state.iteration,
-            means=state.means,
-        )
+        state = replace(state, spec=state.spec.with_ar(k, new_coeffs))
     return state, OrderMoveResult(direction, k, alpha, accepted)
 
 
 @dataclass
 class OrderTrace:
-    """Per-iteration retained order vectors and their visit counts."""
+    """Per-iteration retained order vectors and the birth/death move tallies."""
 
     orders: np.ndarray
-    counts: dict[tuple[int, ...], int]
     birth_attempts: int = 0
     birth_accepts: int = 0
     death_attempts: int = 0
@@ -214,11 +166,17 @@ class OrderTrace:
     def total(self) -> int:
         return self.orders.shape[0]
 
+    @property
+    def counts(self) -> dict[tuple[int, ...], int]:
+        """Retained visits per order configuration, in order of first visit."""
+        return dict(Counter(map(tuple, self.orders.tolist())))
+
     def modal(self) -> tuple[int, ...]:
         """Most visited order configuration; ties resolve lexicographically."""
-        if not self.counts:
+        counts = self.counts
+        if not counts:
             raise ValueError("empty trace")
-        return min(self.counts.items(), key=lambda kv: (-kv[1], kv[0]))[0]
+        return min(counts.items(), key=lambda kv: (-kv[1], kv[0]))[0]
 
     def preference(self, orders: tuple[int, ...]) -> float:
         """Share of retained iterations spent at the given configuration."""
@@ -238,95 +196,27 @@ def rjmcmc_run(
     Every likelihood inside the run conditions on the first p_max
     observations so states of different dimension share one data set.  One
     order move on a uniformly chosen component follows each parameter sweep.
+    `evidence.marginal_log_likelihood` skips this chain when p_max = 1, where
+    the only reachable configuration is all orders 1.
     """
-    rng = np.random.default_rng(seed)
     cond = config.p_max
     orders0 = tuple([1] * g) if start_orders is None else tuple(int(p) for p in start_orders)
     if len(orders0) != g or any(not 1 <= p <= config.p_max for p in orders0):
         raise ValueError("start orders must lie in 1..p_max for every component")
-    state = initial_state(series, g, orders0, hyper, rng, cond)
-    if hyper.gamma is not None:
-        gamma = np.asarray(hyper.gamma, dtype=float)
-    else:
-        gamma, _, state = tune_gamma(
-            series, g, orders0, hyper, hyper.pilot_iters, rng, state=state, cond=cond
-        )
+    moves: Counter = Counter()
 
-    n_keep = hyper.n_iter - hyper.burn_in
-    width = config.p_max
-    weights = np.empty((n_keep, g))
-    shifts = np.empty((n_keep, g))
-    means = np.empty((n_keep, g))
-    scales = np.empty((n_keep, g))
-    ar = np.zeros((n_keep, g, width))
-    orders_arr = np.empty((n_keep, g), dtype=np.int64)
-    lam = np.empty(n_keep)
-    ll = np.empty(n_keep)
-    lp = np.empty(n_keep)
-    counts: dict[tuple[int, ...], int] = {}
-    acc_counts = np.zeros(g)
-    stab_rej = 0
-    ba = bacc = da = dacc = 0
-
-    yt, lm = _design(series.values, cond)
-    j = 0
-    for it in range(hyper.n_iter):
-        state, info = gibbs_sweep(state, series, hyper, rng, cond=cond, gamma=gamma)
-        acc_counts += info.accepted
-        stab_rej += int(info.stability_rejected)
+    def move(state, rng, gamma):
         k = int(rng.integers(1, g + 1))
-        state, move = order_move(state, series, config, k, rng, cond, gamma[k - 1])
-        if move.direction == "birth":
-            ba += 1
-            bacc += int(move.accepted)
-        elif move.direction == "death":
-            da += 1
-            dacc += int(move.accepted)
-        if it >= hyper.burn_in:
-            spec = state.spec
-            cur_orders = spec.orders
-            counts[cur_orders] = counts.get(cur_orders, 0) + 1
-            orders_arr[j] = cur_orders
-            weights[j] = spec.weights
-            shifts[j] = spec.shifts
-            means[j] = state.means
-            scales[j] = spec.scales
-            ar[j] = spec.phi_matrix(width)
-            lam[j] = state.lam
-            if move.accepted:
-                from .sampler import _mixture_loglik
+        state, result = order_move(state, series, config, k, rng, cond, gamma[k - 1])
+        moves[result.direction, result.accepted] += 1
+        return state, result.accepted
 
-                ll[j] = _mixture_loglik(spec, yt, lm)
-            else:
-                ll[j] = info.log_likelihood
-            lp[j] = ll[j] + log_prior_density(spec.weights, state.means, spec.scales, hyper)
-            j += 1
-
+    output = _run(series, g, orders0, hyper, seed, cond, config.p_max, move)
     trace = OrderTrace(
-        orders=orders_arr,
-        counts=counts,
-        birth_attempts=ba,
-        birth_accepts=bacc,
-        death_attempts=da,
-        death_accepts=dacc,
-    )
-    output = ChainOutput(
-        g=g,
-        cond=cond,
-        weights=weights,
-        shifts=shifts,
-        means=means,
-        scales=scales,
-        ar=ar,
-        orders=orders_arr,
-        lam=lam,
-        log_likelihoods=ll,
-        log_posteriors=lp,
-        acceptance=acc_counts / hyper.n_iter,
-        stability_rejections=stab_rej,
-        gamma=gamma,
-        seed=seed,
-        burn_in=hyper.burn_in,
-        fixed_shift=hyper.fixed_shift,
+        orders=output.orders,
+        birth_attempts=moves["birth", True] + moves["birth", False],
+        birth_accepts=moves["birth", True],
+        death_attempts=moves["death", True] + moves["death", False],
+        death_accepts=moves["death", True],
     )
     return trace, output

@@ -21,17 +21,19 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import logsumexp
 
 from .model import (
-    LOG_2PI,
     LatentAllocation,
     MARSpec,
     TimeSeries,
-    lag_matrix,
+    _design,
+    _log_terms,
+    _mixture_loglik,
+    _resolve_cond,
 )
 from .stability import is_stable
 
@@ -44,7 +46,8 @@ class Hyperparams:
     a, b: shape and rate of the Gamma prior on lambda.
     c: shape of the Gamma prior on the precisions tau_k.
     dirichlet_weights: Dirichlet prior weights (None means all ones).
-    gamma: per-component RWM proposal precisions (None means tune a pilot).
+    gamma: RWM proposal precisions, one per component or a single value for
+        all of them (None means tune a pilot).
     fixed_shift: pin all shifts phi_k0 at zero and skip the mean update.
     """
 
@@ -56,7 +59,6 @@ class Hyperparams:
     dirichlet_weights: tuple[float, ...] | None = None
     gamma: tuple[float, ...] | None = None
     fixed_shift: bool = False
-    p_max: int = 5
     burn_in: int = 10_000
     n_iter: int = 20_000
     pilot_iters: int = 2_000
@@ -78,8 +80,6 @@ class Hyperparams:
             if any(not (np.isfinite(x) and x > 0) for x in gm):
                 raise ValueError("every gamma_k must be positive and finite")
             object.__setattr__(self, "gamma", gm)
-        if self.p_max < 1:
-            raise ValueError("p_max must be >= 1")
         if not 0 <= self.burn_in < self.n_iter:
             raise ValueError(
                 f"burn_in must satisfy 0 <= burn_in < n_iter, got {self.burn_in}, {self.n_iter}"
@@ -194,38 +194,29 @@ def _dirichlet_prior(hyper: Hyperparams, g: int) -> np.ndarray:
     return dw
 
 
-def _resolve_cond(spec: MARSpec, series: TimeSeries, cond: int | None) -> int:
-    c = spec.max_order if cond is None else int(cond)
-    if c < spec.max_order:
-        raise ValueError("cond must be at least the maximum component order")
-    if series.n <= c:
-        raise ValueError(f"series of length {series.n} too short to condition on {c} values")
-    return c
+def resolve_gamma(gamma, g: int) -> np.ndarray:
+    """Per-component RWM proposal precisions; a single value applies to every component."""
+    if gamma is None:
+        raise ValueError("no proposal precision available; tune gamma first or set it")
+    gm = np.asarray(gamma, dtype=float).reshape(-1)
+    if gm.size == 1:
+        return np.full(g, gm[0])
+    if gm.size != g:
+        raise ValueError(f"gamma has length {gm.size}, expected 1 or {g}")
+    return gm
 
 
-def _design(values: np.ndarray, cond: int) -> tuple[np.ndarray, np.ndarray]:
-    """Target vector y_t and lag matrix for t = cond+1 .. n."""
-    lm = lag_matrix(values, cond, cond + 1)
-    return values[cond:], lm
+# Block kernels, shared by the sweep, the reduced evidence chains and the
+# order moves; data enter as the design arrays (yt, lm) of `model._design`.
 
 
-def _log_alloc_weights(spec, yt, lm):
-    """(T, g) matrix log(pi_k/sigma_k phi(e_tk/sigma_k)), unnormalized rows."""
-    e = (yt[:, None] - spec.shifts[None, :] - lm @ spec.phi_matrix(lm.shape[1]).T) / spec.scales
-    return np.log(spec.weights) - np.log(spec.scales) - 0.5 * e**2 - 0.5 * LOG_2PI
-
-
-def allocation_probabilities(
-    spec: MARSpec, series: TimeSeries, cond: int | None = None
-) -> np.ndarray:
-    """Posterior allocation probabilities, rows t = cond+1..n summing to one."""
-    cond = _resolve_cond(spec, series, cond)
-    yt, lm = _design(series.values, cond)
-    logw = _log_alloc_weights(spec, yt, lm)
+def allocation_probabilities(spec: MARSpec, yt: np.ndarray, lm: np.ndarray) -> np.ndarray:
+    """Posterior allocation probabilities, one row per design row, summing to one."""
+    logw = _log_terms(spec, yt, lm)
     norm = logsumexp(logw, axis=1)
     bad = ~np.isfinite(norm)
     if np.any(bad):
-        t_bad = cond + 1 + int(np.nonzero(bad)[0][0])
+        t_bad = lm.shape[1] + 1 + int(np.nonzero(bad)[0][0])
         raise ValueError(
             f"all component densities underflow at t={t_bad}; "
             "the current parameters leave that observation unexplainable"
@@ -233,19 +224,14 @@ def allocation_probabilities(
     return np.exp(logw - norm[:, None])
 
 
-def sample_allocations(
-    state: ChainState, series: TimeSeries, rng: np.random.Generator, cond: int | None = None
+def draw_allocations(
+    spec: MARSpec, yt: np.ndarray, lm: np.ndarray, rng: np.random.Generator
 ) -> LatentAllocation:
-    """Draw z_t from its full conditional at every conditioning time."""
-    probs = allocation_probabilities(state.spec, series, cond)
-    return _draw_alloc(probs, state.spec.g, rng)
-
-
-def _draw_alloc(probs: np.ndarray, g: int, rng) -> LatentAllocation:
+    """Draw every z_t from its full conditional (one uniform per row)."""
+    probs = allocation_probabilities(spec, yt, lm)
     u = rng.random(probs.shape[0])
     labels = (u[:, None] > np.cumsum(probs, axis=1)).sum(axis=1)
-    labels = np.minimum(labels, g - 1)
-    return LatentAllocation(z=labels + 1, g=g)
+    return LatentAllocation(z=np.minimum(labels, spec.g - 1) + 1, g=spec.g)
 
 
 def sample_weights(
@@ -258,141 +244,110 @@ def sample_weights(
     return w / w.sum()
 
 
-def _draw_means(yt, lm, phi_mat, scales, z0, counts, hyper, rng):
-    """Sample component means; returns (means, shifts).
+def dirichlet_log_density(alpha: np.ndarray, log_weights: np.ndarray) -> float:
+    """log Dirichlet(pi | alpha) at log pi; the weights conditional is alpha = prior + counts."""
+    return (
+        math.lgamma(float(alpha.sum()))
+        - float(np.sum([math.lgamma(float(x)) for x in alpha]))
+        + float(np.dot(alpha - 1.0, log_weights))
+    )
 
-    The conditional is Normal with precision tau_k n_k b_k^2 + kappa and mean
-    (tau_k n_k ebar_k b_k + kappa zeta) / precision, where ebar_k averages the
-    shift-free residuals y_t - sum_i phi_ki y_{t-i} over the points assigned
-    to k and b_k = 1 - sum_i phi_ki.  Empty components fall back to the prior.
+
+def means_conditional(
+    r: np.ndarray,
+    z0: np.ndarray,
+    counts: np.ndarray,
+    tau: np.ndarray,
+    bk: np.ndarray,
+    hyper: Hyperparams,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Normal full conditional of the component means: (mean, precision) per component.
+
+    r holds the (T, g) shift-free residuals y_t - sum_i phi_ki y_{t-i}, z0 the
+    0-based labels and bk = 1 - sum_i phi_ki.  The precision is
+    tau_k n_k b_k^2 + kappa and the mean (tau_k n_k ebar_k b_k + kappa zeta) /
+    precision, where ebar_k averages r over the points assigned to k.  Empty
+    components fall back to the prior.
     """
-    g = scales.size
-    r = yt[:, None] - lm @ phi_mat.T
-    tau = 1.0 / scales**2
-    bk = 1.0 - phi_mat.sum(axis=1)
-    means = np.empty(g)
-    for k in range(g):
+    mean = np.empty(counts.size)
+    prec = np.empty(counts.size)
+    for k in range(counts.size):
         nk = counts[k]
         ebar = r[z0 == k, k].mean() if nk > 0 else 0.0
-        prec = tau[k] * nk * bk[k] ** 2 + hyper.kappa
-        m = (tau[k] * nk * ebar * bk[k] + hyper.kappa * hyper.zeta) / prec
-        means[k] = rng.normal(m, math.sqrt(1.0 / prec))
-    return means, means * bk
+        prec[k] = tau[k] * nk * bk[k] ** 2 + hyper.kappa
+        mean[k] = (tau[k] * nk * ebar * bk[k] + hyper.kappa * hyper.zeta) / prec[k]
+    return mean, prec
 
 
-def sample_means(
-    state: ChainState,
-    series: TimeSeries,
-    hyper: Hyperparams,
-    rng: np.random.Generator,
-    cond: int | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Draw component means from their Normal full conditionals.
-
-    Returns (shifts, means): the sampled means and the implied shifts
-    phi_k0 = mu_k (1 - sum_i phi_ki).
-    """
-    cond = _resolve_cond(state.spec, series, cond)
-    yt, lm = _design(series.values, cond)
-    means, shifts = _draw_means(
-        yt,
-        lm,
-        state.spec.phi_matrix(cond),
-        state.spec.scales,
-        state.alloc.z - 1,
-        state.alloc.counts,
-        hyper,
-        rng,
-    )
-    return shifts, means
-
-
-def sample_lambda(state: ChainState, hyper: Hyperparams, rng: np.random.Generator) -> float:
+def draw_lambda(scales: np.ndarray, hyper: Hyperparams, rng: np.random.Generator) -> float:
     """Draw lambda ~ Gamma(a + g c, b + sum_k tau_k)."""
-    tau_sum = float(state.spec.precisions.sum())
-    return float(rng.gamma(hyper.a + state.spec.g * hyper.c, 1.0 / (hyper.b + tau_sum)))
+    return float(
+        rng.gamma(hyper.a + scales.size * hyper.c, 1.0 / (hyper.b + (1.0 / scales**2).sum()))
+    )
 
 
-def _draw_precisions(e, z0, counts, lam, hyper, rng):
-    g = counts.size
-    scales = np.empty(g)
-    for k in range(g):
-        sse = float(np.sum(e[z0 == k, k] ** 2)) if counts[k] > 0 else 0.0
-        tau = rng.gamma(hyper.c + counts[k] / 2.0, 1.0 / (lam + sse / 2.0))
-        scales[k] = 1.0 / math.sqrt(tau)
-    return scales
+def precisions_conditional(
+    e: np.ndarray, z0: np.ndarray, counts: np.ndarray, lam: float, hyper: Hyperparams
+) -> tuple[np.ndarray, np.ndarray]:
+    """Gamma full conditional of the precisions: (shape, rate) = (c + n_k/2, lambda + SSE_k/2).
 
-
-def sample_precisions(
-    state: ChainState,
-    series: TimeSeries,
-    hyper: Hyperparams,
-    rng: np.random.Generator,
-    cond: int | None = None,
-) -> np.ndarray:
-    """Draw tau_k ~ Gamma(c + n_k/2, lambda + SSE_k/2); returns scales sigma_k."""
-    cond = _resolve_cond(state.spec, series, cond)
-    yt, lm = _design(series.values, cond)
-    spec = state.spec
-    e = yt[:, None] - spec.shifts[None, :] - lm @ spec.phi_matrix(cond).T
-    return _draw_precisions(e, state.alloc.z - 1, state.alloc.counts, state.lam, hyper, rng)
-
-
-def rwm_log_ratio(
-    spec: MARSpec,
-    series: TimeSeries,
-    z: np.ndarray,
-    k: int,
-    proposal: np.ndarray,
-    cond: int | None = None,
-) -> float:
-    """Log likelihood ratio of proposed vs current AR coefficients of component k.
-
-    Restricted to observations currently allocated to k; the shift and scale
-    stay at their current values.  z holds 1-based labels for t = cond+1..n.
+    e holds the (T, g) residuals including the shifts; SSE_k sums e^2 over
+    the points assigned to k.
     """
-    cond = _resolve_cond(spec, series, cond)
-    yt, lm = _design(series.values, cond)
-    proposal = np.asarray(proposal, dtype=float).reshape(-1)
-    cur = spec.ar_coeffs[k - 1]
-    if proposal.size != cur.size:
-        raise ValueError("proposal must match the component order")
-    mask = np.asarray(z) == k
+    sse = np.array(
+        [float(np.sum(e[z0 == k, k] ** 2)) if counts[k] > 0 else 0.0 for k in range(counts.size)]
+    )
+    return hyper.c + counts / 2.0, lam + sse / 2.0
+
+
+def ar_log_ratio(
+    yt: np.ndarray,
+    lm: np.ndarray,
+    mask: np.ndarray,
+    shift: float,
+    scale: float,
+    cur: np.ndarray,
+    new: np.ndarray,
+) -> float:
+    """Log likelihood ratio of AR block `new` against `cur` for one component.
+
+    Restricted to the rows in `mask`, the points allocated to the component;
+    its shift and scale stay fixed.  The two blocks may differ in length, as
+    in a birth or death move.
+    """
     if not mask.any():
         return 0.0
-    x = lm[mask, : cur.size]
-    resid_base = yt[mask] - spec.shifts[k - 1]
-    e_cur = resid_base - x @ cur
-    e_new = resid_base - x @ proposal
-    tau = 1.0 / spec.scales[k - 1] ** 2
+    r = yt[mask] - shift
+    x_cur = lm[mask, : cur.size]
+    x_new = x_cur if new.size == cur.size else lm[mask, : new.size]
+    e_cur = r - x_cur @ cur
+    e_new = r - x_new @ new
+    tau = 1.0 / scale**2
     return -0.5 * tau * float(e_new @ e_new - e_cur @ e_cur)
 
 
-def rwm_update_ar(
+def swap_log_alpha(
     state: ChainState,
-    series: TimeSeries,
-    hyper: Hyperparams,
+    yt: np.ndarray,
+    lm: np.ndarray,
     k: int,
-    rng: np.random.Generator,
-    cond: int | None = None,
-    gamma_k: float | None = None,
-) -> tuple[bool, np.ndarray]:
-    """One random-walk Metropolis step on component k's AR coefficients.
+    coeffs: np.ndarray,
+    log_move: float = 0.0,
+    log_q: float = 0.0,
+) -> float:
+    """Log acceptance of replacing component k's AR block by coeffs.
 
-    The proposal is N(phi_k, I/gamma_k); acceptance uses the allocated-point
-    likelihood ratio.  Returns (accepted, coefficient vector).
+    min(0, log LR + log_move + log_q) with the allocated-point ratio of
+    `ar_log_ratio`, or -inf when the swapped model is unstable.
     """
-    if gamma_k is None:
-        if hyper.gamma is None:
-            raise ValueError("no proposal precision available; tune gamma first or set it")
-        gamma_k = hyper.gamma[k - 1]
-    cur = state.spec.ar_coeffs[k - 1]
-    step = rng.normal(0.0, 1.0 / math.sqrt(gamma_k), size=cur.size)
-    proposal = cur + step
-    log_ratio = rwm_log_ratio(state.spec, series, state.alloc.z, k, proposal, cond)
-    if math.log(rng.random()) < log_ratio:
-        return True, proposal
-    return False, cur.copy()
+    spec = state.spec
+    if not is_stable(spec.with_ar(k, coeffs)).stable:
+        return -math.inf
+    log_lr = ar_log_ratio(
+        yt, lm, state.alloc.z == k, spec.shifts[k - 1], spec.scales[k - 1],
+        spec.ar_coeffs[k - 1], coeffs,
+    )
+    return min(log_lr + log_move + log_q, 0.0)
 
 
 def gibbs_sweep(
@@ -414,30 +369,12 @@ def gibbs_sweep(
     g = spec0.g
     cond = _resolve_cond(spec0, series, cond)
     update = update or UpdateMask()
-    if gamma is None:
-        if hyper.gamma is not None:
-            gamma = np.asarray(hyper.gamma, dtype=float)
-        elif update.ar_components(g):
-            raise ValueError("no proposal precision available; tune gamma first or set it")
+    ar_ks = update.ar_components(g)
+    if ar_ks:
+        gamma = resolve_gamma(hyper.gamma if gamma is None else gamma, g)
     yt, lm = _design(series.values, cond)
-    width = lm.shape[1]
-    attempted = np.zeros(g, dtype=bool)
-    accepted = np.zeros(g, dtype=bool)
 
-    # allocations
-    if update.allocations:
-        logw = _log_alloc_weights(spec0, yt, lm)
-        norm = logsumexp(logw, axis=1)
-        bad = ~np.isfinite(norm)
-        if np.any(bad):
-            t_bad = cond + 1 + int(np.nonzero(bad)[0][0])
-            raise ValueError(
-                f"all component densities underflow at t={t_bad}; "
-                "the current parameters leave that observation unexplainable"
-            )
-        alloc = _draw_alloc(np.exp(logw - norm[:, None]), g, rng)
-    else:
-        alloc = state.alloc
+    alloc = draw_allocations(spec0, yt, lm, rng) if update.allocations else state.alloc
     z0 = alloc.z - 1
     counts = alloc.counts
 
@@ -447,41 +384,37 @@ def gibbs_sweep(
         else spec0.weights.copy()
     )
 
-    phi_mat = spec0.phi_matrix(width)
+    phi_mat = spec0.phi_matrix(lm.shape[1])
+    fitted = lm @ phi_mat.T
     scales = spec0.scales
     if update.means and not hyper.fixed_shift:
-        means, shifts = _draw_means(yt, lm, phi_mat, scales, z0, counts, hyper, rng)
+        bk = 1.0 - phi_mat.sum(axis=1)
+        m, prec = means_conditional(yt[:, None] - fitted, z0, counts, 1.0 / scales**2, bk, hyper)
+        means = np.array([rng.normal(m[k], math.sqrt(1.0 / prec[k])) for k in range(g)])
+        shifts = means * bk
     else:
         means, shifts = state.means.copy(), spec0.shifts.copy()
 
-    lam = (
-        float(rng.gamma(hyper.a + g * hyper.c, 1.0 / (hyper.b + (1.0 / scales**2).sum())))
-        if update.lam
-        else state.lam
-    )
+    lam = draw_lambda(scales, hyper, rng) if update.lam else state.lam
 
-    e = yt[:, None] - shifts[None, :] - lm @ phi_mat.T
     if update.precisions:
-        scales = _draw_precisions(e, z0, counts, lam, hyper, rng)
+        e = yt[:, None] - shifts[None, :] - fitted
+        shape, rate = precisions_conditional(e, z0, counts, lam, hyper)
+        scales = np.array(
+            [1.0 / math.sqrt(rng.gamma(shape[k], 1.0 / rate[k])) for k in range(g)]
+        )
     else:
         scales = scales.copy()
 
     ar = [a.copy() for a in spec0.ar_coeffs]
-    for k in update.ar_components(g):
+    attempted = np.zeros(g, dtype=bool)
+    accepted = np.zeros(g, dtype=bool)
+    for k in ar_ks:
         attempted[k - 1] = True
-        pk = ar[k - 1].size
-        step = rng.normal(0.0, 1.0 / math.sqrt(gamma[k - 1]), size=pk)
-        proposal = ar[k - 1] + step
-        mask = z0 == k - 1
-        if mask.any():
-            x = lm[mask, :pk]
-            resid_base = yt[mask] - shifts[k - 1]
-            e_cur = resid_base - x @ ar[k - 1]
-            e_new = resid_base - x @ proposal
-            tau = 1.0 / scales[k - 1] ** 2
-            log_ratio = -0.5 * tau * float(e_new @ e_new - e_cur @ e_cur)
-        else:
-            log_ratio = 0.0
+        proposal = ar[k - 1] + rng.normal(0.0, 1.0 / math.sqrt(gamma[k - 1]), size=ar[k - 1].size)
+        log_ratio = ar_log_ratio(
+            yt, lm, z0 == k - 1, shifts[k - 1], scales[k - 1], ar[k - 1], proposal
+        )
         if math.log(rng.random()) < log_ratio:
             accepted[k - 1] = True
             ar[k - 1] = proposal
@@ -495,10 +428,6 @@ def gibbs_sweep(
         rejected = True
     ll = _mixture_loglik(new_state.spec, yt, lm)
     return new_state, SweepInfo(attempted, accepted, rejected, ll)
-
-
-def _mixture_loglik(spec: MARSpec, yt, lm) -> float:
-    return float(np.sum(logsumexp(_log_alloc_weights(spec, yt, lm), axis=1)))
 
 
 def log_prior_density(
@@ -517,9 +446,7 @@ def log_prior_density(
     """
     g = weights.size
     fixed_shift = hyper.fixed_shift if fixed_shift is None else fixed_shift
-    dw = _dirichlet_prior(hyper, g)
-    lp = math.lgamma(float(dw.sum())) - float(np.sum([math.lgamma(x) for x in dw]))
-    lp += float(np.dot(dw - 1.0, np.log(weights)))
+    lp = dirichlet_log_density(_dirichlet_prior(hyper, g), np.log(weights))
     if not fixed_shift:
         lp += float(
             np.sum(
@@ -596,20 +523,13 @@ def initial_state(
 
     weights = np.full(g, 1.0 / g)
     scales = np.full(g, math.sqrt(var))
-    if hyper.fixed_shift:
-        means = np.zeros(g)
-        shifts = np.zeros(g)
-    else:
-        means = np.full(g, ybar)
-        shifts = np.array([ybar * (1.0 - a.sum()) for a in ar])
-
+    means = np.zeros(g) if hyper.fixed_shift else np.full(g, ybar)
     for _ in range(400):
+        shifts = np.array([0.0 if hyper.fixed_shift else ybar * (1.0 - a.sum()) for a in ar])
         spec = MARSpec(weights=weights, shifts=shifts, ar_coeffs=tuple(ar), scales=scales)
         if is_stable(spec).stable:
             break
         ar = [a * 0.9 for a in ar]
-        if not hyper.fixed_shift:
-            shifts = np.array([ybar * (1.0 - a.sum()) for a in ar])
     else:
         raise RuntimeError("failed to find a stable starting point")
 
@@ -641,11 +561,7 @@ def tune_gamma(
         raise ValueError("pilot_iters must be at least 500")
     if state is None:
         state = initial_state(series, g, orders, hyper, rng, cond)
-    gamma = (
-        np.asarray(hyper.gamma, dtype=float).copy()
-        if hyper.gamma is not None
-        else np.full(g, 100.0)
-    )
+    gamma = resolve_gamma(hyper.gamma, g) if hyper.gamma is not None else np.full(g, 100.0)
     log_gamma = np.log(gamma)
     n_batches = pilot_iters // batch
     rates = np.zeros(g)
@@ -670,75 +586,75 @@ def tune_gamma(
     return np.exp(log_gamma), rates, state
 
 
-def run_chain(
+def _run(
     series: TimeSeries,
     g: int,
     orders: tuple[int, ...],
     hyper: Hyperparams,
     seed: int,
-    cond: int | None = None,
+    cond: int,
+    width: int,
+    move=None,
     collect_allocations: bool = False,
 ) -> ChainOutput:
-    """Run a fixed-order chain: optional pilot tuning, burn-in, retention.
+    """The chain loop shared by `run_chain` and `rjmcmc.rjmcmc_run`.
 
-    Deterministic given the seed.  Retained draws carry the log likelihood
-    and the joint log posterior (likelihood plus log prior) for downstream
-    selection of high-density points.
+    Starts from `initial_state`, takes gamma from the hyperparameters or tunes
+    it in a pilot, then sweeps n_iter times and records every draw after
+    burn-in.  move(state, rng, gamma) -> (state, moved), when given, runs
+    after every sweep; a draw it changed has its log likelihood recomputed.
+    AR blocks are stored zero-padded to `width`.
     """
     rng = np.random.default_rng(seed)
-    orders = tuple(int(p) for p in orders)
-    p = max(orders)
-    c = p if cond is None else int(cond)
-    state = initial_state(series, g, orders, hyper, rng, c)
+    state = initial_state(series, g, orders, hyper, rng, cond)
     if hyper.gamma is not None:
-        gamma = np.asarray(hyper.gamma, dtype=float)
-        if gamma.size != g:
-            raise ValueError(f"gamma has length {gamma.size}, expected {g}")
+        gamma = resolve_gamma(hyper.gamma, g)
     else:
         gamma, _, state = tune_gamma(
-            series, g, orders, hyper, hyper.pilot_iters, rng, state=state, cond=c
+            series, g, orders, hyper, hyper.pilot_iters, rng, state=state, cond=cond
         )
 
     n_keep = hyper.n_iter - hyper.burn_in
-    width = p
     weights = np.empty((n_keep, g))
     shifts = np.empty((n_keep, g))
     means = np.empty((n_keep, g))
     scales = np.empty((n_keep, g))
     ar = np.zeros((n_keep, g, width))
+    orders_arr = np.empty((n_keep, g), dtype=np.int64)
     lam = np.empty(n_keep)
     ll = np.empty(n_keep)
     lp = np.empty(n_keep)
-    allocs = np.empty((n_keep, series.n - c), dtype=np.int8) if collect_allocations else None
-    orders_arr = np.tile(np.asarray(orders, dtype=np.int64), (n_keep, 1))
+    allocs = np.empty((n_keep, series.n - cond), dtype=np.int8) if collect_allocations else None
+    yt, lm = _design(series.values, cond)
 
     acc_counts = np.zeros(g)
     stab_rej = 0
-    j = 0
     for it in range(hyper.n_iter):
-        state, info = gibbs_sweep(state, series, hyper, rng, cond=c, gamma=gamma)
+        state, info = gibbs_sweep(state, series, hyper, rng, cond=cond, gamma=gamma)
         acc_counts += info.accepted
         stab_rej += int(info.stability_rejected)
-        if it >= hyper.burn_in:
-            spec = state.spec
-            weights[j] = spec.weights
-            shifts[j] = spec.shifts
-            means[j] = state.means
-            scales[j] = spec.scales
-            for k in range(g):
-                ar[j, k, : orders[k]] = spec.ar_coeffs[k]
-            lam[j] = state.lam
-            ll[j] = info.log_likelihood
-            lp[j] = info.log_likelihood + log_prior_density(
-                spec.weights, state.means, spec.scales, hyper
-            )
-            if collect_allocations:
-                allocs[j] = state.alloc.z
-            j += 1
+        moved = False
+        if move is not None:
+            state, moved = move(state, rng, gamma)
+        j = it - hyper.burn_in
+        if j < 0:
+            continue
+        spec = state.spec
+        weights[j] = spec.weights
+        shifts[j] = spec.shifts
+        means[j] = state.means
+        scales[j] = spec.scales
+        ar[j] = spec.phi_matrix(width)
+        orders_arr[j] = spec.orders
+        lam[j] = state.lam
+        ll[j] = _mixture_loglik(spec, yt, lm) if moved else info.log_likelihood
+        lp[j] = ll[j] + log_prior_density(spec.weights, state.means, spec.scales, hyper)
+        if collect_allocations:
+            allocs[j] = state.alloc.z
 
     return ChainOutput(
         g=g,
-        cond=c,
+        cond=cond,
         weights=weights,
         shifts=shifts,
         means=means,
@@ -755,4 +671,27 @@ def run_chain(
         burn_in=hyper.burn_in,
         fixed_shift=hyper.fixed_shift,
         allocations=allocs,
+    )
+
+
+def run_chain(
+    series: TimeSeries,
+    g: int,
+    orders: tuple[int, ...],
+    hyper: Hyperparams,
+    seed: int,
+    cond: int | None = None,
+    collect_allocations: bool = False,
+) -> ChainOutput:
+    """Run a fixed-order chain: optional pilot tuning, burn-in, retention.
+
+    Deterministic given the seed.  Retained draws carry the log likelihood
+    and the joint log posterior (likelihood plus log prior) for downstream
+    selection of high-density points.
+    """
+    orders = tuple(int(p) for p in orders)
+    p = max(orders)
+    c = p if cond is None else int(cond)
+    return _run(
+        series, g, orders, hyper, seed, c, p, collect_allocations=collect_allocations
     )

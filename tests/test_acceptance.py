@@ -132,7 +132,7 @@ def test_criterion_03_unit_root_coverage(table2):
 
 def test_criterion_04_order_selection(model_a_series):
     hyper = default_hyperparams(
-        model_a_series, n_iter=25_000, burn_in=5_000, pilot_iters=2_000, p_max=5
+        model_a_series, n_iter=25_000, burn_in=5_000, pilot_iters=2_000
     )
     start = time.perf_counter()
     trace, _ = rjmcmc_run(model_a_series, 2, hyper, OrderMoveConfig(p_max=5), seed=RJ_SEED)
@@ -152,7 +152,7 @@ def test_criterion_05_evidence_ordering(model_a_series):
     log_ml = {}
     for g in (2, 3):
         hyper = default_hyperparams(
-            model_a_series, n_iter=10_000, burn_in=4_000, pilot_iters=2_000, p_max=1
+            model_a_series, n_iter=10_000, burn_in=4_000, pilot_iters=2_000
         )
         config = EvidenceConfig(
             order_config=OrderMoveConfig(p_max=1),

@@ -505,6 +505,24 @@ class TestSelect:
         diag = read_json(out / "manifest.json")["diagnostics"]
         assert diag["best_g"] == 1 and diag["workers"] == 1
 
+    def test_single_gamma_for_every_candidate(self, tmp_path):
+        series = simulate_path(model_b_spec(), 120, seed=5)
+        data = tmp_path / "y.csv"
+        write_series_csv(data, series.values)
+        out = tmp_path / "sel"
+        code = run_cli([
+            "select",
+            "--set", f"input={data}", "--set", f"output_dir={out}",
+            "--set", "gamma=50", "--set", "g_range=1,2", "--set", "p_max=1",
+            "--set", "n_iter=200", "--set", "burn_in=50",
+            "--set", "n_j=30", "--set", "n_i=30",
+            "--set", "reduced_burn_in=10", "--set", "relabel_warm_start=50",
+            "--set", "workers=1", "--set", "seed=6",
+        ])
+        assert code == 0
+        report = read_json(out / "evidence.json")
+        assert [m["g"] for m in report["models"]] == [1, 2]
+
 
 @QUIET
 class TestReplicate:

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from mixar import evidence
 from mixar.evidence import (
     EvidenceConfig,
     EvidenceResult,
@@ -18,7 +19,7 @@ from mixar.evidence import (
     starred_point,
     theta_star_index,
 )
-from mixar.model import MARSpec, TimeSeries, simulate_path
+from mixar.model import MARSpec, TimeSeries, log_likelihood, simulate_path
 from mixar.rjmcmc import OrderMoveConfig
 from mixar.sampler import ChainOutput, Hyperparams, default_hyperparams
 
@@ -257,6 +258,37 @@ class TestEndToEnd:
         )
         with pytest.raises(ValueError, match="never visited"):
             marginal_log_likelihood(series, 1, hyper, config, seed=7)
+
+    def test_p_max_one_skips_the_order_chain(self, monkeypatch):
+        def no_order_chain(*args, **kwargs):
+            raise AssertionError("the order chain ran")
+
+        monkeypatch.setattr(evidence, "rjmcmc_run", no_order_chain)
+        series = ar1_series(25)
+        hyper = default_hyperparams(
+            series, fixed_shift=True, n_iter=300, burn_in=100, gamma=(50.0,)
+        )
+        config = EvidenceConfig(
+            order_config=OrderMoveConfig(p_max=1), n_j=20, n_i=20, reduced_burn_in=10
+        )
+        res = marginal_log_likelihood(series, 1, hyper, config, seed=7)
+        assert res.orders == (1,) and res.preference == 1.0
+
+    def test_likelihood_conditions_on_p_max(self):
+        # the order chain conditions on the first p_max values, so the refit,
+        # the ordinates and the likelihood at theta* must too
+        series = ar1_series(60)
+        hyper = default_hyperparams(
+            series, fixed_shift=True, n_iter=600, burn_in=200, pilot_iters=500
+        )
+        config = EvidenceConfig(
+            order_config=OrderMoveConfig(p_max=2), orders=(1,),
+            n_j=50, n_i=50, reduced_burn_in=20,
+        )
+        res = marginal_log_likelihood(series, 1, hyper, config, seed=5)
+        assert res.parts["log_likelihood"] == pytest.approx(
+            log_likelihood(res.theta_star, series, 2), abs=1e-9
+        )
 
     @pytest.mark.filterwarnings("ignore:warm-start variance")
     def test_select_g_orders_results_and_seeds(self):

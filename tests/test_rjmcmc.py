@@ -182,22 +182,19 @@ class TestMoveKernel:
 
 class TestTrace:
     def test_modal_and_preference(self):
-        trace = OrderTrace(
-            orders=np.array([[1, 1], [1, 1], [2, 1], [1, 1]]),
-            counts={(1, 1): 3, (2, 1): 1},
-        )
+        trace = OrderTrace(orders=np.array([[1, 1], [1, 1], [2, 1], [1, 1]]))
+        assert trace.counts == {(1, 1): 3, (2, 1): 1}
         assert trace.modal() == (1, 1)
         assert trace.preference((1, 1)) == 0.75
         assert trace.preference((5, 5)) == 0.0
 
     def test_modal_tie_is_lexicographic(self):
-        trace = OrderTrace(orders=np.zeros((10, 2), dtype=int),
-                           counts={(2, 1): 5, (1, 2): 5})
+        trace = OrderTrace(orders=np.array([[2, 1]] * 5 + [[1, 2]] * 5))
         assert trace.modal() == (1, 2)
 
     def test_empty_trace(self):
         with pytest.raises(ValueError, match="empty"):
-            OrderTrace(orders=np.zeros((0, 2), dtype=int), counts={}).modal()
+            OrderTrace(orders=np.zeros((0, 2), dtype=int)).modal()
 
 
 class TestRun:
@@ -231,3 +228,13 @@ class TestRun:
             rjmcmc_run(series, 2, hyper, cfg, seed=43, start_orders=(0, 1))
         with pytest.raises(ValueError, match="1..p_max"):
             rjmcmc_run(series, 2, hyper, cfg, seed=43, start_orders=(3, 1))
+
+    def test_gamma_length_checked(self):
+        series = simulate_path(model_a_spec(), 60, seed=44)
+        cfg = OrderMoveConfig(p_max=2)
+        hyper = default_hyperparams(series, n_iter=40, burn_in=10, gamma=(50.0, 50.0, 50.0))
+        with pytest.raises(ValueError, match="length 3, expected 1 or 2"):
+            rjmcmc_run(series, 2, hyper, cfg, seed=45)
+        one = default_hyperparams(series, n_iter=40, burn_in=10, gamma=(50.0,))
+        _, output = rjmcmc_run(series, 2, one, cfg, seed=45)
+        np.testing.assert_array_equal(output.gamma, [50.0, 50.0])

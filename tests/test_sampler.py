@@ -8,23 +8,30 @@ from scipy import stats
 from scipy.special import gammaln, logsumexp
 
 from mixar.datasets import model_a_spec
-from mixar.model import LatentAllocation, MARSpec, TimeSeries, simulate_path
+from mixar.model import (
+    LatentAllocation,
+    MARSpec,
+    TimeSeries,
+    _design,
+    log_likelihood,
+    simulate_path,
+)
 from mixar.sampler import (
     ChainState,
     Hyperparams,
     UpdateMask,
     allocation_probabilities,
+    ar_log_ratio,
     default_hyperparams,
+    draw_allocations,
+    draw_lambda,
     gibbs_sweep,
     initial_state,
     log_prior_density,
+    means_conditional,
+    precisions_conditional,
+    resolve_gamma,
     run_chain,
-    rwm_log_ratio,
-    rwm_update_ar,
-    sample_allocations,
-    sample_lambda,
-    sample_means,
-    sample_precisions,
     sample_weights,
     tune_gamma,
 )
@@ -45,6 +52,33 @@ def tiny_state():
 
 def tiny_series():
     return TimeSeries([0.4, -1.1, 0.9, 0.2, -0.5])
+
+
+def means_kernel(state, series, hyper):
+    """(mean, precision) of the means conditional at state, as the sweep evaluates it."""
+    yt, lm = _design(series.values, 1)
+    phi_mat = state.spec.phi_matrix(1)
+    return means_conditional(
+        yt[:, None] - lm @ phi_mat.T, state.alloc.z - 1, state.alloc.counts,
+        state.spec.precisions, 1.0 - phi_mat.sum(axis=1), hyper,
+    )
+
+
+def precisions_kernel(state, series, hyper):
+    """(shape, rate) of the precisions conditional at state."""
+    yt, lm = _design(series.values, 1)
+    e = yt[:, None] - state.spec.shifts[None, :] - lm @ state.spec.phi_matrix(1).T
+    return precisions_conditional(e, state.alloc.z - 1, state.alloc.counts, state.lam, hyper)
+
+
+def only(**blocks):
+    """An UpdateMask that updates just the named blocks."""
+    mask = dict(
+        allocations=False, weights=False, means=False, lam=False, precisions=False,
+        ar=frozenset(),
+    )
+    mask.update(blocks)
+    return UpdateMask(**mask)
 
 
 def base_hyper(**overrides):
@@ -80,7 +114,7 @@ class TestHyperparams:
 
 class TestAllocations:
     def test_rows_sum_to_one(self):
-        probs = allocation_probabilities(tiny_state().spec, tiny_series())
+        probs = allocation_probabilities(tiny_state().spec, *_design(tiny_series().values, 1))
         assert probs.shape == (4, 2)
         np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-12)
 
@@ -88,24 +122,25 @@ class TestAllocations:
         # both components centred at 0 with scales (1, 2) and equal weights:
         # densities at y=0 are in ratio 1 : 1/2, so probabilities (2/3, 1/3)
         series = TimeSeries([0.0, 0.0])
-        probs = allocation_probabilities(model_a_spec(), series)
+        probs = allocation_probabilities(model_a_spec(), *_design(series.values, 1))
         np.testing.assert_allclose(probs[0], [2.0 / 3.0, 1.0 / 3.0], atol=1e-12)
 
     @pytest.mark.filterwarnings("ignore:overflow encountered")
     def test_underflow_names_time_index(self):
         series = TimeSeries([0.0, 1e160, 0.0])
         with pytest.raises(ValueError, match="t=2"):
-            allocation_probabilities(model_a_spec(), series)
+            allocation_probabilities(model_a_spec(), *_design(series.values, 1))
 
     def test_draw_frequencies_match_probabilities(self):
         state = tiny_state()
         series = tiny_series()
-        probs = allocation_probabilities(state.spec, series)
+        yt, lm = _design(series.values, 1)
+        probs = allocation_probabilities(state.spec, yt, lm)
         rng = np.random.default_rng(0)
         counts = np.zeros((4, 2))
         n = 40_000
         for _ in range(n):
-            alloc = sample_allocations(state, series, rng)
+            alloc = draw_allocations(state.spec, yt, lm, rng)
             counts[np.arange(4), alloc.z - 1] += 1
         np.testing.assert_allclose(counts / n, probs, atol=0.01)
 
@@ -143,39 +178,31 @@ class TestMeans:
         yt = series.values[1:]
         lm = series.values[:-1][:, None]
         z0 = state.alloc.z - 1
-        k = 0
-        r = yt - lm[:, 0] * state.spec.ar_coeffs[k][0]
-        ebar = r[z0 == k].mean()
-        nk = (z0 == k).sum()
-        tau = 1.0 / state.spec.scales[k] ** 2
-        bk = 1.0 - state.spec.ar_coeffs[k].sum()
-        prec = tau * nk * bk**2 + hyper.kappa
-        m = (tau * nk * ebar * bk + hyper.kappa * hyper.zeta) / prec
-        rng = np.random.default_rng(4)
-        draws = np.array(
-            [sample_means(state, series, hyper, rng)[1][k] for _ in range(20_000)]
-        )
-        p = stats.kstest(draws, stats.norm(m, math.sqrt(1.0 / prec)).cdf).pvalue
-        assert p > KS_ALPHA
+        for k in range(2):
+            r = yt - lm[:, 0] * state.spec.ar_coeffs[k][0]
+            ebar = r[z0 == k].mean()
+            nk = (z0 == k).sum()
+            tau = 1.0 / state.spec.scales[k] ** 2
+            bk = 1.0 - state.spec.ar_coeffs[k].sum()
+            prec = tau * nk * bk**2 + hyper.kappa
+            m = (tau * nk * ebar * bk + hyper.kappa * hyper.zeta) / prec
+            mean, precision = means_kernel(state, series, hyper)
+            assert mean[k] == pytest.approx(m, rel=1e-12)
+            assert precision[k] == pytest.approx(prec, rel=1e-12)
 
     def test_tight_prior_pins_mean_at_zeta(self):
         state = tiny_state()
         hyper = base_hyper(zeta=3.0, kappa=1e12)
-        rng = np.random.default_rng(5)
-        shifts, means = sample_means(state, tiny_series(), hyper, rng)
-        np.testing.assert_allclose(means, 3.0, atol=1e-4)
+        mean, _ = means_kernel(state, tiny_series(), hyper)
+        np.testing.assert_allclose(mean, 3.0, atol=1e-4)
 
     def test_empty_component_falls_back_to_prior(self):
         state = tiny_state()
         alloc = LatentAllocation(z=np.array([1, 1, 1, 1]), g=2)
         state = ChainState(state.spec, alloc, state.lam, 0, state.means)
         hyper = base_hyper(zeta=-2.0, kappa=4.0)
-        rng = np.random.default_rng(6)
-        draws = np.array(
-            [sample_means(state, tiny_series(), hyper, rng)[1][1] for _ in range(20_000)]
-        )
-        p = stats.kstest(draws, stats.norm(-2.0, 0.5).cdf).pvalue
-        assert p > KS_ALPHA
+        mean, precision = means_kernel(state, tiny_series(), hyper)
+        assert mean[1] == -2.0 and precision[1] == 4.0
 
     def test_unit_root_component_prior_and_zero_shift(self):
         # when sum(phi) = 1 the shift transform collapses: b_k = 0 means the
@@ -190,13 +217,10 @@ class TestMeans:
             spec, LatentAllocation(z=np.ones(4, dtype=int), g=1), 1.0, 0, np.zeros(1)
         )
         hyper = base_hyper(zeta=1.5, kappa=9.0)
-        rng = np.random.default_rng(7)
-        res = [sample_means(state, tiny_series(), hyper, rng) for _ in range(20_000)]
-        shifts = np.array([r[0][0] for r in res])
-        means = np.array([r[1][0] for r in res])
-        np.testing.assert_allclose(shifts, 0.0, atol=1e-13)
-        p = stats.kstest(means, stats.norm(1.5, 1.0 / 3.0).cdf).pvalue
-        assert p > KS_ALPHA
+        mean, precision = means_kernel(state, tiny_series(), hyper)
+        assert mean[0] == 1.5 and precision[0] == 9.0
+        bk = 1.0 - spec.ar_coeffs[0].sum()
+        assert mean[0] * bk == 0.0
 
 
 class TestLambdaAndPrecisions:
@@ -204,7 +228,7 @@ class TestLambdaAndPrecisions:
         state = tiny_state()
         hyper = base_hyper(a=0.7, b=2.0, c=3.0)
         rng = np.random.default_rng(8)
-        draws = np.array([sample_lambda(state, hyper, rng) for _ in range(20_000)])
+        draws = np.array([draw_lambda(state.spec.scales, hyper, rng) for _ in range(20_000)])
         shape = 0.7 + 2 * 3.0
         rate = 2.0 + float(state.spec.precisions.sum())
         p = stats.kstest(draws, stats.gamma(a=shape, scale=1.0 / rate).cdf).pvalue
@@ -214,14 +238,8 @@ class TestLambdaAndPrecisions:
         state = tiny_state()
         alloc = LatentAllocation(z=np.array([2, 2, 2, 2]), g=2)
         state = ChainState(state.spec, alloc, 1.7, 0, state.means)
-        hyper = base_hyper(c=2.5)
-        rng = np.random.default_rng(9)
-        taus = np.array(
-            [1.0 / sample_precisions(state, tiny_series(), hyper, rng)[0] ** 2
-             for _ in range(20_000)]
-        )
-        p = stats.kstest(taus, stats.gamma(a=2.5, scale=1.0 / 1.7).cdf).pvalue
-        assert p > KS_ALPHA
+        shape, rate = precisions_kernel(state, tiny_series(), base_hyper(c=2.5))
+        assert shape[0] == 2.5 and rate[0] == 1.7
 
     def test_large_count_posterior_mean(self):
         rng = np.random.default_rng(10)
@@ -235,57 +253,62 @@ class TestLambdaAndPrecisions:
         )
         alloc = LatentAllocation(z=np.ones(n - 1, dtype=int), g=1)
         state = ChainState(spec, alloc, 0.8, 0, np.zeros(1))
-        hyper = base_hyper(c=2.0)
         sse = float(np.sum(series.values[1:] ** 2))
         expect = (2.0 + (n - 1) / 2.0) / (0.8 + sse / 2.0)
-        draws = np.array(
-            [1.0 / sample_precisions(state, series, hyper, rng)[0] ** 2
-             for _ in range(100_000)]
-        )
-        assert draws.mean() == pytest.approx(expect, rel=0.02)
-        scales = sample_precisions(state, series, hyper, rng)
-        assert np.all(np.isfinite(scales)) and np.all(scales > 0)
+        shape, rate = precisions_kernel(state, series, base_hyper(c=2.0))
+        assert shape[0] / rate[0] == pytest.approx(expect, rel=1e-12)
 
 
 class TestRWM:
     def test_log_ratio_hand_example(self):
         # one allocated point: y=(1, 0.5), shift 0.3, phi 0.5 -> e_cur=-0.3;
         # proposal 0.2 -> e_new=0; ratio = -tau/2 (0 - 0.09) with tau=1/0.49
-        spec = MARSpec(
-            weights=np.array([1.0]),
-            shifts=np.array([0.3]),
-            ar_coeffs=(np.array([0.5]),),
-            scales=np.array([0.7]),
-        )
-        series = TimeSeries([1.0, 0.5])
-        got = rwm_log_ratio(spec, series, np.array([1]), 1, np.array([0.2]))
+        yt, lm = _design(np.array([1.0, 0.5]), 1)
+        got = ar_log_ratio(yt, lm, np.array([True]), 0.3, 0.7, np.array([0.5]), np.array([0.2]))
         assert got == pytest.approx(0.09 / (2 * 0.49), abs=1e-14)
 
     def test_zero_step_and_empty_component(self):
         state = tiny_state()
-        series = tiny_series()
+        yt, lm = _design(tiny_series().values, 1)
         cur = state.spec.ar_coeffs[0]
-        assert rwm_log_ratio(state.spec, series, state.alloc.z, 1, cur) == 0.0
-        z_none = np.full(4, 1)
-        assert rwm_log_ratio(state.spec, series, z_none, 2, np.array([5.0])) == 0.0
+        mask = state.alloc.z == 1
+        assert ar_log_ratio(yt, lm, mask, 0.3, 0.7, cur, cur) == 0.0
+        none = np.zeros(4, dtype=bool)
+        assert ar_log_ratio(yt, lm, none, -0.2, 1.5, cur, np.array([5.0])) == 0.0
 
-    def test_wrong_proposal_length(self):
-        state = tiny_state()
-        with pytest.raises(ValueError):
-            rwm_log_ratio(state.spec, tiny_series(), state.alloc.z, 1, np.array([0.1, 0.2]))
+    def test_blocks_of_different_length(self):
+        # y=(1, 0.5, 0.2) conditioned on two values: one row, lags (0.5, 1.0).
+        # shift 0.1, scale 0.5: e_cur = 0.2 - 0.1 - 0.5*0.5 = -0.15 and
+        # appending 0.3 gives e_new = -0.15 - 0.3 = -0.45, so the birth ratio
+        # is -2 (0.2025 - 0.0225) = -0.36 and the death ratio its negative
+        yt, lm = _design(np.array([1.0, 0.5, 0.2]), 2)
+        short, long = np.array([0.5]), np.array([0.5, 0.3])
+        mask = np.array([True])
+        assert ar_log_ratio(yt, lm, mask, 0.1, 0.5, short, long) == pytest.approx(-0.36)
+        assert ar_log_ratio(yt, lm, mask, 0.1, 0.5, long, short) == pytest.approx(0.36)
 
     def test_needs_gamma(self):
         state = tiny_state()
         hyper = base_hyper()
         with pytest.raises(ValueError, match="gamma"):
-            rwm_update_ar(state, tiny_series(), hyper, 1, np.random.default_rng(0))
+            gibbs_sweep(state, tiny_series(), hyper, np.random.default_rng(0))
+
+    def test_single_gamma_applies_to_every_component(self):
+        np.testing.assert_array_equal(resolve_gamma((7.0,), 3), [7.0, 7.0, 7.0])
+        np.testing.assert_array_equal(resolve_gamma(np.array([1.0, 2.0]), 2), [1.0, 2.0])
+        with pytest.raises(ValueError, match="length 2, expected 1 or 3"):
+            resolve_gamma((1.0, 2.0), 3)
+        with pytest.raises(ValueError, match="gamma has length 3, expected 1 or 2"):
+            run_chain(tiny_series(), 2, (1, 1), base_hyper(gamma=(1.0, 2.0, 3.0)), seed=0)
 
     def test_tiny_steps_mostly_accepted(self):
         state = tiny_state()
         hyper = base_hyper()
         rng = np.random.default_rng(11)
+        gamma = np.array([1e12, 1e12])
         accepted = sum(
-            rwm_update_ar(state, tiny_series(), hyper, 1, rng, gamma_k=1e12)[0]
+            gibbs_sweep(state, tiny_series(), hyper, rng, gamma=gamma,
+                        update=only(ar=frozenset({1})))[1].accepted[0]
             for _ in range(300)
         )
         assert accepted >= 290
@@ -294,13 +317,87 @@ class TestRWM:
         state = tiny_state()
         hyper = base_hyper()
         rng = np.random.default_rng(12)
+        gamma = np.array([0.01, 0.01])
         saw_reject = False
         for _ in range(200):
-            ok, coeffs = rwm_update_ar(state, tiny_series(), hyper, 1, rng, gamma_k=0.01)
-            if not ok:
-                np.testing.assert_array_equal(coeffs, state.spec.ar_coeffs[0])
+            new_state, info = gibbs_sweep(
+                state, tiny_series(), hyper, rng, gamma=gamma, update=only(ar=frozenset({1}))
+            )
+            if not info.accepted[0]:
+                np.testing.assert_array_equal(
+                    new_state.spec.ar_coeffs[0], state.spec.ar_coeffs[0]
+                )
                 saw_reject = True
         assert saw_reject
+
+
+class TestSweepWiring:
+    """Each block of a masked sweep is exactly its kernel's draw from the same seed."""
+
+    SEED = 31
+
+    def sweep(self, mask, gamma=None, state=None):
+        state = state or tiny_state()
+        rng = np.random.default_rng(self.SEED)
+        hyper = base_hyper(zeta=0.2, kappa=0.5)
+        return gibbs_sweep(state, tiny_series(), hyper, rng, gamma=gamma, update=mask)
+
+    def kernel_rng(self):
+        return np.random.default_rng(self.SEED)
+
+    def test_allocations(self):
+        new_state, info = self.sweep(only(allocations=True))
+        yt, lm = _design(tiny_series().values, 1)
+        expect = draw_allocations(tiny_state().spec, yt, lm, self.kernel_rng())
+        np.testing.assert_array_equal(new_state.alloc.z, expect.z)
+        assert info.log_likelihood == log_likelihood(new_state.spec, tiny_series(), 1)
+
+    def test_weights(self):
+        new_state, _ = self.sweep(only(weights=True))
+        state = tiny_state()
+        expect = sample_weights(state.alloc, self.kernel_rng(), np.ones(2))
+        np.testing.assert_array_equal(new_state.spec.weights, expect)
+
+    def test_means(self):
+        new_state, _ = self.sweep(only(means=True))
+        state = tiny_state()
+        mean, prec = means_kernel(state, tiny_series(), base_hyper(zeta=0.2, kappa=0.5))
+        rng = self.kernel_rng()
+        expect = np.array([rng.normal(mean[k], math.sqrt(1.0 / prec[k])) for k in range(2)])
+        np.testing.assert_array_equal(new_state.means, expect)
+        bk = 1.0 - state.spec.phi_matrix(1).sum(axis=1)
+        np.testing.assert_array_equal(new_state.spec.shifts, expect * bk)
+
+    def test_lambda(self):
+        new_state, _ = self.sweep(only(lam=True))
+        hyper = base_hyper(zeta=0.2, kappa=0.5)
+        assert new_state.lam == draw_lambda(tiny_state().spec.scales, hyper, self.kernel_rng())
+
+    def test_precisions(self):
+        new_state, _ = self.sweep(only(precisions=True))
+        state = tiny_state()
+        shape, rate = precisions_kernel(state, tiny_series(), base_hyper(zeta=0.2, kappa=0.5))
+        rng = self.kernel_rng()
+        expect = [1.0 / math.sqrt(rng.gamma(shape[k], 1.0 / rate[k])) for k in range(2)]
+        np.testing.assert_array_equal(new_state.spec.scales, expect)
+
+    def test_ar_blocks(self):
+        gamma = np.array([30.0, 80.0])
+        new_state, info = self.sweep(only(ar=frozenset({1, 2})), gamma=gamma)
+        state = tiny_state()
+        yt, lm = _design(tiny_series().values, 1)
+        rng = self.kernel_rng()
+        for k in (1, 2):
+            cur = state.spec.ar_coeffs[k - 1]
+            proposal = cur + rng.normal(0.0, 1.0 / math.sqrt(gamma[k - 1]), size=cur.size)
+            log_ratio = ar_log_ratio(
+                yt, lm, state.alloc.z == k, state.spec.shifts[k - 1], state.spec.scales[k - 1],
+                cur, proposal,
+            )
+            accept = math.log(rng.random()) < log_ratio
+            assert info.accepted[k - 1] == accept
+            expect = proposal if accept and not info.stability_rejected else cur
+            np.testing.assert_array_equal(new_state.spec.ar_coeffs[k - 1], expect)
 
 
 class TestGibbsSweep:
@@ -504,7 +601,7 @@ class TestRunChain:
         # marginal is known by quadrature; the chain histogram must match it
         series = TimeSeries([1.0, 0.3])
         hyper = default_hyperparams(
-            series, fixed_shift=True, p_max=1, n_iter=30_000, burn_in=2_000,
+            series, fixed_shift=True, n_iter=30_000, burn_in=2_000,
             pilot_iters=500,
         )
         out = run_chain(series, 1, (1,), hyper, seed=77)
