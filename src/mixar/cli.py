@@ -101,22 +101,27 @@ def _model_shape(config: RunConfig) -> tuple[int, tuple[int, ...] | None, bool]:
     return config.g, config.orders, config.fixed_shift
 
 
-def _chain_settings(config: RunConfig) -> dict:
-    """Prior shapes and run lengths that every chain takes from the configuration."""
-    return dict(
+def _chain_settings(config: RunConfig, fixed_shift: bool) -> dict:
+    """Hyperparameter overrides every chain takes from the configuration.
+
+    Prior shapes, run lengths, the fixed-shift switch and, when set, the one
+    RWM proposal precision shared by every component.
+    """
+    overrides = dict(
         a=config.a,
         c=config.c,
         burn_in=config.burn_in,
         n_iter=config.n_iter,
         pilot_iters=config.pilot_iters,
+        fixed_shift=fixed_shift,
     )
+    if config.gamma is not None:
+        overrides["gamma"] = (config.gamma,)
+    return overrides
 
 
 def _hyper(config: RunConfig, series: TimeSeries, fixed_shift: bool) -> Hyperparams:
-    overrides = dict(_chain_settings(config), fixed_shift=fixed_shift)
-    if config.gamma is not None:
-        overrides["gamma"] = (config.gamma,)
-    return default_hyperparams(series, **overrides)
+    return default_hyperparams(series, **_chain_settings(config, fixed_shift))
 
 
 def _relabel_config(config: RunConfig) -> RelabelConfig:
@@ -287,7 +292,8 @@ def _replica_param_draws(output: ChainOutput, truth: MARSpec) -> dict[str, np.nd
         src = perm[j]
         k = j + 1
         draws[f"pi_{k}"] = output.weights[:, src].copy()
-        draws[f"shift_{k}"] = output.shifts[:, src].copy()
+        if not output.fixed_shift:
+            draws[f"shift_{k}"] = output.shifts[:, src].copy()
         draws[f"sigma_{k}"] = output.scales[:, src].copy()
         for i in range(1, truth.ar_coeffs[j].size + 1):
             draws[f"ar_{k}_{i}"] = output.ar[:, src, i - 1].copy()
@@ -306,7 +312,7 @@ def _replicate_worker(job) -> dict[str, np.ndarray]:
 def cmd_replicate(config: RunConfig, out: Path) -> tuple[list[str], dict]:
     truth = BUILTIN_SPECS[config.spec]()
     n = config.replica_length
-    overrides = _chain_settings(config)
+    overrides = _chain_settings(config, config.fixed_shift)
     children = np.random.SeedSequence(config.seed).spawn(config.replicas)
     jobs = []
     for child in children:

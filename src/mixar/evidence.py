@@ -31,9 +31,16 @@ from dataclasses import dataclass, field
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
-from scipy.special import logsumexp
 
-from .model import LOG_2PI, MARSpec, TimeSeries, _design, log_likelihood, shift_from_mean
+from .model import (
+    LOG_2PI,
+    MARSpec,
+    TimeSeries,
+    _design,
+    log_likelihood,
+    logsumexp,
+    shift_from_mean,
+)
 from .relabel import RelabelConfig, relabel_chain
 from .rjmcmc import OrderMoveConfig, OrderTrace, rjmcmc_run
 from .sampler import (

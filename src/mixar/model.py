@@ -24,9 +24,9 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import logsumexp, ndtr
 
 LOG_2PI = math.log(2.0 * math.pi)
+SQRT_2 = math.sqrt(2.0)
 
 
 @dataclass(frozen=True)
@@ -192,6 +192,19 @@ def _design(values: np.ndarray, cond: int) -> tuple[np.ndarray, np.ndarray]:
     return values[cond:], lag_matrix(values, cond, cond + 1)
 
 
+def logsumexp(a: np.ndarray, axis: int | None = None) -> np.ndarray | float:
+    """log sum exp(a) over `axis` (all entries when None), shifted by the maximum.
+
+    A slice that is all -inf gives -inf, so callers can detect it.
+    """
+    a = np.asarray(a, dtype=float)
+    top = np.max(a, axis=axis, keepdims=True)
+    top[~np.isfinite(top)] = 0.0
+    with np.errstate(divide="ignore"):
+        out = np.log(np.sum(np.exp(a - top), axis=axis, keepdims=True)) + top
+    return out.reshape(()).item() if axis is None else np.squeeze(out, axis=axis)
+
+
 def _log_terms(spec: MARSpec, yt: np.ndarray, lm: np.ndarray) -> np.ndarray:
     """(T, g) matrix of log(pi_k / sigma_k phi(e_tk / sigma_k)), rows unnormalized.
 
@@ -235,7 +248,7 @@ def conditional_cdf(spec: MARSpec, series: TimeSeries, t: int) -> float:
     _check_time(series, t, spec.max_order)
     nu = component_means_at(spec, series.values, t)
     e = (series.values[t - 1] - nu) / spec.scales
-    return float(np.dot(spec.weights, ndtr(e)))
+    return float(np.dot(spec.weights, [0.5 * math.erfc(-x / SQRT_2) for x in e.tolist()]))
 
 
 def conditional_moments(spec: MARSpec, series: TimeSeries, t: int) -> tuple[float, float]:

@@ -11,6 +11,7 @@ are then updated online with the relabelled draw.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import warnings
 from dataclasses import dataclass, replace
@@ -96,27 +97,31 @@ def _permute_row(theta_row: np.ndarray, g: int, perm: tuple[int, ...]) -> np.nda
     return theta_row.reshape(-1, g)[:, perm].reshape(-1)
 
 
+@functools.lru_cache(maxsize=None)
+def _permutations(g: int) -> np.ndarray:
+    """All g! permutations of 0..g-1 as rows, in `itertools.permutations` order."""
+    perms = np.array(list(itertools.permutations(range(g))), dtype=np.intp).reshape(-1, g)
+    perms.setflags(write=False)  # shared by every caller through the cache
+    return perms
+
+
 def assign_permutation(
     theta_row: np.ndarray, centres: ClusterCentres, g: int
 ) -> tuple[int, ...]:
     """Permutation of components minimizing the normalized squared distance.
 
-    Exhaustive over all g! permutations; ties resolve to the
-    lexicographically smallest permutation.  The returned perm relabels the
-    draw as new_block[j] = old_block[perm[j]].
+    Exhaustive over all g! permutations at once; ties resolve to the
+    lexicographically smallest permutation (the first minimum in
+    `itertools.permutations` order).  The returned perm relabels the draw as
+    new_block[j] = old_block[perm[j]].
     """
     theta_row = np.asarray(theta_row, dtype=float).reshape(-1)
     if theta_row.size != centres.centre.size or theta_row.size % g != 0:
         raise ValueError("draw length must equal the centre length and be a multiple of g")
-    best = None
-    best_d = np.inf
-    for perm in itertools.permutations(range(g)):
-        cand = _permute_row(theta_row, g, perm)
-        d = float(np.sum((cand - centres.centre) ** 2 / centres.variance))
-        if d < best_d:
-            best_d = d
-            best = perm
-    return best
+    perms = _permutations(g)
+    cands = theta_row.reshape(-1, g)[:, perms].transpose(1, 0, 2).reshape(perms.shape[0], -1)
+    d = np.sum((cands - centres.centre) ** 2 / centres.variance, axis=1)
+    return tuple(perms[int(np.argmin(d))].tolist())
 
 
 def update_centres(centres: ClusterCentres, theta_row: np.ndarray) -> ClusterCentres:

@@ -209,7 +209,7 @@ def rjmcmc_run(
         k = int(rng.integers(1, g + 1))
         state, result = order_move(state, series, config, k, rng, cond, gamma[k - 1])
         moves[result.direction, result.accepted] += 1
-        return state, result.accepted
+        return state
 
     output = _run(series, g, orders0, hyper, seed, cond, config.p_max, move)
     trace = OrderTrace(

@@ -21,10 +21,9 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .model import (
     LatentAllocation,
@@ -32,8 +31,8 @@ from .model import (
     TimeSeries,
     _design,
     _log_terms,
-    _mixture_loglik,
     _resolve_cond,
+    logsumexp,
 )
 from .stability import is_stable
 
@@ -104,13 +103,20 @@ def default_hyperparams(series: TimeSeries, **overrides) -> Hyperparams:
 
 @dataclass(frozen=True)
 class ChainState:
-    """One point of the chain: spec, allocations, lambda, sampled means."""
+    """One point of the chain: spec, allocations, lambda, sampled means.
+
+    `terms` memoizes the (T, g) log terms of `spec` and their row
+    log-sum-exps on one design (see `state_log_terms`).  It is not an
+    __init__ argument, so `dataclasses.replace` starts it empty and a state
+    with a changed spec never carries terms of another.
+    """
 
     spec: MARSpec
     alloc: LatentAllocation
     lam: float
     iteration: int
     means: np.ndarray
+    terms: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "means", np.asarray(self.means, dtype=float).reshape(-1))
@@ -210,10 +216,38 @@ def resolve_gamma(gamma, g: int) -> np.ndarray:
 # order moves; data enter as the design arrays (yt, lm) of `model._design`.
 
 
-def allocation_probabilities(spec: MARSpec, yt: np.ndarray, lm: np.ndarray) -> np.ndarray:
-    """Posterior allocation probabilities, one row per design row, summing to one."""
-    logw = _log_terms(spec, yt, lm)
-    norm = logsumexp(logw, axis=1)
+def state_log_terms(
+    state: ChainState, values: np.ndarray, yt: np.ndarray, lm: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """(T, g) log terms of state.spec on the design (yt, lm) of `values`, and their row norms.
+
+    Memoized on the state, keyed by the series values and cond = lm.shape[1]:
+    the terms a sweep computes for the spec it ends with serve the next
+    sweep's allocation draw.
+    """
+    memo = state.terms
+    if memo is None or memo[0] is not values or memo[1] != lm.shape[1]:
+        logw = _log_terms(state.spec, yt, lm)
+        memo = (values, lm.shape[1], logw, logsumexp(logw, axis=1))
+        object.__setattr__(state, "terms", memo)
+    return memo[2], memo[3]
+
+
+def allocation_probabilities(
+    spec: MARSpec,
+    yt: np.ndarray,
+    lm: np.ndarray,
+    terms: tuple[np.ndarray, np.ndarray] | None = None,
+) -> np.ndarray:
+    """Posterior allocation probabilities, one row per design row, summing to one.
+
+    terms are the (log terms, row norms) of spec on this design when they
+    are already at hand (`state_log_terms`); otherwise they are computed.
+    """
+    if terms is None:
+        logw = _log_terms(spec, yt, lm)
+        terms = logw, logsumexp(logw, axis=1)
+    logw, norm = terms
     bad = ~np.isfinite(norm)
     if np.any(bad):
         t_bad = lm.shape[1] + 1 + int(np.nonzero(bad)[0][0])
@@ -225,10 +259,14 @@ def allocation_probabilities(spec: MARSpec, yt: np.ndarray, lm: np.ndarray) -> n
 
 
 def draw_allocations(
-    spec: MARSpec, yt: np.ndarray, lm: np.ndarray, rng: np.random.Generator
+    spec: MARSpec,
+    yt: np.ndarray,
+    lm: np.ndarray,
+    rng: np.random.Generator,
+    terms: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> LatentAllocation:
     """Draw every z_t from its full conditional (one uniform per row)."""
-    probs = allocation_probabilities(spec, yt, lm)
+    probs = allocation_probabilities(spec, yt, lm, terms)
     u = rng.random(probs.shape[0])
     labels = (u[:, None] > np.cumsum(probs, axis=1)).sum(axis=1)
     return LatentAllocation(z=np.minimum(labels, spec.g - 1) + 1, g=spec.g)
@@ -363,7 +401,9 @@ def gibbs_sweep(
 
     Order: allocations, weights, means (unless fixed_shift), lambda,
     precisions, RWM per component.  If the end-of-sweep candidate spec is
-    unstable, the entire previous state is restored bit for bit.
+    unstable, the entire previous state is restored bit for bit.  The log
+    terms of the returned spec stay memoized on the returned state, so the
+    next sweep's allocation draw does not recompute them.
     """
     spec0 = state.spec
     g = spec0.g
@@ -374,7 +414,11 @@ def gibbs_sweep(
         gamma = resolve_gamma(hyper.gamma if gamma is None else gamma, g)
     yt, lm = _design(series.values, cond)
 
-    alloc = draw_allocations(spec0, yt, lm, rng) if update.allocations else state.alloc
+    alloc = (
+        draw_allocations(spec0, yt, lm, rng, state_log_terms(state, series.values, yt, lm))
+        if update.allocations
+        else state.alloc
+    )
     z0 = alloc.z - 1
     counts = alloc.counts
 
@@ -425,8 +469,9 @@ def gibbs_sweep(
         rejected = False
     else:
         new_state = ChainState(spec0, state.alloc, state.lam, state.iteration + 1, state.means)
+        object.__setattr__(new_state, "terms", state.terms)
         rejected = True
-    ll = _mixture_loglik(new_state.spec, yt, lm)
+    ll = float(np.sum(state_log_terms(new_state, series.values, yt, lm)[1]))
     return new_state, SweepInfo(attempted, accepted, rejected, ll)
 
 
@@ -601,9 +646,10 @@ def _run(
 
     Starts from `initial_state`, takes gamma from the hyperparameters or tunes
     it in a pilot, then sweeps n_iter times and records every draw after
-    burn-in.  move(state, rng, gamma) -> (state, moved), when given, runs
-    after every sweep; a draw it changed has its log likelihood recomputed.
-    AR blocks are stored zero-padded to `width`.
+    burn-in.  move(state, rng, gamma) -> state, when given, runs after every
+    sweep.  A recorded draw's log likelihood comes from the log terms memoized
+    on its state: those of the sweep, or recomputed for a state the move
+    changed.  AR blocks are stored zero-padded to `width`.
     """
     rng = np.random.default_rng(seed)
     state = initial_state(series, g, orders, hyper, rng, cond)
@@ -633,9 +679,8 @@ def _run(
         state, info = gibbs_sweep(state, series, hyper, rng, cond=cond, gamma=gamma)
         acc_counts += info.accepted
         stab_rej += int(info.stability_rejected)
-        moved = False
         if move is not None:
-            state, moved = move(state, rng, gamma)
+            state = move(state, rng, gamma)
         j = it - hyper.burn_in
         if j < 0:
             continue
@@ -647,7 +692,7 @@ def _run(
         ar[j] = spec.phi_matrix(width)
         orders_arr[j] = spec.orders
         lam[j] = state.lam
-        ll[j] = _mixture_loglik(spec, yt, lm) if moved else info.log_likelihood
+        ll[j] = float(np.sum(state_log_terms(state, series.values, yt, lm)[1]))
         lp[j] = ll[j] + log_prior_density(spec.weights, state.means, spec.scales, hyper)
         if collect_allocations:
             allocs[j] = state.alloc.z

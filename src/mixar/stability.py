@@ -27,28 +27,38 @@ class StabilityReport:
     matrix_dim: int
 
 
-def companion_matrix(spec: "MARSpec", k: int) -> np.ndarray:
-    """Companion matrix A_k of component k (1-based), zero-padded to p.
+def companion_matrices(spec: "MARSpec") -> np.ndarray:
+    """(g, p, p) stack of the companion matrices A_k, zero-padded to p.
 
-    Top row holds the AR coefficients, the subdiagonal holds ones.
+    Top rows hold the AR coefficients, the subdiagonals hold ones.
     """
-    if not 1 <= k <= spec.g:
-        raise ValueError(f"component index k={k} must lie in 1..{spec.g}")
     p = spec.max_order
-    a = np.zeros((p, p))
-    a[0, :] = spec.phi_matrix()[k - 1]
-    if p > 1:
-        a[np.arange(1, p), np.arange(0, p - 1)] = 1.0
+    a = np.zeros((spec.g, p, p))
+    a[:, 0, :] = spec.phi_matrix()
+    a[:, np.arange(1, p), np.arange(p - 1)] = 1.0
     return a
 
 
+def companion_matrix(spec: "MARSpec", k: int) -> np.ndarray:
+    """Companion matrix A_k of component k (1-based), zero-padded to p."""
+    if not 1 <= k <= spec.g:
+        raise ValueError(f"component index k={k} must lie in 1..{spec.g}")
+    return companion_matrices(spec)[k - 1]
+
+
 def stability_matrix(spec: "MARSpec") -> np.ndarray:
-    """Weighted Kronecker-square matrix A = sum_k pi_k (A_k kron A_k)."""
-    p = spec.max_order
+    """Weighted Kronecker-square matrix A = sum_k pi_k (A_k kron A_k).
+
+    The Kronecker squares come from one broadcast, entry (i p + r, j p + s)
+    of the k-th being A_k[i, j] A_k[r, s] as in `np.kron`; the weighted
+    squares are added to a zero matrix in component order.
+    """
+    g, p = spec.g, spec.max_order
+    a = companion_matrices(spec)
+    krons = (a[:, :, None, :, None] * a[:, None, :, None, :]).reshape(g, p * p, p * p)
     out = np.zeros((p * p, p * p))
-    for k in range(1, spec.g + 1):
-        ak = companion_matrix(spec, k)
-        out += spec.weights[k - 1] * np.kron(ak, ak)
+    for term in spec.weights[:, None, None] * krons:
+        out += term
     return out
 
 

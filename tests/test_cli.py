@@ -276,6 +276,23 @@ def test_cli_import_leaves_out_scipy_stats():
     assert res.returncode == 0, res.stderr
 
 
+def test_cli_import_leaves_out_scipy_special():
+    """`import mixar.cli` must not pull in scipy.special.
+
+    The package has its own logsumexp and normal CDF; loading scipy.special
+    would add about half of the package's import time to every command.
+    """
+    package_root = str(Path(mixar.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+    res = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, mixar.cli; assert 'scipy.special' not in sys.modules"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert res.returncode == 0, res.stderr
+
+
 def _declared_scripts():
     """The `[project.scripts]` table of the repository's pyproject.toml."""
     if sys.version_info >= (3, 11):
@@ -549,3 +566,27 @@ class TestReplicate:
         diag = read_json(out / "manifest.json")["diagnostics"]
         assert diag["replicas"] == 2
         assert set(diag["density_modes"]) == set(names)
+
+    def short_study(self, out, *extra):
+        return run_cli([
+            "replicate",
+            "--set", f"output_dir={out}", "--set", "spec=A",
+            "--set", "replicas=1", "--set", "replica_length=150",
+            "--set", "n_iter=300", "--set", "burn_in=100", "--set", "pilot_iters=100",
+            "--set", "gamma=50", "--set", "relabel_warm_start=50", "--set", "workers=1",
+            *extra,
+        ])
+
+    def test_set_gamma_skips_the_pilot(self, tmp_path):
+        # pilot_iters=100 is below the pilot's minimum, so this exits 0 only
+        # when every replica takes the set gamma instead of tuning one
+        out = tmp_path / "rep"
+        assert self.short_study(out) == 0
+        assert (out / "replicate_shift_1.csv").exists()
+
+    def test_fixed_shift_pins_the_shifts(self, tmp_path):
+        out = tmp_path / "rep"
+        assert self.short_study(out, "--set", "fixed_shift=yes") == 0
+        modes = read_json(out / "manifest.json")["diagnostics"]["density_modes"]
+        assert set(modes) == {"pi_1", "sigma_1", "ar_1_1", "pi_2", "sigma_2", "ar_2_1"}
+        assert not list(out.glob("replicate_shift_*.csv"))

@@ -5,20 +5,25 @@ import math
 
 import numpy as np
 import pytest
+from scipy import special
 
 from mixar.datasets import model_a_spec, model_b_spec
 from mixar.model import (
     LatentAllocation,
     MARSpec,
     TimeSeries,
+    _design,
+    _log_terms,
     complete_data_log_likelihood,
     component_mean,
+    component_means_at,
     component_residual,
     conditional_cdf,
     conditional_moments,
     conditional_pdf,
     lag_matrix,
     log_likelihood,
+    logsumexp,
     shift_from_mean,
     simulate_path,
     theoretical_acf,
@@ -178,6 +183,72 @@ class TestConditionals:
         spec = model_a_spec()  # component 2 has sum phi = 1
         assert component_mean(spec, 2) is None
         assert component_mean(spec, 1) == pytest.approx(0.0)
+
+
+class TestKernels:
+    """The numpy logsumexp and the erfc normal CDF against their scipy counterparts."""
+
+    @pytest.mark.parametrize("shape", [(600, 3), (300, 2), (50, 1), (40, 4)])
+    def test_logsumexp_rows_match_scipy(self, shape):
+        rng = np.random.default_rng(sum(shape))
+        a = rng.uniform(-40.0, 10.0, size=shape)
+        np.testing.assert_allclose(
+            logsumexp(a, axis=1), special.logsumexp(a, axis=1), rtol=1e-15, atol=1e-15
+        )
+        # the log terms of spec B on a series it generated, as the sampler builds them
+        spec = model_b_spec()
+        series = simulate_path(spec, 400, seed=shape[0])
+        rows = _log_terms(spec, *_design(series.values, 2))
+        np.testing.assert_allclose(
+            logsumexp(rows, axis=1), special.logsumexp(rows, axis=1), rtol=1e-15, atol=1e-15
+        )
+
+    def test_logsumexp_rows_with_minus_infinity(self):
+        rng = np.random.default_rng(3)
+        a = rng.uniform(-40.0, 10.0, size=(500, 3))
+        holes = rng.random(a.shape) < 0.3
+        holes[np.arange(500), rng.integers(0, 3, size=500)] = False  # one finite entry a row
+        a[holes] = -np.inf
+        np.testing.assert_allclose(
+            logsumexp(a, axis=1), special.logsumexp(a, axis=1), rtol=1e-15, atol=1e-15
+        )
+
+    def test_logsumexp_vector(self):
+        rng = np.random.default_rng(4)
+        terms = rng.normal(-3.0, 5.0, size=2000)
+        terms[::7] = -np.inf
+        got = logsumexp(terms)
+        assert isinstance(got, float)
+        assert got == pytest.approx(float(special.logsumexp(terms)), rel=1e-15)
+        assert logsumexp(np.full(5, -np.inf)) == -np.inf
+
+    def test_all_minus_infinity_row_gives_minus_infinity(self):
+        a = np.array([[0.0, -1.0], [-np.inf, -np.inf], [2.0, -np.inf]])
+        with np.errstate(all="raise"):
+            out = logsumexp(a, axis=1)
+        assert out[1] == -np.inf
+        np.testing.assert_allclose(out[[0, 2]], special.logsumexp(a[[0, 2]], axis=1), rtol=1e-15)
+
+    def test_conditional_cdf_matches_ndtr_out_to_40_sd(self):
+        # one AR(1) component with zero history: the residual at t=2 is y_2 / sigma
+        x = np.linspace(-40.0, 40.0, 4001)
+        spec = MARSpec(
+            weights=np.ones(1), shifts=np.zeros(1), ar_coeffs=(np.zeros(1),),
+            scales=np.array([1.7]),
+        )
+        got = np.array([conditional_cdf(spec, TimeSeries([0.0, v * 1.7]), 2) for v in x])
+        ref = special.ndtr(x)
+        np.testing.assert_allclose(got, ref, rtol=0.0, atol=1e-15)
+        tail = ref > 1e-300
+        np.testing.assert_allclose(got[tail], ref[tail], rtol=1e-12)
+
+    def test_conditional_cdf_mixture_matches_ndtr(self):
+        spec = model_b_spec()
+        series = simulate_path(spec, 300, seed=5)
+        for t in range(3, 301):
+            e = (series.values[t - 1] - component_means_at(spec, series.values, t)) / spec.scales
+            expect = float(np.dot(spec.weights, special.ndtr(e)))
+            assert conditional_cdf(spec, series, t) == pytest.approx(expect, rel=0.0, abs=1e-15)
 
 
 class TestLikelihood:

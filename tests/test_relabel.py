@@ -1,6 +1,7 @@
 """Label-switching correction: centres, assignment, recursions, whole chains."""
 
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
@@ -146,6 +147,39 @@ class TestAssignment:
         )
         # stored blocks are (3, 1, 2); new[j] = old[perm[j]] wants perm (1,2,0)
         assert assign_permutation(np.array([3.0, 1.0, 2.0]), centres, g=3) == (1, 2, 0)
+
+    @staticmethod
+    def loop_oracle(theta_row, centres, g):
+        """The permutation search one permutation at a time, strict improvements only."""
+        best, best_d = None, np.inf
+        for perm in itertools.permutations(range(g)):
+            cand = theta_row.reshape(-1, g)[:, perm].reshape(-1)
+            d = float(np.sum((cand - centres.centre) ** 2 / centres.variance))
+            if d < best_d:
+                best, best_d = perm, d
+        return best
+
+    @pytest.mark.parametrize("g", [1, 2, 3, 4, 5])
+    def test_matches_the_loop_with_planted_ties(self, g):
+        rng = np.random.default_rng(g)
+        ties = 0
+        for i in range(400):
+            blocks = int(rng.integers(1, 4))
+            row = rng.normal(size=(blocks, g))
+            if g > 1 and i % 2 == 0:
+                # two components with equal draws tie every pair of swapped perms
+                a, b = rng.choice(g, size=2, replace=False)
+                row[:, b] = row[:, a]
+                ties += 1
+            if i % 5 == 0:
+                centres = ClusterCentres(np.zeros(blocks * g), np.ones(blocks * g), 4)
+            else:
+                centres = ClusterCentres(
+                    rng.normal(size=blocks * g), rng.uniform(0.1, 2.0, size=blocks * g), 4
+                )
+            row = row.reshape(-1)
+            assert assign_permutation(row, centres, g) == self.loop_oracle(row, centres, g)
+        assert ties == (200 if g > 1 else 0)
 
     def test_dimension_mismatch(self):
         centres = ClusterCentres(centre=[0.0, 0.0], variance=[1.0, 1.0], count=3)

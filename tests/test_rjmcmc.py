@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from mixar.datasets import model_a_spec
-from mixar.model import LatentAllocation, MARSpec, TimeSeries, simulate_path
+from mixar.model import LatentAllocation, MARSpec, TimeSeries, log_likelihood, simulate_path
 from mixar.rjmcmc import (
     OrderMoveConfig,
     OrderTrace,
@@ -219,6 +219,20 @@ class TestRun:
         assert trace.preference(modal) == max(trace.counts.values()) / 800
         a = rjmcmc_run(series, 2, hyper, cfg, seed=41)[0]
         assert a.counts == trace.counts  # deterministic given the seed
+
+    @pytest.mark.parametrize("literal", [False, True])
+    def test_recorded_log_likelihoods_follow_the_order_moves(self, literal):
+        # a draw whose order move was accepted must not keep the log terms of
+        # the spec before the move
+        series = simulate_path(model_a_spec(), 150, seed=46)
+        hyper = default_hyperparams(series, n_iter=900, burn_in=100, gamma=(80.0,))
+        cfg = OrderMoveConfig(p_max=3, literal_death_density=literal)
+        trace, output = rjmcmc_run(series, 2, hyper, cfg, seed=47)
+        assert trace.birth_accepts + trace.death_accepts > 20
+        changes = np.any(np.diff(output.orders, axis=0) != 0, axis=1)
+        assert changes.sum() > 10
+        for j in range(output.n_draws):
+            assert output.log_likelihoods[j] == log_likelihood(output.spec_at(j), series, 3)
 
     def test_start_orders_validation(self):
         series = simulate_path(model_a_spec(), 60, seed=42)

@@ -1,5 +1,6 @@
 """Gibbs sweep blocks: full conditionals, RWM step, tuning, whole chains."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -7,12 +8,13 @@ import pytest
 from scipy import stats
 from scipy.special import gammaln, logsumexp
 
-from mixar.datasets import model_a_spec
+from mixar.datasets import model_a_spec, model_b_spec
 from mixar.model import (
     LatentAllocation,
     MARSpec,
     TimeSeries,
     _design,
+    _log_terms,
     log_likelihood,
     simulate_path,
 )
@@ -400,22 +402,127 @@ class TestSweepWiring:
             np.testing.assert_array_equal(new_state.spec.ar_coeffs[k - 1], expect)
 
 
+class TestLogTermMemo:
+    """Log terms memoized on a ChainState serve the next sweep of that state only."""
+
+    GAMMA = np.array([300.0, 100.0, 100.0])
+
+    def start(self):
+        series = simulate_path(model_b_spec(), 200, seed=41)
+        hyper = default_hyperparams(series)
+        state = initial_state(series, 3, (2, 1, 1), hyper, np.random.default_rng(42))
+        return series, hyper, state
+
+    @staticmethod
+    def fresh(state):
+        """The same fields in a new state, with nothing memoized."""
+        return ChainState(state.spec, state.alloc, state.lam, state.iteration, state.means)
+
+    def same_sweep(self, state, series, hyper, seed, cond=None):
+        """Sweep `state` and a fresh copy from one seed; assert bitwise equal results."""
+        out = []
+        for s in (state, self.fresh(state)):
+            rng = np.random.default_rng(seed)
+            out.append(gibbs_sweep(s, series, hyper, rng, cond=cond, gamma=self.GAMMA))
+        (a, info_a), (b, info_b) = out
+        np.testing.assert_array_equal(a.alloc.z, b.alloc.z)
+        for name in ("weights", "shifts", "scales"):
+            np.testing.assert_array_equal(getattr(a.spec, name), getattr(b.spec, name))
+        for x, y in zip(a.spec.ar_coeffs, b.spec.ar_coeffs):
+            np.testing.assert_array_equal(x, y)
+        np.testing.assert_array_equal(a.means, b.means)
+        assert a.lam == b.lam
+        np.testing.assert_array_equal(info_a.accepted, info_b.accepted)
+        assert info_a.stability_rejected == info_b.stability_rejected
+        assert info_a.log_likelihood == info_b.log_likelihood
+        return a
+
+    def swept(self):
+        """A chain three sweeps in, with the terms memoized for cond 2."""
+        series, hyper, state = self.start()
+        for seed in range(3):
+            state, _ = gibbs_sweep(
+                state, series, hyper, np.random.default_rng(seed), gamma=self.GAMMA
+            )
+        assert state.terms[0] is series.values and state.terms[1] == 2
+        return series, hyper, state
+
+    def test_sweep_keeps_the_terms_of_the_spec_it_returns(self):
+        series, hyper, state = self.start()
+        assert state.terms is None
+        new_state, info = gibbs_sweep(
+            state, series, hyper, np.random.default_rng(1), gamma=self.GAMMA
+        )
+        values, cond, logw, norm = new_state.terms
+        assert values is series.values and cond == 2
+        np.testing.assert_array_equal(logw, _log_terms(new_state.spec, *_design(series.values, 2)))
+        assert info.log_likelihood == log_likelihood(new_state.spec, series, 2)
+
+    def test_sweep_from_memo_equals_sweep_from_fresh_state(self):
+        series, hyper, state = self.start()
+        for seed in range(25):
+            state = self.same_sweep(state, series, hyper, seed)
+            assert state.terms is not None
+
+    def test_replace_drops_the_memo(self):
+        _, _, state = self.swept()
+        born = dataclasses.replace(
+            state, spec=state.spec.with_ar(2, np.append(state.spec.ar_coeffs[1], 0.2))
+        )
+        assert born.terms is None
+        assert dataclasses.replace(state, lam=2.0 * state.lam).terms is None
+
+    def test_sweep_after_an_order_move_uses_the_new_spec(self):
+        # the order chain swaps a block with dataclasses.replace, as a birth here
+        series, hyper, state = self.swept()
+        born = dataclasses.replace(
+            state, spec=state.spec.with_ar(2, np.append(state.spec.ar_coeffs[1], 0.2))
+        )
+        for seed in range(3, 8):
+            born = self.same_sweep(born, series, hyper, seed, cond=2)
+
+    def test_memo_is_keyed_by_cond(self):
+        series, hyper, state = self.swept()
+        self.same_sweep(state, series, hyper, 10, cond=4)
+
+    def test_memo_is_keyed_by_series(self):
+        series, hyper, state = self.swept()
+        other = simulate_path(model_b_spec(), series.n, seed=99)
+        self.same_sweep(state, other, hyper, 11)
+
+    def test_veto_keeps_the_start_of_sweep_terms(self):
+        series, spec, state = veto_setup()
+        start = state.terms
+        new_state, info = gibbs_sweep(
+            state, series, base_hyper(fixed_shift=True), np.random.default_rng(0),
+            gamma=np.array([50.0, 1e-4]),
+        )
+        assert info.stability_rejected
+        assert new_state.spec is spec
+        assert start is None and new_state.terms is state.terms
+        assert info.log_likelihood == log_likelihood(spec, series, 1)
+
+
+def veto_setup():
+    """A state whose sweep always ends unstable (see the veto test below)."""
+    series = TimeSeries([0.2, -0.4, 0.5, 0.1, -0.3, 0.6])
+    spec = MARSpec(
+        weights=np.array([0.5, 0.5]),
+        shifts=np.array([0.0, 50.0]),
+        ar_coeffs=(np.array([0.3]), np.array([0.0])),
+        scales=np.array([1.0, 0.5]),
+    )
+    state = ChainState(spec, LatentAllocation(z=np.ones(5, dtype=int), g=2), 1.0, 0, np.zeros(2))
+    return series, spec, state
+
+
 class TestGibbsSweep:
     def test_stability_veto_restores_previous_state(self):
         # component 2 sits 50 units away so it never wins an allocation; its
         # RWM ratio is then 0 and a huge proposed step is always accepted,
         # making the end-of-sweep spec unstable and triggering the veto
-        series = TimeSeries([0.2, -0.4, 0.5, 0.1, -0.3, 0.6])
-        spec = MARSpec(
-            weights=np.array([0.5, 0.5]),
-            shifts=np.array([0.0, 50.0]),
-            ar_coeffs=(np.array([0.3]), np.array([0.0])),
-            scales=np.array([1.0, 0.5]),
-        )
+        series, spec, state = veto_setup()
         hyper = base_hyper(fixed_shift=True)
-        state = ChainState(
-            spec, LatentAllocation(z=np.ones(5, dtype=int), g=2), 1.0, 0, np.zeros(2)
-        )
         rng = np.random.default_rng(0)
         new_state, info = gibbs_sweep(
             state, series, hyper, rng, gamma=np.array([50.0, 1e-4])

@@ -7,6 +7,7 @@ from mixar.datasets import model_a_spec, model_b_spec
 from mixar.model import MARSpec, simulate_path
 from mixar.stability import (
     StabilityReport,
+    companion_matrices,
     companion_matrix,
     is_stable,
     spectral_radius,
@@ -77,6 +78,32 @@ class TestStabilityMatrix:
         for w, a in zip(spec.weights, (companion_matrix(spec, k) for k in (1, 2, 3))):
             expect += w * np.kron(a, a)
         np.testing.assert_allclose(mat, expect)
+
+    @pytest.mark.parametrize("g", [1, 2, 3, 4])
+    @pytest.mark.parametrize("p", [1, 2, 3, 4])
+    def test_bitwise_equal_to_explicit_kron_sum(self, g, p):
+        rng = np.random.default_rng(10 * g + p)
+        for _ in range(5):
+            orders = rng.integers(1, p + 1, size=g)
+            orders[rng.integers(g)] = p
+            weights = rng.dirichlet(np.ones(g))
+            spec = MARSpec(
+                weights=weights,
+                shifts=np.zeros(g),
+                ar_coeffs=tuple(rng.normal(0.0, 0.7, size=o) for o in orders),
+                scales=np.ones(g),
+            )
+            expect = np.zeros((p * p, p * p))
+            for k in range(1, g + 1):
+                a = np.zeros((p, p))
+                a[0, : orders[k - 1]] = spec.ar_coeffs[k - 1]
+                a[np.arange(1, p), np.arange(p - 1)] = 1.0
+                np.testing.assert_array_equal(companion_matrix(spec, k), a)
+                expect += spec.weights[k - 1] * np.kron(a, a)
+            got = stability_matrix(spec)
+            assert got.shape == expect.shape
+            assert got.tobytes() == expect.tobytes()
+            assert companion_matrices(spec).shape == (g, p, p)
 
 
 class TestSpectralRadius:
