@@ -15,7 +15,6 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -323,6 +322,8 @@ def cmd_replicate(config: RunConfig, out: Path) -> tuple[list[str], dict]:
         )
     workers = _resolve_workers(config)
     if workers > 1 and config.replicas > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             replica_draws = list(pool.map(_replicate_worker, jobs))
     else:

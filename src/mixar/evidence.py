@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -36,9 +35,9 @@ from .model import (
     LOG_2PI,
     MARSpec,
     TimeSeries,
-    _design,
     log_likelihood,
     logsumexp,
+    row_sum,
     shift_from_mean,
 )
 from .relabel import RelabelConfig, relabel_chain
@@ -166,7 +165,7 @@ def _reduced_log_mean(
     """
     n_keep = config.n_i if n_keep is None else n_keep
     burn = config.reduced_burn_in
-    yt, lm = _design(series.values, cond)
+    yt, lm = series.design(cond)
     state = ChainState(
         spec=star.spec,
         alloc=draw_allocations(star.spec, yt, lm, rng),
@@ -206,7 +205,7 @@ def estimate_phi_ordinate(
     whole-model stability indicator.
     """
     g = star.spec.g
-    yt, lm = _design(series.values, cond)
+    yt, lm = series.design(cond)
     args = (series, star, hyper, gamma, config, rng, cond)
     per_k: list[float] = []
     for k in range(1, g + 1):
@@ -247,10 +246,10 @@ def estimate_mu_ordinate(
     if hyper.fixed_shift:
         return 0.0
     g = star.spec.g
-    yt, lm = _design(series.values, cond)
+    yt, lm = series.design(cond)
     phi_mat = star.spec.phi_matrix(lm.shape[1])
     r_star = yt[:, None] - lm @ phi_mat.T  # shift-free residuals at phi*
-    bk = 1.0 - phi_mat.sum(axis=1)
+    bk = 1.0 - row_sum(phi_mat)
 
     def term(state):
         alloc = state.alloc
@@ -279,9 +278,10 @@ def estimate_tau_ordinate(
 ) -> float:
     """Rao-Blackwellized log ordinate of the precisions given starred AR and means."""
     g = star.spec.g
-    yt, lm = _design(series.values, cond)
+    yt, lm = series.design(cond)
     e_star = yt[:, None] - star.spec.shifts[None, :] - lm @ star.spec.phi_matrix(lm.shape[1]).T
     tau_star = star.spec.precisions
+    log_tau_star = [math.log(t) for t in tau_star]
 
     def term(state):
         alloc = state.alloc
@@ -291,7 +291,7 @@ def estimate_tau_ordinate(
             total += (
                 shape[k] * math.log(rate[k])
                 - math.lgamma(shape[k])
-                + (shape[k] - 1.0) * math.log(tau_star[k])
+                + (shape[k] - 1.0) * log_tau_star[k]
                 - rate[k] * tau_star[k]
             )
         return total
@@ -415,6 +415,8 @@ def select_g(
     seeds = _child_seeds(seed, len(g_range))
     jobs = [(series.values, g, hyper, config, s) for g, s in zip(g_range, seeds)]
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_evidence_worker, jobs))
     else:

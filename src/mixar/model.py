@@ -20,6 +20,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -39,12 +40,16 @@ class MARSpec:
         ar_coeffs: tuple of per-component AR coefficient vectors; the length
             of the k-th vector is that component's order p_k.
         scales: per-component standard deviations sigma_k, all positive.
+        orders: per-component orders p_k, derived from ar_coeffs.
     """
 
     weights: np.ndarray
     shifts: np.ndarray
     ar_coeffs: tuple[np.ndarray, ...]
     scales: np.ndarray
+
+    orders: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    _phi: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         w = np.asarray(self.weights, dtype=float)
@@ -55,32 +60,31 @@ class MARSpec:
         object.__setattr__(self, "shifts", sh)
         object.__setattr__(self, "ar_coeffs", ar)
         object.__setattr__(self, "scales", sc)
+        orders = tuple(a.size for a in ar)
+        object.__setattr__(self, "orders", orders)
         g = w.size
-        if g < 1:
-            raise ValueError("need at least one component")
-        if sh.size != g or sc.size != g or len(ar) != g:
-            raise ValueError("weights, shifts, ar_coeffs and scales must all have length g")
-        if not np.all(np.isfinite(w)) or np.any(w <= 0.0):
-            raise ValueError("every mixing weight must be positive and finite")
-        if abs(w.sum() - 1.0) > 1e-8:
-            raise ValueError(f"mixing weights must sum to 1, got {w.sum()!r}")
-        if not np.all(np.isfinite(sc)) or np.any(sc <= 0.0):
-            raise ValueError("every scale must be positive and finite")
-        if not np.all(np.isfinite(sh)):
-            raise ValueError("shifts must be finite")
-        for k, a in enumerate(ar, start=1):
-            if a.size < 1:
-                raise ValueError(f"component {k} must have order >= 1")
-            if not np.all(np.isfinite(a)):
-                raise ValueError(f"AR coefficients of component {k} must be finite")
+        # One pass over every value decides; the per-field checks run only
+        # to name what is wrong.
+        if not (
+            g >= 1
+            and sh.size == g
+            and sc.size == g
+            and len(ar) == g
+            and min(orders) >= 1
+            and np.isfinite(values := np.concatenate((w, sc, sh, *ar), axis=None)).all()
+            and values[: 2 * g].min() > 0.0
+            and abs(w.sum() - 1.0) <= 1e-8
+        ):
+            _check_fields(w, sh, sc, ar)
+        phi = np.zeros((g, max(orders)))
+        for k, a in enumerate(ar):
+            phi[k, : a.size] = a
+        phi.flags.writeable = False
+        object.__setattr__(self, "_phi", {phi.shape[1]: phi})
 
     @property
     def g(self) -> int:
         return self.weights.size
-
-    @property
-    def orders(self) -> tuple[int, ...]:
-        return tuple(a.size for a in self.ar_coeffs)
 
     @property
     def max_order(self) -> int:
@@ -92,13 +96,19 @@ class MARSpec:
         return 1.0 / self.scales**2
 
     def phi_matrix(self, width: int | None = None) -> np.ndarray:
-        """AR coefficients as a (g, width) matrix, zero-padded on the right."""
+        """AR coefficients as a read-only (g, width) matrix, zero-padded on the right.
+
+        Built once per spec and width.
+        """
         width = self.max_order if width is None else int(width)
-        if width < self.max_order:
-            raise ValueError("width smaller than the maximum order")
-        out = np.zeros((self.g, width))
-        for k, a in enumerate(self.ar_coeffs):
-            out[k, : a.size] = a
+        out = self._phi.get(width)
+        if out is None:
+            if width < self.max_order:
+                raise ValueError("width smaller than the maximum order")
+            out = np.zeros((self.g, width))
+            out[:, : self.max_order] = self._phi[self.max_order]
+            out.flags.writeable = False
+            self._phi[width] = out
         return out
 
     def with_ar(self, k: int, coeffs: np.ndarray) -> MARSpec:
@@ -110,11 +120,34 @@ class MARSpec:
         )
 
 
+def _check_fields(w, sh, sc, ar) -> None:
+    """The per-field checks of `MARSpec`, raising on the first that fails."""
+    g = w.size
+    if g < 1:
+        raise ValueError("need at least one component")
+    if sh.size != g or sc.size != g or len(ar) != g:
+        raise ValueError("weights, shifts, ar_coeffs and scales must all have length g")
+    if not np.all(np.isfinite(w)) or np.any(w <= 0.0):
+        raise ValueError("every mixing weight must be positive and finite")
+    if abs(w.sum() - 1.0) > 1e-8:
+        raise ValueError(f"mixing weights must sum to 1, got {w.sum()!r}")
+    if not np.all(np.isfinite(sc)) or np.any(sc <= 0.0):
+        raise ValueError("every scale must be positive and finite")
+    if not np.all(np.isfinite(sh)):
+        raise ValueError("shifts must be finite")
+    for k, a in enumerate(ar, start=1):
+        if a.size < 1:
+            raise ValueError(f"component {k} must have order >= 1")
+        if not np.all(np.isfinite(a)):
+            raise ValueError(f"AR coefficients of component {k} must be finite")
+
+
 @dataclass(frozen=True)
 class TimeSeries:
     """An observed univariate series y_1, ..., y_n."""
 
     values: np.ndarray
+    designs: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float).reshape(-1)
@@ -123,6 +156,16 @@ class TimeSeries:
             raise ValueError("series must contain at least one observation")
         if not np.all(np.isfinite(v)):
             raise ValueError("series values must be finite")
+
+    def design(self, cond: int) -> tuple[np.ndarray, np.ndarray]:
+        """The read-only design arrays of `_design` for `cond`, built once per cond."""
+        out = self.designs.get(cond)
+        if out is None:
+            out = _design(self.values, cond)
+            for a in out:
+                a.flags.writeable = False
+            self.designs[cond] = out
+        return out
 
     @property
     def n(self) -> int:
@@ -149,10 +192,15 @@ class LatentAllocation:
         object.__setattr__(self, "z", z)
         if self.g < 1:
             raise ValueError("g must be >= 1")
-        if z.size and (z.min() < 1 or z.max() > self.g):
+        # The label count is the range check too: bincount refuses negative
+        # labels and counts label 0 in its first entry; the maximum bounds its length.
+        try:
+            full = None if z.size and z.max() > self.g else np.bincount(z, minlength=self.g + 1)
+        except ValueError:
+            full = None
+        if full is None or full[0]:
             raise ValueError("labels must lie in 1..g")
-        counts = np.bincount(z, minlength=self.g + 1)[1:].astype(np.int64)
-        object.__setattr__(self, "counts", counts)
+        object.__setattr__(self, "counts", full[1:])
 
 
 def _check_time(series: TimeSeries, t: int, p: int) -> None:
@@ -192,12 +240,29 @@ def _design(values: np.ndarray, cond: int) -> tuple[np.ndarray, np.ndarray]:
     return values[cond:], lag_matrix(values, cond, cond + 1)
 
 
+def row_sum(a: np.ndarray) -> np.ndarray:
+    """Sum over the short second axis of a 2-D array, adding columns left to right.
+
+    A single column comes back as a view of that column.
+    """
+    return functools.reduce(np.add, a.T)
+
+
 def logsumexp(a: np.ndarray, axis: int | None = None) -> np.ndarray | float:
     """log sum exp(a) over `axis` (all entries when None), shifted by the maximum.
 
-    A slice that is all -inf gives -inf, so callers can detect it.
+    A slice that is all -inf gives -inf, so callers can detect it.  Over the
+    rows of a 2-D array (axis 1) the maximum and the sum run one column at a
+    time, which costs a few numpy calls per column instead of a short-axis
+    reduction per row; the sum adds columns left to right, the order numpy
+    uses for rows of up to 7 entries.
     """
     a = np.asarray(a, dtype=float)
+    if axis == 1 and a.ndim == 2:
+        top = functools.reduce(np.maximum, a.T)
+        top = np.where(np.isfinite(top), top, 0.0)
+        with np.errstate(divide="ignore"):
+            return np.log(row_sum(np.exp(a - top[:, None]))) + top
     top = np.max(a, axis=axis, keepdims=True)
     top[~np.isfinite(top)] = 0.0
     with np.errstate(divide="ignore"):
@@ -292,7 +357,7 @@ def log_likelihood(spec: MARSpec, series: TimeSeries, cond: int | None = None) -
     The first `cond` observations (default: the maximum order) are
     conditioned on and contribute no terms.
     """
-    out = _mixture_loglik(spec, *_design(series.values, _resolve_cond(spec, series, cond)))
+    out = _mixture_loglik(spec, *series.design(_resolve_cond(spec, series, cond)))
     if not np.isfinite(out):
         raise ValueError("log likelihood is not finite; model collapsed numerically")
     return out
@@ -308,7 +373,7 @@ def complete_data_log_likelihood(
 
     sum_t [ log pi_{z_t} - log sigma_{z_t} - e_{t,z_t}^2 / (2 sigma^2) - log(2 pi)/2 ].
     """
-    rows = _log_terms(spec, *_design(series.values, _resolve_cond(spec, series, cond)))
+    rows = _log_terms(spec, *series.design(_resolve_cond(spec, series, cond)))
     if alloc.z.size != rows.shape[0]:
         raise ValueError(
             f"allocation covers {alloc.z.size} observations, expected {rows.shape[0]}"

@@ -26,7 +26,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .model import TimeSeries, _design
+from .model import TimeSeries
 from .sampler import ChainOutput, ChainState, Hyperparams, _run, swap_log_alpha
 
 
@@ -79,7 +79,7 @@ def birth_acceptance(
     p = spec.orders[k - 1]
     if p >= config.p_max:
         raise ValueError(f"component {k} already at p_max={config.p_max}")
-    yt, lm = _design(series.values, config.p_max if cond is None else cond)
+    yt, lm = series.design(config.p_max if cond is None else cond)
     ratio = config.death_prob(p + 1) / config.birth_prob(p)
     new_coeffs = np.append(spec.ar_coeffs[k - 1], proposed_coeff)
     return math.exp(
@@ -112,7 +112,7 @@ def death_acceptance(
         dens = 1.0 / (2.0 * w) if abs(dropped) < w else 0.0
     if dens == 0.0:
         return 0.0
-    yt, lm = _design(series.values, config.p_max if cond is None else cond)
+    yt, lm = series.design(config.p_max if cond is None else cond)
     ratio = config.birth_prob(p - 1) / config.death_prob(p)
     new_coeffs = spec.ar_coeffs[k - 1][:-1].copy()
     return math.exp(swap_log_alpha(state, yt, lm, k, new_coeffs, math.log(ratio), math.log(dens)))

@@ -19,6 +19,7 @@ Gamma distributions are parameterized by (shape, rate) throughout.
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -29,10 +30,10 @@ from .model import (
     LatentAllocation,
     MARSpec,
     TimeSeries,
-    _design,
     _log_terms,
     _resolve_cond,
     logsumexp,
+    row_sum,
 )
 from .stability import is_stable
 
@@ -141,6 +142,9 @@ class UpdateMask:
         return tuple(sorted(k for k in self.ar if 1 <= k <= g))
 
 
+FULL_SWEEP = UpdateMask()
+
+
 @dataclass(frozen=True)
 class SweepInfo:
     attempted: np.ndarray
@@ -213,7 +217,7 @@ def resolve_gamma(gamma, g: int) -> np.ndarray:
 
 
 # Block kernels, shared by the sweep, the reduced evidence chains and the
-# order moves; data enter as the design arrays (yt, lm) of `model._design`.
+# order moves; data enter as the design arrays (yt, lm) of `TimeSeries.design`.
 
 
 def state_log_terms(
@@ -265,11 +269,18 @@ def draw_allocations(
     rng: np.random.Generator,
     terms: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> LatentAllocation:
-    """Draw every z_t from its full conditional (one uniform per row)."""
+    """Draw every z_t from its full conditional (one uniform per row).
+
+    z_t is one plus the number of running sums pi_t1, pi_t1 + pi_t2, ... below
+    the uniform, taken a column at a time over the first g - 1 columns (the
+    last running sum would only add a label past g).
+    """
     probs = allocation_probabilities(spec, yt, lm, terms)
     u = rng.random(probs.shape[0])
-    labels = (u[:, None] > np.cumsum(probs, axis=1)).sum(axis=1)
-    return LatentAllocation(z=np.minimum(labels, spec.g - 1) + 1, g=spec.g)
+    z = np.ones(probs.shape[0], dtype=np.int64)
+    for cum in itertools.accumulate(probs.T[:-1]):
+        z += u > cum
+    return LatentAllocation(z=z, g=spec.g)
 
 
 def sample_weights(
@@ -278,17 +289,18 @@ def sample_weights(
     """Draw pi from Dirichlet(prior + counts)."""
     pw = np.ones(alloc.g) if prior_weights is None else np.asarray(prior_weights, dtype=float)
     w = rng.dirichlet(pw + alloc.counts)
-    w = np.clip(w, 1e-300, None)
+    w = np.maximum(w, 1e-300)
     return w / w.sum()
 
 
 def dirichlet_log_density(alpha: np.ndarray, log_weights: np.ndarray) -> float:
     """log Dirichlet(pi | alpha) at log pi; the weights conditional is alpha = prior + counts."""
-    return (
-        math.lgamma(float(alpha.sum()))
-        - float(np.sum([math.lgamma(float(x)) for x in alpha]))
-        + float(np.dot(alpha - 1.0, log_weights))
-    )
+    return _dirichlet_log_norm(alpha) + float(np.dot(alpha - 1.0, log_weights))
+
+
+def _dirichlet_log_norm(alpha: np.ndarray) -> float:
+    """log Gamma(sum alpha) - sum log Gamma(alpha_k), the Dirichlet's log normalizer."""
+    return math.lgamma(float(alpha.sum())) - float(np.sum([math.lgamma(float(x)) for x in alpha]))
 
 
 def means_conditional(
@@ -311,7 +323,7 @@ def means_conditional(
     prec = np.empty(counts.size)
     for k in range(counts.size):
         nk = counts[k]
-        ebar = r[z0 == k, k].mean() if nk > 0 else 0.0
+        ebar = r[:, k][z0 == k].sum() / nk if nk > 0 else 0.0
         prec[k] = tau[k] * nk * bk[k] ** 2 + hyper.kappa
         mean[k] = (tau[k] * nk * ebar * bk[k] + hyper.kappa * hyper.zeta) / prec[k]
     return mean, prec
@@ -333,7 +345,7 @@ def precisions_conditional(
     the points assigned to k.
     """
     sse = np.array(
-        [float(np.sum(e[z0 == k, k] ** 2)) if counts[k] > 0 else 0.0 for k in range(counts.size)]
+        [float((e[:, k][z0 == k] ** 2).sum()) if n > 0 else 0.0 for k, n in enumerate(counts)]
     )
     return hyper.c + counts / 2.0, lam + sse / 2.0
 
@@ -353,13 +365,12 @@ def ar_log_ratio(
     its shift and scale stay fixed.  The two blocks may differ in length, as
     in a birth or death move.
     """
-    if not mask.any():
-        return 0.0
     r = yt[mask] - shift
-    x_cur = lm[mask, : cur.size]
-    x_new = x_cur if new.size == cur.size else lm[mask, : new.size]
-    e_cur = r - x_cur @ cur
-    e_new = r - x_new @ new
+    if not r.size:
+        return 0.0
+    x = lm.compress(mask, axis=0)
+    e_cur = r - x[:, : cur.size] @ cur
+    e_new = r - x[:, : new.size] @ new
     tau = 1.0 / scale**2
     return -0.5 * tau * float(e_new @ e_new - e_cur @ e_cur)
 
@@ -408,11 +419,11 @@ def gibbs_sweep(
     spec0 = state.spec
     g = spec0.g
     cond = _resolve_cond(spec0, series, cond)
-    update = update or UpdateMask()
+    update = update or FULL_SWEEP
     ar_ks = update.ar_components(g)
     if ar_ks:
         gamma = resolve_gamma(hyper.gamma if gamma is None else gamma, g)
-    yt, lm = _design(series.values, cond)
+    yt, lm = series.design(cond)
 
     alloc = (
         draw_allocations(spec0, yt, lm, rng, state_log_terms(state, series.values, yt, lm))
@@ -428,13 +439,17 @@ def gibbs_sweep(
         else spec0.weights.copy()
     )
 
-    phi_mat = spec0.phi_matrix(lm.shape[1])
-    fitted = lm @ phi_mat.T
+    update_means = update.means and not hyper.fixed_shift
+    if update_means or update.precisions:
+        phi_mat = spec0.phi_matrix(lm.shape[1])
+        fitted = lm @ phi_mat.T
     scales = spec0.scales
-    if update.means and not hyper.fixed_shift:
-        bk = 1.0 - phi_mat.sum(axis=1)
+    if update_means:
+        bk = 1.0 - row_sum(phi_mat)
         m, prec = means_conditional(yt[:, None] - fitted, z0, counts, 1.0 / scales**2, bk, hyper)
-        means = np.array([rng.normal(m[k], math.sqrt(1.0 / prec[k])) for k in range(g)])
+        # mean + sd * z is how rng.normal draws; one standard-normal call for
+        # all components gives the same values from the same stream position
+        means = m + np.sqrt(1.0 / prec) * rng.standard_normal(g)
         shifts = means * bk
     else:
         means, shifts = state.means.copy(), spec0.shifts.copy()
@@ -445,7 +460,7 @@ def gibbs_sweep(
         e = yt[:, None] - shifts[None, :] - fitted
         shape, rate = precisions_conditional(e, z0, counts, lam, hyper)
         scales = np.array(
-            [1.0 / math.sqrt(rng.gamma(shape[k], 1.0 / rate[k])) for k in range(g)]
+            [1.0 / math.sqrt(rng.gamma(a, 1.0 / b)) for a, b in zip(shape.tolist(), rate.tolist())]
         )
     else:
         scales = scales.copy()
@@ -475,6 +490,36 @@ def gibbs_sweep(
     return new_state, SweepInfo(attempted, accepted, rejected, ll)
 
 
+def make_log_prior(hyper: Hyperparams, g: int, fixed_shift: bool | None = None):
+    """`log_prior_density` for g components as a function of (weights, means, scales).
+
+    The terms that depend on the hyperparameters alone are computed here,
+    once, and enter the sums at the same place as in a direct evaluation.
+    """
+    fixed_shift = hyper.fixed_shift if fixed_shift is None else fixed_shift
+    alpha = _dirichlet_prior(hyper, g)
+    dirichlet_const = _dirichlet_log_norm(alpha)
+    mean_const = -0.5 * math.log(2.0 * math.pi / hyper.kappa)
+    half_kappa = 0.5 * hyper.kappa
+    a, b, c = hyper.a, hyper.b, hyper.c
+    shape = a + g * c
+    tau_const = math.lgamma(shape) - math.lgamma(a) - g * math.lgamma(c) + a * math.log(b)
+
+    def log_prior(weights: np.ndarray, means: np.ndarray, scales: np.ndarray) -> float:
+        lp = dirichlet_const + float(np.dot(alpha - 1.0, np.log(weights)))
+        if not fixed_shift:
+            lp += float(np.sum(mean_const - half_kappa * (np.asarray(means) - hyper.zeta) ** 2))
+        tau = 1.0 / np.asarray(scales) ** 2
+        lp += (
+            tau_const
+            + (c - 1.0) * float(np.log(tau).sum())
+            - shape * math.log(b + float(tau.sum()))
+        )
+        return lp
+
+    return log_prior
+
+
 def log_prior_density(
     weights: np.ndarray,
     means: np.ndarray,
@@ -489,27 +534,7 @@ def log_prior_density(
     against Gamma(lambda | a, b), and the flat stable-region prior on the AR
     blocks contributes zero.  The mean term is skipped for fixed-shift models.
     """
-    g = weights.size
-    fixed_shift = hyper.fixed_shift if fixed_shift is None else fixed_shift
-    lp = dirichlet_log_density(_dirichlet_prior(hyper, g), np.log(weights))
-    if not fixed_shift:
-        lp += float(
-            np.sum(
-                -0.5 * math.log(2.0 * math.pi / hyper.kappa)
-                - 0.5 * hyper.kappa * (np.asarray(means) - hyper.zeta) ** 2
-            )
-        )
-    tau = 1.0 / np.asarray(scales) ** 2
-    a, b, c = hyper.a, hyper.b, hyper.c
-    lp += (
-        math.lgamma(a + g * c)
-        - math.lgamma(a)
-        - g * math.lgamma(c)
-        + a * math.log(b)
-        + (c - 1.0) * float(np.log(tau).sum())
-        - (a + g * c) * math.log(b + float(tau.sum()))
-    )
-    return lp
+    return make_log_prior(hyper, weights.size, fixed_shift)(weights, means, scales)
 
 
 def initial_state(
@@ -537,7 +562,7 @@ def initial_state(
     if c < p or series.n <= c:
         raise ValueError("series too short for the requested orders/conditioning")
     values = series.values
-    yt, lm = _design(values, c)
+    yt, lm = series.design(c)
 
     x_full = np.column_stack([np.ones(yt.size), lm[:, :p]])
     beta, *_ = np.linalg.lstsq(x_full, yt, rcond=None)
@@ -671,7 +696,8 @@ def _run(
     ll = np.empty(n_keep)
     lp = np.empty(n_keep)
     allocs = np.empty((n_keep, series.n - cond), dtype=np.int8) if collect_allocations else None
-    yt, lm = _design(series.values, cond)
+    yt, lm = series.design(cond)
+    log_prior = make_log_prior(hyper, g)
 
     acc_counts = np.zeros(g)
     stab_rej = 0
@@ -693,7 +719,7 @@ def _run(
         orders_arr[j] = spec.orders
         lam[j] = state.lam
         ll[j] = float(np.sum(state_log_terms(state, series.values, yt, lm)[1]))
-        lp[j] = ll[j] + log_prior_density(spec.weights, state.means, spec.scales, hyper)
+        lp[j] = ll[j] + log_prior(spec.weights, state.means, spec.scales)
         if collect_allocations:
             allocs[j] = state.alloc.z
 

@@ -79,8 +79,15 @@ def spectral_radius(matrix: np.ndarray) -> float:
 def is_stable(spec: "MARSpec") -> StabilityReport:
     """Stability verdict for a MAR specification.
 
-    The verdict is strict: spectral radius exactly 1 is unstable.
+    The verdict is strict: spectral radius exactly 1 is unstable.  At p = 1
+    the matrix is the 1x1 sum_k pi_k phi_k^2, formed term by term in
+    component order, which is what `stability_matrix` adds up there.
     """
+    if spec.max_order == 1:
+        total = 0.0
+        for w, a in zip(spec.weights.tolist(), spec.phi_matrix()[:, 0].tolist()):
+            total += w * (a * a)
+        return StabilityReport(spectral_radius=abs(total), stable=abs(total) < 1.0, matrix_dim=1)
     mat = stability_matrix(spec)
     radius = spectral_radius(mat)
     return StabilityReport(spectral_radius=radius, stable=radius < 1.0, matrix_dim=mat.shape[0])

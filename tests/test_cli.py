@@ -293,6 +293,23 @@ def test_cli_import_leaves_out_scipy_special():
     assert res.returncode == 0, res.stderr
 
 
+def test_cli_import_leaves_out_the_process_pool():
+    """`import mixar.cli` must not load concurrent.futures.
+
+    Only runs with workers > 1 start a process pool, and they import it
+    themselves; loading it up front adds about 20 ms to every command.
+    """
+    package_root = str(Path(mixar.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+    res = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, mixar.cli; assert 'concurrent.futures' not in sys.modules"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert res.returncode == 0, res.stderr
+
+
 def _declared_scripts():
     """The `[project.scripts]` table of the repository's pyproject.toml."""
     if sys.version_info >= (3, 11):

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from mixar.model import (
     lag_matrix,
     log_likelihood,
     logsumexp,
+    row_sum,
     shift_from_mean,
     simulate_path,
     theoretical_acf,
@@ -92,6 +94,67 @@ class TestMARSpec:
                 ar_coeffs=(np.array([]),),
                 scales=np.ones(1),
             )
+
+
+def spec_kwargs(**changes):
+    base = dict(
+        weights=np.array([0.6, 0.4]),
+        shifts=np.array([0.3, -0.2]),
+        ar_coeffs=(np.array([0.5]), np.array([-0.8, 0.1])),
+        scales=np.array([0.7, 1.5]),
+    )
+    base.update(changes)
+    return base
+
+
+@pytest.mark.parametrize(
+    "changes, message",
+    [
+        (dict(weights=np.array([]), shifts=np.array([]), ar_coeffs=(), scales=np.array([])),
+         "need at least one component"),
+        (dict(shifts=np.zeros(3)), "must all have length g"),
+        (dict(scales=np.ones(1)), "must all have length g"),
+        (dict(ar_coeffs=(np.array([0.5]),)), "must all have length g"),
+        (dict(weights=np.array([1.0, 0.0])), "every mixing weight must be positive and finite"),
+        (dict(weights=np.array([1.2, -0.2])), "every mixing weight must be positive and finite"),
+        (dict(weights=np.array([np.nan, 0.4])), "every mixing weight must be positive and finite"),
+        (dict(weights=np.array([0.6, 0.5])), "mixing weights must sum to 1, got"),
+        (dict(scales=np.array([0.7, 0.0])), "every scale must be positive and finite"),
+        (dict(scales=np.array([np.inf, 1.5])), "every scale must be positive and finite"),
+        (dict(shifts=np.array([0.3, np.nan])), "shifts must be finite"),
+        (dict(ar_coeffs=(np.array([0.5]), np.array([]))), "component 2 must have order >= 1"),
+        (dict(ar_coeffs=(np.array([0.5]), np.array([0.1, -np.inf]))),
+         "AR coefficients of component 2 must be finite"),
+        # several faults at once: the first per-field check names the error
+        (dict(weights=np.array([0.0, 0.4]), scales=np.array([0.0, 1.0])),
+         "every mixing weight must be positive and finite"),
+        (dict(shifts=np.array([np.nan, 0.0]), ar_coeffs=(np.array([np.nan]), np.array([0.1])),),
+         "shifts must be finite"),
+    ],
+)
+def test_each_invalid_spec_names_its_fault(changes, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        MARSpec(**spec_kwargs(**changes))
+
+
+@pytest.mark.parametrize(
+    "z, g, message",
+    [
+        ([1, 2], 0, "g must be >= 1"),
+        ([0, 1], 2, "labels must lie in 1..g"),
+        ([1, 3], 2, "labels must lie in 1..g"),
+        ([1, -1], 2, "labels must lie in 1..g"),
+        ([1, 10**12], 2, "labels must lie in 1..g"),
+    ],
+)
+def test_each_invalid_allocation_names_its_fault(z, g, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        LatentAllocation(z=np.array(z), g=g)
+
+
+def test_empty_allocation_has_zero_counts():
+    alloc = LatentAllocation(z=np.array([], dtype=np.int64), g=3)
+    np.testing.assert_array_equal(alloc.counts, [0, 0, 0])
 
 
 class TestSeriesAndAllocation:
@@ -228,6 +291,22 @@ class TestKernels:
             out = logsumexp(a, axis=1)
         assert out[1] == -np.inf
         np.testing.assert_allclose(out[[0, 2]], special.logsumexp(a[[0, 2]], axis=1), rtol=1e-15)
+
+    @pytest.mark.parametrize("g", range(1, 8))
+    def test_logsumexp_rows_bitwise_equal_to_row_reductions(self, g):
+        """The column-at-a-time row log-sum-exp against numpy's per-row reductions."""
+        rng = np.random.default_rng(100 + g)
+        a = rng.uniform(-800.0, 50.0, size=(300, g))
+        a[rng.random(a.shape) < 0.3] = -np.inf
+        a[::17] = -np.inf  # whole rows at -inf
+        top = np.max(a, axis=1, keepdims=True)
+        top[~np.isfinite(top)] = 0.0
+        with np.errstate(divide="ignore"):
+            expect = (np.log(np.sum(np.exp(a - top), axis=1, keepdims=True)) + top)[:, 0]
+        got = logsumexp(a, axis=1)
+        assert got.tobytes() == expect.tobytes()
+        assert np.all(got[::17] == -np.inf)
+        assert row_sum(a[:, :g]).tobytes() == a.sum(axis=1).tobytes()
 
     def test_conditional_cdf_matches_ndtr_out_to_40_sd(self):
         # one AR(1) component with zero history: the residual at t=2 is y_2 / sigma

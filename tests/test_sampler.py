@@ -18,6 +18,7 @@ from mixar.model import (
     log_likelihood,
     simulate_path,
 )
+from mixar.model import logsumexp as model_logsumexp
 from mixar.sampler import (
     ChainState,
     Hyperparams,
@@ -145,6 +146,69 @@ class TestAllocations:
             alloc = draw_allocations(state.spec, yt, lm, rng)
             counts[np.arange(4), alloc.z - 1] += 1
         np.testing.assert_allclose(counts / n, probs, atol=0.01)
+
+
+def equal_weight_spec(g, p=1):
+    """A stable g-component spec of order p with equal weights."""
+    return MARSpec(
+        weights=np.full(g, 1.0 / g),
+        shifts=np.linspace(-1.0, 1.0, g),
+        ar_coeffs=tuple(np.full(p, 0.3 * (k + 1) / (g * p)) for k in range(g)),
+        scales=np.linspace(1.0, 2.0, g),
+    )
+
+
+class FixedUniforms:
+    """A stand-in generator whose `random(n)` returns chosen uniforms."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self, n):
+        assert n == self.u.size
+        return self.u
+
+
+class TestAllocationOracle:
+    """The column-at-a-time allocation draw against the cumulative-sum form it replaced."""
+
+    @staticmethod
+    def cumsum_labels(probs, u):
+        labels = (u[:, None] > np.cumsum(probs, axis=1)).sum(axis=1)
+        return np.minimum(labels, probs.shape[1] - 1) + 1
+
+    @staticmethod
+    def terms(g, seed, n=400):
+        rng = np.random.default_rng(seed)
+        logw = rng.uniform(-30.0, 0.0, size=(n, g))
+        logw[rng.random(logw.shape) < 0.2] = -np.inf
+        logw[np.arange(n), rng.integers(0, g, n)] = rng.uniform(-5.0, 0.0, n)
+        return logw, model_logsumexp(logw, axis=1)
+
+    @pytest.mark.parametrize("g", range(1, 8))
+    def test_same_labels_and_stream_position(self, g):
+        logw, norm = self.terms(g, 200 + g)
+        yt, lm = np.zeros(norm.size), np.zeros((norm.size, 1))
+        spec = equal_weight_spec(g)
+        rng, twin = np.random.default_rng(g), np.random.default_rng(g)
+        alloc = draw_allocations(spec, yt, lm, rng, (logw, norm))
+        probs = allocation_probabilities(spec, yt, lm, (logw, norm))
+        np.testing.assert_array_equal(alloc.z, self.cumsum_labels(probs, twin.random(norm.size)))
+        assert rng.random() == twin.random()
+
+    @pytest.mark.parametrize("g", range(1, 8))
+    def test_uniforms_on_the_boundaries(self, g):
+        # u equal to a running sum, zero, and the largest double below one
+        logw, norm = self.terms(g, 300 + g)
+        yt, lm = np.zeros(norm.size), np.zeros((norm.size, 1))
+        spec = equal_weight_spec(g)
+        probs = allocation_probabilities(spec, yt, lm, (logw, norm))
+        pick = np.random.default_rng(g).integers(0, g, norm.size)
+        u = np.cumsum(probs, axis=1)[np.arange(norm.size), pick]
+        u[::5] = 0.0
+        u[1::5] = np.nextafter(1.0, 0.0)
+        alloc = draw_allocations(spec, yt, lm, FixedUniforms(u), (logw, norm))
+        np.testing.assert_array_equal(alloc.z, self.cumsum_labels(probs, u))
 
 
 class TestWeights:
@@ -369,6 +433,33 @@ class TestSweepWiring:
         np.testing.assert_array_equal(new_state.means, expect)
         bk = 1.0 - state.spec.phi_matrix(1).sum(axis=1)
         np.testing.assert_array_equal(new_state.spec.shifts, expect * bk)
+
+    @pytest.mark.parametrize("g", range(1, 8))
+    def test_means_and_precisions_match_per_component_draws(self, g):
+        """Both blocks draw what g separate normal and gamma calls draw, in the same order."""
+        spec = equal_weight_spec(g)
+        series = simulate_path(spec, 200, seed=g)
+        # the last component is left empty once g >= 2, so the prior fallback runs too
+        z = np.arange(series.n - 1) % max(g - 1, 1) + 1
+        state = ChainState(spec, LatentAllocation(z=z, g=g), 1.3, 0, np.zeros(g))
+        hyper = base_hyper(zeta=0.2, kappa=0.5)
+        rng, twin = np.random.default_rng(g), np.random.default_rng(g)
+        new_state, info = gibbs_sweep(
+            state, series, hyper, rng, update=only(means=True, precisions=True)
+        )
+        assert not info.stability_rejected
+        mean, prec = means_kernel(state, series, hyper)
+        means = np.array([twin.normal(mean[k], math.sqrt(1.0 / prec[k])) for k in range(g)])
+        np.testing.assert_array_equal(new_state.means, means)
+        moved = ChainState(
+            MARSpec(spec.weights, means * (1.0 - spec.phi_matrix()[:, 0]), spec.ar_coeffs,
+                    spec.scales),
+            state.alloc, state.lam, 0, means,
+        )
+        shape, rate = precisions_kernel(moved, series, hyper)
+        scales = [1.0 / math.sqrt(twin.gamma(shape[k], 1.0 / rate[k])) for k in range(g)]
+        np.testing.assert_array_equal(new_state.spec.scales, scales)
+        assert rng.random() == twin.random()
 
     def test_lambda(self):
         new_state, _ = self.sweep(only(lam=True))

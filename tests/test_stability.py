@@ -202,3 +202,25 @@ class TestVerdicts:
         series = simulate_path(spec, 200_000, seed=8)
         assert np.isfinite(series.values).all()
         assert series.values.std() < 50
+
+
+@pytest.mark.parametrize("g", range(1, 10))
+def test_order_one_closed_form_bitwise_equal_to_kronecker_path(g):
+    """At p = 1 the verdict sum_k pi_k phi_k^2 carries the bits of the 1x1 matrix path."""
+    rng = np.random.default_rng(40 + g)
+    for _ in range(200):
+        weights = rng.dirichlet(np.ones(g))
+        weights /= weights.sum()
+        phi = rng.uniform(-1.6, 1.6, g)
+        spec = MARSpec(
+            weights=weights, shifts=np.zeros(g), ar_coeffs=tuple(phi[:, None]), scales=np.ones(g)
+        )
+        radius = spectral_radius(stability_matrix(spec))
+        report = is_stable(spec)
+        assert report == StabilityReport(spectral_radius=radius, stable=radius < 1.0, matrix_dim=1)
+    # on the boundary: weights 1/2 and phi^2 summing to exactly one
+    edge = MARSpec(
+        weights=np.array([0.5, 0.5]), shifts=np.zeros(2),
+        ar_coeffs=(np.array([1.0]), np.array([-1.0])), scales=np.ones(2),
+    )
+    assert is_stable(edge) == StabilityReport(1.0, False, 1)
