@@ -10,7 +10,6 @@ config and seed reproduces the data outputs bit for bit.
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import os
 import sys
@@ -19,10 +18,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import RunConfig, build_config, config_dict, require_input
-from .datasets import BUILTIN_LENGTHS, BUILTIN_SPECS, apply_transform, prepare_recipe
-from .evidence import EvidenceConfig, select_g
-from .forecast import ForecastRequest, posterior_averaged_forecast
+from .config import RunConfig, build_config, check_workers, config_dict, parse_value
+from .datasets import BUILTIN_LENGTHS, BUILTIN_SPECS, RECIPES, apply_transform, prepare_recipe
+from .evidence import select_g
+from .forecast import posterior_averaged_forecast
 from .io import (
     evidence_payload,
     read_draws_csv,
@@ -35,25 +34,31 @@ from .io import (
     write_series_csv,
 )
 from .model import MARSpec, TimeSeries, simulate_path
-from .relabel import RelabelConfig, relabel_chain
-from .rjmcmc import OrderMoveConfig
-from .sampler import ChainOutput, Hyperparams, default_hyperparams, run_chain
+from .relabel import ClusterCentres, assign_permutation, relabel_chain
+from .sampler import ChainOutput, default_hyperparams, run_chain
 from .stability import is_stable
-from .summary import average_density, density_grid, summarize
+from .summary import DensityGrid, average_density, density_grid, summarize
 
 WORKERS_ENV = "MIXAR_WORKERS"
 
 
 def _resolve_workers(config: RunConfig) -> int:
-    if config.workers is not None:
-        return config.workers
-    env = os.environ.get(WORKERS_ENV, "").strip()
-    if env:
-        n = int(env)
-        if n < 1:
-            raise ValueError(f"{WORKERS_ENV} must be positive, got {env!r}")
-        return n
-    return os.cpu_count() or 1
+    """The workers setting, else MIXAR_WORKERS parsed like it, else the CPU count."""
+    workers = config.workers
+    if workers is None:
+        workers = parse_value("workers", os.environ.get(WORKERS_ENV, ""), WORKERS_ENV)
+        check_workers(workers, WORKERS_ENV)
+    return workers or os.cpu_count() or 1
+
+
+def _existing_path(value: str | None, key: str, needs: str) -> Path:
+    """The path a key names, which must be set (else the error `needs`) and exist."""
+    if value is None:
+        raise ValueError(needs)
+    path = Path(value)
+    if not path.exists():
+        raise ValueError(f"{key} path {path} does not exist")
+    return path
 
 
 def _load_spec_file(path: str) -> MARSpec:
@@ -71,7 +76,7 @@ def _load_spec_file(path: str) -> MARSpec:
 
 def _load_series(config: RunConfig) -> tuple[TimeSeries, dict]:
     """Read, optionally transform, and describe the input series."""
-    path = require_input(config)
+    path = _existing_path(config.input, "input", "this command needs input=<series CSV path>")
     raw = read_series_csv(path)
     echo: dict = {"input": str(path), "raw_length": int(raw.size)}
     if config.recipe is not None:
@@ -93,46 +98,9 @@ def _load_series(config: RunConfig) -> tuple[TimeSeries, dict]:
 def _model_shape(config: RunConfig) -> tuple[int, tuple[int, ...] | None, bool]:
     """(g, orders, fixed_shift), letting a named recipe set the model shape."""
     if config.recipe is not None:
-        from .datasets import RECIPES
-
         recipe = RECIPES[config.recipe]
         return recipe.g, recipe.orders, recipe.fixed_shift
     return config.g, config.orders, config.fixed_shift
-
-
-def _chain_settings(config: RunConfig, fixed_shift: bool) -> dict:
-    """Hyperparameter overrides every chain takes from the configuration.
-
-    Prior shapes, run lengths, the fixed-shift switch and, when set, the one
-    RWM proposal precision shared by every component.
-    """
-    overrides = dict(
-        a=config.a,
-        c=config.c,
-        burn_in=config.burn_in,
-        n_iter=config.n_iter,
-        pilot_iters=config.pilot_iters,
-        fixed_shift=fixed_shift,
-    )
-    if config.gamma is not None:
-        overrides["gamma"] = (config.gamma,)
-    return overrides
-
-
-def _hyper(config: RunConfig, series: TimeSeries, fixed_shift: bool) -> Hyperparams:
-    return default_hyperparams(series, **_chain_settings(config, fixed_shift))
-
-
-def _relabel_config(config: RunConfig) -> RelabelConfig:
-    return RelabelConfig(m=config.relabel_warm_start, subset=config.relabel_subset)
-
-
-def _order_config(config: RunConfig) -> OrderMoveConfig:
-    return OrderMoveConfig(
-        p_max=config.p_max,
-        birth_half_width=config.birth_half_width,
-        literal_death_density=config.literal_death_density,
-    )
 
 
 def _fit_summaries(output: ChainOutput):
@@ -178,9 +146,10 @@ def cmd_fit(config: RunConfig, out: Path) -> tuple[list[str], dict]:
     g, orders, fixed_shift = _model_shape(config)
     if orders is None:
         raise ValueError("fit needs orders=<comma separated list, one per component>")
-    hyper = _hyper(config, series, fixed_shift)
+    relabel = config.relabel_config(g)
+    hyper = default_hyperparams(series, fixed_shift=fixed_shift, **config.chain_settings())
     output = run_chain(series, g, orders, hyper, config.seed)
-    output = relabel_chain(output, _relabel_config(config))
+    output = relabel_chain(output, relabel)
     summaries = _fit_summaries(output)
     draws_path = out / "draws.csv"
     summaries_path = out / "summaries.json"
@@ -201,21 +170,15 @@ def cmd_fit(config: RunConfig, out: Path) -> tuple[list[str], dict]:
 
 
 def cmd_select(config: RunConfig, out: Path) -> tuple[list[str], dict]:
+    g_range = tuple(config.g_range)
+    if config.orders is not None and g_range != (len(config.orders),):
+        raise ValueError(f"select pins orders={list(config.orders)} only for "
+                         f"g_range={len(config.orders)}, got g_range={list(g_range)}")
+    ev_config = config.evidence_config(max(g_range))
     series, echo = _load_series(config)
-    hyper = _hyper(config, series, config.fixed_shift)
-    pinned = None
-    if config.orders is not None and len(config.g_range) == 1:
-        pinned = config.orders if len(config.orders) == config.g_range[0] else None
-    ev_config = EvidenceConfig(
-        order_config=_order_config(config),
-        n_j=config.n_j,
-        n_i=config.n_i,
-        reduced_burn_in=config.reduced_burn_in,
-        orders=pinned,
-        relabel=_relabel_config(config),
-    )
+    hyper = default_hyperparams(series, fixed_shift=config.fixed_shift, **config.chain_settings())
     workers = _resolve_workers(config)
-    best_g, results = select_g(series, config.g_range, hyper, ev_config, config.seed, workers)
+    best_g, results = select_g(series, g_range, hyper, ev_config, config.seed, workers)
     report_path = out / "evidence.json"
     write_json(report_path, evidence_payload(results, best_g))
     diag = dict(echo)
@@ -225,28 +188,16 @@ def cmd_select(config: RunConfig, out: Path) -> tuple[list[str], dict]:
 
 def cmd_forecast(config: RunConfig, out: Path) -> tuple[list[str], dict]:
     series, echo = _load_series(config)
-    if config.draws is None:
-        raise ValueError("forecast needs draws=<draws CSV from a fit run>")
-    draws_path = Path(config.draws)
-    if not draws_path.exists():
-        raise ValueError(f"draws path {draws_path} does not exist")
-    output = read_draws_csv(draws_path)
-    request = ForecastRequest(
-        horizon=config.horizon,
-        origin=config.origin,
-        mode=config.mode,
-        mc_paths=config.mc_paths,
-        thin=config.thin,
-        seed=config.seed,
-    )
-    result = posterior_averaged_forecast(output, series, request)
+    needs = "forecast needs draws=<draws CSV from a fit run>"
+    output = read_draws_csv(_existing_path(config.draws, "draws", needs))
+    result = posterior_averaged_forecast(output, series, config.forecast_request())
     grid_path = out / "forecast.csv"
     write_grid_csv(
         grid_path,
         result.grid,
         {"mean": result.mean_density, "lo90": result.lower_90, "hi90": result.upper_90},
     )
-    integral = float(np.trapezoid(result.mean_density, result.grid))
+    integral = DensityGrid(result.grid, result.mean_density).integral()
     diag = dict(echo)
     diag.update(
         {
@@ -267,21 +218,14 @@ def _align_to_truth(output: ChainOutput, truth: MARSpec) -> tuple[int, ...]:
 
     Components are matched on posterior means of (weight, scale, first AR
     coefficient); the permutation minimizing the summed squared distance to
-    the true values wins.
+    the true values wins, ties going to the first in permutation order.
     """
-    g = truth.g
-    feats = np.column_stack(
+    fitted = np.concatenate(
         [output.weights.mean(axis=0), output.scales.mean(axis=0), output.ar[:, :, 0].mean(axis=0)]
     )
-    target = np.column_stack(
-        [truth.weights, truth.scales, [c[0] for c in truth.ar_coeffs]]
-    )
-    best, best_cost = None, np.inf
-    for perm in itertools.permutations(range(g)):
-        cost = float(np.sum((feats[list(perm)] - target) ** 2))
-        if cost < best_cost:
-            best, best_cost = perm, cost
-    return best
+    target = np.concatenate([truth.weights, truth.scales, [c[0] for c in truth.ar_coeffs]])
+    centres = ClusterCentres(centre=target, variance=np.ones(target.size), count=1)
+    return assign_permutation(fitted, centres, truth.g)
 
 
 def _replica_param_draws(output: ChainOutput, truth: MARSpec) -> dict[str, np.ndarray]:
@@ -300,26 +244,24 @@ def _replica_param_draws(output: ChainOutput, truth: MARSpec) -> dict[str, np.nd
 
 
 def _replicate_worker(job) -> dict[str, np.ndarray]:
-    truth, n, sim_seed, fit_seed, overrides, m, subset = job
+    truth, n, sim_seed, fit_seed, overrides, relabel = job
     series = simulate_path(truth, n, seed=sim_seed)
     hyper = default_hyperparams(series, **overrides)
     output = run_chain(series, truth.g, truth.orders, hyper, fit_seed)
-    output = relabel_chain(output, RelabelConfig(m=m, subset=subset))
+    output = relabel_chain(output, relabel)
     return _replica_param_draws(output, truth)
 
 
 def cmd_replicate(config: RunConfig, out: Path) -> tuple[list[str], dict]:
     truth = BUILTIN_SPECS[config.spec]()
     n = config.replica_length
-    overrides = _chain_settings(config, config.fixed_shift)
+    relabel = config.relabel_config(truth.g)
+    overrides = dict(config.chain_settings(), fixed_shift=config.fixed_shift)
     children = np.random.SeedSequence(config.seed).spawn(config.replicas)
     jobs = []
     for child in children:
         sim_seed, fit_seed = (int(s.generate_state(1)[0]) for s in child.spawn(2))
-        jobs.append(
-            (truth, n, sim_seed, fit_seed, overrides, config.relabel_warm_start,
-             config.relabel_subset)
-        )
+        jobs.append((truth, n, sim_seed, fit_seed, overrides, relabel))
     workers = _resolve_workers(config)
     if workers > 1 and config.replicas > 1:
         from concurrent.futures import ProcessPoolExecutor

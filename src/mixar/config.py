@@ -2,14 +2,23 @@
 
 Every command reads the same schema; unknown keys are rejected up front and
 all values are validated before any sampling starts, so a typo cannot burn
-an hour of chain time.  Booleans accept true/false/1/0/yes/no, lists are
-comma separated, and "none" clears an optional value.
+an hour of chain time.  A key's type is its `RunConfig` annotation: booleans
+accept true/false/1/0/yes/no, lists are comma separated, and "none" clears
+an optional value.  Settings that feed a sampler object take their default
+from that object and are range-checked by building it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+import typing
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
+
+from .evidence import EvidenceConfig, check_g_range
+from .forecast import ForecastRequest
+from .relabel import RelabelConfig
+from .rjmcmc import OrderMoveConfig
+from .sampler import Hyperparams, check_chain_settings
 
 
 def _parse_bool(text: str) -> bool:
@@ -21,42 +30,33 @@ def _parse_bool(text: str) -> bool:
     raise ValueError(f"expected a boolean, got {text!r}")
 
 
-def _parse_int(text: str) -> int:
-    return int(text.strip())
-
-def _parse_float(text: str) -> float:
-    return float(text.strip())
-
-def _parse_str(text: str) -> str:
-    return text.strip()
-
-
-def _optional(parser):
-    def parse(text: str):
-        if text.strip().lower() in ("none", ""):
-            return None
-        return parser(text)
+def _parse_list(item, what: str):
+    def parse(text: str) -> tuple:
+        parts = [p.strip() for p in text.split(",") if p.strip()]
+        if not parts:
+            raise ValueError(f"expected a comma separated list of {what}")
+        return tuple(item(p) for p in parts)
 
     return parse
 
 
-def _parse_int_tuple(text: str) -> tuple[int, ...]:
-    parts = [p.strip() for p in text.split(",") if p.strip()]
-    if not parts:
-        raise ValueError("expected a comma separated list of integers")
-    return tuple(int(p) for p in parts)
-
-
-def _parse_str_tuple(text: str) -> tuple[str, ...]:
-    parts = [p.strip() for p in text.split(",") if p.strip()]
-    if not parts:
-        raise ValueError("expected a comma separated list of names")
-    return tuple(parts)
+_BASE_PARSERS = {
+    int: int,
+    float: float,
+    str: str.strip,
+    bool: _parse_bool,
+    tuple[int, ...]: _parse_list(int, "integers"),
+    tuple[str, ...]: _parse_list(str, "names"),
+}
 
 
 @dataclass
 class RunConfig:
-    """Parameters for every subcommand, mirrored into the sampler objects."""
+    """Parameters for every subcommand, mirrored into the sampler objects.
+
+    A key named like a field of OrderMoveConfig, EvidenceConfig or
+    ForecastRequest feeds that field.
+    """
 
     # paths and identity
     input: str | None = None
@@ -67,18 +67,18 @@ class RunConfig:
     # model shape
     g: int = 2
     orders: tuple[int, ...] | None = None
-    p_max: int = 5
+    p_max: int = OrderMoveConfig.p_max
 
     # chain lengths
-    n_iter: int = 20_000
-    burn_in: int = 10_000
-    pilot_iters: int = 2_000
+    n_iter: int = Hyperparams.n_iter
+    burn_in: int = Hyperparams.burn_in
+    pilot_iters: int = Hyperparams.pilot_iters
 
     # prior and proposal settings
-    a: float = 0.2
-    c: float = 2.0
+    a: float = Hyperparams.a
+    c: float = Hyperparams.c
     gamma: float | None = None
-    fixed_shift: bool = False
+    fixed_shift: bool = Hyperparams.fixed_shift
 
     # data preprocessing
     recipe: str | None = None
@@ -86,18 +86,18 @@ class RunConfig:
     log_transform: bool = False
 
     # relabelling
-    relabel_warm_start: int = 200
-    relabel_subset: tuple[str, ...] = ("weights", "scales")
+    relabel_warm_start: int = RelabelConfig.m
+    relabel_subset: tuple[str, ...] = RelabelConfig.subset
 
     # order moves
-    birth_half_width: float = 1.5
-    literal_death_density: bool = False
+    birth_half_width: float = OrderMoveConfig.birth_half_width
+    literal_death_density: bool = OrderMoveConfig.literal_death_density
 
     # evidence
     g_range: tuple[int, ...] = (2, 3)
-    n_j: int = 10_000
-    n_i: int = 10_000
-    reduced_burn_in: int = 500
+    n_j: int = EvidenceConfig.n_j
+    n_i: int = EvidenceConfig.n_i
+    reduced_burn_in: int = EvidenceConfig.reduced_burn_in
 
     # simulation
     spec: str = "A"
@@ -106,57 +106,80 @@ class RunConfig:
 
     # forecasting
     horizon: int = 1
-    origin: int | None = None
-    mode: str = "exact"
-    mc_paths: int = 10_000
-    thin: int = 10
+    origin: int | None = ForecastRequest.origin
+    mode: str = ForecastRequest.mode
+    mc_paths: int = ForecastRequest.mc_paths
+    thin: int = ForecastRequest.thin
 
     # replication study
     replicas: int = 20
     replica_length: int = 300
     workers: int | None = None
 
+    def _shared(self, cls) -> dict:
+        """This configuration's values for the fields of cls it names alike."""
+        return {f.name: getattr(self, f.name) for f in fields(cls) if f.name in _FIELD_TYPES}
 
-_PARSERS = {
-    "input": _optional(_parse_str),
-    "draws": _optional(_parse_str),
-    "output_dir": _parse_str,
-    "seed": _parse_int,
-    "g": _parse_int,
-    "orders": _optional(_parse_int_tuple),
-    "p_max": _parse_int,
-    "n_iter": _parse_int,
-    "burn_in": _parse_int,
-    "pilot_iters": _parse_int,
-    "a": _parse_float,
-    "c": _parse_float,
-    "gamma": _optional(_parse_float),
-    "fixed_shift": _parse_bool,
-    "recipe": _optional(_parse_str),
-    "difference": _parse_bool,
-    "log_transform": _parse_bool,
-    "relabel_warm_start": _parse_int,
-    "relabel_subset": _parse_str_tuple,
-    "birth_half_width": _parse_float,
-    "literal_death_density": _parse_bool,
-    "g_range": _parse_int_tuple,
-    "n_j": _parse_int,
-    "n_i": _parse_int,
-    "reduced_burn_in": _parse_int,
-    "spec": _parse_str,
-    "spec_file": _optional(_parse_str),
-    "n": _optional(_parse_int),
-    "horizon": _parse_int,
-    "origin": _optional(_parse_int),
-    "mode": _parse_str,
-    "mc_paths": _parse_int,
-    "thin": _parse_int,
-    "replicas": _parse_int,
-    "replica_length": _parse_int,
-    "workers": _optional(_parse_int),
-}
+    def chain_settings(self) -> dict:
+        """Hyperparams overrides for every chain: prior shapes, run lengths and,
+        when set, the one RWM proposal precision shared by every component."""
+        gamma = None if self.gamma is None else (self.gamma,)
+        return dict(a=self.a, c=self.c, gamma=gamma, n_iter=self.n_iter,
+                    burn_in=self.burn_in, pilot_iters=self.pilot_iters)
 
-assert set(_PARSERS) == {f.name for f in fields(RunConfig)}
+    def relabel_config(self, g: int = 1) -> RelabelConfig:
+        """Relabelling settings; a g >= 2 chain will be relabelled, so its draws are checked."""
+        relabel = RelabelConfig(m=self.relabel_warm_start, subset=self.relabel_subset)
+        if g >= 2:
+            relabel.check_draws(self.n_iter - self.burn_in)
+        return relabel
+
+    def evidence_config(self, g: int = 1) -> EvidenceConfig:
+        """Evidence settings, order moves included, for candidates of at most g components."""
+        return EvidenceConfig(
+            order_config=OrderMoveConfig(**self._shared(OrderMoveConfig)),
+            relabel=self.relabel_config(g),
+            **self._shared(EvidenceConfig),
+        )
+
+    def forecast_request(self) -> ForecastRequest:
+        return ForecastRequest(**self._shared(ForecastRequest))
+
+
+_FIELD_TYPES = typing.get_type_hints(RunConfig)
+
+
+def parse_value(key: str, text: str, name: str | None = None) -> object:
+    """Parse one setting by its RunConfig annotation.
+
+    Errors name the key, or `name` when the text comes from elsewhere (an
+    environment variable).  "none" or an empty text clears an optional
+    value; "none" is an error for any other.
+    """
+    if key not in _FIELD_TYPES:
+        raise ValueError(f"unknown configuration key {key!r}")
+    name = name or key
+    hint = _FIELD_TYPES[key]
+    args = typing.get_args(hint)
+    word = text.strip().lower()
+    if type(None) in args:
+        if word in ("none", ""):
+            return None
+        (hint,) = (t for t in args if t is not type(None))
+    elif word == "none":
+        raise ValueError(f"bad value for {name}: {name} cannot be none")
+    try:
+        return _BASE_PARSERS[hint](text)
+    except ValueError as exc:
+        raise ValueError(f"bad value for {name}: {exc}") from None
+
+
+def _parse_pair(pair: str, malformed: str) -> tuple[str, object]:
+    """A key=value text as (key, parsed value); `malformed` is the error without "="."""
+    key, eq, value = pair.partition("=")
+    if not eq:
+        raise ValueError(malformed)
+    return key.strip(), parse_value(key.strip(), value)
 
 
 def parse_config_file(path: str | Path) -> dict[str, object]:
@@ -167,33 +190,19 @@ def parse_config_file(path: str | Path) -> dict[str, object]:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        if "=" not in line:
-            raise ValueError(f"{path}:{lineno}: expected key=value, got {raw!r}")
-        key, value = line.split("=", 1)
-        key = key.strip()
-        if key not in _PARSERS:
-            raise ValueError(f"{path}:{lineno}: unknown configuration key {key!r}")
+        try:
+            key, value = _parse_pair(line, f"expected key=value, got {raw!r}")
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: {exc}") from None
         if key in out:
             raise ValueError(f"{path}:{lineno}: duplicate key {key!r}")
-        try:
-            out[key] = _PARSERS[key](value)
-        except ValueError as exc:
-            raise ValueError(f"{path}:{lineno}: bad value for {key}: {exc}") from None
+        out[key] = value
     return out
 
 
 def parse_overrides(pairs: list[str]) -> dict[str, object]:
     """Parse --set key=value command-line overrides."""
-    out: dict[str, object] = {}
-    for pair in pairs:
-        if "=" not in pair:
-            raise ValueError(f"override {pair!r} is not of the form key=value")
-        key, value = pair.split("=", 1)
-        key = key.strip()
-        if key not in _PARSERS:
-            raise ValueError(f"unknown configuration key {key!r}")
-        out[key] = _PARSERS[key](value)
-    return out
+    return dict(_parse_pair(p, f"override {p!r} is not of the form key=value") for p in pairs)
 
 
 def build_config(
@@ -210,22 +219,26 @@ def build_config(
     return config
 
 
+def check_workers(workers: int | None, name: str = "workers") -> None:
+    if workers is not None and workers < 1:
+        raise ValueError(f"{name} must be positive")
+
+
 def validate_config(config: RunConfig) -> None:
-    """Reject impossible settings before any chain starts."""
+    """Reject impossible settings before any chain starts.
+
+    Every sampler object a command builds from the configuration is built
+    here once, so its own range checks apply to every command; the rules
+    below are the ones no such object owns.
+    """
+    if config.mode == "mc":
+        config.mode = "monte-carlo"
+    check_chain_settings(**config.chain_settings())
+    config.evidence_config()
+    config.forecast_request()
+    check_g_range(tuple(config.g_range))
     if config.g < 1:
         raise ValueError("g must be at least 1")
-    if config.p_max < 1:
-        raise ValueError("p_max must be at least 1")
-    if config.n_iter < 1:
-        raise ValueError("n_iter must be positive")
-    if config.burn_in < 0 or config.burn_in >= config.n_iter:
-        raise ValueError("burn_in must satisfy 0 <= burn_in < n_iter")
-    if config.pilot_iters < 0:
-        raise ValueError("pilot_iters must be nonnegative")
-    if config.gamma is not None and config.gamma <= 0:
-        raise ValueError("gamma must be positive")
-    if config.a <= 0 or config.c <= 0:
-        raise ValueError("prior shape parameters a and c must be positive")
     if config.orders is not None:
         if len(config.orders) != config.g:
             raise ValueError("orders must list one order per component")
@@ -233,56 +246,19 @@ def validate_config(config: RunConfig) -> None:
             raise ValueError("orders must be positive")
         if any(p > config.p_max for p in config.orders):
             raise ValueError("orders cannot exceed p_max")
-    if config.relabel_warm_start < 1:
-        raise ValueError("relabel_warm_start must be positive")
-    if config.birth_half_width <= 0:
-        raise ValueError("birth_half_width must be positive")
-    if not config.g_range or any(x < 1 for x in config.g_range):
-        raise ValueError("g_range must contain positive component counts")
-    if config.n_j < 1 or config.n_i < 1:
-        raise ValueError("n_j and n_i must be positive")
-    if config.reduced_burn_in < 0:
-        raise ValueError("reduced_burn_in must be nonnegative")
     if config.spec not in ("A", "B"):
         raise ValueError("spec must be A or B")
     if config.n is not None and config.n < 1:
         raise ValueError("n must be positive")
-    if config.horizon < 1:
-        raise ValueError("horizon must be at least 1")
-    if config.origin is not None and config.origin < 1:
-        raise ValueError("origin must be a positive time index")
-    if config.mode == "mc":
-        config.mode = "monte-carlo"
-    if config.mode not in ("exact", "monte-carlo"):
-        raise ValueError("mode must be exact or monte-carlo")
-    if config.mc_paths < 1:
-        raise ValueError("mc_paths must be positive")
-    if config.thin < 1:
-        raise ValueError("thin must be positive")
     if config.replicas < 1:
         raise ValueError("replicas must be positive")
     if config.replica_length < 2:
         raise ValueError("replica_length must be at least 2")
-    if config.workers is not None and config.workers < 1:
-        raise ValueError("workers must be positive")
+    check_workers(config.workers)
     if config.difference and config.log_transform:
         raise ValueError("choose at most one of difference and log_transform")
 
 
-def require_input(config: RunConfig) -> Path:
-    """The input series path, validated to exist."""
-    if config.input is None:
-        raise ValueError("this command needs input=<series CSV path>")
-    path = Path(config.input)
-    if not path.exists():
-        raise ValueError(f"input path {path} does not exist")
-    return path
-
-
 def config_dict(config: RunConfig) -> dict[str, object]:
     """Plain-dict echo of the config, tuples rendered as lists for JSON."""
-    out = {}
-    for f in fields(config):
-        v = getattr(config, f.name)
-        out[f.name] = list(v) if isinstance(v, tuple) else v
-    return out
+    return {k: list(v) if isinstance(v, tuple) else v for k, v in asdict(config).items()}

@@ -389,6 +389,11 @@ def marginal_log_likelihood(
     return result
 
 
+def check_g_range(g_range: tuple[int, ...]) -> None:
+    if not g_range or any(x < 1 for x in g_range):
+        raise ValueError("g_range must contain positive component counts")
+
+
 def _evidence_worker(args):
     series_values, g, hyper, config, seed = args
     series = TimeSeries(series_values)
@@ -410,8 +415,7 @@ def select_g(
     depend on completion order.  Ties resolve to the smaller g.
     """
     g_range = tuple(int(x) for x in g_range)
-    if not g_range or any(x < 1 for x in g_range):
-        raise ValueError("g_range must contain positive component counts")
+    check_g_range(g_range)
     seeds = _child_seeds(seed, len(g_range))
     jobs = [(series.values, g, hyper, config, s) for g, s in zip(g_range, seeds)]
     if workers > 1:

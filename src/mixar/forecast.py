@@ -48,13 +48,15 @@ class ForecastRequest:
 
     def __post_init__(self):
         if self.horizon < 1:
-            raise ValueError("horizon must be >= 1")
+            raise ValueError("horizon must be at least 1")
+        if self.origin is not None and self.origin < 1:
+            raise ValueError("origin must be a positive time index")
         if self.mode not in ("exact", "monte-carlo"):
-            raise ValueError(f"mode must be 'exact' or 'monte-carlo', got {self.mode!r}")
+            raise ValueError("mode must be exact or monte-carlo")
         if self.mc_paths < 1:
             raise ValueError("mc_paths must be positive")
         if self.thin < 1:
-            raise ValueError("thin must be >= 1")
+            raise ValueError("thin must be positive")
         if self.grid is not None:
             g = np.asarray(self.grid, dtype=float).reshape(-1)
             if g.size < 2 or np.any(np.diff(g) <= 0):

@@ -46,6 +46,13 @@ class RelabelConfig:
         if len(set(self.subset)) != len(self.subset):
             raise ValueError("subset entries must be unique")
 
+    def check_draws(self, n_draws: int) -> None:
+        """The warm start must leave draws to relabel in a chain of n_draws."""
+        if self.m >= n_draws:
+            raise ValueError(
+                f"warm-start length m={self.m} must be below the number of draws ({n_draws})"
+            )
+
 
 @dataclass(frozen=True)
 class ClusterCentres:
@@ -167,11 +174,7 @@ def relabel_chain(output: ChainOutput, config: RelabelConfig | None = None) -> C
     config = config or RelabelConfig()
     if output.g == 1:
         return replace(output)
-    if config.m >= output.n_draws:
-        raise ValueError(
-            f"warm-start length m={config.m} must be below the number of draws "
-            f"({output.n_draws})"
-        )
+    config.check_draws(output.n_draws)
     out = replace(
         output,
         weights=output.weights.copy(),

@@ -38,7 +38,7 @@ class OrderMoveConfig:
 
     def __post_init__(self):
         if self.p_max < 1:
-            raise ValueError("p_max must be >= 1")
+            raise ValueError("p_max must be at least 1")
         if not (np.isfinite(self.birth_half_width) and self.birth_half_width > 0):
             raise ValueError("birth_half_width must be positive")
 

@@ -64,7 +64,7 @@ class Hyperparams:
     pilot_iters: int = 2_000
 
     def __post_init__(self):
-        for name in ("kappa", "b", "a", "c"):
+        for name in ("kappa", "b"):
             v = getattr(self, name)
             if not (np.isfinite(v) and v > 0):
                 raise ValueError(f"{name} must be positive and finite, got {v!r}")
@@ -76,14 +76,26 @@ class Hyperparams:
                 raise ValueError("dirichlet_weights must be positive")
             object.__setattr__(self, "dirichlet_weights", dw)
         if self.gamma is not None:
-            gm = tuple(float(x) for x in self.gamma)
-            if any(not (np.isfinite(x) and x > 0) for x in gm):
-                raise ValueError("every gamma_k must be positive and finite")
-            object.__setattr__(self, "gamma", gm)
-        if not 0 <= self.burn_in < self.n_iter:
-            raise ValueError(
-                f"burn_in must satisfy 0 <= burn_in < n_iter, got {self.burn_in}, {self.n_iter}"
-            )
+            object.__setattr__(self, "gamma", tuple(float(x) for x in self.gamma))
+        check_chain_settings(
+            self.a, self.c, self.gamma, self.n_iter, self.burn_in, self.pilot_iters
+        )
+
+
+def check_chain_settings(a, c, gamma, n_iter, burn_in, pilot_iters) -> None:
+    """Range rules on the Hyperparams fields that a run configuration sets."""
+    if not (a > 0 and c > 0):
+        raise ValueError("prior shape parameters a and c must be positive")
+    if gamma is not None and not all(x > 0 for x in gamma):
+        raise ValueError("gamma must be positive")
+    if not np.all(np.isfinite((a, c) + (gamma or ()))):
+        raise ValueError("a, c and gamma must be finite")
+    if n_iter < 1:
+        raise ValueError("n_iter must be positive")
+    if not 0 <= burn_in < n_iter:
+        raise ValueError("burn_in must satisfy 0 <= burn_in < n_iter")
+    if pilot_iters < 0:
+        raise ValueError("pilot_iters must be nonnegative")
 
 
 def default_hyperparams(series: TimeSeries, **overrides) -> Hyperparams:

@@ -1,18 +1,24 @@
 """Configuration parsing and the five CLI subcommands, end to end."""
 
 import importlib.metadata
+import itertools
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
+import typing
+from dataclasses import fields
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import mixar
-from mixar.cli import _fit_summaries, _resolve_workers, main
+import mixar.cli
+from mixar.cli import _align_to_truth, _fit_summaries, _resolve_workers, main
 from mixar.config import (
     RunConfig,
     build_config,
@@ -141,6 +147,160 @@ class TestWorkers:
     def test_cpu_count_default(self, monkeypatch):
         monkeypatch.delenv("MIXAR_WORKERS", raising=False)
         assert _resolve_workers(RunConfig()) >= 1
+
+
+class TestDerivedParsers:
+    """Every key's parser comes from its RunConfig annotation."""
+
+    @staticmethod
+    def optional(name):
+        return type(None) in typing.get_args(typing.get_type_hints(RunConfig)[name])
+
+    @pytest.mark.parametrize("name", [f.name for f in fields(RunConfig)])
+    def test_echoed_default_parses_back(self, name):
+        echoed = config_dict(RunConfig())[name]
+        text = ",".join(map(str, echoed)) if isinstance(echoed, list) else str(echoed)
+        assert parse_overrides([f"{name}={text}"]) == {name: getattr(RunConfig(), name)}
+
+    @pytest.mark.parametrize("name", [f.name for f in fields(RunConfig)])
+    def test_none_clears_only_optional_keys(self, name):
+        if self.optional(name):
+            assert parse_overrides([f"{name}=none"]) == {name: None}
+        else:
+            with pytest.raises(ValueError, match=f"bad value for {name}"):
+                parse_overrides([f"{name}=none"])
+
+    def test_set_parse_error_names_the_key(self):
+        with pytest.raises(ValueError, match="bad value for n_iter"):
+            parse_overrides(["n_iter=soon"])
+
+    def test_environment_parse_error_names_the_variable(self, monkeypatch):
+        monkeypatch.setenv("MIXAR_WORKERS", "two")
+        with pytest.raises(ValueError, match="bad value for MIXAR_WORKERS"):
+            _resolve_workers(RunConfig())
+
+
+def _old_align_to_truth(output, truth):
+    """The exhaustive permutation loop `_align_to_truth` used to run itself."""
+    feats = np.column_stack(
+        [output.weights.mean(axis=0), output.scales.mean(axis=0), output.ar[:, :, 0].mean(axis=0)]
+    )
+    target = np.column_stack([truth.weights, truth.scales, [c[0] for c in truth.ar_coeffs]])
+    best, best_cost = None, np.inf
+    for perm in itertools.permutations(range(truth.g)):
+        cost = float(np.sum((feats[list(perm)] - target) ** 2))
+        if cost < best_cost:
+            best, best_cost = perm, cost
+    return best
+
+
+def _alignment_case(fitted, true):
+    """A one-draw chain whose components have the (weight, scale, AR) columns of
+    `fitted`, and a truth with those of `true`, plus the sorted alignment costs."""
+    g = fitted.shape[1]
+    output = SimpleNamespace(
+        weights=fitted[0][None, :], scales=fitted[1][None, :], ar=fitted[2][None, :, None]
+    )
+    truth = SimpleNamespace(
+        g=g, weights=true[0], scales=true[1], ar_coeffs=[np.array([x]) for x in true[2]]
+    )
+    costs = sorted(
+        float(np.sum((fitted[:, list(p)] - true) ** 2)) for p in itertools.permutations(range(g))
+    )
+    return output, truth, costs
+
+
+@pytest.mark.parametrize("g", [1, 2, 3, 4])
+def test_align_to_truth_matches_the_permutation_loop(g):
+    # values on a coarse dyadic grid make every cost exact, so tied
+    # permutations tie exactly; truths with repeated components plant more
+    rng = np.random.default_rng(g)
+    ties = 0
+    for trial in range(60):
+        fitted, true = rng.integers(0, 3 if trial % 2 else 8, size=(2, 3, g)) / 4.0
+        if trial % 3 == 0:
+            true[:, -1] = true[:, 0]  # two identical true components
+        output, truth, costs = _alignment_case(fitted, true)
+        assert _align_to_truth(output, truth) == _old_align_to_truth(output, truth)
+        ties += g > 1 and costs[0] == costs[1]
+    assert g == 1 or ties > 0
+    # continuous values: the sums run in another order, so only a clear winner must agree
+    for _ in range(60):
+        output, truth, costs = _alignment_case(*rng.uniform(-1.0, 2.0, size=(2, 3, g)))
+        if g == 1 or costs[1] - costs[0] > 1e-9:
+            assert _align_to_truth(output, truth) == _old_align_to_truth(output, truth)
+
+
+def _no_chain(*args, **kwargs):
+    raise AssertionError("a chain ran for a configuration that should be refused")
+
+
+@pytest.fixture
+def b_series(tmp_path):
+    path = tmp_path / "b.csv"
+    write_series_csv(path, simulate_path(model_b_spec(), 120, seed=1).values)
+    return path
+
+
+RELABEL_REFUSALS = [
+    (["relabel_subset=weigths"], "unknown subset entry 'weigths'"),
+    (["relabel_warm_start=1"], "warm-start length m must be at least 2"),
+    (["n_iter=300", "burn_in=100", "relabel_warm_start=200"],
+     r"warm-start length m=200 must be below the number of draws \(200\)"),
+]
+
+
+def _sets(pairs):
+    return [arg for pair in pairs for arg in ("--set", pair)]
+
+
+class TestRefusedBeforeTheFirstSweep:
+    @pytest.mark.parametrize("pairs, message", RELABEL_REFUSALS)
+    def test_fit(self, b_series, tmp_path, monkeypatch, capsys, pairs, message):
+        monkeypatch.setattr(mixar.cli, "run_chain", _no_chain)
+        code = run_cli(["fit", *_sets([
+            f"input={b_series}", f"output_dir={tmp_path / 'fit'}", "g=3", "orders=2,1,1",
+            "gamma=40", *pairs,
+        ])])
+        assert code == 2
+        assert re.search(message, capsys.readouterr().err)
+
+    @pytest.mark.parametrize("pairs, message", RELABEL_REFUSALS)
+    def test_replicate(self, tmp_path, monkeypatch, capsys, pairs, message):
+        monkeypatch.setattr(mixar.cli, "run_chain", _no_chain)
+        code = run_cli(["replicate", *_sets([
+            f"output_dir={tmp_path / 'rep'}", "spec=B", "replicas=2", "replica_length=120",
+            "gamma=40", "workers=1", *pairs,
+        ])])
+        assert code == 2
+        assert re.search(message, capsys.readouterr().err)
+
+    @pytest.mark.parametrize("pairs, message", RELABEL_REFUSALS)
+    def test_select(self, b_series, tmp_path, monkeypatch, capsys, pairs, message):
+        monkeypatch.setattr(mixar.cli, "select_g", _no_chain)
+        code = run_cli(["select", *_sets([
+            f"input={b_series}", f"output_dir={tmp_path / 'sel'}", "g_range=1,3",
+            "workers=1", *pairs,
+        ])])
+        assert code == 2
+        assert re.search(message, capsys.readouterr().err)
+
+    def test_one_component_chain_is_not_relabelled(self, b_series, tmp_path):
+        # a warm start as long as the draws only matters where relabelling runs
+        code = run_cli(["fit", *_sets([
+            f"input={b_series}", f"output_dir={tmp_path / 'fit'}", "g=1", "orders=1",
+            "n_iter=300", "burn_in=100", "relabel_warm_start=200", "gamma=40",
+        ])])
+        assert code == 0
+
+    def test_select_refuses_orders_it_would_ignore(self, b_series, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(mixar.cli, "select_g", _no_chain)
+        code = run_cli(["select", *_sets([
+            f"input={b_series}", f"output_dir={tmp_path / 'sel'}", "orders=1,1",
+        ])])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "orders=[1, 1]" in err and "g_range=[2, 3]" in err
 
 
 def run_cli(args):
@@ -487,6 +647,19 @@ class TestForecast:
                                "--set", "mode=exact"])
         assert code == 2
         assert "use the Monte Carlo mode" in capsys.readouterr().err
+
+    def test_integral_without_numpy_trapezoid(self, fitted, tmp_path, monkeypatch):
+        # numpy < 2 has no np.trapezoid; the forecast must not depend on it
+        sim, fit = fitted
+        monkeypatch.delattr(np, "trapezoid", raising=False)
+        fc = tmp_path / "fc"
+        code = run_cli([
+            "forecast", "--set", f"input={sim / 'series.csv'}",
+            "--set", f"draws={fit / 'draws.csv'}", "--set", f"output_dir={fc}",
+            "--set", "horizon=2", "--set", "thin=20",
+        ])
+        assert code == 0
+        assert read_json(fc / "manifest.json")["diagnostics"]["integral_ok"] is True
 
     def test_missing_draws_file(self, fitted, tmp_path, capsys):
         sim, _ = fitted

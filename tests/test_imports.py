@@ -1,6 +1,9 @@
-"""Every top-level import of a mixar module is used there (or re-exported by __all__)."""
+"""Every top-level import of a mixar module is used there (or re-exported by __all__),
+and every function the benchmark's traced run wraps still exists."""
 
 import ast
+import importlib
+import inspect
 from pathlib import Path
 
 import pytest
@@ -44,3 +47,34 @@ def test_guard_flags_an_unused_import(tmp_path):
         "x = np.zeros(1)\n\n@dataclass\nclass A:\n    y: int = 0\n"
     )
     assert unused_imports(module) == ["field (line 4)", "math (line 2)"]
+
+
+TRACE_RUN = Path(__file__).resolve().parents[1] / "benchmarks" / "trace_run.py"
+
+
+def traced_names() -> dict[str, tuple[str, ...]]:
+    """The `WRAPPED` table of the benchmark's traced run, read without running it."""
+    for node in ast.parse(TRACE_RUN.read_text()).body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "WRAPPED" for t in node.targets
+        ):
+            return ast.literal_eval(node.value)
+    raise AssertionError(f"{TRACE_RUN} defines no WRAPPED table")
+
+
+def test_traced_functions_exist():
+    # the per-layer benchmark metrics wrap these names; a rename silently zeroes them
+    missing = [
+        f"{layer}.{name}"
+        for layer, names in traced_names().items()
+        for name in names
+        if not callable(getattr(importlib.import_module(f"mixar.{layer}"), name, None))
+    ]
+    assert missing == []
+
+
+def test_forecast_density_keeps_the_traced_arguments():
+    from mixar.forecast import predictive_density_fixed
+
+    params = inspect.signature(predictive_density_fixed).parameters
+    assert {"spec", "horizon", "mode", "mc_paths"} <= set(params)
