@@ -91,7 +91,6 @@ class RunConfig:
 
     # order moves
     birth_half_width: float = OrderMoveConfig.birth_half_width
-    literal_death_density: bool = OrderMoveConfig.literal_death_density
 
     # evidence
     g_range: tuple[int, ...] = (2, 3)

@@ -47,7 +47,6 @@ from .sampler import (
     ChainState,
     Hyperparams,
     UpdateMask,
-    _dirichlet_prior,
     dirichlet_log_density,
     draw_allocations,
     draw_lambda,
@@ -309,12 +308,15 @@ def estimate_pi_ordinate(
     rng: np.random.Generator,
     cond: int,
 ) -> float:
-    """Rao-Blackwellized log ordinate of the weights given all other starred blocks."""
-    dw = _dirichlet_prior(hyper, star.spec.g)
+    """Rao-Blackwellized log ordinate of the weights given all other starred blocks.
+
+    Averages the Dirichlet(1 + counts) full-conditional density at pi* over
+    the allocations of a chain that draws only allocations, weights and lambda.
+    """
     log_pi_star = np.log(star.spec.weights)
 
     def term(state):
-        return dirichlet_log_density(dw + state.alloc.counts, log_pi_star)
+        return dirichlet_log_density(1.0 + state.alloc.counts, log_pi_star)
 
     mask = UpdateMask(ar=frozenset(), means=False, precisions=False)
     return _reduced_log_mean(mask, term, series, star, hyper, gamma, config, rng, cond)

@@ -26,10 +26,6 @@ def fmt(x: float) -> str:
     return FLOAT_FMT.format(float(x))
 
 
-def _round17(x: float) -> float:
-    return float(fmt(x))
-
-
 def jsonify(obj):
     """Convert to plain JSON types, routing floats through the 17-digit format."""
     if isinstance(obj, dict):
@@ -42,7 +38,7 @@ def jsonify(obj):
         return bool(obj)
     if isinstance(obj, (np.floating, float)):
         x = float(obj)
-        return _round17(x) if math.isfinite(x) else str(x)
+        return float(fmt(x)) if math.isfinite(x) else str(x)
     if isinstance(obj, (np.integer, int)):
         return int(obj)
     return obj
@@ -56,11 +52,19 @@ def read_json(path: str | Path):
     return json.loads(Path(path).read_text())
 
 
-def write_series_csv(path: str | Path, values: np.ndarray, header: str = "y") -> None:
-    values = np.asarray(values, dtype=float)
-    lines = [header] if header else []
-    lines.extend(fmt(v) for v in values)
+def _write_columns(path: str | Path, header: list[str], columns: list[np.ndarray]) -> None:
+    """The one CSV writer: a header line, then one row per index of the equal-length
+    columns, every value through `fmt` (which prints an integer-valued double
+    below 1e17, such as an order, as `str(int)` does)."""
+    table = np.column_stack([np.asarray(c, dtype=float) for c in columns])
+    lines = [",".join(header)]
+    lines.extend(",".join(map(fmt, row.tolist())) for row in table)
     Path(path).write_text("\n".join(lines) + "\n")
+
+
+def write_series_csv(path: str | Path, values: np.ndarray) -> None:
+    """A one-column CSV headed y."""
+    write_grid_csv(path, values, {})
 
 
 def read_series_csv(path: str | Path) -> np.ndarray:
@@ -92,24 +96,13 @@ def draws_header(g: int, width: int) -> list[str]:
 
 
 def write_draws_csv(path: str | Path, output: ChainOutput) -> None:
-    g = output.g
-    width = output.ar.shape[2]
-    header = draws_header(g, width)
-    lines = [",".join(header)]
-    for i in range(output.n_draws):
-        row = [str(i)]
-        for k in range(g):
-            row += [
-                fmt(output.weights[i, k]),
-                fmt(output.shifts[i, k]),
-                fmt(output.means[i, k]),
-                fmt(output.scales[i, k]),
-                str(int(output.orders[i, k])),
-            ]
-            row += [fmt(output.ar[i, k, j]) for j in range(width)]
-        row += [fmt(output.lam[i]), fmt(output.log_likelihoods[i]), fmt(output.log_posteriors[i])]
-        lines.append(",".join(row))
-    Path(path).write_text("\n".join(lines) + "\n")
+    """One row per retained draw, in the `draws_header` column order."""
+    columns = [np.arange(output.n_draws)]
+    for k in range(output.g):
+        columns += [output.weights[:, k], output.shifts[:, k], output.means[:, k],
+                    output.scales[:, k], output.orders[:, k], *output.ar[:, k].T]
+    columns += [output.lam, output.log_likelihoods, output.log_posteriors]
+    _write_columns(path, draws_header(output.g, output.ar.shape[2]), columns)
 
 
 def read_draws_csv(path: str | Path) -> ChainOutput:
@@ -169,15 +162,10 @@ def read_draws_csv(path: str | Path) -> ChainOutput:
 def write_grid_csv(path: str | Path, abscissa: np.ndarray, columns: dict[str, np.ndarray]) -> None:
     """Write a grid CSV: first column y, then one named density column each."""
     abscissa = np.asarray(abscissa, dtype=float)
-    names = list(columns)
-    for name in names:
-        if np.asarray(columns[name]).shape != abscissa.shape:
+    for name, column in columns.items():
+        if np.asarray(column).shape != abscissa.shape:
             raise ValueError(f"column {name!r} does not match the abscissa length")
-    lines = [",".join(["y"] + names)]
-    for i in range(abscissa.size):
-        row = [fmt(abscissa[i])] + [fmt(np.asarray(columns[name])[i]) for name in names]
-        lines.append(",".join(row))
-    Path(path).write_text("\n".join(lines) + "\n")
+    _write_columns(path, ["y", *columns], [abscissa, *columns.values()])
 
 
 def read_csv_columns(path: str | Path) -> dict[str, np.ndarray]:

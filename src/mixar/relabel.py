@@ -1,12 +1,13 @@
 """Online k-means relabelling of mixture MCMC output.
 
-MCMC output from an exchangeable mixture posterior is invariant under
-component permutations, so raw chains can switch labels mid-run.  This
-module restores a consistent labelling without imposing identifiability
+The mixture posterior is invariant under permutations of components of
+equal AR order, so raw chains can switch labels mid-run.  This module
+restores a consistent labelling without imposing identifiability
 constraints: cluster centres (mean and variance per coordinate) are warm
-started on the first m draws, each subsequent draw is permuted to minimize
-the variance-normalized squared distance to the centres, and the centres
-are then updated online with the relabelled draw.
+started on the first m draws, each subsequent draw is permuted, among the
+permutations that keep every component's order, to minimize the
+variance-normalized squared distance to the centres, and the centres are
+then updated online with the relabelled draw.
 """
 
 from __future__ import annotations
@@ -105,27 +106,32 @@ def _permute_row(theta_row: np.ndarray, g: int, perm: tuple[int, ...]) -> np.nda
 
 
 @functools.lru_cache(maxsize=None)
-def _permutations(g: int) -> np.ndarray:
-    """All g! permutations of 0..g-1 as rows, in `itertools.permutations` order."""
+def _permutations(orders: tuple[int, ...]) -> np.ndarray:
+    """The permutations of 0..g-1 that keep every slot's order, as rows in
+    `itertools.permutations` order: perm with orders[perm[j]] == orders[j]."""
+    g = len(orders)
     perms = np.array(list(itertools.permutations(range(g))), dtype=np.intp).reshape(-1, g)
+    perms = perms[np.all(np.asarray(orders)[perms] == orders, axis=1)]
     perms.setflags(write=False)  # shared by every caller through the cache
     return perms
 
 
 def assign_permutation(
-    theta_row: np.ndarray, centres: ClusterCentres, g: int
+    theta_row: np.ndarray, centres: ClusterCentres, orders: tuple[int, ...]
 ) -> tuple[int, ...]:
     """Permutation of components minimizing the normalized squared distance.
 
-    Exhaustive over all g! permutations at once; ties resolve to the
+    orders gives each of the g components' AR order; only permutations that
+    keep every slot's order are scored, all at once.  Ties resolve to the
     lexicographically smallest permutation (the first minimum in
     `itertools.permutations` order).  The returned perm relabels the draw as
     new_block[j] = old_block[perm[j]].
     """
+    g = len(orders)
     theta_row = np.asarray(theta_row, dtype=float).reshape(-1)
     if theta_row.size != centres.centre.size or theta_row.size % g != 0:
         raise ValueError("draw length must equal the centre length and be a multiple of g")
-    perms = _permutations(g)
+    perms = _permutations(orders)
     cands = theta_row.reshape(-1, g)[:, perms].transpose(1, 0, 2).reshape(perms.shape[0], -1)
     d = np.sum((cands - centres.centre) ** 2 / centres.variance, axis=1)
     return tuple(perms[int(np.argmin(d))].tolist())
@@ -199,8 +205,9 @@ def relabel_chain(output: ChainOutput, config: RelabelConfig | None = None) -> C
         )
 
     g = out.g
+    orders = out.orders.tolist()
     for i in range(config.m, out.n_draws):
-        perm = assign_permutation(theta_all[i], centres, g)
+        perm = assign_permutation(theta_all[i], centres, tuple(orders[i]))
         if perm != tuple(range(g)):
             _apply_perm_to_output(out, i, perm)
         relabelled = _permute_row(theta_all[i], g, perm)

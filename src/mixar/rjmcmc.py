@@ -11,11 +11,10 @@ ratio:
     birth:  min{1, LR * [d(p_k + 1) / b(p_k)] * 2w}
     death:  min{1, LR * [b(p_k - 1) / d(p_k)] * q(dropped)}
 
-where q is the birth proposal density, the exact mirror of the birth move
-(q(x) = 1/(2w) on (-w, w), zero outside).  A variant replacing q(dropped) by
-the constant normal proposal density at zero, phi(0) * sqrt(gamma_k), is
-available behind OrderMoveConfig(literal_death_density=True).  Candidates
-that leave the stability region are rejected outright.
+where q is the birth proposal density (q(x) = 1/(2w) on (-w, w), zero
+outside): the death move is the birth move reversed, which is what makes the
+pair target the order posterior.  Candidates that leave the stability region
+are rejected outright.
 """
 
 from __future__ import annotations
@@ -34,7 +33,6 @@ from .sampler import ChainOutput, ChainState, Hyperparams, _run, swap_log_alpha
 class OrderMoveConfig:
     p_max: int = 5
     birth_half_width: float = 1.5
-    literal_death_density: bool = False
 
     def __post_init__(self):
         if self.p_max < 1:
@@ -95,27 +93,21 @@ def death_acceptance(
     config: OrderMoveConfig,
     k: int,
     cond: int | None = None,
-    gamma_k: float | None = None,
 ) -> float:
     """Acceptance probability of dropping the last coefficient of component k."""
     spec = state.spec
     p = spec.orders[k - 1]
     if p <= 1:
         raise ValueError(f"component {k} already at order 1")
-    dropped = float(spec.ar_coeffs[k - 1][-1])
-    if config.literal_death_density:
-        if gamma_k is None:
-            raise ValueError("the literal death density needs the RWM proposal precision")
-        dens = math.sqrt(gamma_k / (2.0 * math.pi))
-    else:
-        w = config.birth_half_width
-        dens = 1.0 / (2.0 * w) if abs(dropped) < w else 0.0
-    if dens == 0.0:
-        return 0.0
+    w = config.birth_half_width
+    if abs(float(spec.ar_coeffs[k - 1][-1])) >= w:
+        return 0.0  # a birth could not have proposed the dropped coefficient
     yt, lm = series.design(config.p_max if cond is None else cond)
     ratio = config.birth_prob(p - 1) / config.death_prob(p)
     new_coeffs = spec.ar_coeffs[k - 1][:-1].copy()
-    return math.exp(swap_log_alpha(state, yt, lm, k, new_coeffs, math.log(ratio), math.log(dens)))
+    return math.exp(
+        swap_log_alpha(state, yt, lm, k, new_coeffs, math.log(ratio), math.log(1.0 / (2.0 * w)))
+    )
 
 
 @dataclass(frozen=True)
@@ -133,7 +125,6 @@ def order_move(
     k: int,
     rng: np.random.Generator,
     cond: int | None = None,
-    gamma_k: float | None = None,
 ) -> tuple[ChainState, OrderMoveResult]:
     """One birth/death move on component k; allocations are kept as they are."""
     direction = propose_order_move(state, config, k, rng)
@@ -144,7 +135,7 @@ def order_move(
         alpha = birth_acceptance(state, series, config, k, u, cond)
         new_coeffs = np.append(state.spec.ar_coeffs[k - 1], u)
     else:
-        alpha = death_acceptance(state, series, config, k, cond, gamma_k)
+        alpha = death_acceptance(state, series, config, k, cond)
         new_coeffs = state.spec.ar_coeffs[k - 1][:-1].copy()
     accepted = rng.random() < alpha
     if accepted:
@@ -205,9 +196,9 @@ def rjmcmc_run(
         raise ValueError("start orders must lie in 1..p_max for every component")
     moves: Counter = Counter()
 
-    def move(state, rng, gamma):
+    def move(state, rng):
         k = int(rng.integers(1, g + 1))
-        state, result = order_move(state, series, config, k, rng, cond, gamma[k - 1])
+        state, result = order_move(state, series, config, k, rng, cond)
         moves[result.direction, result.accepted] += 1
         return state
 

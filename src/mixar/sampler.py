@@ -7,12 +7,15 @@ The sampler targets the posterior under the prior structure
     lambda ~ Gamma(a, b),  tau_k ~ Gamma(c, lambda)
     AR coefficient blocks ~ flat on the stability region
 
-with one sweep updating, in order: allocations z, weights pi, means mu
-(skipped for fixed-shift models), the precision hyperparameter lambda,
-precisions tau, then a random-walk Metropolis step on each component's AR
-coefficients.  A whole-model stability check is applied once per sweep: if
+with one sweep updating, in order: allocations z, weights pi (from
+Dirichlet(1 + counts)), means mu (skipped for fixed-shift models), the
+precision hyperparameter lambda, precisions tau, then a random-walk
+Metropolis step on each component's AR coefficients.  The Dirichlet prior is
+exchangeable, so the posterior is invariant under relabelling components of
+equal order.  A whole-model stability check is applied once per sweep: if
 the end-of-sweep candidate is unstable the entire previous state is
-restored.
+restored.  Proposal precisions are tuned in a pilot (`tune_gamma`) and then
+frozen.
 
 Gamma distributions are parameterized by (shape, rate) throughout.
 """
@@ -45,7 +48,6 @@ class Hyperparams:
     zeta, kappa: mean and precision of the component-mean prior.
     a, b: shape and rate of the Gamma prior on lambda.
     c: shape of the Gamma prior on the precisions tau_k.
-    dirichlet_weights: Dirichlet prior weights (None means all ones).
     gamma: RWM proposal precisions, one per component or a single value for
         all of them (None means tune a pilot).
     fixed_shift: pin all shifts phi_k0 at zero and skip the mean update.
@@ -56,7 +58,6 @@ class Hyperparams:
     b: float
     a: float = 0.2
     c: float = 2.0
-    dirichlet_weights: tuple[float, ...] | None = None
     gamma: tuple[float, ...] | None = None
     fixed_shift: bool = False
     burn_in: int = 10_000
@@ -70,11 +71,6 @@ class Hyperparams:
                 raise ValueError(f"{name} must be positive and finite, got {v!r}")
         if not np.isfinite(self.zeta):
             raise ValueError("zeta must be finite")
-        if self.dirichlet_weights is not None:
-            dw = tuple(float(x) for x in self.dirichlet_weights)
-            if any(x <= 0 for x in dw):
-                raise ValueError("dirichlet_weights must be positive")
-            object.__setattr__(self, "dirichlet_weights", dw)
         if self.gamma is not None:
             object.__setattr__(self, "gamma", tuple(float(x) for x in self.gamma))
         check_chain_settings(
@@ -139,19 +135,15 @@ class ChainState:
 
 @dataclass(frozen=True)
 class UpdateMask:
-    """Which blocks a sweep updates; ar is a set of 1-based components (None = all)."""
+    """Which blocks a sweep updates besides allocations, weights and lambda, which
+    it always draws; ar is a set of 1-based components (None = all)."""
 
-    allocations: bool = True
-    weights: bool = True
     means: bool = True
-    lam: bool = True
     precisions: bool = True
     ar: frozenset[int] | None = None
 
     def ar_components(self, g: int) -> tuple[int, ...]:
-        if self.ar is None:
-            return tuple(range(1, g + 1))
-        return tuple(sorted(k for k in self.ar if 1 <= k <= g))
+        return tuple(range(1, g + 1)) if self.ar is None else tuple(sorted(self.ar))
 
 
 FULL_SWEEP = UpdateMask()
@@ -205,15 +197,6 @@ class ChainOutput:
             ar_coeffs=ar,
             scales=self.scales[i].copy(),
         )
-
-
-def _dirichlet_prior(hyper: Hyperparams, g: int) -> np.ndarray:
-    if hyper.dirichlet_weights is None:
-        return np.ones(g)
-    dw = np.asarray(hyper.dirichlet_weights, dtype=float)
-    if dw.size != g:
-        raise ValueError(f"dirichlet_weights has length {dw.size}, expected {g}")
-    return dw
 
 
 def resolve_gamma(gamma, g: int) -> np.ndarray:
@@ -295,24 +278,19 @@ def draw_allocations(
     return LatentAllocation(z=z, g=spec.g)
 
 
-def sample_weights(
-    alloc: LatentAllocation, rng: np.random.Generator, prior_weights: np.ndarray | None = None
-) -> np.ndarray:
-    """Draw pi from Dirichlet(prior + counts)."""
-    pw = np.ones(alloc.g) if prior_weights is None else np.asarray(prior_weights, dtype=float)
-    w = rng.dirichlet(pw + alloc.counts)
+def sample_weights(alloc: LatentAllocation, rng: np.random.Generator) -> np.ndarray:
+    """Draw pi from its full conditional Dirichlet(1 + counts)."""
+    w = rng.dirichlet(1.0 + alloc.counts)
     w = np.maximum(w, 1e-300)
     return w / w.sum()
 
 
 def dirichlet_log_density(alpha: np.ndarray, log_weights: np.ndarray) -> float:
-    """log Dirichlet(pi | alpha) at log pi; the weights conditional is alpha = prior + counts."""
-    return _dirichlet_log_norm(alpha) + float(np.dot(alpha - 1.0, log_weights))
-
-
-def _dirichlet_log_norm(alpha: np.ndarray) -> float:
-    """log Gamma(sum alpha) - sum log Gamma(alpha_k), the Dirichlet's log normalizer."""
-    return math.lgamma(float(alpha.sum())) - float(np.sum([math.lgamma(float(x)) for x in alpha]))
+    """log Dirichlet(pi | alpha) at log pi; the weights conditional is alpha = 1 + counts."""
+    log_norm = math.lgamma(float(alpha.sum())) - float(
+        np.sum([math.lgamma(float(x)) for x in alpha])
+    )
+    return log_norm + float(np.dot(alpha - 1.0, log_weights))
 
 
 def means_conditional(
@@ -423,10 +401,13 @@ def gibbs_sweep(
     """One full sweep over all blocks, with the whole-model stability veto.
 
     Order: allocations, weights, means (unless fixed_shift), lambda,
-    precisions, RWM per component.  If the end-of-sweep candidate spec is
-    unstable, the entire previous state is restored bit for bit.  The log
-    terms of the returned spec stay memoized on the returned state, so the
-    next sweep's allocation draw does not recompute them.
+    precisions, RWM per component.  `update` can pin the means, the
+    precisions and any AR blocks at their current values, as the reduced
+    evidence chains do; the other blocks are always drawn.  If the
+    end-of-sweep candidate spec is unstable, the entire previous state is
+    restored bit for bit.  The log terms of the returned spec stay memoized
+    on the returned state, so the next sweep's allocation draw does not
+    recompute them.
     """
     spec0 = state.spec
     g = spec0.g
@@ -437,19 +418,10 @@ def gibbs_sweep(
         gamma = resolve_gamma(hyper.gamma if gamma is None else gamma, g)
     yt, lm = series.design(cond)
 
-    alloc = (
-        draw_allocations(spec0, yt, lm, rng, state_log_terms(state, series.values, yt, lm))
-        if update.allocations
-        else state.alloc
-    )
+    alloc = draw_allocations(spec0, yt, lm, rng, state_log_terms(state, series.values, yt, lm))
     z0 = alloc.z - 1
     counts = alloc.counts
-
-    weights = (
-        sample_weights(alloc, rng, _dirichlet_prior(hyper, g))
-        if update.weights
-        else spec0.weights.copy()
-    )
+    weights = sample_weights(alloc, rng)
 
     update_means = update.means and not hyper.fixed_shift
     if update_means or update.precisions:
@@ -466,7 +438,7 @@ def gibbs_sweep(
     else:
         means, shifts = state.means.copy(), spec0.shifts.copy()
 
-    lam = draw_lambda(scales, hyper, rng) if update.lam else state.lam
+    lam = draw_lambda(scales, hyper, rng)
 
     if update.precisions:
         e = yt[:, None] - shifts[None, :] - fitted
@@ -502,15 +474,15 @@ def gibbs_sweep(
     return new_state, SweepInfo(attempted, accepted, rejected, ll)
 
 
-def make_log_prior(hyper: Hyperparams, g: int, fixed_shift: bool | None = None):
+def make_log_prior(hyper: Hyperparams, g: int):
     """`log_prior_density` for g components as a function of (weights, means, scales).
 
     The terms that depend on the hyperparameters alone are computed here,
     once, and enter the sums at the same place as in a direct evaluation.
+    The Dirichlet(1, ..., 1) density is the constant (g - 1)! on the simplex,
+    so the weights fix only g.
     """
-    fixed_shift = hyper.fixed_shift if fixed_shift is None else fixed_shift
-    alpha = _dirichlet_prior(hyper, g)
-    dirichlet_const = _dirichlet_log_norm(alpha)
+    weights_const = math.lgamma(g)
     mean_const = -0.5 * math.log(2.0 * math.pi / hyper.kappa)
     half_kappa = 0.5 * hyper.kappa
     a, b, c = hyper.a, hyper.b, hyper.c
@@ -518,8 +490,8 @@ def make_log_prior(hyper: Hyperparams, g: int, fixed_shift: bool | None = None):
     tau_const = math.lgamma(shape) - math.lgamma(a) - g * math.lgamma(c) + a * math.log(b)
 
     def log_prior(weights: np.ndarray, means: np.ndarray, scales: np.ndarray) -> float:
-        lp = dirichlet_const + float(np.dot(alpha - 1.0, np.log(weights)))
-        if not fixed_shift:
+        lp = weights_const
+        if not hyper.fixed_shift:
             lp += float(np.sum(mean_const - half_kappa * (np.asarray(means) - hyper.zeta) ** 2))
         tau = 1.0 / np.asarray(scales) ** 2
         lp += (
@@ -537,7 +509,6 @@ def log_prior_density(
     means: np.ndarray,
     scales: np.ndarray,
     hyper: Hyperparams,
-    fixed_shift: bool | None = None,
 ) -> float:
     """Joint log prior of (pi, mu, tau) with lambda integrated out.
 
@@ -546,7 +517,7 @@ def log_prior_density(
     against Gamma(lambda | a, b), and the flat stable-region prior on the AR
     blocks contributes zero.  The mean term is skipped for fixed-shift models.
     """
-    return make_log_prior(hyper, weights.size, fixed_shift)(weights, means, scales)
+    return make_log_prior(hyper, weights.size)(weights, means, scales)
 
 
 def initial_state(
@@ -620,6 +591,12 @@ def initial_state(
     return ChainState(spec=spec, alloc=alloc, lam=lam, iteration=0, means=means)
 
 
+# Pilot tuning: batches of TUNE_BATCH sweeps, each moving log gamma_k toward
+# the acceptance rate TUNE_TARGET (the middle of the 20-25% band).
+TUNE_TARGET = 0.225
+TUNE_BATCH = 50
+
+
 def tune_gamma(
     series: TimeSeries,
     g: int,
@@ -629,15 +606,13 @@ def tune_gamma(
     rng: np.random.Generator,
     state: ChainState | None = None,
     cond: int | None = None,
-    target: float = 0.225,
-    batch: int = 50,
 ) -> tuple[np.ndarray, np.ndarray, ChainState]:
     """Stochastic-approximation tuning of the RWM proposal precisions.
 
-    Adjusts log gamma_k in batches toward the target acceptance rate
-    (defaults aim at the 20-25% band) and freezes the result.  Returns the
-    tuned gamma, the last observed batch acceptance rates and the pilot's
-    final state so the main chain can continue from it.
+    Adjusts log gamma_k in batches toward the target acceptance rate and
+    freezes the result.  Returns the tuned gamma, the last observed batch
+    acceptance rates and the pilot's final state so the main chain can
+    continue from it.
     """
     if pilot_iters < 500:
         raise ValueError("pilot_iters must be at least 500")
@@ -645,12 +620,12 @@ def tune_gamma(
         state = initial_state(series, g, orders, hyper, rng, cond)
     gamma = resolve_gamma(hyper.gamma, g) if hyper.gamma is not None else np.full(g, 100.0)
     log_gamma = np.log(gamma)
-    n_batches = pilot_iters // batch
+    n_batches = pilot_iters // TUNE_BATCH
     rates = np.zeros(g)
     for bi in range(n_batches):
         acc = np.zeros(g)
         att = np.zeros(g)
-        for _ in range(batch):
+        for _ in range(TUNE_BATCH):
             state, info = gibbs_sweep(
                 state, series, hyper, rng, cond=cond, gamma=np.exp(log_gamma)
             )
@@ -658,7 +633,7 @@ def tune_gamma(
             att += info.attempted
         rates = acc / np.maximum(att, 1.0)
         step = 2.0 / math.sqrt(bi + 1.0)
-        log_gamma = log_gamma - step * (rates - target)
+        log_gamma = log_gamma - step * (rates - TUNE_TARGET)
         log_gamma = np.clip(log_gamma, math.log(1e-6), math.log(1e12))
     if np.any(rates <= 0.0) or np.any(rates >= 1.0):
         warnings.warn(
@@ -683,9 +658,9 @@ def _run(
 
     Starts from `initial_state`, takes gamma from the hyperparameters or tunes
     it in a pilot, then sweeps n_iter times and records every draw after
-    burn-in.  move(state, rng, gamma) -> state, when given, runs after every
-    sweep.  A recorded draw's log likelihood comes from the log terms memoized
-    on its state: those of the sweep, or recomputed for a state the move
+    burn-in.  move(state, rng) -> state, when given, runs after every sweep.
+    A recorded draw's log likelihood comes from the log terms memoized on
+    its state: those of the sweep, or recomputed for a state the move
     changed.  AR blocks are stored zero-padded to `width`.
     """
     rng = np.random.default_rng(seed)
@@ -718,7 +693,7 @@ def _run(
         acc_counts += info.accepted
         stab_rej += int(info.stability_rejected)
         if move is not None:
-            state = move(state, rng, gamma)
+            state = move(state, rng)
         j = it - hyper.burn_in
         if j < 0:
             continue

@@ -202,7 +202,8 @@ def _alignment_case(fitted, true):
         weights=fitted[0][None, :], scales=fitted[1][None, :], ar=fitted[2][None, :, None]
     )
     truth = SimpleNamespace(
-        g=g, weights=true[0], scales=true[1], ar_coeffs=[np.array([x]) for x in true[2]]
+        g=g, orders=(1,) * g, weights=true[0], scales=true[1],
+        ar_coeffs=[np.array([x]) for x in true[2]],
     )
     costs = sorted(
         float(np.sum((fitted[:, list(p)] - true) ** 2)) for p in itertools.permutations(range(g))
@@ -365,9 +366,11 @@ class TestSimulate:
         assert "missing key" in capsys.readouterr().err
 
     def test_unknown_override_is_a_clean_error(self, tmp_path, capsys):
-        code = run_cli(["simulate", "--set", "bogus=1"])
-        assert code == 2
-        assert "unknown configuration key" in capsys.readouterr().err
+        # a key whose option was removed is refused like any other unknown key
+        for key in ("bogus", "literal_death_density"):
+            code = run_cli(["simulate", "--set", f"{key}=1"])
+            assert code == 2
+            assert "unknown configuration key" in capsys.readouterr().err
 
     def test_console_script_installed(self, tmp_path):
         """The declared `mixar` console script runs `simulate` end to end.
@@ -773,6 +776,22 @@ class TestReplicate:
         out = tmp_path / "rep"
         assert self.short_study(out) == 0
         assert (out / "replicate_shift_1.csv").exists()
+
+    def test_spec_b_aligns_components_of_equal_order(self, tmp_path):
+        # spec B has orders 2,1,1; matching the order-2 truth to an order-1
+        # fitted component read its AR padding as a constant ar_1_2 column,
+        # which the density estimate refuses
+        out = tmp_path / "rep"
+        code = run_cli([
+            "replicate",
+            "--set", f"output_dir={out}", "--set", "spec=B",
+            "--set", "replicas=2", "--set", "replica_length=200",
+            "--set", "n_iter=600", "--set", "burn_in=200", "--set", "pilot_iters=500",
+            "--set", "relabel_warm_start=100", "--set", "workers=1", "--set", "seed=17",
+        ])
+        assert code == 0
+        assert (out / "replicate_ar_1_2.csv").exists()
+        assert not list(out.glob("replicate_ar_2_2.csv"))
 
     def test_fixed_shift_pins_the_shifts(self, tmp_path):
         out = tmp_path / "rep"

@@ -1,7 +1,9 @@
 """Every top-level import of a mixar module is used there (or re-exported by __all__),
-and every function the benchmark's traced run wraps still exists."""
+every function the benchmark's traced run wraps still exists, and every
+configuration key has a reader."""
 
 import ast
+import dataclasses
 import importlib
 import inspect
 from pathlib import Path
@@ -78,3 +80,54 @@ def test_forecast_density_keeps_the_traced_arguments():
 
     params = inspect.signature(predictive_density_fixed).parameters
     assert {"spec", "horizon", "mode", "mc_paths"} <= set(params)
+
+
+CONFIG, CLI = SRC / "config.py", SRC / "cli.py"
+
+
+def _reads(tree: ast.AST, owner: str) -> set[str]:
+    """Names read as attributes of the variable `owner` anywhere in tree."""
+    return {
+        node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+        and isinstance(node.value, ast.Name) and node.value.id == owner
+    }
+
+
+def orphan_config_keys(config_src: str, cli_src: str) -> list[str]:
+    """`RunConfig` fields that nothing reads, given the sources of config.py and cli.py.
+
+    A reader is a field of a settings class that `RunConfig._shared` feeds,
+    a `config.<name>` read in either source, or a `self.<name>` read in a
+    `RunConfig` method.
+    """
+    from mixar import config
+
+    config_tree = ast.parse(config_src)
+    (run_config,) = (
+        node for node in config_tree.body
+        if isinstance(node, ast.ClassDef) and node.name == "RunConfig"
+    )
+    keys = [node.target.id for node in run_config.body if isinstance(node, ast.AnnAssign)]
+    read = _reads(config_tree, "config") | _reads(ast.parse(cli_src), "config")
+    read |= _reads(run_config, "self")
+    for node in ast.walk(run_config):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "_shared"):
+            read |= {f.name for f in dataclasses.fields(getattr(config, node.args[0].id))}
+    return [key for key in keys if key not in read]
+
+
+def test_every_config_key_has_a_reader():
+    # `_shared` passes on only the fields a settings object has, so a key
+    # whose object field is gone would otherwise be accepted and ignored
+    assert orphan_config_keys(CONFIG.read_text(), CLI.read_text()) == []
+
+
+def test_guard_flags_a_key_nothing_reads():
+    source = CONFIG.read_text()
+    anchor = "    seed: int = 0\n"
+    assert anchor in source
+    planted = source.replace(anchor, anchor + "    literal_death_density: bool = False\n")
+    assert orphan_config_keys(planted, CLI.read_text()) == ["literal_death_density"]

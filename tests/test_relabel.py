@@ -54,6 +54,19 @@ def make_output(rng, n=500, with_alloc=False):
     )
 
 
+def mixed_output(rng, n=500):
+    """Switch-free (2, 1, 1) chain with well separated components."""
+    centres = {"weights": (0.2, 0.3, 0.5), "scales": (1.0, 2.0, 3.0), "shifts": (0.0, 5.0, -5.0)}
+    draws = {name: rng.normal(c, 0.01, size=(n, 3)) for name, c in centres.items()}
+    ar = np.zeros((n, 3, 2))
+    ar[:, 0] = rng.normal((0.5, -0.3), 0.01, size=(n, 2))
+    ar[:, 1:, 0] = rng.normal((-0.4, 0.2), 0.01, size=(n, 2))
+    return dataclasses.replace(
+        make_output(rng, n), g=3, means=draws["shifts"].copy(), ar=ar,
+        orders=np.tile(np.array([2, 1, 1]), (n, 1)), **draws,
+    )
+
+
 def swap_rows(output, rows, perm=(1, 0)):
     """Apply a fixed component permutation to the given rows in place."""
     idx = np.asarray(perm)
@@ -133,26 +146,29 @@ class TestAssignment:
             centre=[0.3, 0.7, 1.0, 2.0], variance=[0.01] * 4, count=10
         )
         row = np.array([0.69, 0.31, 1.98, 1.02])
-        assert assign_permutation(row, centres, g=2) == (1, 0)
+        assert assign_permutation(row, centres, (1, 1)) == (1, 0)
         aligned = np.array([0.31, 0.69, 1.02, 1.98])
-        assert assign_permutation(aligned, centres, g=2) == (0, 1)
+        assert assign_permutation(aligned, centres, (1, 1)) == (0, 1)
 
     def test_tie_prefers_lexicographic(self):
         centres = ClusterCentres(centre=[0.5, 0.5], variance=[1.0, 1.0], count=5)
-        assert assign_permutation(np.array([0.2, 0.8]), centres, g=2) == (0, 1)
+        assert assign_permutation(np.array([0.2, 0.8]), centres, (1, 1)) == (0, 1)
 
     def test_three_component_cycle(self):
         centres = ClusterCentres(
             centre=[1.0, 2.0, 3.0], variance=[0.1, 0.1, 0.1], count=9
         )
         # stored blocks are (3, 1, 2); new[j] = old[perm[j]] wants perm (1,2,0)
-        assert assign_permutation(np.array([3.0, 1.0, 2.0]), centres, g=3) == (1, 2, 0)
+        assert assign_permutation(np.array([3.0, 1.0, 2.0]), centres, (1, 1, 1)) == (1, 2, 0)
 
     @staticmethod
-    def loop_oracle(theta_row, centres, g):
-        """The permutation search one permutation at a time, strict improvements only."""
+    def loop_oracle(theta_row, centres, orders):
+        """The search one order-keeping permutation at a time, strict improvements only."""
+        g = len(orders)
         best, best_d = None, np.inf
         for perm in itertools.permutations(range(g)):
+            if any(orders[p] != orders[j] for j, p in enumerate(perm)):
+                continue
             cand = theta_row.reshape(-1, g)[:, perm].reshape(-1)
             d = float(np.sum((cand - centres.centre) ** 2 / centres.variance))
             if d < best_d:
@@ -177,14 +193,25 @@ class TestAssignment:
                 centres = ClusterCentres(
                     rng.normal(size=blocks * g), rng.uniform(0.1, 2.0, size=blocks * g), 4
                 )
-            row = row.reshape(-1)
-            assert assign_permutation(row, centres, g) == self.loop_oracle(row, centres, g)
+            row, orders = row.reshape(-1), (1,) * g
+            assert assign_permutation(row, centres, orders) == self.loop_oracle(row, centres, orders)
         assert ties == (200 if g > 1 else 0)
+
+    @pytest.mark.parametrize("orders", [(2, 1), (2, 1, 1), (1, 2, 1, 2), (3, 1, 3, 1, 2)])
+    def test_mixed_orders_permute_only_equal_orders(self, orders):
+        g = len(orders)
+        rng = np.random.default_rng(g)
+        for _ in range(200):
+            row = rng.normal(size=2 * g)
+            centres = ClusterCentres(rng.normal(size=2 * g), rng.uniform(0.1, 2.0, size=2 * g), 4)
+            perm = assign_permutation(row, centres, orders)
+            assert tuple(orders[p] for p in perm) == orders
+            assert perm == self.loop_oracle(row, centres, orders)
 
     def test_dimension_mismatch(self):
         centres = ClusterCentres(centre=[0.0, 0.0], variance=[1.0, 1.0], count=3)
         with pytest.raises(ValueError):
-            assign_permutation(np.array([1.0, 2.0, 3.0]), centres, g=2)
+            assign_permutation(np.array([1.0, 2.0, 3.0]), centres, (1, 1))
 
 
 class TestConfig:
@@ -274,6 +301,30 @@ class TestRelabelChain:
             np.take_along_axis(out.scales, o_idx, axis=1),
             np.take_along_axis(res.scales, r_idx, axis=1),
         )
+
+    @QUIET
+    def test_components_of_different_order_never_swap(self):
+        # a (2, 1) chain whose order-1 component takes the order-2 one's weight
+        # and scale in the last 200 draws: a swap would move the order-1 block
+        # into slot 1, where its zero padding would read as a second coefficient
+        out = make_output(np.random.default_rng(10))
+        out.orders[:] = (2, 1)
+        out.ar = np.concatenate([out.ar, np.zeros_like(out.ar)], axis=2)
+        out.ar[:, 0, 1] = -0.3
+        for block in (out.weights, out.scales):
+            block[300:] = block[300:, ::-1]
+        ref = copy_output(out)
+        res = relabel_chain(out, RelabelConfig(m=200))
+        assert_outputs_equal(res, ref)
+
+    @QUIET
+    def test_equal_order_swaps_are_undone_in_a_mixed_chain(self):
+        out = mixed_output(np.random.default_rng(11))
+        ref = copy_output(out)
+        swap_rows(out, slice(300, 400), perm=(0, 2, 1))
+        assert not np.array_equal(out.weights, ref.weights)
+        res = relabel_chain(out, RelabelConfig(m=200))
+        assert_outputs_equal(res, ref)
 
     def test_shift_subset_separates_on_shifts(self):
         out = make_output(np.random.default_rng(9))

@@ -108,14 +108,6 @@ class TestAcceptance:
         cfg = OrderMoveConfig(p_max=2)
         assert death_acceptance(state, SERIES, cfg, 1) == 0.0
 
-    def test_literal_death_density(self):
-        state = single_state([0.5, 0.3])
-        cfg = OrderMoveConfig(p_max=2, literal_death_density=True)
-        with pytest.raises(ValueError, match="proposal precision"):
-            death_acceptance(state, SERIES, cfg, 1)
-        alpha = death_acceptance(state, SERIES, cfg, 1, gamma_k=1e-4)
-        assert alpha == pytest.approx(0.021369825275141866, abs=1e-13)
-
     def test_empty_component_birth_controlled_by_move_ratio_only(self):
         spec = MARSpec(
             weights=np.array([0.7, 0.3]),
@@ -220,13 +212,12 @@ class TestRun:
         a = rjmcmc_run(series, 2, hyper, cfg, seed=41)[0]
         assert a.counts == trace.counts  # deterministic given the seed
 
-    @pytest.mark.parametrize("literal", [False, True])
-    def test_recorded_log_likelihoods_follow_the_order_moves(self, literal):
+    def test_recorded_log_likelihoods_follow_the_order_moves(self):
         # a draw whose order move was accepted must not keep the log terms of
         # the spec before the move
         series = simulate_path(model_a_spec(), 150, seed=46)
         hyper = default_hyperparams(series, n_iter=900, burn_in=100, gamma=(80.0,))
-        cfg = OrderMoveConfig(p_max=3, literal_death_density=literal)
+        cfg = OrderMoveConfig(p_max=3)
         trace, output = rjmcmc_run(series, 2, hyper, cfg, seed=47)
         assert trace.birth_accepts + trace.death_accepts > 20
         changes = np.any(np.diff(output.orders, axis=0) != 0, axis=1)

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -74,14 +75,34 @@ def precisions_kernel(state, series, hyper):
     return precisions_conditional(e, state.alloc.z - 1, state.alloc.counts, state.lam, hyper)
 
 
-def only(**blocks):
-    """An UpdateMask that updates just the named blocks."""
-    mask = dict(
-        allocations=False, weights=False, means=False, lam=False, precisions=False,
-        ar=frozenset(),
+def kernel_sweep(state, series, hyper, rng, gamma=None):
+    """The blocks of an unvetoed p=1 sweep, drawn by the kernels in sweep order.
+
+    Allocations, weights, means, lambda and precisions always move; the AR
+    blocks move only when gamma is given.
+    """
+    spec = state.spec
+    yt, lm = _design(series.values, 1)
+    alloc = draw_allocations(spec, yt, lm, rng)
+    weights = sample_weights(alloc, rng)
+    mean, prec = means_kernel(dataclasses.replace(state, alloc=alloc), series, hyper)
+    means = np.array([rng.normal(m, math.sqrt(1.0 / p)) for m, p in zip(mean, prec)])
+    shifts = means * (1.0 - spec.phi_matrix(1)[:, 0])
+    lam = draw_lambda(spec.scales, hyper, rng)
+    moved = ChainState(
+        MARSpec(weights, shifts, spec.ar_coeffs, spec.scales), alloc, lam, 0, means
     )
-    mask.update(blocks)
-    return UpdateMask(**mask)
+    shape, rate = precisions_kernel(moved, series, hyper)
+    scales = np.array([1.0 / math.sqrt(rng.gamma(a, 1.0 / b)) for a, b in zip(shape, rate)])
+    ar, accepted = list(spec.ar_coeffs), np.zeros(spec.g, dtype=bool)
+    for k in range(spec.g) if gamma is not None else ():
+        proposal = ar[k] + rng.normal(0.0, 1.0 / math.sqrt(gamma[k]), size=ar[k].size)
+        log_ratio = ar_log_ratio(yt, lm, alloc.z == k + 1, shifts[k], scales[k], ar[k], proposal)
+        if math.log(rng.random()) < log_ratio:
+            accepted[k] = True
+            ar[k] = proposal
+    return SimpleNamespace(alloc=alloc, weights=weights, means=means, shifts=shifts, lam=lam,
+                           scales=scales, ar=ar, accepted=accepted)
 
 
 def base_hyper(**overrides):
@@ -219,14 +240,6 @@ class TestWeights:
         # marginal of the first coordinate is Beta(1+30, 1+70)
         p = stats.kstest(draws, stats.beta(31, 71).cdf).pvalue
         assert p > KS_ALPHA
-
-    def test_prior_weights_shift_the_mean(self):
-        alloc = LatentAllocation(z=np.array([1, 1, 2]), g=2)
-        rng = np.random.default_rng(2)
-        heavy = np.array(
-            [sample_weights(alloc, rng, np.array([50.0, 1.0]))[0] for _ in range(4000)]
-        )
-        assert heavy.mean() > 0.8
 
     def test_weights_always_positive(self):
         alloc = LatentAllocation(z=np.repeat(1, 500), g=2)
@@ -372,9 +385,9 @@ class TestRWM:
         hyper = base_hyper()
         rng = np.random.default_rng(11)
         gamma = np.array([1e12, 1e12])
+        mask = UpdateMask(means=False, precisions=False, ar=frozenset({1}))
         accepted = sum(
-            gibbs_sweep(state, tiny_series(), hyper, rng, gamma=gamma,
-                        update=only(ar=frozenset({1})))[1].accepted[0]
+            gibbs_sweep(state, tiny_series(), hyper, rng, gamma=gamma, update=mask)[1].accepted[0]
             for _ in range(300)
         )
         assert accepted >= 290
@@ -384,10 +397,11 @@ class TestRWM:
         hyper = base_hyper()
         rng = np.random.default_rng(12)
         gamma = np.array([0.01, 0.01])
+        mask = UpdateMask(means=False, precisions=False, ar=frozenset({1}))
         saw_reject = False
         for _ in range(200):
             new_state, info = gibbs_sweep(
-                state, tiny_series(), hyper, rng, gamma=gamma, update=only(ar=frozenset({1}))
+                state, tiny_series(), hyper, rng, gamma=gamma, update=mask
             )
             if not info.accepted[0]:
                 np.testing.assert_array_equal(
@@ -398,99 +412,73 @@ class TestRWM:
 
 
 class TestSweepWiring:
-    """Each block of a masked sweep is exactly its kernel's draw from the same seed."""
+    """A full sweep draws, block by block, exactly what the kernels draw when
+    called in sweep order from the same seed."""
 
     SEED = 31
+    GAMMA = np.array([30.0, 80.0])
 
-    def sweep(self, mask, gamma=None, state=None):
-        state = state or tiny_state()
-        rng = np.random.default_rng(self.SEED)
+    def sweeps(self):
+        """(new state, sweep info, kernel blocks) from one seed; both generators end level."""
         hyper = base_hyper(zeta=0.2, kappa=0.5)
-        return gibbs_sweep(state, tiny_series(), hyper, rng, gamma=gamma, update=mask)
-
-    def kernel_rng(self):
-        return np.random.default_rng(self.SEED)
+        rng, twin = np.random.default_rng(self.SEED), np.random.default_rng(self.SEED)
+        new_state, info = gibbs_sweep(tiny_state(), tiny_series(), hyper, rng, gamma=self.GAMMA)
+        expect = kernel_sweep(tiny_state(), tiny_series(), hyper, twin, self.GAMMA)
+        assert not info.stability_rejected
+        assert rng.random() == twin.random()
+        return new_state, info, expect
 
     def test_allocations(self):
-        new_state, info = self.sweep(only(allocations=True))
-        yt, lm = _design(tiny_series().values, 1)
-        expect = draw_allocations(tiny_state().spec, yt, lm, self.kernel_rng())
-        np.testing.assert_array_equal(new_state.alloc.z, expect.z)
+        new_state, info, expect = self.sweeps()
+        np.testing.assert_array_equal(new_state.alloc.z, expect.alloc.z)
         assert info.log_likelihood == log_likelihood(new_state.spec, tiny_series(), 1)
 
     def test_weights(self):
-        new_state, _ = self.sweep(only(weights=True))
-        state = tiny_state()
-        expect = sample_weights(state.alloc, self.kernel_rng(), np.ones(2))
-        np.testing.assert_array_equal(new_state.spec.weights, expect)
+        new_state, _, expect = self.sweeps()
+        np.testing.assert_array_equal(new_state.spec.weights, expect.weights)
 
     def test_means(self):
-        new_state, _ = self.sweep(only(means=True))
-        state = tiny_state()
-        mean, prec = means_kernel(state, tiny_series(), base_hyper(zeta=0.2, kappa=0.5))
-        rng = self.kernel_rng()
-        expect = np.array([rng.normal(mean[k], math.sqrt(1.0 / prec[k])) for k in range(2)])
-        np.testing.assert_array_equal(new_state.means, expect)
-        bk = 1.0 - state.spec.phi_matrix(1).sum(axis=1)
-        np.testing.assert_array_equal(new_state.spec.shifts, expect * bk)
+        new_state, _, expect = self.sweeps()
+        np.testing.assert_array_equal(new_state.means, expect.means)
+        np.testing.assert_array_equal(new_state.spec.shifts, expect.shifts)
 
     @pytest.mark.parametrize("g", range(1, 8))
     def test_means_and_precisions_match_per_component_draws(self, g):
         """Both blocks draw what g separate normal and gamma calls draw, in the same order."""
+        series = simulate_path(equal_weight_spec(g), 200, seed=g)
+        # a last component far from the data is never allocated once g >= 2,
+        # so the prior fallback runs too
         spec = equal_weight_spec(g)
-        series = simulate_path(spec, 200, seed=g)
-        # the last component is left empty once g >= 2, so the prior fallback runs too
-        z = np.arange(series.n - 1) % max(g - 1, 1) + 1
-        state = ChainState(spec, LatentAllocation(z=z, g=g), 1.3, 0, np.zeros(g))
+        shifts = spec.shifts.copy()
+        shifts[-1] += 0.0 if g == 1 else 100.0
+        spec = MARSpec(spec.weights, shifts, spec.ar_coeffs, spec.scales)
+        state = ChainState(spec, LatentAllocation(z=np.ones(series.n - 1, int), g=g), 1.3, 0,
+                           np.zeros(g))
         hyper = base_hyper(zeta=0.2, kappa=0.5)
         rng, twin = np.random.default_rng(g), np.random.default_rng(g)
-        new_state, info = gibbs_sweep(
-            state, series, hyper, rng, update=only(means=True, precisions=True)
-        )
+        new_state, info = gibbs_sweep(state, series, hyper, rng, update=UpdateMask(ar=frozenset()))
         assert not info.stability_rejected
-        mean, prec = means_kernel(state, series, hyper)
-        means = np.array([twin.normal(mean[k], math.sqrt(1.0 / prec[k])) for k in range(g)])
-        np.testing.assert_array_equal(new_state.means, means)
-        moved = ChainState(
-            MARSpec(spec.weights, means * (1.0 - spec.phi_matrix()[:, 0]), spec.ar_coeffs,
-                    spec.scales),
-            state.alloc, state.lam, 0, means,
-        )
-        shape, rate = precisions_kernel(moved, series, hyper)
-        scales = [1.0 / math.sqrt(twin.gamma(shape[k], 1.0 / rate[k])) for k in range(g)]
-        np.testing.assert_array_equal(new_state.spec.scales, scales)
+        expect = kernel_sweep(state, series, hyper, twin)
+        assert g == 1 or expect.alloc.counts[-1] == 0
+        np.testing.assert_array_equal(new_state.means, expect.means)
+        assert new_state.lam == expect.lam
+        np.testing.assert_array_equal(new_state.spec.scales, expect.scales)
         assert rng.random() == twin.random()
 
     def test_lambda(self):
-        new_state, _ = self.sweep(only(lam=True))
-        hyper = base_hyper(zeta=0.2, kappa=0.5)
-        assert new_state.lam == draw_lambda(tiny_state().spec.scales, hyper, self.kernel_rng())
+        new_state, _, expect = self.sweeps()
+        assert new_state.lam == expect.lam
 
     def test_precisions(self):
-        new_state, _ = self.sweep(only(precisions=True))
-        state = tiny_state()
-        shape, rate = precisions_kernel(state, tiny_series(), base_hyper(zeta=0.2, kappa=0.5))
-        rng = self.kernel_rng()
-        expect = [1.0 / math.sqrt(rng.gamma(shape[k], 1.0 / rate[k])) for k in range(2)]
-        np.testing.assert_array_equal(new_state.spec.scales, expect)
+        new_state, _, expect = self.sweeps()
+        np.testing.assert_array_equal(new_state.spec.scales, expect.scales)
 
     def test_ar_blocks(self):
-        gamma = np.array([30.0, 80.0])
-        new_state, info = self.sweep(only(ar=frozenset({1, 2})), gamma=gamma)
-        state = tiny_state()
-        yt, lm = _design(tiny_series().values, 1)
-        rng = self.kernel_rng()
-        for k in (1, 2):
-            cur = state.spec.ar_coeffs[k - 1]
-            proposal = cur + rng.normal(0.0, 1.0 / math.sqrt(gamma[k - 1]), size=cur.size)
-            log_ratio = ar_log_ratio(
-                yt, lm, state.alloc.z == k, state.spec.shifts[k - 1], state.spec.scales[k - 1],
-                cur, proposal,
-            )
-            accept = math.log(rng.random()) < log_ratio
-            assert info.accepted[k - 1] == accept
-            expect = proposal if accept and not info.stability_rejected else cur
-            np.testing.assert_array_equal(new_state.spec.ar_coeffs[k - 1], expect)
+        new_state, info, expect = self.sweeps()
+        np.testing.assert_array_equal(info.attempted, [True, True])
+        np.testing.assert_array_equal(info.accepted, expect.accepted)
+        for got, want in zip(new_state.spec.ar_coeffs, expect.ar):
+            np.testing.assert_array_equal(got, want)
 
 
 class TestLogTermMemo:
@@ -644,16 +632,13 @@ class TestGibbsSweep:
         series = tiny_series()
         hyper = base_hyper()
         rng = np.random.default_rng(14)
-        mask = UpdateMask(
-            allocations=True, weights=False, means=False, lam=False,
-            precisions=False, ar=frozenset(),
-        )
+        mask = UpdateMask(means=False, precisions=False, ar=frozenset())
         new_state, info = gibbs_sweep(state, series, hyper, rng, update=mask)
-        np.testing.assert_array_equal(new_state.spec.weights, state.spec.weights)
         np.testing.assert_array_equal(new_state.spec.shifts, state.spec.shifts)
         np.testing.assert_array_equal(new_state.spec.scales, state.spec.scales)
         np.testing.assert_array_equal(new_state.means, state.means)
-        assert new_state.lam == state.lam
+        for a, b in zip(new_state.spec.ar_coeffs, state.spec.ar_coeffs):
+            np.testing.assert_array_equal(a, b)
         assert not info.attempted.any()
 
     def test_mask_ar_subset(self):
@@ -702,14 +687,10 @@ class TestTuning:
 
 class TestPrior:
     def test_dirichlet_block_uniform_is_zero_only_for_degenerate(self):
-        hyper = base_hyper()
+        hyper = base_hyper(fixed_shift=True)
         # with all-ones Dirichlet the weight term is log (g-1)! = log 1 for g=2
-        lp2 = log_prior_density(
-            np.array([0.5, 0.5]), np.zeros(2), np.ones(2), hyper, fixed_shift=True
-        )
-        lp3 = log_prior_density(
-            np.array([0.4, 0.3, 0.3]), np.zeros(3), np.ones(3), hyper, fixed_shift=True
-        )
+        lp2 = log_prior_density(np.array([0.5, 0.5]), np.zeros(2), np.ones(2), hyper)
+        lp3 = log_prior_density(np.array([0.4, 0.3, 0.3]), np.zeros(3), np.ones(3), hyper)
         # difference in the weight block: log 2! - log 1! = log 2 plus the
         # precision-block change from adding one component
         def tau_block(g):
@@ -723,26 +704,21 @@ class TestPrior:
 
     def test_compound_precision_prior_matches_quadrature(self):
         # integrate Gamma(tau|c, lam) Gamma(lam|a, b) over lam numerically
-        hyper = base_hyper(a=0.4, b=2.5, c=1.7)
+        hyper = base_hyper(a=0.4, b=2.5, c=1.7, fixed_shift=True)
         tau = np.array([0.9])
         lam_grid = np.linspace(1e-8, 200.0, 400_001)
         integrand = stats.gamma.pdf(tau[0], a=hyper.c, scale=1.0 / lam_grid) * stats.gamma.pdf(
             lam_grid, a=hyper.a, scale=1.0 / hyper.b
         )
         expect = math.log(np.trapezoid(integrand, lam_grid))
-        got = log_prior_density(
-            np.array([1.0]), np.zeros(1), 1.0 / np.sqrt(tau), hyper, fixed_shift=True
-        )
+        got = log_prior_density(np.array([1.0]), np.zeros(1), 1.0 / np.sqrt(tau), hyper)
         assert got == pytest.approx(expect, abs=1e-6)
 
     def test_mean_block_is_gaussian(self):
-        hyper = base_hyper(zeta=1.0, kappa=4.0)
-        lp_fixed = log_prior_density(
-            np.array([1.0]), np.array([2.0]), np.ones(1), hyper, fixed_shift=True
-        )
-        lp_free = log_prior_density(
-            np.array([1.0]), np.array([2.0]), np.ones(1), hyper, fixed_shift=False
-        )
+        fixed = base_hyper(zeta=1.0, kappa=4.0, fixed_shift=True)
+        free = dataclasses.replace(fixed, fixed_shift=False)
+        lp_fixed = log_prior_density(np.array([1.0]), np.array([2.0]), np.ones(1), fixed)
+        lp_free = log_prior_density(np.array([1.0]), np.array([2.0]), np.ones(1), free)
         assert lp_free - lp_fixed == pytest.approx(stats.norm(1.0, 0.5).logpdf(2.0))
 
 
