@@ -27,6 +27,7 @@ from .summary import mixture_density
 
 MAX_EXACT_PATHS = 1_000_000
 PRUNE_WEIGHT = 1e-12
+MC_CHUNK = 4096  # Monte Carlo paths simulated and evaluated together
 
 
 @dataclass(frozen=True)
@@ -199,14 +200,14 @@ def predictive_density_fixed(
     return _mc_density(spec, recent, horizon, grid, rng, mc_paths)
 
 
-def _mc_density(spec, recent, horizon, grid, rng, n_paths, chunk=4096):
+def _mc_density(spec, recent, horizon, grid, rng, n_paths):
     p = spec.max_order
     g = spec.g
     phi = spec.phi_matrix()
     acc = np.zeros(grid.size)
     done = 0
     while done < n_paths:
-        m = min(chunk, n_paths - done)
+        m = min(MC_CHUNK, n_paths - done)
         hist = np.tile(recent[::-1], (m, 1))  # most recent value in column 0
         for _ in range(horizon - 1):
             labels = rng.choice(g, size=m, p=spec.weights)

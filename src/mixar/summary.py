@@ -13,7 +13,7 @@ except ImportError:  # numpy < 2
     from numpy import trapz as _trapezoid
 
 GRID_POINTS = 512
-BLOCK = 4096
+BLOCK = 1 << 16  # entries per block of mixture_density: 512 KB of doubles
 
 
 @dataclass(frozen=True)
@@ -58,17 +58,25 @@ def mixture_density(
 ) -> np.ndarray:
     """Gaussian mixture density sum_i weights_i N(x; means_i, sds_i^2) at the points x.
 
-    Components are taken BLOCK at a time, so memory stays O(BLOCK * x.size)
-    however many there are.
+    The (components x points) matrix is filled BLOCK entries at a time, at
+    least one component row per block, in one buffer reused for every
+    block: (x - m)^2 * (-1 / 2s^2), exponentiated in place, then summed
+    into the output weighted by w / s.  Memory beyond the inputs and
+    output stays O(BLOCK + components + points) however many there are.
     """
-    out = np.zeros(x.size)
-    for a in range(0, weights.size, BLOCK):
-        s = sds[a : a + BLOCK]
-        z = np.subtract(x, means[a : a + BLOCK, None])
-        z /= s[:, None]
-        z *= z
-        z *= -0.5
-        out += (weights[a : a + BLOCK] / s) @ np.exp(z, out=z)
+    n, k = x.size, weights.size
+    rows = max(1, BLOCK // n)
+    scale = -0.5 / (sds * sds)
+    ws = weights / sds
+    buf = np.empty(min(rows, k) * n)
+    out = np.zeros(n)
+    for a in range(0, k, rows):
+        b = min(a + rows, k)
+        z = buf[: (b - a) * n].reshape(b - a, n)
+        np.subtract(x, means[a:b, None], out=z)
+        np.square(z, out=z)
+        z *= scale[a:b, None]
+        out += ws[a:b] @ np.exp(z, out=z)
     return out / math.sqrt(2.0 * math.pi)
 
 

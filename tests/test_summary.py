@@ -1,16 +1,94 @@
 """Summaries of posterior draws: intervals, KDE grids, density averaging."""
 
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy import stats
 
 from mixar.summary import (
+    BLOCK,
     DensityGrid,
     average_density,
     density_grid,
     kde,
+    mixture_density,
     summarize,
 )
+
+
+def blockwise_oracle(weights, means, sds, x, block=4096):
+    """The earlier kernel: block components at a time, a fresh array per block."""
+    out = np.zeros(x.size)
+    for a in range(0, weights.size, block):
+        s = sds[a : a + block]
+        z = np.subtract(x, means[a : a + block, None])
+        z /= s[:, None]
+        z *= z
+        z *= -0.5
+        out += (weights[a : a + block] / s) @ np.exp(z, out=z)
+    return out / math.sqrt(2.0 * math.pi)
+
+
+def mixture_case(k, sds="distinct", seed=0):
+    rng = np.random.default_rng(seed)
+    w = rng.random(k)
+    w /= max(w.sum(), 1.0)
+    m = rng.normal(1.5, 2.0, k)
+    s = np.full(k, 0.8) if sds == "equal" else rng.uniform(0.3, 2.5, k)
+    return w, m, s
+
+
+class TestMixtureDensity:
+    @pytest.mark.parametrize("k", [1, 7, 4096, 4097, 12_000])
+    @pytest.mark.parametrize("sds", ["equal", "distinct"])
+    @pytest.mark.parametrize("points", [2, 511, 512])
+    def test_matches_blockwise_oracle(self, k, sds, points):
+        w, m, s = mixture_case(k, sds, seed=k + points)
+        x = np.linspace(-6.0, 9.0, points)
+        ref = blockwise_oracle(w, m, s, x)
+        got = mixture_density(w, m, s, x)
+        assert got.shape == ref.shape
+        assert np.max(np.abs(got - ref)) <= 1e-13 * ref.max()
+
+    @pytest.mark.parametrize("k", [1, 7])
+    def test_grid_longer_than_a_block(self, k):
+        # more points than BLOCK entries: each block holds one component row
+        assert 70_000 > BLOCK
+        w, m, s = mixture_case(k, seed=k)
+        x = np.linspace(-6.0, 9.0, 70_000)
+        ref = blockwise_oracle(w, m, s, x)
+        assert np.max(np.abs(mixture_density(w, m, s, x) - ref)) <= 1e-13 * ref.max()
+
+    def test_non_uniform_grid_and_zero_weights(self):
+        w, m, s = mixture_case(4097, seed=5)
+        w[::3] = 0.0
+        w[:200] = 0.0
+        x = np.sort(np.random.default_rng(6).uniform(-8.0, 11.0, 300))
+        ref = blockwise_oracle(w, m, s, x)
+        assert np.max(np.abs(mixture_density(w, m, s, x) - ref)) <= 1e-13 * ref.max()
+        zero = mixture_density(np.zeros(7), m[:7], s[:7], x)
+        np.testing.assert_array_equal(zero, np.zeros(x.size))
+
+    def test_no_components_gives_zeros(self):
+        x = np.linspace(0.0, 1.0, 512)
+        empty = np.empty(0)
+        got = mixture_density(empty, empty, empty, x)
+        np.testing.assert_array_equal(got, np.zeros(512))
+
+    def test_peak_allocation_stays_below_two_megabytes(self):
+        # a full (12000 x 512) matrix is 49 MB and 4096-row blocks 16.8 MB each
+        w, m, s = mixture_case(12_000, seed=7)
+        x = np.linspace(-6.0, 9.0, 512)
+        mixture_density(w, m, s, x)
+        tracemalloc.start()
+        try:
+            mixture_density(w, m, s, x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2_000_000
 
 
 class TestSummarize:
