@@ -13,7 +13,6 @@ from .evidence import (
     EvidenceResult,
     marginal_log_likelihood,
     select_g,
-    select_theta_star,
 )
 from .forecast import (
     ForecastRequest,
@@ -83,7 +82,6 @@ __all__ = [
     "rjmcmc_run",
     "run_chain",
     "select_g",
-    "select_theta_star",
     "simulate_path",
     "spectral_radius",
     "stability_matrix",

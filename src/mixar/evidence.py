@@ -93,7 +93,6 @@ class StarredPoint:
 
     spec: MARSpec
     means: np.ndarray
-    index: int
 
 
 @dataclass
@@ -129,14 +128,9 @@ def theta_star_index(output: ChainOutput) -> int:
     return int(np.argmax(output.log_posteriors))
 
 
-def select_theta_star(output: ChainOutput) -> MARSpec:
-    """The retained draw with the highest joint log posterior (earliest tie)."""
-    return output.spec_at(theta_star_index(output))
-
-
-def starred_point(output: ChainOutput, index: int | None = None) -> StarredPoint:
-    """Build the self-consistent evaluation point from a retained draw."""
-    i = theta_star_index(output) if index is None else int(index)
+def starred_point(output: ChainOutput) -> StarredPoint:
+    """The self-consistent evaluation point at the draw `theta_star_index` picks."""
+    i = theta_star_index(output)
     spec = output.spec_at(i)
     means = output.means[i].copy()
     if output.fixed_shift:
@@ -150,7 +144,7 @@ def starred_point(output: ChainOutput, index: int | None = None) -> StarredPoint
     )
     if not is_stable(spec).stable:
         raise ValueError("the selected high-density draw is unstable; chain is corrupted")
-    return StarredPoint(spec=spec, means=means, index=i)
+    return StarredPoint(spec=spec, means=means)
 
 
 def _reduced_log_mean(

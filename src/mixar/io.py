@@ -48,10 +48,6 @@ def write_json(path: str | Path, obj) -> None:
     Path(path).write_text(json.dumps(jsonify(obj), indent=2) + "\n")
 
 
-def read_json(path: str | Path):
-    return json.loads(Path(path).read_text())
-
-
 def _write_columns(path: str | Path, header: list[str], columns: list[np.ndarray]) -> None:
     """The one CSV writer: a header line, then one row per index of the equal-length
     columns, every value through `fmt` (which prints an integer-valued double
@@ -166,14 +162,6 @@ def write_grid_csv(path: str | Path, abscissa: np.ndarray, columns: dict[str, np
         if np.asarray(column).shape != abscissa.shape:
             raise ValueError(f"column {name!r} does not match the abscissa length")
     _write_columns(path, ["y", *columns], [abscissa, *columns.values()])
-
-
-def read_csv_columns(path: str | Path) -> dict[str, np.ndarray]:
-    """Load any of the package's labelled CSVs into name -> column arrays."""
-    lines = Path(path).read_text().splitlines()
-    header = lines[0].split(",")
-    data = np.array([[float(x) for x in line.split(",")] for line in lines[1:]])
-    return {name: data[:, j].copy() for j, name in enumerate(header)}
 
 
 def summaries_payload(summaries) -> dict:

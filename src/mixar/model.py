@@ -7,8 +7,8 @@ its conditional distribution given the past,
 
 a g-component mixture of Gaussian AR regressions.  This module holds the model
 specification type and the deterministic quantities derived from it:
-component residuals, one-step conditional densities and moments, likelihoods,
-the theoretical autocorrelation function and path simulation.
+one-step conditional densities and moments, likelihoods, the theoretical
+autocorrelation function and path simulation.
 
 Conventions used throughout the package:
 
@@ -28,6 +28,7 @@ import numpy as np
 
 LOG_2PI = math.log(2.0 * math.pi)
 SQRT_2 = math.sqrt(2.0)
+SIM_BURN_IN = 500  # warm-up steps `simulate_path` discards
 
 
 @dataclass(frozen=True)
@@ -292,15 +293,6 @@ def component_means_at(spec: MARSpec, values: np.ndarray, t: int) -> np.ndarray:
     return spec.shifts + spec.phi_matrix() @ lags
 
 
-def component_residual(spec: MARSpec, series: TimeSeries, k: int, t: int) -> float:
-    """Residual e_tk = y_t - nu_tk of component k (1-based) at time t (1-based)."""
-    if not 1 <= k <= spec.g:
-        raise ValueError(f"component index k={k} must lie in 1..{spec.g}")
-    _check_time(series, t, spec.max_order)
-    nu = component_means_at(spec, series.values, t)
-    return float(series.values[t - 1] - nu[k - 1])
-
-
 def conditional_pdf(spec: MARSpec, series: TimeSeries, t: int) -> float:
     """One-step-ahead predictive density of y_t given its past."""
     _check_time(series, t, spec.max_order)
@@ -333,19 +325,6 @@ def conditional_moments(spec: MARSpec, series: TimeSeries, t: int) -> tuple[floa
     return mean, var
 
 
-def component_mean(spec: MARSpec, k: int) -> float | None:
-    """Stationary-style component mean mu_k = phi_k0 / (1 - sum_i phi_ki).
-
-    Returns None when sum_i phi_ki == 1 (the transform is undefined there).
-    """
-    if not 1 <= k <= spec.g:
-        raise ValueError(f"component index k={k} must lie in 1..{spec.g}")
-    denom = 1.0 - float(spec.ar_coeffs[k - 1].sum())
-    if denom == 0.0:
-        return None
-    return float(spec.shifts[k - 1]) / denom
-
-
 def shift_from_mean(mu: float, ar: np.ndarray) -> float:
     """Inverse transform phi_k0 = mu_k (1 - sum_i phi_ki)."""
     return float(mu) * (1.0 - float(np.sum(ar)))
@@ -360,29 +339,6 @@ def log_likelihood(spec: MARSpec, series: TimeSeries, cond: int | None = None) -
     out = _mixture_loglik(spec, *series.design(_resolve_cond(spec, series, cond)))
     if not np.isfinite(out):
         raise ValueError("log likelihood is not finite; model collapsed numerically")
-    return out
-
-
-def complete_data_log_likelihood(
-    spec: MARSpec,
-    series: TimeSeries,
-    alloc: LatentAllocation,
-    cond: int | None = None,
-) -> float:
-    """Log likelihood of (y, z) with the allocation z treated as observed.
-
-    sum_t [ log pi_{z_t} - log sigma_{z_t} - e_{t,z_t}^2 / (2 sigma^2) - log(2 pi)/2 ].
-    """
-    rows = _log_terms(spec, *series.design(_resolve_cond(spec, series, cond)))
-    if alloc.z.size != rows.shape[0]:
-        raise ValueError(
-            f"allocation covers {alloc.z.size} observations, expected {rows.shape[0]}"
-        )
-    if alloc.g != spec.g:
-        raise ValueError("allocation and spec disagree on the number of components")
-    out = float(rows[np.arange(rows.shape[0]), alloc.z - 1].sum())
-    if not np.isfinite(out):
-        raise ValueError("complete-data log likelihood is not finite")
     return out
 
 
@@ -420,23 +376,16 @@ def theoretical_acf(spec: MARSpec, max_lag: int) -> np.ndarray:
     return rho
 
 
-def simulate_path(
-    spec: MARSpec,
-    n: int,
-    seed: int | np.random.Generator,
-    burn: int = 500,
-) -> TimeSeries:
+def simulate_path(spec: MARSpec, n: int, seed: int | np.random.Generator) -> TimeSeries:
     """Simulate n observations from a stable MAR model.
 
-    The recursion starts from zeros and discards `burn` warm-up steps.
+    The recursion starts from zeros and discards SIM_BURN_IN warm-up steps.
     Refuses to simulate from an unstable specification.
     """
     from .stability import is_stable
 
     if n < 1:
         raise ValueError("n must be >= 1")
-    if burn < 0:
-        raise ValueError("burn must be >= 0")
     report = is_stable(spec)
     if not report.stable:
         raise ValueError(
@@ -444,7 +393,7 @@ def simulate_path(
         )
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     p = spec.max_order
-    total = n + burn
+    total = n + SIM_BURN_IN
     labels = rng.choice(spec.g, size=total, p=spec.weights)
     eps = rng.standard_normal(total)
     shifts = spec.shifts.tolist()
@@ -463,4 +412,4 @@ def simulate_path(
         if p:
             hist.insert(0, y)
             hist.pop()
-    return TimeSeries(out[burn:])
+    return TimeSeries(out[SIM_BURN_IN:])

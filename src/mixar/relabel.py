@@ -155,20 +155,6 @@ def update_centres(centres: ClusterCentres, theta_row: np.ndarray) -> ClusterCen
     return ClusterCentres(centre=mean_new, variance=var_new, count=n + 1)
 
 
-def _apply_perm_to_output(output: ChainOutput, i: int, perm: tuple[int, ...]) -> None:
-    idx = np.asarray(perm)
-    output.weights[i] = output.weights[i, idx]
-    output.shifts[i] = output.shifts[i, idx]
-    output.means[i] = output.means[i, idx]
-    output.scales[i] = output.scales[i, idx]
-    output.ar[i] = output.ar[i, idx, :]
-    output.orders[i] = output.orders[i, idx]
-    if output.allocations is not None:
-        inv = np.empty(output.g, dtype=np.int64)
-        inv[idx] = np.arange(output.g)
-        output.allocations[i] = inv[output.allocations[i] - 1] + 1
-
-
 def relabel_chain(output: ChainOutput, config: RelabelConfig | None = None) -> ChainOutput:
     """Relabel a whole chain; returns a new ChainOutput, input untouched.
 
@@ -181,17 +167,7 @@ def relabel_chain(output: ChainOutput, config: RelabelConfig | None = None) -> C
     if output.g == 1:
         return replace(output)
     config.check_draws(output.n_draws)
-    out = replace(
-        output,
-        weights=output.weights.copy(),
-        shifts=output.shifts.copy(),
-        means=output.means.copy(),
-        scales=output.scales.copy(),
-        ar=output.ar.copy(),
-        orders=output.orders.copy(),
-        allocations=None if output.allocations is None else output.allocations.copy(),
-    )
-    theta_all = feature_matrix(out, config.subset)
+    theta_all = feature_matrix(output, config.subset)
     centres = init_centres(theta_all[: config.m])
 
     full_var = theta_all.var(axis=0)
@@ -204,12 +180,14 @@ def relabel_chain(output: ChainOutput, config: RelabelConfig | None = None) -> C
             RuntimeWarning,
         )
 
-    g = out.g
-    orders = out.orders.tolist()
-    for i in range(config.m, out.n_draws):
+    g = output.g
+    orders = output.orders.tolist()
+    perms = np.tile(np.arange(g), (output.n_draws, 1))  # row i relabels draw i
+    for i in range(config.m, output.n_draws):
         perm = assign_permutation(theta_all[i], centres, tuple(orders[i]))
-        if perm != tuple(range(g)):
-            _apply_perm_to_output(out, i, perm)
-        relabelled = _permute_row(theta_all[i], g, perm)
-        centres = update_centres(centres, relabelled)
-    return out
+        perms[i] = perm
+        centres = update_centres(centres, _permute_row(theta_all[i], g, perm))
+
+    rows = np.arange(output.n_draws)[:, None]
+    names = ("weights", "shifts", "means", "scales", "ar", "orders")
+    return replace(output, **{name: getattr(output, name)[rows, perms] for name in names})

@@ -70,14 +70,13 @@ def birth_acceptance(
     config: OrderMoveConfig,
     k: int,
     proposed_coeff: float,
-    cond: int | None = None,
 ) -> float:
     """Acceptance probability of appending proposed_coeff to component k."""
     spec = state.spec
     p = spec.orders[k - 1]
     if p >= config.p_max:
         raise ValueError(f"component {k} already at p_max={config.p_max}")
-    yt, lm = series.design(config.p_max if cond is None else cond)
+    yt, lm = series.design(config.p_max)
     ratio = config.death_prob(p + 1) / config.birth_prob(p)
     new_coeffs = np.append(spec.ar_coeffs[k - 1], proposed_coeff)
     return math.exp(
@@ -92,7 +91,6 @@ def death_acceptance(
     series: TimeSeries,
     config: OrderMoveConfig,
     k: int,
-    cond: int | None = None,
 ) -> float:
     """Acceptance probability of dropping the last coefficient of component k."""
     spec = state.spec
@@ -102,7 +100,7 @@ def death_acceptance(
     w = config.birth_half_width
     if abs(float(spec.ar_coeffs[k - 1][-1])) >= w:
         return 0.0  # a birth could not have proposed the dropped coefficient
-    yt, lm = series.design(config.p_max if cond is None else cond)
+    yt, lm = series.design(config.p_max)
     ratio = config.birth_prob(p - 1) / config.death_prob(p)
     new_coeffs = spec.ar_coeffs[k - 1][:-1].copy()
     return math.exp(
@@ -124,7 +122,6 @@ def order_move(
     config: OrderMoveConfig,
     k: int,
     rng: np.random.Generator,
-    cond: int | None = None,
 ) -> tuple[ChainState, OrderMoveResult]:
     """One birth/death move on component k; allocations are kept as they are."""
     direction = propose_order_move(state, config, k, rng)
@@ -132,10 +129,10 @@ def order_move(
         return state, OrderMoveResult("none", k, 0.0, False)
     if direction == "birth":
         u = rng.uniform(-config.birth_half_width, config.birth_half_width)
-        alpha = birth_acceptance(state, series, config, k, u, cond)
+        alpha = birth_acceptance(state, series, config, k, u)
         new_coeffs = np.append(state.spec.ar_coeffs[k - 1], u)
     else:
-        alpha = death_acceptance(state, series, config, k, cond)
+        alpha = death_acceptance(state, series, config, k)
         new_coeffs = state.spec.ar_coeffs[k - 1][:-1].copy()
     accepted = rng.random() < alpha
     if accepted:
@@ -180,29 +177,25 @@ def rjmcmc_run(
     hyper: Hyperparams,
     config: OrderMoveConfig,
     seed: int,
-    start_orders: tuple[int, ...] | None = None,
 ) -> tuple[OrderTrace, ChainOutput]:
     """Joint chain over parameters and orders.
 
     Every likelihood inside the run conditions on the first p_max
-    observations so states of different dimension share one data set.  One
-    order move on a uniformly chosen component follows each parameter sweep.
+    observations so states of different dimension share one data set.  The
+    chain starts at all orders 1, and one order move on a uniformly chosen
+    component follows each parameter sweep.
     `evidence.marginal_log_likelihood` skips this chain when p_max = 1, where
     the only reachable configuration is all orders 1.
     """
-    cond = config.p_max
-    orders0 = tuple([1] * g) if start_orders is None else tuple(int(p) for p in start_orders)
-    if len(orders0) != g or any(not 1 <= p <= config.p_max for p in orders0):
-        raise ValueError("start orders must lie in 1..p_max for every component")
     moves: Counter = Counter()
 
     def move(state, rng):
         k = int(rng.integers(1, g + 1))
-        state, result = order_move(state, series, config, k, rng, cond)
+        state, result = order_move(state, series, config, k, rng)
         moves[result.direction, result.accepted] += 1
         return state
 
-    output = _run(series, g, orders0, hyper, seed, cond, config.p_max, move)
+    output = _run(series, g, (1,) * g, hyper, seed, config.p_max, config.p_max, move)
     trace = OrderTrace(
         orders=output.orders,
         birth_attempts=moves["birth", True] + moves["birth", False],

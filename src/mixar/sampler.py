@@ -90,8 +90,8 @@ def check_chain_settings(a, c, gamma, n_iter, burn_in, pilot_iters) -> None:
         raise ValueError("n_iter must be positive")
     if not 0 <= burn_in < n_iter:
         raise ValueError("burn_in must satisfy 0 <= burn_in < n_iter")
-    if pilot_iters < 0:
-        raise ValueError("pilot_iters must be nonnegative")
+    if gamma is None and pilot_iters < 500:
+        raise ValueError("pilot_iters must be at least 500 when gamma is tuned")
 
 
 def default_hyperparams(series: TimeSeries, **overrides) -> Hyperparams:
@@ -154,7 +154,6 @@ class SweepInfo:
     attempted: np.ndarray
     accepted: np.ndarray
     stability_rejected: bool
-    log_likelihood: float
 
 
 @dataclass
@@ -182,7 +181,6 @@ class ChainOutput:
     seed: int | None
     burn_in: int
     fixed_shift: bool
-    allocations: np.ndarray | None = None
 
     @property
     def n_draws(self) -> int:
@@ -470,8 +468,8 @@ def gibbs_sweep(
         new_state = ChainState(spec0, state.alloc, state.lam, state.iteration + 1, state.means)
         object.__setattr__(new_state, "terms", state.terms)
         rejected = True
-    ll = float(np.sum(state_log_terms(new_state, series.values, yt, lm)[1]))
-    return new_state, SweepInfo(attempted, accepted, rejected, ll)
+    state_log_terms(new_state, series.values, yt, lm)  # memoized for the next allocation draw
+    return new_state, SweepInfo(attempted, accepted, rejected)
 
 
 def make_log_prior(hyper: Hyperparams, g: int):
@@ -535,11 +533,9 @@ def initial_state(
     1/var(y); per-component AR coefficients by ridge least squares on the
     initial bins, shrunk toward zero until the whole model is stable.
     """
-    if g < 1:
-        raise ValueError("g must be >= 1")
     orders = tuple(int(p) for p in orders)
-    if len(orders) != g or any(p < 1 for p in orders):
-        raise ValueError("orders must give a positive order for every component")
+    if not 0 < g == len(orders) or any(p < 1 for p in orders):
+        raise ValueError("orders must give a positive order for each of g >= 1 components")
     p = max(orders)
     c = p if cond is None else int(cond)
     if c < p or series.n <= c:
@@ -602,25 +598,22 @@ def tune_gamma(
     g: int,
     orders: tuple[int, ...],
     hyper: Hyperparams,
-    pilot_iters: int,
     rng: np.random.Generator,
     state: ChainState | None = None,
     cond: int | None = None,
 ) -> tuple[np.ndarray, np.ndarray, ChainState]:
     """Stochastic-approximation tuning of the RWM proposal precisions.
 
-    Adjusts log gamma_k in batches toward the target acceptance rate and
-    freezes the result.  Returns the tuned gamma, the last observed batch
-    acceptance rates and the pilot's final state so the main chain can
-    continue from it.
+    Runs hyper.pilot_iters sweeps, adjusting log gamma_k in batches toward
+    the target acceptance rate, and freezes the result.  Returns the tuned
+    gamma, the last observed batch acceptance rates and the pilot's final
+    state so the main chain can continue from it.
     """
-    if pilot_iters < 500:
-        raise ValueError("pilot_iters must be at least 500")
     if state is None:
         state = initial_state(series, g, orders, hyper, rng, cond)
     gamma = resolve_gamma(hyper.gamma, g) if hyper.gamma is not None else np.full(g, 100.0)
     log_gamma = np.log(gamma)
-    n_batches = pilot_iters // TUNE_BATCH
+    n_batches = hyper.pilot_iters // TUNE_BATCH
     rates = np.zeros(g)
     for bi in range(n_batches):
         acc = np.zeros(g)
@@ -652,7 +645,6 @@ def _run(
     cond: int,
     width: int,
     move=None,
-    collect_allocations: bool = False,
 ) -> ChainOutput:
     """The chain loop shared by `run_chain` and `rjmcmc.rjmcmc_run`.
 
@@ -668,9 +660,7 @@ def _run(
     if hyper.gamma is not None:
         gamma = resolve_gamma(hyper.gamma, g)
     else:
-        gamma, _, state = tune_gamma(
-            series, g, orders, hyper, hyper.pilot_iters, rng, state=state, cond=cond
-        )
+        gamma, _, state = tune_gamma(series, g, orders, hyper, rng, state=state, cond=cond)
 
     n_keep = hyper.n_iter - hyper.burn_in
     weights = np.empty((n_keep, g))
@@ -682,7 +672,6 @@ def _run(
     lam = np.empty(n_keep)
     ll = np.empty(n_keep)
     lp = np.empty(n_keep)
-    allocs = np.empty((n_keep, series.n - cond), dtype=np.int8) if collect_allocations else None
     yt, lm = series.design(cond)
     log_prior = make_log_prior(hyper, g)
 
@@ -707,8 +696,6 @@ def _run(
         lam[j] = state.lam
         ll[j] = float(np.sum(state_log_terms(state, series.values, yt, lm)[1]))
         lp[j] = ll[j] + log_prior(spec.weights, state.means, spec.scales)
-        if collect_allocations:
-            allocs[j] = state.alloc.z
 
     return ChainOutput(
         g=g,
@@ -728,7 +715,6 @@ def _run(
         seed=seed,
         burn_in=hyper.burn_in,
         fixed_shift=hyper.fixed_shift,
-        allocations=allocs,
     )
 
 
@@ -739,7 +725,6 @@ def run_chain(
     hyper: Hyperparams,
     seed: int,
     cond: int | None = None,
-    collect_allocations: bool = False,
 ) -> ChainOutput:
     """Run a fixed-order chain: optional pilot tuning, burn-in, retention.
 
@@ -750,6 +735,4 @@ def run_chain(
     orders = tuple(int(p) for p in orders)
     p = max(orders)
     c = p if cond is None else int(cond)
-    return _run(
-        series, g, orders, hyper, seed, c, p, collect_allocations=collect_allocations
-    )
+    return _run(series, g, orders, hyper, seed, c, p)

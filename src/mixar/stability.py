@@ -39,13 +39,6 @@ def companion_matrices(spec: "MARSpec") -> np.ndarray:
     return a
 
 
-def companion_matrix(spec: "MARSpec", k: int) -> np.ndarray:
-    """Companion matrix A_k of component k (1-based), zero-padded to p."""
-    if not 1 <= k <= spec.g:
-        raise ValueError(f"component index k={k} must lie in 1..{spec.g}")
-    return companion_matrices(spec)[k - 1]
-
-
 def stability_matrix(spec: "MARSpec") -> np.ndarray:
     """Weighted Kronecker-square matrix A = sum_k pi_k (A_k kron A_k).
 
@@ -64,8 +57,6 @@ def stability_matrix(spec: "MARSpec") -> np.ndarray:
 
 def spectral_radius(matrix: np.ndarray) -> float:
     """Largest eigenvalue modulus, by dense eigenvalue decomposition."""
-    if matrix.shape == (1, 1):
-        return abs(float(matrix[0, 0]))
     try:
         eigvals = np.linalg.eigvals(matrix)
     except np.linalg.LinAlgError as err:

@@ -128,18 +128,14 @@ def summarize(draws: np.ndarray, name: str = "") -> ParameterSummary:
     )
 
 
-def density_grid(
-    draws: np.ndarray, lower: float, upper: float, points: int = GRID_POINTS
-) -> DensityGrid:
-    """Gaussian KDE (Silverman bandwidth) of the draws on [lower, upper]."""
+def density_grid(draws: np.ndarray, lower: float, upper: float) -> DensityGrid:
+    """Gaussian KDE (Silverman bandwidth) of the draws on GRID_POINTS points of [lower, upper]."""
     draws = np.asarray(draws, dtype=float).reshape(-1)
     if upper <= lower:
         raise ValueError(f"upper bound {upper} must exceed lower bound {lower}")
-    if points < 2:
-        raise ValueError("need at least two grid points")
     if draws.size < 2 or np.all(draws == draws[0]):
         raise ValueError("draws are degenerate; a kernel density estimate is undefined")
-    x = np.linspace(lower, upper, points)
+    x = np.linspace(lower, upper, GRID_POINTS)
     return DensityGrid(x=x, density=kde(draws, x))
 
 

@@ -30,9 +30,7 @@ from mixar.config import (
 from mixar.io import (
     draws_header,
     jsonify,
-    read_csv_columns,
     read_draws_csv,
-    read_json,
     read_series_csv,
     summaries_payload,
     write_draws_csv,
@@ -120,6 +118,9 @@ class TestValidation:
             self.base(difference=True, log_transform=True)
         with pytest.raises(ValueError, match="workers"):
             self.base(workers=0)
+        with pytest.raises(ValueError, match="pilot_iters must be at least 500"):
+            self.base(pilot_iters=100)
+        assert self.base(pilot_iters=100, gamma=50.0).pilot_iters == 100
 
     def test_mc_mode_normalized(self):
         cfg = self.base(mode="mc")
@@ -294,6 +295,17 @@ class TestRefusedBeforeTheFirstSweep:
         ])])
         assert code == 0
 
+    def test_short_pilot(self, b_series, tmp_path, monkeypatch, capsys):
+        # a tuned gamma needs a pilot of at least 500 sweeps
+        monkeypatch.setattr(mixar.cli, "run_chain", _no_chain)
+        out = tmp_path / "fit"
+        code = run_cli(["fit", *_sets([
+            f"input={b_series}", f"output_dir={out}", "g=3", "orders=2,1,1", "pilot_iters=100",
+        ])])
+        assert code == 2
+        assert "pilot_iters must be at least 500" in capsys.readouterr().err
+        assert not (out / "draws.csv").exists()
+
     def test_select_refuses_orders_it_would_ignore(self, b_series, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(mixar.cli, "select_g", _no_chain)
         code = run_cli(["select", *_sets([
@@ -306,6 +318,12 @@ class TestRefusedBeforeTheFirstSweep:
 
 def run_cli(args):
     return main(args)
+
+
+def csv_columns(path):
+    """name -> column of a CSV that a command wrote."""
+    header = Path(path).read_text().split("\n", 1)[0].split(",")
+    return dict(zip(header, np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2).T))
 
 
 class TestSimulate:
@@ -327,7 +345,7 @@ class TestSimulate:
         assert run_cli(["simulate", "--set", f"output_dir={d}",
                         "--set", "spec=B"]) == 0
         assert read_series_csv(d / "series.csv").size == 600
-        manifest = read_json(d / "manifest.json")
+        manifest = json.loads((d / "manifest.json").read_text())
         assert manifest["command"] == "simulate"
         assert manifest["seed"] == 0
         assert manifest["config"]["spec"] == "B"
@@ -339,7 +357,7 @@ class TestSimulate:
     def test_model_a_radius_in_manifest(self, tmp_path):
         d = tmp_path / "sim"
         run_cli(["simulate", "--set", f"output_dir={d}", "--set", "n=10"])
-        diag = read_json(d / "manifest.json")["diagnostics"]
+        diag = json.loads((d / "manifest.json").read_text())["diagnostics"]
         assert diag["spectral_radius"] == pytest.approx(0.625, abs=1e-12)
 
     def test_unstable_user_spec_refused(self, tmp_path, capsys):
@@ -530,7 +548,7 @@ class TestFit:
         _, fit = fitted
         assert (fit / "draws.csv").exists()
         assert (fit / "summaries.json").exists()
-        manifest = read_json(fit / "manifest.json")
+        manifest = json.loads((fit / "manifest.json").read_text())
         assert manifest["command"] == "fit"
         diag = manifest["diagnostics"]
         assert diag["g"] == 2 and diag["orders"] == [1, 1]
@@ -541,7 +559,7 @@ class TestFit:
         _, fit = fitted
         header = (fit / "draws.csv").read_text().splitlines()[0].split(",")
         assert header == draws_header(2, 1)
-        cols = read_csv_columns(fit / "draws.csv")
+        cols = csv_columns(fit / "draws.csv")
         assert cols["iteration"].size == 600
         assert np.all(cols["order_1"] == 1)
 
@@ -553,7 +571,7 @@ class TestFit:
         assert reloaded.g == 2 and reloaded.cond == 1
         assert not reloaded.fixed_shift
         payload = jsonify(summaries_payload(_fit_summaries(reloaded)))
-        assert payload == read_json(fit / "summaries.json")
+        assert payload == json.loads((fit / "summaries.json").read_text())
 
     def test_repeat_run_is_bitwise_identical(self, fitted, tmp_path):
         sim, fit = fitted
@@ -572,8 +590,8 @@ class TestFit:
         assert (again / "summaries.json").read_bytes() == (
             fit / "summaries.json"
         ).read_bytes()
-        m1 = read_json(fit / "manifest.json")
-        m2 = read_json(again / "manifest.json")
+        m1 = json.loads((fit / "manifest.json").read_text())
+        m2 = json.loads((again / "manifest.json").read_text())
         assert m1["config"] != m2["config"]  # output_dir differs
         m1["config"].pop("output_dir")
         m2["config"].pop("output_dir")
@@ -608,11 +626,11 @@ class TestForecast:
             "--set", "horizon=2", "--set", "thin=20",
         ])
         assert code == 0
-        cols = read_csv_columns(fc / "forecast.csv")
+        cols = csv_columns(fc / "forecast.csv")
         assert list(cols) == ["y", "mean", "lo90", "hi90"]
         assert cols["y"].size == 512
         assert np.all(cols["lo90"] <= cols["hi90"] + 1e-12)
-        diag = read_json(fc / "manifest.json")["diagnostics"]
+        diag = json.loads((fc / "manifest.json").read_text())["diagnostics"]
         assert diag["integral_ok"] is True
         assert abs(diag["integral"] - 1.0) <= 1e-3
         assert diag["mode"] == "exact" and diag["horizon"] == 2
@@ -630,7 +648,7 @@ class TestForecast:
             "--set", "mode=mc", "--set", "mc_paths=2000",
         ])
         assert code == 0
-        diag = read_json(fc / "manifest.json")["diagnostics"]
+        diag = json.loads((fc / "manifest.json").read_text())["diagnostics"]
         assert diag["mode"] == "monte-carlo"
         assert abs(diag["integral"] - 1.0) <= 5e-3
 
@@ -644,8 +662,8 @@ class TestForecast:
         code = run_cli(base + ["--set", f"output_dir={fc}", "--set", "mode=monte-carlo",
                                "--set", "mc_paths=500"])
         assert code == 0
-        assert read_csv_columns(fc / "forecast.csv")["y"].size == 512
-        assert read_json(fc / "manifest.json")["diagnostics"]["predictive_sd"] > 0
+        assert csv_columns(fc / "forecast.csv")["y"].size == 512
+        assert json.loads((fc / "manifest.json").read_text())["diagnostics"]["predictive_sd"] > 0
         code = run_cli(base + ["--set", f"output_dir={tmp_path / 'exact13'}",
                                "--set", "mode=exact"])
         assert code == 2
@@ -662,7 +680,7 @@ class TestForecast:
             "--set", "horizon=2", "--set", "thin=20",
         ])
         assert code == 0
-        assert read_json(fc / "manifest.json")["diagnostics"]["integral_ok"] is True
+        assert json.loads((fc / "manifest.json").read_text())["diagnostics"]["integral_ok"] is True
 
     def test_missing_draws_file(self, fitted, tmp_path, capsys):
         sim, _ = fitted
@@ -696,7 +714,7 @@ class TestSelect:
             "--set", "relabel_warm_start=100", "--set", "seed=4",
         ])
         assert code == 0
-        report = read_json(out / "evidence.json")
+        report = json.loads((out / "evidence.json").read_text())
         assert report["best_g"] == 1
         (model,) = report["models"]
         assert model["g"] == 1
@@ -712,7 +730,7 @@ class TestSelect:
             - parts["log_order_posterior"]
         )
         assert model["log_marginal"] == pytest.approx(recomposed, abs=1e-9)
-        diag = read_json(out / "manifest.json")["diagnostics"]
+        diag = json.loads((out / "manifest.json").read_text())["diagnostics"]
         assert diag["best_g"] == 1 and diag["workers"] == 1
 
     def test_single_gamma_for_every_candidate(self, tmp_path):
@@ -730,7 +748,7 @@ class TestSelect:
             "--set", "workers=1", "--set", "seed=6",
         ])
         assert code == 0
-        report = read_json(out / "evidence.json")
+        report = json.loads((out / "evidence.json").read_text())
         assert [m["g"] for m in report["models"]] == [1, 2]
 
 
@@ -752,11 +770,11 @@ class TestReplicate:
             "pi_2", "shift_2", "sigma_2", "ar_2_1",
         ]
         for name in names:
-            cols = read_csv_columns(out / f"replicate_{name}.csv")
+            cols = csv_columns(out / f"replicate_{name}.csv")
             assert list(cols) == ["y", "density"]
             assert cols["y"].size == 512
             assert np.all(cols["density"] >= 0)
-        diag = read_json(out / "manifest.json")["diagnostics"]
+        diag = json.loads((out / "manifest.json").read_text())["diagnostics"]
         assert diag["replicas"] == 2
         assert set(diag["density_modes"]) == set(names)
 
@@ -796,6 +814,6 @@ class TestReplicate:
     def test_fixed_shift_pins_the_shifts(self, tmp_path):
         out = tmp_path / "rep"
         assert self.short_study(out, "--set", "fixed_shift=yes") == 0
-        modes = read_json(out / "manifest.json")["diagnostics"]["density_modes"]
+        modes = json.loads((out / "manifest.json").read_text())["diagnostics"]["density_modes"]
         assert set(modes) == {"pi_1", "sigma_1", "ar_1_1", "pi_2", "sigma_2", "ar_2_1"}
         assert not list(out.glob("replicate_shift_*.csv"))

@@ -15,7 +15,6 @@ from mixar.evidence import (
     estimate_pi_ordinate,
     marginal_log_likelihood,
     select_g,
-    select_theta_star,
     starred_point,
     theta_star_index,
 )
@@ -71,8 +70,7 @@ class TestThetaStar:
             log_post=[1.0, 5.0, 2.0],
         )
         assert theta_star_index(out) == 1
-        spec = select_theta_star(out)
-        np.testing.assert_array_equal(spec.weights, [0.6, 0.4])
+        np.testing.assert_array_equal(starred_point(out).spec.weights, [0.6, 0.4])
 
     def test_tie_takes_earliest(self):
         out = chain_output(
@@ -94,7 +92,6 @@ class TestThetaStar:
         )
         star = starred_point(out)
         assert star.spec.shifts[0] == pytest.approx(1.0)  # 2.0 * (1 - 0.5)
-        assert star.index == 0
 
     def test_fixed_shift_stays_zero(self):
         out = chain_output(
@@ -117,16 +114,6 @@ class TestThetaStar:
         )
         with pytest.raises(ValueError, match="unstable"):
             starred_point(out)
-
-    def test_explicit_index_override(self):
-        out = chain_output(
-            weights=[[0.5, 0.5], [0.6, 0.4]],
-            means=[[0.0, 1.0]] * 2,
-            ar=np.zeros((2, 2, 1)),
-            scales=[[1.0, 2.0]] * 2,
-            log_post=[9.0, 1.0],
-        )
-        assert starred_point(out, index=1).index == 1
 
 
 class TestConfig:
@@ -157,7 +144,7 @@ class TestOrdinates:
         )
         from mixar.evidence import StarredPoint
 
-        star = StarredPoint(spec=spec, means=np.zeros(1), index=0)
+        star = StarredPoint(spec=spec, means=np.zeros(1))
         val = estimate_mu_ordinate(
             series, star, hyper, np.array([1.0]), EvidenceConfig(), None, 1
         )
@@ -177,7 +164,7 @@ class TestOrdinates:
         )
         from mixar.evidence import StarredPoint
 
-        star = StarredPoint(spec=spec, means=np.array([0.0, 50.0]), index=0)
+        star = StarredPoint(spec=spec, means=np.array([0.0, 50.0]))
         hyper = Hyperparams(zeta=0.0, kappa=1.0, b=1.0)
         config = EvidenceConfig(n_j=1, n_i=40, reduced_burn_in=5)
         val = estimate_pi_ordinate(
@@ -198,7 +185,7 @@ class TestOrdinates:
         )
         from mixar.evidence import StarredPoint
 
-        star = StarredPoint(spec=spec, means=np.zeros(1), index=0)
+        star = StarredPoint(spec=spec, means=np.zeros(1))
         config = EvidenceConfig(n_j=3, n_i=3, reduced_burn_in=2)
         with pytest.raises(ValueError, match="degenerate"):
             estimate_phi_ordinate(

@@ -1,5 +1,6 @@
 """Every top-level import of a mixar module is used there (or re-exported by __all__),
-every function the benchmark's traced run wraps still exists, and every
+every public function has a caller in the package or is exported, every
+function the benchmark's traced run wraps still exists, and every
 configuration key has a reader."""
 
 import ast
@@ -49,6 +50,43 @@ def test_guard_flags_an_unused_import(tmp_path):
         "x = np.zeros(1)\n\n@dataclass\nclass A:\n    y: int = 0\n"
     )
     assert unused_imports(module) == ["field (line 4)", "math (line 2)"]
+
+
+def package_sources() -> dict[str, str]:
+    return {path.stem: path.read_text() for path in sorted(SRC.glob("*.py"))}
+
+
+def uncalled_functions(sources: dict[str, str]) -> list[str]:
+    """Top-level public functions, as module.name, that `mixar.__all__` does not
+    export and that no module of `sources` names (as a variable or an attribute)."""
+    import mixar
+
+    trees = {module: ast.parse(text) for module, text in sources.items()}
+    named = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+    return sorted(
+        f"{module}.{node.name}"
+        for module, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+        and node.name not in mixar.__all__ and node.name not in named
+    )
+
+
+def test_every_public_function_has_a_caller():
+    # a function that only the tests call is a second surface to keep in step
+    assert uncalled_functions(package_sources()) == []
+
+
+def test_guard_flags_a_function_nothing_calls():
+    sources = package_sources()
+    sources["model"] += "\n\ndef component_mean(spec, k):\n    return spec.shifts[k - 1]\n"
+    assert uncalled_functions(sources) == ["model.component_mean"]
 
 
 TRACE_RUN = Path(__file__).resolve().parents[1] / "benchmarks" / "trace_run.py"

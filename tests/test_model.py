@@ -10,15 +10,13 @@ from scipy import special
 
 from mixar.datasets import model_a_spec, model_b_spec
 from mixar.model import (
+    LOG_2PI,
     LatentAllocation,
     MARSpec,
     TimeSeries,
     _design,
     _log_terms,
-    complete_data_log_likelihood,
-    component_mean,
     component_means_at,
-    component_residual,
     conditional_cdf,
     conditional_moments,
     conditional_pdf,
@@ -185,13 +183,13 @@ class TestConditionals:
     def test_residual_by_hand(self):
         spec = model_a_spec()
         series = TimeSeries([1.0, 2.0, 0.5])
-        # t=2: nu_1 = -0.5*1 = -0.5, nu_2 = 1*1 = 1
-        assert component_residual(spec, series, 1, 2) == pytest.approx(2.5)
-        assert component_residual(spec, series, 2, 2) == pytest.approx(1.0)
+        # t=2: nu_1 = -0.5*1 = -0.5, nu_2 = 1*1 = 1, so the residuals are (2.5, 1)
+        np.testing.assert_allclose(component_means_at(spec, series.values, 2), [-0.5, 1.0])
+        e = np.array([2.5, 1.0])
+        row = np.log(spec.weights / spec.scales) - 0.5 * (e / spec.scales) ** 2 - 0.5 * LOG_2PI
+        np.testing.assert_allclose(_log_terms(spec, *_design(series.values, 1))[0], row)
         with pytest.raises(ValueError):
-            component_residual(spec, series, 3, 2)
-        with pytest.raises(ValueError):
-            component_residual(spec, series, 1, 1)
+            conditional_pdf(spec, series, 1)
 
     def test_pdf_at_zero_history(self):
         # equal-weight mixture of N(0,1) and N(0,4) at y=0:
@@ -237,15 +235,10 @@ class TestConditionals:
         assert var == pytest.approx(v_num, abs=1e-6)
 
     def test_component_mean_roundtrip(self):
+        # the component mean mu_k = phi_k0 / (1 - sum_i phi_ki) maps back to the shift
         spec = tiny_spec()
-        mu1 = component_mean(spec, 1)
-        assert mu1 == pytest.approx(0.3 / 0.5)
+        mu1 = 0.3 / (1.0 - 0.5)
         assert shift_from_mean(mu1, spec.ar_coeffs[0]) == pytest.approx(0.3)
-
-    def test_component_mean_unit_sum_is_none(self):
-        spec = model_a_spec()  # component 2 has sum phi = 1
-        assert component_mean(spec, 2) is None
-        assert component_mean(spec, 1) == pytest.approx(0.0)
 
 
 class TestKernels:
@@ -360,11 +353,12 @@ class TestLikelihood:
                 scales=rng.uniform(0.5, 2.0, size=g),
             )
             series = TimeSeries(rng.normal(size=n))
-            m = n - 1
-            logs = []
-            for z in itertools.product(range(1, g + 1), repeat=m):
-                alloc = LatentAllocation(z=np.array(z), g=g)
-                logs.append(complete_data_log_likelihood(spec, series, alloc))
+            # row t of the log terms holds the complete-data term of each label
+            rows = _log_terms(spec, *_design(series.values, 1))
+            logs = [
+                float(rows[np.arange(n - 1), np.array(z) - 1].sum())
+                for z in itertools.product(range(1, g + 1), repeat=n - 1)
+            ]
             brute = math.log(sum(math.exp(v) for v in logs))
             assert log_likelihood(spec, series) == pytest.approx(brute, abs=1e-10)
 
@@ -378,14 +372,6 @@ class TestLikelihood:
             log_likelihood(spec, series, cond=0)
         with pytest.raises(ValueError):
             log_likelihood(spec, series, cond=10)
-
-    def test_complete_data_validation(self):
-        spec = tiny_spec()
-        series = TimeSeries(np.linspace(-1, 1, 6))
-        with pytest.raises(ValueError, match="covers"):
-            complete_data_log_likelihood(
-                spec, series, LatentAllocation(z=np.array([1, 2]), g=2)
-            )
 
 
 class TestACF:
@@ -457,5 +443,3 @@ class TestSimulate:
     def test_bad_arguments(self):
         with pytest.raises(ValueError):
             simulate_path(model_a_spec(), 0, seed=0)
-        with pytest.raises(ValueError):
-            simulate_path(model_a_spec(), 10, seed=0, burn=-1)

@@ -22,7 +22,7 @@ from mixar.sampler import ChainOutput, default_hyperparams, run_chain
 QUIET = pytest.mark.filterwarnings("ignore:warm-start variance")
 
 
-def make_output(rng, n=500, with_alloc=False):
+def make_output(rng, n=500):
     """Synthetic switch-free chain with well separated components."""
     w0 = rng.normal(0.3, 0.01, size=n)
     weights = np.column_stack([w0, 1.0 - w0])
@@ -31,7 +31,6 @@ def make_output(rng, n=500, with_alloc=False):
     ar = np.stack(
         [rng.normal(-0.5, 0.02, n), rng.normal(0.9, 0.01, n)], axis=1
     )[:, :, None]
-    alloc = rng.integers(1, 3, size=(n, 40)).astype(np.int8) if with_alloc else None
     return ChainOutput(
         g=2,
         cond=1,
@@ -50,7 +49,6 @@ def make_output(rng, n=500, with_alloc=False):
         seed=None,
         burn_in=0,
         fixed_shift=False,
-        allocations=alloc,
     )
 
 
@@ -75,10 +73,6 @@ def swap_rows(output, rows, perm=(1, 0)):
         arr[rows] = arr[rows][:, idx]
     output.ar[rows] = output.ar[rows][:, idx, :]
     output.orders[rows] = output.orders[rows][:, idx]
-    if output.allocations is not None:
-        inv = np.empty(output.g, dtype=np.int64)
-        inv[idx] = np.arange(output.g)
-        output.allocations[rows] = inv[output.allocations[rows] - 1] + 1
 
 
 def copy_output(output):
@@ -90,15 +84,12 @@ def copy_output(output):
         scales=output.scales.copy(),
         ar=output.ar.copy(),
         orders=output.orders.copy(),
-        allocations=None if output.allocations is None else output.allocations.copy(),
     )
 
 
 def assert_outputs_equal(a, b):
     for name in ("weights", "shifts", "means", "scales", "ar", "orders"):
         np.testing.assert_array_equal(getattr(a, name), getattr(b, name), err_msg=name)
-    if a.allocations is not None or b.allocations is not None:
-        np.testing.assert_array_equal(a.allocations, b.allocations)
 
 
 class TestCentres:
@@ -260,7 +251,7 @@ class TestRelabelChain:
         assert_outputs_equal(out, ref)  # input untouched
 
     def test_injected_swap_is_undone(self):
-        out = make_output(np.random.default_rng(5), with_alloc=True)
+        out = make_output(np.random.default_rng(5))
         ref = copy_output(out)
         swap_rows(out, slice(300, 400))
         assert not np.array_equal(out.weights, ref.weights)
@@ -276,7 +267,7 @@ class TestRelabelChain:
         assert_outputs_equal(once, twice)
 
     def test_equivariance_under_global_permutation(self):
-        out = make_output(np.random.default_rng(7), with_alloc=True)
+        out = make_output(np.random.default_rng(7))
         swap_rows(out, slice(220, 260))
         swapped = copy_output(out)
         swap_rows(swapped, slice(0, 500))

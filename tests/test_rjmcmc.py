@@ -225,15 +225,6 @@ class TestRun:
         for j in range(output.n_draws):
             assert output.log_likelihoods[j] == log_likelihood(output.spec_at(j), series, 3)
 
-    def test_start_orders_validation(self):
-        series = simulate_path(model_a_spec(), 60, seed=42)
-        hyper = default_hyperparams(series, n_iter=40, burn_in=10, gamma=(50.0, 50.0))
-        cfg = OrderMoveConfig(p_max=2)
-        with pytest.raises(ValueError, match="1..p_max"):
-            rjmcmc_run(series, 2, hyper, cfg, seed=43, start_orders=(0, 1))
-        with pytest.raises(ValueError, match="1..p_max"):
-            rjmcmc_run(series, 2, hyper, cfg, seed=43, start_orders=(3, 1))
-
     def test_gamma_length_checked(self):
         series = simulate_path(model_a_spec(), 60, seed=44)
         cfg = OrderMoveConfig(p_max=2)

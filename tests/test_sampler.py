@@ -429,9 +429,11 @@ class TestSweepWiring:
         return new_state, info, expect
 
     def test_allocations(self):
-        new_state, info, expect = self.sweeps()
+        new_state, _, expect = self.sweeps()
         np.testing.assert_array_equal(new_state.alloc.z, expect.alloc.z)
-        assert info.log_likelihood == log_likelihood(new_state.spec, tiny_series(), 1)
+        # the row norms memoized on the returned state sum to its log likelihood
+        ll = log_likelihood(new_state.spec, tiny_series(), 1)
+        assert float(np.sum(new_state.terms[3])) == ll
 
     def test_weights(self):
         new_state, _, expect = self.sweeps()
@@ -513,7 +515,7 @@ class TestLogTermMemo:
         assert a.lam == b.lam
         np.testing.assert_array_equal(info_a.accepted, info_b.accepted)
         assert info_a.stability_rejected == info_b.stability_rejected
-        assert info_a.log_likelihood == info_b.log_likelihood
+        np.testing.assert_array_equal(a.terms[3], b.terms[3])
         return a
 
     def swept(self):
@@ -529,13 +531,13 @@ class TestLogTermMemo:
     def test_sweep_keeps_the_terms_of_the_spec_it_returns(self):
         series, hyper, state = self.start()
         assert state.terms is None
-        new_state, info = gibbs_sweep(
+        new_state, _ = gibbs_sweep(
             state, series, hyper, np.random.default_rng(1), gamma=self.GAMMA
         )
         values, cond, logw, norm = new_state.terms
         assert values is series.values and cond == 2
         np.testing.assert_array_equal(logw, _log_terms(new_state.spec, *_design(series.values, 2)))
-        assert info.log_likelihood == log_likelihood(new_state.spec, series, 2)
+        assert float(np.sum(norm)) == log_likelihood(new_state.spec, series, 2)
 
     def test_sweep_from_memo_equals_sweep_from_fresh_state(self):
         series, hyper, state = self.start()
@@ -579,7 +581,7 @@ class TestLogTermMemo:
         assert info.stability_rejected
         assert new_state.spec is spec
         assert start is None and new_state.terms is state.terms
-        assert info.log_likelihood == log_likelihood(spec, series, 1)
+        assert float(np.sum(new_state.terms[3])) == log_likelihood(spec, series, 1)
 
 
 def veto_setup():
@@ -654,16 +656,16 @@ class TestGibbsSweep:
 
 class TestTuning:
     def test_pilot_too_short(self):
-        series = TimeSeries(np.linspace(-1, 1, 20))
-        hyper = base_hyper()
+        # refused with the settings, before any sweep runs; a set gamma needs no pilot
         with pytest.raises(ValueError, match="500"):
-            tune_gamma(series, 1, (1,), hyper, 499, np.random.default_rng(0))
+            base_hyper(pilot_iters=499)
+        assert base_hyper(pilot_iters=0, gamma=(50.0,)).pilot_iters == 0
 
     def test_acceptance_lands_in_band(self):
         series = simulate_path(model_a_spec(), 300, seed=7)
         hyper = default_hyperparams(series)
         rng = np.random.default_rng(16)
-        gamma, _, state = tune_gamma(series, 2, (1, 1), hyper, 2_000, rng)
+        gamma, _, state = tune_gamma(series, 2, (1, 1), hyper, rng)
         assert np.all(gamma > 0)
         # measure the long-run acceptance at the frozen gamma
         acc = np.zeros(2)
@@ -762,13 +764,6 @@ class TestRunChain:
                 spec.weights, out.means[i], spec.scales, hyper
             )
             assert out.log_posteriors[i] == pytest.approx(expect, abs=1e-8)
-
-    def test_collect_allocations(self):
-        series = simulate_path(model_a_spec(), 80, seed=27)
-        hyper = default_hyperparams(series, n_iter=300, burn_in=100, pilot_iters=500)
-        out = run_chain(series, 2, (1, 1), hyper, seed=28, collect_allocations=True)
-        assert out.allocations.shape == (200, series.n - out.cond)
-        assert out.allocations.min() >= 1 and out.allocations.max() <= 2
 
     def test_two_point_posterior_matches_grid(self):
         # stationarity smoke test: with one effective observation the phi

@@ -8,7 +8,6 @@ from mixar.model import MARSpec, simulate_path
 from mixar.stability import (
     StabilityReport,
     companion_matrices,
-    companion_matrix,
     is_stable,
     spectral_radius,
     stability_matrix,
@@ -50,17 +49,11 @@ def _power_iteration_radius(mat, iters=20_000):
 
 class TestCompanion:
     def test_model_a_companions(self):
-        spec = model_a_spec()
-        np.testing.assert_allclose(companion_matrix(spec, 1), [[-0.5]])
-        np.testing.assert_allclose(companion_matrix(spec, 2), [[1.0]])
-        with pytest.raises(ValueError):
-            companion_matrix(spec, 3)
+        np.testing.assert_allclose(companion_matrices(model_a_spec()), [[[-0.5]], [[1.0]]])
 
     def test_model_b_companion_layout(self):
-        spec = model_b_spec()
-        a1 = companion_matrix(spec, 1)
+        a1, a2, _ = companion_matrices(model_b_spec())
         np.testing.assert_allclose(a1, [[-0.5, 0.5], [1.0, 0.0]])
-        a2 = companion_matrix(spec, 2)
         np.testing.assert_allclose(a2, [[-0.4, 0.0], [1.0, 0.0]])
 
 
@@ -75,7 +68,7 @@ class TestStabilityMatrix:
         spec = model_b_spec()
         mat = stability_matrix(spec)
         expect = np.zeros((4, 4))
-        for w, a in zip(spec.weights, (companion_matrix(spec, k) for k in (1, 2, 3))):
+        for w, a in zip(spec.weights, companion_matrices(spec)):
             expect += w * np.kron(a, a)
         np.testing.assert_allclose(mat, expect)
 
@@ -98,7 +91,7 @@ class TestStabilityMatrix:
                 a = np.zeros((p, p))
                 a[0, : orders[k - 1]] = spec.ar_coeffs[k - 1]
                 a[np.arange(1, p), np.arange(p - 1)] = 1.0
-                np.testing.assert_array_equal(companion_matrix(spec, k), a)
+                np.testing.assert_array_equal(companion_matrices(spec)[k - 1], a)
                 expect += spec.weights[k - 1] * np.kron(a, a)
             got = stability_matrix(spec)
             assert got.shape == expect.shape
