@@ -37,7 +37,7 @@ from .model import MARSpec, TimeSeries, simulate_path
 from .relabel import ClusterCentres, assign_permutation, relabel_chain
 from .sampler import ChainOutput, default_hyperparams, run_chain
 from .stability import is_stable
-from .summary import DensityGrid, average_density, density_grid, summarize
+from .summary import DensityGrid, average_density, check_draw_count, density_grid, summarize
 
 WORKERS_ENV = "MIXAR_WORKERS"
 
@@ -141,6 +141,7 @@ def cmd_fit(config: RunConfig, out: Path) -> tuple[list[str], dict]:
     if orders is None:
         raise ValueError("fit needs orders=<comma separated list, one per component>")
     relabel = config.relabel_config(g)
+    check_draw_count(config.n_iter - config.burn_in)
     hyper = default_hyperparams(series, fixed_shift=fixed_shift, **config.chain_settings())
     output = run_chain(series, g, orders, hyper, config.seed)
     output = relabel_chain(output, relabel)

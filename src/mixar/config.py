@@ -122,8 +122,7 @@ class RunConfig:
     def chain_settings(self) -> dict:
         """Hyperparams overrides for every chain: prior shapes, run lengths and,
         when set, the one RWM proposal precision shared by every component."""
-        gamma = None if self.gamma is None else (self.gamma,)
-        return dict(a=self.a, c=self.c, gamma=gamma, n_iter=self.n_iter,
+        return dict(a=self.a, c=self.c, gamma=self.gamma, n_iter=self.n_iter,
                     burn_in=self.burn_in, pilot_iters=self.pilot_iters)
 
     def relabel_config(self, g: int = 1) -> RelabelConfig:

@@ -46,7 +46,6 @@ from .sampler import (
     ChainOutput,
     ChainState,
     Hyperparams,
-    UpdateMask,
     dirichlet_log_density,
     draw_allocations,
     draw_lambda,
@@ -102,8 +101,6 @@ class EvidenceResult:
     preference: float
     log_marginal: float
     parts: dict[str, float]
-    theta_star: MARSpec
-    theta_star_means: np.ndarray
     log_p_g: float | None = None
 
     def recompose(self) -> float:
@@ -148,12 +145,13 @@ def starred_point(output: ChainOutput) -> StarredPoint:
 
 
 def _reduced_log_mean(
-    mask, term, series, star, hyper, gamma, config, rng, cond, n_keep=None
+    pinned, term, series, star, hyper, gamma, config, rng, cond, n_keep=None
 ) -> float:
     """Run one reduced chain from theta*; log of the mean of exp(term(state)) over its draws.
 
     The chain starts at theta* with allocations and lambda drawn from their
-    full conditionals, then sweeps the blocks that `mask` leaves free for
+    full conditionals, then sweeps with the first `pinned` blocks of the
+    order phi_1, ..., phi_g, mu, tau held at theta* (see `gibbs_sweep`) for
     config.reduced_burn_in plus n_keep sweeps (default config.n_i).
     """
     n_keep = config.n_i if n_keep is None else n_keep
@@ -163,12 +161,11 @@ def _reduced_log_mean(
         spec=star.spec,
         alloc=draw_allocations(star.spec, yt, lm, rng),
         lam=draw_lambda(star.spec.scales, hyper, rng),
-        iteration=0,
         means=star.means,
     )
     terms = np.empty(n_keep)
     for i in range(burn + n_keep):
-        state, _ = gibbs_sweep(state, series, hyper, rng, cond=cond, gamma=gamma, update=mask)
+        state, _ = gibbs_sweep(state, series, hyper, rng, cond, gamma, pinned)
         if i >= burn:
             terms[i - burn] = term(state)
     return float(logsumexp(terms) - math.log(n_keep))
@@ -213,10 +210,8 @@ def estimate_phi_ordinate(
             prop = phi_star_k + rng.normal(0.0, 1.0 / math.sqrt(gamma_k), phi_star_k.size)
             return swap_log_alpha(state, yt, lm, k, prop)
 
-        mask1 = UpdateMask(ar=frozenset(range(k, g + 1)))
-        mask2 = UpdateMask(ar=frozenset(range(k + 1, g + 1)))
-        log_num = _reduced_log_mean(mask1, to_star, *args, n_keep=config.n_j)
-        log_den = _reduced_log_mean(mask2, from_star, *args)
+        log_num = _reduced_log_mean(k - 1, to_star, *args, n_keep=config.n_j)
+        log_den = _reduced_log_mean(k, from_star, *args)
         if not np.isfinite(log_num) or not np.isfinite(log_den):
             raise ValueError(
                 f"AR ordinate for component {k} degenerate (numerator {log_num}, "
@@ -256,8 +251,7 @@ def estimate_mu_ordinate(
             )
         return total
 
-    mask = UpdateMask(ar=frozenset())
-    return _reduced_log_mean(mask, term, series, star, hyper, gamma, config, rng, cond)
+    return _reduced_log_mean(g, term, series, star, hyper, gamma, config, rng, cond)
 
 
 def estimate_tau_ordinate(
@@ -289,8 +283,7 @@ def estimate_tau_ordinate(
             )
         return total
 
-    mask = UpdateMask(ar=frozenset(), means=False)
-    return _reduced_log_mean(mask, term, series, star, hyper, gamma, config, rng, cond)
+    return _reduced_log_mean(g + 1, term, series, star, hyper, gamma, config, rng, cond)
 
 
 def estimate_pi_ordinate(
@@ -312,8 +305,7 @@ def estimate_pi_ordinate(
     def term(state):
         return dirichlet_log_density(1.0 + state.alloc.counts, log_pi_star)
 
-    mask = UpdateMask(ar=frozenset(), means=False, precisions=False)
-    return _reduced_log_mean(mask, term, series, star, hyper, gamma, config, rng, cond)
+    return _reduced_log_mean(star.spec.g + 2, term, series, star, hyper, gamma, config, rng, cond)
 
 
 def _child_seeds(seed: int, n: int) -> list[int]:
@@ -378,8 +370,6 @@ def marginal_log_likelihood(
         preference=preference,
         log_marginal=math.nan,
         parts=parts,
-        theta_star=star.spec,
-        theta_star_means=star.means,
     )
     result.log_marginal = result.recompose()
     return result

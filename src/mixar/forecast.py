@@ -81,7 +81,6 @@ class ForecastResult:
     upper_90: np.ndarray
     predictive_mean: float
     predictive_sd: float
-    per_draw: np.ndarray | None = None
 
 
 def _history(series: TimeSeries, origin: int, p: int) -> np.ndarray:
@@ -292,5 +291,4 @@ def posterior_averaged_forecast(
         upper_90=np.quantile(rows, 0.95, axis=0),
         predictive_mean=mean,
         predictive_sd=math.sqrt(max(second - mean**2, 0.0)),
-        per_draw=rows,
     )

@@ -149,8 +149,6 @@ def read_draws_csv(path: str | Path) -> ChainOutput:
         acceptance=None,
         stability_rejections=0,
         gamma=None,
-        seed=None,
-        burn_in=0,
         fixed_shift=bool(np.all(shifts == 0.0)),
     )
 

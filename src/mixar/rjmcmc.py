@@ -54,90 +54,46 @@ class OrderMoveConfig:
         return 1.0 - self.birth_prob(p)
 
 
-def propose_order_move(
-    state: ChainState, config: OrderMoveConfig, k: int, rng: np.random.Generator
-) -> str:
-    """Draw the move direction for component k: "birth" or "death"."""
-    p = state.spec.orders[k - 1]
-    if config.p_max == 1:
-        return "none"
-    return "birth" if rng.random() < config.birth_prob(p) else "death"
-
-
-def birth_acceptance(
-    state: ChainState,
-    series: TimeSeries,
-    config: OrderMoveConfig,
-    k: int,
-    proposed_coeff: float,
-) -> float:
-    """Acceptance probability of appending proposed_coeff to component k."""
-    spec = state.spec
-    p = spec.orders[k - 1]
-    if p >= config.p_max:
-        raise ValueError(f"component {k} already at p_max={config.p_max}")
-    yt, lm = series.design(config.p_max)
-    ratio = config.death_prob(p + 1) / config.birth_prob(p)
-    new_coeffs = np.append(spec.ar_coeffs[k - 1], proposed_coeff)
-    return math.exp(
-        swap_log_alpha(
-            state, yt, lm, k, new_coeffs, math.log(ratio), math.log(2.0 * config.birth_half_width)
-        )
-    )
-
-
-def death_acceptance(
-    state: ChainState,
-    series: TimeSeries,
-    config: OrderMoveConfig,
-    k: int,
-) -> float:
-    """Acceptance probability of dropping the last coefficient of component k."""
-    spec = state.spec
-    p = spec.orders[k - 1]
-    if p <= 1:
-        raise ValueError(f"component {k} already at order 1")
-    w = config.birth_half_width
-    if abs(float(spec.ar_coeffs[k - 1][-1])) >= w:
-        return 0.0  # a birth could not have proposed the dropped coefficient
-    yt, lm = series.design(config.p_max)
-    ratio = config.birth_prob(p - 1) / config.death_prob(p)
-    new_coeffs = spec.ar_coeffs[k - 1][:-1].copy()
-    return math.exp(
-        swap_log_alpha(state, yt, lm, k, new_coeffs, math.log(ratio), math.log(1.0 / (2.0 * w)))
-    )
-
-
-@dataclass(frozen=True)
-class OrderMoveResult:
-    direction: str
-    k: int
-    alpha: float
-    accepted: bool
-
-
 def order_move(
     state: ChainState,
     series: TimeSeries,
     config: OrderMoveConfig,
     k: int,
     rng: np.random.Generator,
-) -> tuple[ChainState, OrderMoveResult]:
-    """One birth/death move on component k; allocations are kept as they are."""
-    direction = propose_order_move(state, config, k, rng)
-    if direction == "none":
-        return state, OrderMoveResult("none", k, 0.0, False)
-    if direction == "birth":
-        u = rng.uniform(-config.birth_half_width, config.birth_half_width)
-        alpha = birth_acceptance(state, series, config, k, u)
-        new_coeffs = np.append(state.spec.ar_coeffs[k - 1], u)
+) -> tuple[ChainState, str, bool]:
+    """One birth/death move on component k; allocations are kept as they are.
+
+    Returns the new state, the direction ("birth", "death", or "none" when
+    p_max = 1, where no move exists and nothing is drawn) and whether the
+    move was accepted.  The stream gives the direction uniform, a birth's
+    new coefficient, then the acceptance uniform, which is drawn even when
+    the acceptance probability is zero.
+    """
+    if config.p_max == 1:
+        return state, "none", False
+    spec = state.spec
+    p = spec.orders[k - 1]
+    w = config.birth_half_width
+    coeffs = spec.ar_coeffs[k - 1]
+    if rng.random() < config.birth_prob(p):
+        direction = "birth"
+        new_coeffs = np.append(coeffs, rng.uniform(-w, w))
+        log_move = math.log(config.death_prob(p + 1) / config.birth_prob(p))
+        log_q = math.log(2.0 * w)
     else:
-        alpha = death_acceptance(state, series, config, k)
-        new_coeffs = state.spec.ar_coeffs[k - 1][:-1].copy()
-    accepted = rng.random() < alpha
+        direction = "death"
+        new_coeffs = coeffs[:-1].copy()
+        log_move = math.log(config.birth_prob(p - 1) / config.death_prob(p))
+        log_q = math.log(1.0 / (2.0 * w))
+    if direction == "death" and abs(float(coeffs[-1])) >= w:
+        log_alpha = -math.inf  # a birth could not have proposed the dropped coefficient
+    else:
+        yt, lm = series.design(config.p_max)
+        log_alpha = swap_log_alpha(state, yt, lm, k, new_coeffs, log_move, log_q)
+    accepted = rng.random() < math.exp(log_alpha)
     if accepted:
-        state = replace(state, spec=state.spec.with_ar(k, new_coeffs))
-    return state, OrderMoveResult(direction, k, alpha, accepted)
+        state = replace(state, spec=spec.with_ar(k, new_coeffs))
+    return state, direction, accepted
 
 
 @dataclass
@@ -191,8 +147,8 @@ def rjmcmc_run(
 
     def move(state, rng):
         k = int(rng.integers(1, g + 1))
-        state, result = order_move(state, series, config, k, rng)
-        moves[result.direction, result.accepted] += 1
+        state, direction, accepted = order_move(state, series, config, k, rng)
+        moves[direction, accepted] += 1
         return state
 
     output = _run(series, g, (1,) * g, hyper, seed, config.p_max, config.p_max, move)

@@ -48,8 +48,8 @@ class Hyperparams:
     zeta, kappa: mean and precision of the component-mean prior.
     a, b: shape and rate of the Gamma prior on lambda.
     c: shape of the Gamma prior on the precisions tau_k.
-    gamma: RWM proposal precisions, one per component or a single value for
-        all of them (None means tune a pilot).
+    gamma: the RWM proposal precision of every component (None means tune
+        a pilot).
     fixed_shift: pin all shifts phi_k0 at zero and skip the mean update.
     """
 
@@ -58,7 +58,7 @@ class Hyperparams:
     b: float
     a: float = 0.2
     c: float = 2.0
-    gamma: tuple[float, ...] | None = None
+    gamma: float | None = None
     fixed_shift: bool = False
     burn_in: int = 10_000
     n_iter: int = 20_000
@@ -72,7 +72,7 @@ class Hyperparams:
         if not np.isfinite(self.zeta):
             raise ValueError("zeta must be finite")
         if self.gamma is not None:
-            object.__setattr__(self, "gamma", tuple(float(x) for x in self.gamma))
+            object.__setattr__(self, "gamma", float(self.gamma))
         check_chain_settings(
             self.a, self.c, self.gamma, self.n_iter, self.burn_in, self.pilot_iters
         )
@@ -82,9 +82,9 @@ def check_chain_settings(a, c, gamma, n_iter, burn_in, pilot_iters) -> None:
     """Range rules on the Hyperparams fields that a run configuration sets."""
     if not (a > 0 and c > 0):
         raise ValueError("prior shape parameters a and c must be positive")
-    if gamma is not None and not all(x > 0 for x in gamma):
+    if gamma is not None and not gamma > 0:
         raise ValueError("gamma must be positive")
-    if not np.all(np.isfinite((a, c) + (gamma or ()))):
+    if not np.all(np.isfinite((a, c) + (() if gamma is None else (gamma,)))):
         raise ValueError("a, c and gamma must be finite")
     if n_iter < 1:
         raise ValueError("n_iter must be positive")
@@ -123,7 +123,6 @@ class ChainState:
     spec: MARSpec
     alloc: LatentAllocation
     lam: float
-    iteration: int
     means: np.ndarray
     terms: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
@@ -131,22 +130,6 @@ class ChainState:
         object.__setattr__(self, "means", np.asarray(self.means, dtype=float).reshape(-1))
         if self.means.size != self.spec.g:
             raise ValueError("means must have one entry per component")
-
-
-@dataclass(frozen=True)
-class UpdateMask:
-    """Which blocks a sweep updates besides allocations, weights and lambda, which
-    it always draws; ar is a set of 1-based components (None = all)."""
-
-    means: bool = True
-    precisions: bool = True
-    ar: frozenset[int] | None = None
-
-    def ar_components(self, g: int) -> tuple[int, ...]:
-        return tuple(range(1, g + 1)) if self.ar is None else tuple(sorted(self.ar))
-
-
-FULL_SWEEP = UpdateMask()
 
 
 @dataclass(frozen=True)
@@ -178,8 +161,6 @@ class ChainOutput:
     acceptance: np.ndarray | None
     stability_rejections: int
     gamma: np.ndarray | None
-    seed: int | None
-    burn_in: int
     fixed_shift: bool
 
     @property
@@ -195,18 +176,6 @@ class ChainOutput:
             ar_coeffs=ar,
             scales=self.scales[i].copy(),
         )
-
-
-def resolve_gamma(gamma, g: int) -> np.ndarray:
-    """Per-component RWM proposal precisions; a single value applies to every component."""
-    if gamma is None:
-        raise ValueError("no proposal precision available; tune gamma first or set it")
-    gm = np.asarray(gamma, dtype=float).reshape(-1)
-    if gm.size == 1:
-        return np.full(g, gm[0])
-    if gm.size != g:
-        raise ValueError(f"gamma has length {gm.size}, expected 1 or {g}")
-    return gm
 
 
 # Block kernels, shared by the sweep, the reduced evidence chains and the
@@ -392,16 +361,17 @@ def gibbs_sweep(
     series: TimeSeries,
     hyper: Hyperparams,
     rng: np.random.Generator,
-    cond: int | None = None,
-    gamma: np.ndarray | None = None,
-    update: UpdateMask | None = None,
+    cond: int,
+    gamma: np.ndarray,
+    pinned: int = 0,
 ) -> tuple[ChainState, SweepInfo]:
     """One full sweep over all blocks, with the whole-model stability veto.
 
     Order: allocations, weights, means (unless fixed_shift), lambda,
-    precisions, RWM per component.  `update` can pin the means, the
-    precisions and any AR blocks at their current values, as the reduced
-    evidence chains do; the other blocks are always drawn.  If the
+    precisions, RWM per component with proposal precisions gamma.  `pinned`
+    holds the first `pinned` blocks of the evidence order phi_1, ..., phi_g,
+    mu, tau at their current values, as the reduced evidence chains do;
+    allocations, weights and lambda are always drawn.  If the
     end-of-sweep candidate spec is unstable, the entire previous state is
     restored bit for bit.  The log terms of the returned spec stay memoized
     on the returned state, so the next sweep's allocation draw does not
@@ -410,10 +380,6 @@ def gibbs_sweep(
     spec0 = state.spec
     g = spec0.g
     cond = _resolve_cond(spec0, series, cond)
-    update = update or FULL_SWEEP
-    ar_ks = update.ar_components(g)
-    if ar_ks:
-        gamma = resolve_gamma(hyper.gamma if gamma is None else gamma, g)
     yt, lm = series.design(cond)
 
     alloc = draw_allocations(spec0, yt, lm, rng, state_log_terms(state, series.values, yt, lm))
@@ -421,8 +387,9 @@ def gibbs_sweep(
     counts = alloc.counts
     weights = sample_weights(alloc, rng)
 
-    update_means = update.means and not hyper.fixed_shift
-    if update_means or update.precisions:
+    update_means = pinned <= g and not hyper.fixed_shift
+    update_precisions = pinned <= g + 1
+    if update_means or update_precisions:
         phi_mat = spec0.phi_matrix(lm.shape[1])
         fitted = lm @ phi_mat.T
     scales = spec0.scales
@@ -438,7 +405,7 @@ def gibbs_sweep(
 
     lam = draw_lambda(scales, hyper, rng)
 
-    if update.precisions:
+    if update_precisions:
         e = yt[:, None] - shifts[None, :] - fitted
         shape, rate = precisions_conditional(e, z0, counts, lam, hyper)
         scales = np.array(
@@ -450,7 +417,7 @@ def gibbs_sweep(
     ar = [a.copy() for a in spec0.ar_coeffs]
     attempted = np.zeros(g, dtype=bool)
     accepted = np.zeros(g, dtype=bool)
-    for k in ar_ks:
+    for k in range(pinned + 1, g + 1):
         attempted[k - 1] = True
         proposal = ar[k - 1] + rng.normal(0.0, 1.0 / math.sqrt(gamma[k - 1]), size=ar[k - 1].size)
         log_ratio = ar_log_ratio(
@@ -462,10 +429,10 @@ def gibbs_sweep(
 
     candidate = MARSpec(weights=weights, shifts=shifts, ar_coeffs=tuple(ar), scales=scales)
     if is_stable(candidate).stable:
-        new_state = ChainState(candidate, alloc, lam, state.iteration + 1, means)
+        new_state = ChainState(candidate, alloc, lam, means)
         rejected = False
     else:
-        new_state = ChainState(spec0, state.alloc, state.lam, state.iteration + 1, state.means)
+        new_state = ChainState(spec0, state.alloc, state.lam, state.means)
         object.__setattr__(new_state, "terms", state.terms)
         rejected = True
     state_log_terms(new_state, series.values, yt, lm)  # memoized for the next allocation draw
@@ -523,10 +490,9 @@ def initial_state(
     g: int,
     orders: tuple[int, ...],
     hyper: Hyperparams,
-    rng: np.random.Generator,
-    cond: int | None = None,
+    cond: int,
 ) -> ChainState:
-    """Deterministic-ish starting point for a chain.
+    """Deterministic starting point for a chain.
 
     Weights 1/g; allocations by quantile-binning the residuals of a global
     AR(p) least-squares fit; means at the series mean; precisions at
@@ -537,11 +503,10 @@ def initial_state(
     if not 0 < g == len(orders) or any(p < 1 for p in orders):
         raise ValueError("orders must give a positive order for each of g >= 1 components")
     p = max(orders)
-    c = p if cond is None else int(cond)
-    if c < p or series.n <= c:
+    if cond < p or series.n <= cond:
         raise ValueError("series too short for the requested orders/conditioning")
     values = series.values
-    yt, lm = series.design(c)
+    yt, lm = series.design(cond)
 
     x_full = np.column_stack([np.ones(yt.size), lm[:, :p]])
     beta, *_ = np.linalg.lstsq(x_full, yt, rcond=None)
@@ -584,7 +549,7 @@ def initial_state(
 
     alloc = LatentAllocation(z=z0 + 1, g=g)
     lam = hyper.a / hyper.b
-    return ChainState(spec=spec, alloc=alloc, lam=lam, iteration=0, means=means)
+    return ChainState(spec=spec, alloc=alloc, lam=lam, means=means)
 
 
 # Pilot tuning: batches of TUNE_BATCH sweeps, each moving log gamma_k toward
@@ -594,25 +559,23 @@ TUNE_BATCH = 50
 
 
 def tune_gamma(
+    state: ChainState,
     series: TimeSeries,
-    g: int,
-    orders: tuple[int, ...],
     hyper: Hyperparams,
     rng: np.random.Generator,
-    state: ChainState | None = None,
-    cond: int | None = None,
+    cond: int,
 ) -> tuple[np.ndarray, np.ndarray, ChainState]:
     """Stochastic-approximation tuning of the RWM proposal precisions.
 
-    Runs hyper.pilot_iters sweeps, adjusting log gamma_k in batches toward
-    the target acceptance rate, and freezes the result.  Returns the tuned
-    gamma, the last observed batch acceptance rates and the pilot's final
-    state so the main chain can continue from it.
+    Starts every gamma_k at 100 and runs hyper.pilot_iters // TUNE_BATCH
+    batches of TUNE_BATCH sweeps from `state` (pilot_iters = 520 runs 500
+    sweeps), moving log gamma_k after each batch toward the target
+    acceptance rate, then freezes the result.  Returns the tuned gamma, the
+    last batch's acceptance rates and the pilot's final state so the main
+    chain can continue from it.
     """
-    if state is None:
-        state = initial_state(series, g, orders, hyper, rng, cond)
-    gamma = resolve_gamma(hyper.gamma, g) if hyper.gamma is not None else np.full(g, 100.0)
-    log_gamma = np.log(gamma)
+    g = state.spec.g
+    log_gamma = np.log(np.full(g, 100.0))
     n_batches = hyper.pilot_iters // TUNE_BATCH
     rates = np.zeros(g)
     for bi in range(n_batches):
@@ -656,11 +619,11 @@ def _run(
     changed.  AR blocks are stored zero-padded to `width`.
     """
     rng = np.random.default_rng(seed)
-    state = initial_state(series, g, orders, hyper, rng, cond)
+    state = initial_state(series, g, orders, hyper, cond)
     if hyper.gamma is not None:
-        gamma = resolve_gamma(hyper.gamma, g)
+        gamma = np.full(g, hyper.gamma)
     else:
-        gamma, _, state = tune_gamma(series, g, orders, hyper, rng, state=state, cond=cond)
+        gamma, _, state = tune_gamma(state, series, hyper, rng, cond)
 
     n_keep = hyper.n_iter - hyper.burn_in
     weights = np.empty((n_keep, g))
@@ -712,8 +675,6 @@ def _run(
         acceptance=acc_counts / hyper.n_iter,
         stability_rejections=stab_rej,
         gamma=gamma,
-        seed=seed,
-        burn_in=hyper.burn_in,
         fixed_shift=hyper.fixed_shift,
     )
 

@@ -24,7 +24,6 @@ if TYPE_CHECKING:
 class StabilityReport:
     spectral_radius: float
     stable: bool
-    matrix_dim: int
 
 
 def companion_matrices(spec: "MARSpec") -> np.ndarray:
@@ -78,7 +77,6 @@ def is_stable(spec: "MARSpec") -> StabilityReport:
         total = 0.0
         for w, a in zip(spec.weights.tolist(), spec.phi_matrix()[:, 0].tolist()):
             total += w * (a * a)
-        return StabilityReport(spectral_radius=abs(total), stable=abs(total) < 1.0, matrix_dim=1)
-    mat = stability_matrix(spec)
-    radius = spectral_radius(mat)
-    return StabilityReport(spectral_radius=radius, stable=radius < 1.0, matrix_dim=mat.shape[0])
+        return StabilityReport(spectral_radius=abs(total), stable=abs(total) < 1.0)
+    radius = spectral_radius(stability_matrix(spec))
+    return StabilityReport(spectral_radius=radius, stable=radius < 1.0)

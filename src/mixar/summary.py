@@ -102,6 +102,12 @@ def _shortest_interval(sorted_draws: np.ndarray, mass: float) -> tuple[float, fl
     return float(sorted_draws[i]), float(sorted_draws[i + m - 1])
 
 
+def check_draw_count(n_draws: int) -> None:
+    """The summaries need at least 100 retained draws per parameter."""
+    if n_draws < 100:
+        raise ValueError(f"need at least 100 draws to summarize, got {n_draws}")
+
+
 def summarize(draws: np.ndarray, name: str = "") -> ParameterSummary:
     """Posterior mean, chain SD, shortest 90% interval and the density peak.
 
@@ -110,8 +116,7 @@ def summarize(draws: np.ndarray, name: str = "") -> ParameterSummary:
     estimate (Silverman bandwidth).  Requires at least 100 draws.
     """
     draws = np.asarray(draws, dtype=float).reshape(-1)
-    if draws.size < 100:
-        raise ValueError(f"need at least 100 draws to summarize, got {draws.size}")
+    check_draw_count(draws.size)
     if not np.all(np.isfinite(draws)):
         raise ValueError("draws must be finite")
     mean = float(draws.mean())

@@ -242,8 +242,6 @@ def three_component_chain(rng, n=600):
         acceptance=np.full(3, 0.2),
         stability_rejections=0,
         gamma=np.ones(3),
-        seed=0,
-        burn_in=0,
         fixed_shift=False,
     )
 

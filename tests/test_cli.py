@@ -18,6 +18,7 @@ import pytest
 
 import mixar
 import mixar.cli
+import mixar.sampler
 from mixar.cli import _align_to_truth, _fit_summaries, _resolve_workers, main
 from mixar.config import (
     RunConfig,
@@ -306,6 +307,19 @@ class TestRefusedBeforeTheFirstSweep:
         assert "pilot_iters must be at least 500" in capsys.readouterr().err
         assert not (out / "draws.csv").exists()
 
+    @pytest.mark.parametrize("shape", [
+        ["g=1", "orders=1", "n_iter=2150", "burn_in=2100"],
+        ["g=3", "orders=2,1,1", "n_iter=300", "burn_in=250", "relabel_warm_start=20"],
+    ])
+    def test_too_few_draws_to_summarize(self, b_series, tmp_path, monkeypatch, capsys, shape):
+        # the summaries need 100 retained draws; 50 are refused before the pilot
+        monkeypatch.setattr(mixar.sampler, "gibbs_sweep", _no_chain)
+        out = tmp_path / "fit"
+        code = run_cli(["fit", *_sets([f"input={b_series}", f"output_dir={out}", *shape])])
+        assert code == 2
+        assert "need at least 100 draws to summarize, got 50" in capsys.readouterr().err
+        assert not (out / "draws.csv").exists()
+
     def test_select_refuses_orders_it_would_ignore(self, b_series, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(mixar.cli, "select_g", _no_chain)
         code = run_cli(["select", *_sets([
@@ -515,8 +529,7 @@ def b_draws(tmp_path_factory):
         means=np.tile(spec.shifts, (n, 1)), scales=np.tile(spec.scales, (n, 1)),
         ar=np.tile(spec.phi_matrix(), (n, 1, 1)), orders=np.tile(spec.orders, (n, 1)),
         lam=np.ones(n), log_likelihoods=np.zeros(n), log_posteriors=np.zeros(n),
-        acceptance=None, stability_rejections=0, gamma=None, seed=None, burn_in=0,
-        fixed_shift=False,
+        acceptance=None, stability_rejections=0, gamma=None, fixed_shift=False,
     ))
     return root / "series.csv", root / "draws.csv"
 

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from mixar import forecast
 from mixar.datasets import model_a_spec, model_b_spec
 from mixar.forecast import (
     PRUNE_WEIGHT,
@@ -300,8 +301,6 @@ def one_draw_output(spec):
         acceptance=None,
         stability_rejections=0,
         gamma=None,
-        seed=None,
-        burn_in=0,
         fixed_shift=False,
     )
 
@@ -318,13 +317,21 @@ class TestPosteriorAveraging:
         direct = predictive_density_fixed(spec, series, series.n, 2, res.grid)
         np.testing.assert_allclose(res.mean_density, direct, atol=1e-14)
 
-    def test_thinning_and_band_order(self):
+    def test_thinning_and_band_order(self, monkeypatch):
         series = simulate_path(model_a_spec(), 150, seed=11)
         hyper = default_hyperparams(series, n_iter=600, burn_in=300, pilot_iters=500)
         out = run_chain(series, 2, (1, 1), hyper, seed=12)
         req = ForecastRequest(horizon=2, thin=10)
+        grids = []
+        real = forecast.predictive_density_fixed
+
+        def density(spec, series, origin, horizon, grid, **kwargs):
+            grids.append(grid.size)
+            return real(spec, series, origin, horizon, grid, **kwargs)
+
+        monkeypatch.setattr(forecast, "predictive_density_fixed", density)
         res = posterior_averaged_forecast(out, series, req)
-        assert res.per_draw.shape == (30, res.grid.size)
+        assert grids == [res.grid.size] * 30
         assert np.all(res.lower_90 <= res.mean_density + 1e-12)
         assert np.all(res.mean_density <= res.upper_90 + 1e-12)
         assert np.trapezoid(res.mean_density, res.grid) == pytest.approx(1.0, abs=1e-3)
@@ -357,8 +364,6 @@ class TestPosteriorAveraging:
             acceptance=None,
             stability_rejections=0,
             gamma=None,
-            seed=None,
-            burn_in=0,
             fixed_shift=False,
         )
         series = TimeSeries(rng.normal(0.0, 1.0, 10))

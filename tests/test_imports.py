@@ -1,7 +1,8 @@
 """Every top-level import of a mixar module is used there (or re-exported by __all__),
 every public function has a caller in the package or is exported, every
-function the benchmark's traced run wraps still exists, and every
-configuration key has a reader."""
+dataclass field is read somewhere in the package, every function the
+benchmark's traced run wraps still exists, and every configuration key has a
+reader."""
 
 import ast
 import dataclasses
@@ -87,6 +88,62 @@ def test_guard_flags_a_function_nothing_calls():
     sources = package_sources()
     sources["model"] += "\n\ndef component_mean(spec, k):\n    return spec.shifts[k - 1]\n"
     assert uncalled_functions(sources) == ["model.component_mean"]
+
+
+# OrderTrace's move tallies have no reader in the package yet; they are kept
+# for the order chain's birth/death rates, which a run's manifest is to report
+UNREAD_FIELDS_KEPT = {
+    "rjmcmc.OrderTrace.birth_attempts",
+    "rjmcmc.OrderTrace.birth_accepts",
+    "rjmcmc.OrderTrace.death_attempts",
+    "rjmcmc.OrderTrace.death_accepts",
+}
+
+
+def _is_dataclass_decorator(node: ast.expr) -> bool:
+    target = node.func if isinstance(node, ast.Call) else node
+    name = target.attr if isinstance(target, ast.Attribute) else getattr(target, "id", None)
+    return name == "dataclass"
+
+
+def unread_fields(sources: dict[str, str]) -> list[str]:
+    """Dataclass fields, as module.Class.field, whose name no attribute load in
+    `sources` reads.  `RunConfig` has its own guard below and is left out.
+
+    Names are matched without their owner, so a field is taken as read when
+    any object's attribute of that name is: ChainOutput.seed, ChainOutput.burn_in
+    or ChainState.iteration would pass unseen, since config.seed,
+    hyper.burn_in and other attributes carry those names.
+    """
+    trees = {module: ast.parse(text) for module, text in sources.items()}
+    read = {
+        node.attr
+        for tree in trees.values()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    return sorted(
+        f"{module}.{cls.name}.{item.target.id}"
+        for module, tree in trees.items()
+        for cls in ast.walk(tree)
+        if isinstance(cls, ast.ClassDef) and cls.name != "RunConfig"
+        and any(_is_dataclass_decorator(d) for d in cls.decorator_list)
+        for item in cls.body
+        if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
+        and item.target.id not in read
+    )
+
+
+def test_every_dataclass_field_has_a_reader():
+    # a field that only the tests read is a second surface to keep in step;
+    # an exemption whose field has gained a reader is stale and fails too
+    assert unread_fields(package_sources()) == sorted(UNREAD_FIELDS_KEPT)
+
+
+def test_guard_flags_a_field_nothing_reads():
+    sources = package_sources()
+    sources["stability"] += "\n\n@dataclass(frozen=True)\nclass Verdict:\n    matrix_dim: int\n"
+    assert set(unread_fields(sources)) - UNREAD_FIELDS_KEPT == {"stability.Verdict.matrix_dim"}
 
 
 TRACE_RUN = Path(__file__).resolve().parents[1] / "benchmarks" / "trace_run.py"

@@ -46,8 +46,6 @@ def make_output(rng, n=500):
         acceptance=None,
         stability_rejections=0,
         gamma=None,
-        seed=None,
-        burn_in=0,
         fixed_shift=False,
     )
 

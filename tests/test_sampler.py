@@ -23,7 +23,6 @@ from mixar.model import logsumexp as model_logsumexp
 from mixar.sampler import (
     ChainState,
     Hyperparams,
-    UpdateMask,
     allocation_probabilities,
     ar_log_ratio,
     default_hyperparams,
@@ -34,7 +33,6 @@ from mixar.sampler import (
     log_prior_density,
     means_conditional,
     precisions_conditional,
-    resolve_gamma,
     run_chain,
     sample_weights,
     tune_gamma,
@@ -51,7 +49,7 @@ def tiny_state():
         scales=np.array([0.7, 1.5]),
     )
     alloc = LatentAllocation(z=np.array([1, 2, 1, 1]), g=2)
-    return ChainState(spec=spec, alloc=alloc, lam=1.2, iteration=0, means=np.array([0.6, -0.1]))
+    return ChainState(spec=spec, alloc=alloc, lam=1.2, means=np.array([0.6, -0.1]))
 
 
 def tiny_series():
@@ -90,7 +88,7 @@ def kernel_sweep(state, series, hyper, rng, gamma=None):
     shifts = means * (1.0 - spec.phi_matrix(1)[:, 0])
     lam = draw_lambda(spec.scales, hyper, rng)
     moved = ChainState(
-        MARSpec(weights, shifts, spec.ar_coeffs, spec.scales), alloc, lam, 0, means
+        MARSpec(weights, shifts, spec.ar_coeffs, spec.scales), alloc, lam, means
     )
     shape, rate = precisions_kernel(moved, series, hyper)
     scales = np.array([1.0 / math.sqrt(rng.gamma(a, 1.0 / b)) for a, b in zip(shape, rate)])
@@ -133,7 +131,7 @@ class TestHyperparams:
         with pytest.raises(ValueError):
             base_hyper(burn_in=100, n_iter=100)
         with pytest.raises(ValueError):
-            base_hyper(gamma=(0.0,))
+            base_hyper(gamma=0.0)
 
 
 class TestAllocations:
@@ -278,7 +276,7 @@ class TestMeans:
     def test_empty_component_falls_back_to_prior(self):
         state = tiny_state()
         alloc = LatentAllocation(z=np.array([1, 1, 1, 1]), g=2)
-        state = ChainState(state.spec, alloc, state.lam, 0, state.means)
+        state = ChainState(state.spec, alloc, state.lam, state.means)
         hyper = base_hyper(zeta=-2.0, kappa=4.0)
         mean, precision = means_kernel(state, tiny_series(), hyper)
         assert mean[1] == -2.0 and precision[1] == 4.0
@@ -293,7 +291,7 @@ class TestMeans:
             scales=np.array([2.0]),
         )
         state = ChainState(
-            spec, LatentAllocation(z=np.ones(4, dtype=int), g=1), 1.0, 0, np.zeros(1)
+            spec, LatentAllocation(z=np.ones(4, dtype=int), g=1), 1.0, np.zeros(1)
         )
         hyper = base_hyper(zeta=1.5, kappa=9.0)
         mean, precision = means_kernel(state, tiny_series(), hyper)
@@ -316,7 +314,7 @@ class TestLambdaAndPrecisions:
     def test_empty_component_precision_is_prior(self):
         state = tiny_state()
         alloc = LatentAllocation(z=np.array([2, 2, 2, 2]), g=2)
-        state = ChainState(state.spec, alloc, 1.7, 0, state.means)
+        state = ChainState(state.spec, alloc, 1.7, state.means)
         shape, rate = precisions_kernel(state, tiny_series(), base_hyper(c=2.5))
         assert shape[0] == 2.5 and rate[0] == 1.7
 
@@ -331,7 +329,7 @@ class TestLambdaAndPrecisions:
             scales=np.array([1.0]),
         )
         alloc = LatentAllocation(z=np.ones(n - 1, dtype=int), g=1)
-        state = ChainState(spec, alloc, 0.8, 0, np.zeros(1))
+        state = ChainState(spec, alloc, 0.8, np.zeros(1))
         sse = float(np.sum(series.values[1:] ** 2))
         expect = (2.0 + (n - 1) / 2.0) / (0.8 + sse / 2.0)
         shape, rate = precisions_kernel(state, series, base_hyper(c=2.0))
@@ -366,28 +364,20 @@ class TestRWM:
         assert ar_log_ratio(yt, lm, mask, 0.1, 0.5, short, long) == pytest.approx(-0.36)
         assert ar_log_ratio(yt, lm, mask, 0.1, 0.5, long, short) == pytest.approx(0.36)
 
-    def test_needs_gamma(self):
-        state = tiny_state()
-        hyper = base_hyper()
-        with pytest.raises(ValueError, match="gamma"):
-            gibbs_sweep(state, tiny_series(), hyper, np.random.default_rng(0))
-
     def test_single_gamma_applies_to_every_component(self):
-        np.testing.assert_array_equal(resolve_gamma((7.0,), 3), [7.0, 7.0, 7.0])
-        np.testing.assert_array_equal(resolve_gamma(np.array([1.0, 2.0]), 2), [1.0, 2.0])
-        with pytest.raises(ValueError, match="length 2, expected 1 or 3"):
-            resolve_gamma((1.0, 2.0), 3)
-        with pytest.raises(ValueError, match="gamma has length 3, expected 1 or 2"):
-            run_chain(tiny_series(), 2, (1, 1), base_hyper(gamma=(1.0, 2.0, 3.0)), seed=0)
+        series = simulate_path(model_a_spec(), 60, seed=5)
+        hyper = default_hyperparams(series, n_iter=20, burn_in=10, gamma=7)
+        assert hyper.gamma == 7.0 and isinstance(hyper.gamma, float)
+        out = run_chain(series, 3, (1, 1, 1), hyper, seed=0)
+        np.testing.assert_array_equal(out.gamma, [7.0, 7.0, 7.0])
 
     def test_tiny_steps_mostly_accepted(self):
         state = tiny_state()
         hyper = base_hyper()
         rng = np.random.default_rng(11)
         gamma = np.array([1e12, 1e12])
-        mask = UpdateMask(means=False, precisions=False, ar=frozenset({1}))
         accepted = sum(
-            gibbs_sweep(state, tiny_series(), hyper, rng, gamma=gamma, update=mask)[1].accepted[0]
+            gibbs_sweep(state, tiny_series(), hyper, rng, 1, gamma)[1].accepted[0]
             for _ in range(300)
         )
         assert accepted >= 290
@@ -397,12 +387,9 @@ class TestRWM:
         hyper = base_hyper()
         rng = np.random.default_rng(12)
         gamma = np.array([0.01, 0.01])
-        mask = UpdateMask(means=False, precisions=False, ar=frozenset({1}))
         saw_reject = False
         for _ in range(200):
-            new_state, info = gibbs_sweep(
-                state, tiny_series(), hyper, rng, gamma=gamma, update=mask
-            )
+            new_state, info = gibbs_sweep(state, tiny_series(), hyper, rng, 1, gamma)
             if not info.accepted[0]:
                 np.testing.assert_array_equal(
                     new_state.spec.ar_coeffs[0], state.spec.ar_coeffs[0]
@@ -422,7 +409,7 @@ class TestSweepWiring:
         """(new state, sweep info, kernel blocks) from one seed; both generators end level."""
         hyper = base_hyper(zeta=0.2, kappa=0.5)
         rng, twin = np.random.default_rng(self.SEED), np.random.default_rng(self.SEED)
-        new_state, info = gibbs_sweep(tiny_state(), tiny_series(), hyper, rng, gamma=self.GAMMA)
+        new_state, info = gibbs_sweep(tiny_state(), tiny_series(), hyper, rng, 1, self.GAMMA)
         expect = kernel_sweep(tiny_state(), tiny_series(), hyper, twin, self.GAMMA)
         assert not info.stability_rejected
         assert rng.random() == twin.random()
@@ -454,11 +441,11 @@ class TestSweepWiring:
         shifts = spec.shifts.copy()
         shifts[-1] += 0.0 if g == 1 else 100.0
         spec = MARSpec(spec.weights, shifts, spec.ar_coeffs, spec.scales)
-        state = ChainState(spec, LatentAllocation(z=np.ones(series.n - 1, int), g=g), 1.3, 0,
+        state = ChainState(spec, LatentAllocation(z=np.ones(series.n - 1, int), g=g), 1.3,
                            np.zeros(g))
         hyper = base_hyper(zeta=0.2, kappa=0.5)
         rng, twin = np.random.default_rng(g), np.random.default_rng(g)
-        new_state, info = gibbs_sweep(state, series, hyper, rng, update=UpdateMask(ar=frozenset()))
+        new_state, info = gibbs_sweep(state, series, hyper, rng, 1, np.full(g, 50.0), pinned=g)
         assert not info.stability_rejected
         expect = kernel_sweep(state, series, hyper, twin)
         assert g == 1 or expect.alloc.counts[-1] == 0
@@ -491,20 +478,20 @@ class TestLogTermMemo:
     def start(self):
         series = simulate_path(model_b_spec(), 200, seed=41)
         hyper = default_hyperparams(series)
-        state = initial_state(series, 3, (2, 1, 1), hyper, np.random.default_rng(42))
+        state = initial_state(series, 3, (2, 1, 1), hyper, 2)
         return series, hyper, state
 
     @staticmethod
     def fresh(state):
         """The same fields in a new state, with nothing memoized."""
-        return ChainState(state.spec, state.alloc, state.lam, state.iteration, state.means)
+        return ChainState(state.spec, state.alloc, state.lam, state.means)
 
-    def same_sweep(self, state, series, hyper, seed, cond=None):
+    def same_sweep(self, state, series, hyper, seed, cond=2):
         """Sweep `state` and a fresh copy from one seed; assert bitwise equal results."""
         out = []
         for s in (state, self.fresh(state)):
             rng = np.random.default_rng(seed)
-            out.append(gibbs_sweep(s, series, hyper, rng, cond=cond, gamma=self.GAMMA))
+            out.append(gibbs_sweep(s, series, hyper, rng, cond, self.GAMMA))
         (a, info_a), (b, info_b) = out
         np.testing.assert_array_equal(a.alloc.z, b.alloc.z)
         for name in ("weights", "shifts", "scales"):
@@ -522,18 +509,14 @@ class TestLogTermMemo:
         """A chain three sweeps in, with the terms memoized for cond 2."""
         series, hyper, state = self.start()
         for seed in range(3):
-            state, _ = gibbs_sweep(
-                state, series, hyper, np.random.default_rng(seed), gamma=self.GAMMA
-            )
+            state, _ = gibbs_sweep(state, series, hyper, np.random.default_rng(seed), 2, self.GAMMA)
         assert state.terms[0] is series.values and state.terms[1] == 2
         return series, hyper, state
 
     def test_sweep_keeps_the_terms_of_the_spec_it_returns(self):
         series, hyper, state = self.start()
         assert state.terms is None
-        new_state, _ = gibbs_sweep(
-            state, series, hyper, np.random.default_rng(1), gamma=self.GAMMA
-        )
+        new_state, _ = gibbs_sweep(state, series, hyper, np.random.default_rng(1), 2, self.GAMMA)
         values, cond, logw, norm = new_state.terms
         assert values is series.values and cond == 2
         np.testing.assert_array_equal(logw, _log_terms(new_state.spec, *_design(series.values, 2)))
@@ -575,8 +558,8 @@ class TestLogTermMemo:
         series, spec, state = veto_setup()
         start = state.terms
         new_state, info = gibbs_sweep(
-            state, series, base_hyper(fixed_shift=True), np.random.default_rng(0),
-            gamma=np.array([50.0, 1e-4]),
+            state, series, base_hyper(fixed_shift=True), np.random.default_rng(0), 1,
+            np.array([50.0, 1e-4]),
         )
         assert info.stability_rejected
         assert new_state.spec is spec
@@ -593,7 +576,7 @@ def veto_setup():
         ar_coeffs=(np.array([0.3]), np.array([0.0])),
         scales=np.array([1.0, 0.5]),
     )
-    state = ChainState(spec, LatentAllocation(z=np.ones(5, dtype=int), g=2), 1.0, 0, np.zeros(2))
+    state = ChainState(spec, LatentAllocation(z=np.ones(5, dtype=int), g=2), 1.0, np.zeros(2))
     return series, spec, state
 
 
@@ -605,9 +588,7 @@ class TestGibbsSweep:
         series, spec, state = veto_setup()
         hyper = base_hyper(fixed_shift=True)
         rng = np.random.default_rng(0)
-        new_state, info = gibbs_sweep(
-            state, series, hyper, rng, gamma=np.array([50.0, 1e-4])
-        )
+        new_state, info = gibbs_sweep(state, series, hyper, rng, 1, np.array([50.0, 1e-4]))
         assert info.stability_rejected
         assert info.accepted[1]  # the per-move step itself was accepted
         np.testing.assert_array_equal(new_state.spec.weights, spec.weights)
@@ -618,40 +599,44 @@ class TestGibbsSweep:
         np.testing.assert_array_equal(new_state.alloc.z, state.alloc.z)
         np.testing.assert_array_equal(new_state.means, state.means)
         assert new_state.lam == state.lam
-        assert new_state.iteration == state.iteration + 1
 
     def test_stable_chain_never_leaves_the_region(self):
         rng = np.random.default_rng(13)
         series = TimeSeries(rng.normal(size=30))
         hyper = base_hyper(fixed_shift=True)
-        state = initial_state(series, 1, (1,), hyper, rng)
+        state = initial_state(series, 1, (1,), hyper, 1)
         for _ in range(300):
-            state, _ = gibbs_sweep(state, series, hyper, rng, gamma=np.array([2.0]))
+            state, _ = gibbs_sweep(state, series, hyper, rng, 1, np.array([2.0]))
             assert abs(state.spec.ar_coeffs[0][0]) < 1.0
 
-    def test_update_mask_pins_blocks(self):
-        state = tiny_state()
-        series = tiny_series()
-        hyper = base_hyper()
-        rng = np.random.default_rng(14)
-        mask = UpdateMask(means=False, precisions=False, ar=frozenset())
-        new_state, info = gibbs_sweep(state, series, hyper, rng, update=mask)
-        np.testing.assert_array_equal(new_state.spec.shifts, state.spec.shifts)
-        np.testing.assert_array_equal(new_state.spec.scales, state.spec.scales)
-        np.testing.assert_array_equal(new_state.means, state.means)
-        for a, b in zip(new_state.spec.ar_coeffs, state.spec.ar_coeffs):
-            np.testing.assert_array_equal(a, b)
-        assert not info.attempted.any()
-
-    def test_mask_ar_subset(self):
-        state = tiny_state()
-        hyper = base_hyper()
-        rng = np.random.default_rng(15)
-        mask = UpdateMask(ar=frozenset({2}))
-        _, info = gibbs_sweep(
-            state, tiny_series(), hyper, rng, gamma=np.array([10.0, 10.0]), update=mask
+    @pytest.mark.parametrize("pinned", range(5))
+    def test_pinned_prefix_of_the_block_order(self, pinned):
+        # the evidence order of tiny_state's blocks is phi_1, phi_2, mu, tau
+        state, series, hyper = tiny_state(), tiny_series(), base_hyper()
+        g = state.spec.g
+        new_state, info = gibbs_sweep(
+            state, series, hyper, np.random.default_rng(14), 1, np.array([400.0, 400.0]), pinned
         )
-        assert not info.attempted[0] and info.attempted[1]
+        assert not info.stability_rejected
+        assert set(np.flatnonzero(info.attempted) + 1) == set(range(pinned + 1, g + 1))
+        for k in range(1, min(pinned, g) + 1):
+            np.testing.assert_array_equal(
+                new_state.spec.ar_coeffs[k - 1], state.spec.ar_coeffs[k - 1]
+            )
+        means_held = np.array_equal(new_state.means, state.means) and np.array_equal(
+            new_state.spec.shifts, state.spec.shifts
+        )
+        assert means_held == (pinned > g)
+        assert np.array_equal(new_state.spec.scales, state.spec.scales) == (pinned > g + 1)
+        # allocations, weights and lambda are drawn whatever is pinned
+        twin = np.random.default_rng(14)
+        alloc = draw_allocations(state.spec, *_design(series.values, 1), twin)
+        weights = sample_weights(alloc, twin)
+        if pinned <= g:
+            twin.standard_normal(g)  # the means draw
+        np.testing.assert_array_equal(new_state.alloc.z, alloc.z)
+        np.testing.assert_array_equal(new_state.spec.weights, weights)
+        assert new_state.lam == draw_lambda(state.spec.scales, hyper, twin)
 
 
 class TestTuning:
@@ -659,28 +644,29 @@ class TestTuning:
         # refused with the settings, before any sweep runs; a set gamma needs no pilot
         with pytest.raises(ValueError, match="500"):
             base_hyper(pilot_iters=499)
-        assert base_hyper(pilot_iters=0, gamma=(50.0,)).pilot_iters == 0
+        assert base_hyper(pilot_iters=0, gamma=50.0).pilot_iters == 0
 
     def test_acceptance_lands_in_band(self):
         series = simulate_path(model_a_spec(), 300, seed=7)
         hyper = default_hyperparams(series)
         rng = np.random.default_rng(16)
-        gamma, _, state = tune_gamma(series, 2, (1, 1), hyper, rng)
+        start = initial_state(series, 2, (1, 1), hyper, 1)
+        gamma, _, state = tune_gamma(start, series, hyper, rng, 1)
         assert np.all(gamma > 0)
         # measure the long-run acceptance at the frozen gamma
         acc = np.zeros(2)
         n_eval = 600
         for _ in range(n_eval):
-            state, info = gibbs_sweep(state, series, hyper, rng, gamma=gamma)
+            state, info = gibbs_sweep(state, series, hyper, rng, 1, gamma)
             acc += info.accepted
         rates = acc / n_eval
         assert np.all(rates >= 0.12) and np.all(rates <= 0.35)
 
     def test_doubling_gamma_does_not_reduce_acceptance(self):
         series = simulate_path(model_a_spec(), 200, seed=8)
-        base = default_hyperparams(series, n_iter=1_500, burn_in=500, gamma=(40.0, 40.0))
+        base = default_hyperparams(series, n_iter=1_500, burn_in=500, gamma=40.0)
         doubled = default_hyperparams(
-            series, n_iter=1_500, burn_in=500, gamma=(80.0, 80.0)
+            series, n_iter=1_500, burn_in=500, gamma=80.0
         )
         out1 = run_chain(series, 2, (1, 1), base, seed=9)
         out2 = run_chain(series, 2, (1, 1), doubled, seed=9)

@@ -105,7 +105,7 @@ class TestSpectralRadius:
         assert isinstance(report, StabilityReport)
         assert report.spectral_radius == pytest.approx(0.625, abs=1e-12)
         assert report.stable
-        assert report.matrix_dim == 1
+        assert stability_matrix(model_a_spec()).shape == (1, 1)
 
     def test_single_component_matches_root_oracle(self):
         # for g=1 the model is a linear AR(p); the Kronecker-square radius is
@@ -210,10 +210,10 @@ def test_order_one_closed_form_bitwise_equal_to_kronecker_path(g):
         )
         radius = spectral_radius(stability_matrix(spec))
         report = is_stable(spec)
-        assert report == StabilityReport(spectral_radius=radius, stable=radius < 1.0, matrix_dim=1)
+        assert report == StabilityReport(spectral_radius=radius, stable=radius < 1.0)
     # on the boundary: weights 1/2 and phi^2 summing to exactly one
     edge = MARSpec(
         weights=np.array([0.5, 0.5]), shifts=np.zeros(2),
         ar_coeffs=(np.array([1.0]), np.array([-1.0])), scales=np.ones(2),
     )
-    assert is_stable(edge) == StabilityReport(1.0, False, 1)
+    assert is_stable(edge) == StabilityReport(1.0, False)
