@@ -145,6 +145,45 @@ def _exact_paths(spec: MARSpec, recent: np.ndarray, horizon: int):
     return w / w.sum(), mean[:, 0], cov[:, 0, 0]
 
 
+def _moments(weights, shifts, phi, scales, recent, horizon):
+    """Mean and variance of y at the horizon for K specs at once.
+
+    weights, shifts and scales are (K, g) and phi is (K, g, p), each AR row
+    zero-padded to the common width p; recent holds the last p values,
+    oldest first.  Returns the means (K,) and variances (K,).  The
+    products are summed by matmul, as BLAS sums them for one spec; einsum
+    rounds differently and would move the moments, and with them the
+    default grid, by an ulp.
+    """
+    mean = np.tile(recent[::-1].astype(float), (phi.shape[0], 1))
+    cov = np.zeros(phi.shape[:1] + phi.shape[2:] * 2)
+    w = weights[:, None, :]
+    wphi = (w @ phi)[:, 0]
+    for _ in range(horizon):
+        nu = shifts + (phi @ mean[..., None])[..., 0]
+        y_mean = (w @ nu[..., None])[:, 0, 0]
+        cross = (cov @ wphi[..., None])[..., 0]
+        spread = (
+            np.einsum("kgi,kij,kgj->kg", phi, cov, phi)
+            + scales**2
+            + (nu - y_mean[:, None]) ** 2
+        )
+        y_var = (w @ spread[..., None])[:, 0, 0]
+        mean, cov = _push(mean, cov, y_mean, y_var, cross)
+    return mean[:, 0], cov[:, 0, 0]
+
+
+def _chain_moments(output: ChainOutput, draws, series, origin, horizon):
+    """`_moments` of the chosen draws of a chain, phi zero-padded to their widest order."""
+    orders = output.orders[draws]
+    p = int(orders.max())
+    phi = np.where(np.arange(p) < orders[..., None], output.ar[draws, :, :p], 0.0)
+    recent = _history(series, origin, p)
+    return _moments(
+        output.weights[draws], output.shifts[draws], phi, output.scales[draws], recent, horizon
+    )
+
+
 def predictive_moments(
     spec: MARSpec, series: TimeSeries, origin: int, horizon: int
 ) -> tuple[float, float]:
@@ -155,18 +194,15 @@ def predictive_moments(
     follow in closed form: O(horizon g p^2), with no path expansion.
     """
     recent = _history(series, origin, spec.max_order)
-    phi = spec.phi_matrix()
-    mean = recent[::-1].astype(float)
-    cov = np.zeros((mean.size, mean.size))
-    for _ in range(horizon):
-        nu = spec.shifts + phi @ mean
-        y_mean = spec.weights @ nu
-        cross = cov @ (spec.weights @ phi)
-        y_var = spec.weights @ (
-            np.einsum("ki,ij,kj->k", phi, cov, phi) + spec.scales**2 + (nu - y_mean) ** 2
-        )
-        mean, cov = _push(mean, cov, y_mean, y_var, cross)
-    return float(mean[0]), float(cov[0, 0])
+    mean, var = _moments(
+        spec.weights[None],
+        spec.shifts[None],
+        spec.phi_matrix()[None],
+        spec.scales[None],
+        recent,
+        horizon,
+    )
+    return float(mean[0]), float(var[0])
 
 
 def predictive_density_fixed(
@@ -234,17 +270,15 @@ def default_grid(
     For chain output the span covers all thinned draws' predictive moments.
     """
     if isinstance(output, MARSpec):
-        specs = [output]
+        mean, var = np.array([predictive_moments(output, series, origin, horizon)]).T
     else:
-        step = max(1, output.n_draws // 40)
-        specs = [output.spec_at(i) for i in range(0, output.n_draws, step)]
-    lo = math.inf
-    hi = -math.inf
-    for spec in specs:
-        mean, var = predictive_moments(spec, series, origin, horizon)
-        sd = math.sqrt(var)
-        lo = min(lo, mean - sd_span * sd)
-        hi = max(hi, mean + sd_span * sd)
+        draws = np.arange(0, output.n_draws, max(1, output.n_draws // 40))
+        mean, var = _chain_moments(output, draws, series, origin, horizon)
+    sd = np.sqrt(var)
+    lo = float(np.min(mean - sd_span * sd))
+    hi = float(np.max(mean + sd_span * sd))
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError("predictive moments of the draws are not finite")
     return np.linspace(lo, hi, points)
 
 
@@ -265,14 +299,12 @@ def posterior_averaged_forecast(
         grid = request.grid
     else:
         grid = default_grid(output, series, origin, request.horizon)
-    idx = range(0, output.n_draws, request.thin)
-    rng = np.random.default_rng(request.seed)
-    rows = np.empty((len(idx), grid.size))
-    moments = np.empty((len(idx), 2))
+    idx = np.arange(0, output.n_draws, request.thin)
+    rng = np.random.default_rng(request.seed) if request.mode == "monte-carlo" else None
+    rows = np.empty((idx.size, grid.size))
     for r, i in enumerate(idx):
-        spec = output.spec_at(i)
         rows[r] = predictive_density_fixed(
-            spec,
+            output.spec_at(i),
             series,
             origin,
             request.horizon,
@@ -281,9 +313,9 @@ def posterior_averaged_forecast(
             rng=rng,
             mc_paths=request.mc_paths,
         )
-        moments[r] = predictive_moments(spec, series, origin, request.horizon)
-    mean = float(moments[:, 0].mean())
-    second = float(np.mean(moments[:, 1] + moments[:, 0] ** 2))
+    means, variances = _chain_moments(output, idx, series, origin, request.horizon)
+    mean = float(means.mean())
+    second = float(np.mean(variances + means**2))
     return ForecastResult(
         grid=grid,
         mean_density=rows.mean(axis=0),

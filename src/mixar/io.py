@@ -194,14 +194,11 @@ def evidence_payload(results, best_g: int | None = None) -> dict:
 
 
 def _versions() -> dict[str, str]:
-    import scipy
-
     from . import __version__
 
     return {
         "python": platform.python_version(),
         "numpy": np.__version__,
-        "scipy": scipy.__version__,
         "mixar": __version__,
     }
 

@@ -72,7 +72,11 @@ class Hyperparams:
         if not np.isfinite(self.zeta):
             raise ValueError("zeta must be finite")
         if self.gamma is not None:
-            object.__setattr__(self, "gamma", float(self.gamma))
+            try:
+                gamma = float(self.gamma)
+            except (TypeError, ValueError):
+                raise ValueError(f"gamma must be a number, got {self.gamma!r}") from None
+            object.__setattr__(self, "gamma", gamma)
         check_chain_settings(
             self.a, self.c, self.gamma, self.n_iter, self.burn_in, self.pilot_iters
         )

@@ -58,25 +58,28 @@ def mixture_density(
 ) -> np.ndarray:
     """Gaussian mixture density sum_i weights_i N(x; means_i, sds_i^2) at the points x.
 
-    The (components x points) matrix is filled BLOCK entries at a time, at
-    least one component row per block, in one buffer reused for every
-    block: (x - m)^2 * (-1 / 2s^2), exponentiated in place, then summed
-    into the output weighted by w / s.  Memory beyond the inputs and
-    output stays O(BLOCK + components + points) however many there are.
+    The (points x components) matrix is filled BLOCK entries at a time, at
+    least one grid point's row per block, in one buffer reused for every
+    block.  The components form the contiguous inner axis, so the
+    broadcast operations pay their per-row cost once per grid point rather
+    than once per component: (x - m)^2 * (-1 / 2s^2), exponentiated in
+    place, then each row summed weighted by w / s into that point's
+    density.  Memory beyond the inputs and output stays
+    O(BLOCK + components + points) however many there are.
     """
     n, k = x.size, weights.size
-    rows = max(1, BLOCK // n)
+    rows = max(1, BLOCK // max(k, 1))
     scale = -0.5 / (sds * sds)
     ws = weights / sds
-    buf = np.empty(min(rows, k) * n)
-    out = np.zeros(n)
-    for a in range(0, k, rows):
-        b = min(a + rows, k)
-        z = buf[: (b - a) * n].reshape(b - a, n)
-        np.subtract(x, means[a:b, None], out=z)
+    buf = np.empty(min(rows, n) * k)
+    out = np.empty(n)
+    for a in range(0, n, rows):
+        b = min(a + rows, n)
+        z = buf[: (b - a) * k].reshape(b - a, k)
+        np.subtract(x[a:b, None], means, out=z)
         np.square(z, out=z)
-        z *= scale[a:b, None]
-        out += ws[a:b] @ np.exp(z, out=z)
+        z *= scale
+        np.matmul(np.exp(z, out=z), ws, out=out[a:b])
     return out / math.sqrt(2.0 * math.pi)
 
 

@@ -363,7 +363,7 @@ class TestSimulate:
         assert manifest["command"] == "simulate"
         assert manifest["seed"] == 0
         assert manifest["config"]["spec"] == "B"
-        assert set(manifest["versions"]) == {"python", "numpy", "scipy", "mixar"}
+        assert set(manifest["versions"]) == {"python", "numpy", "mixar"}
         assert manifest["outputs"] == sorted(manifest["outputs"])
         assert manifest["diagnostics"]["n"] == 600
         assert manifest["wall_clock_seconds"] >= 0
@@ -454,38 +454,47 @@ class TestSimulate:
         assert (out / "series.csv").exists()
 
 
-def test_cli_import_leaves_out_scipy_stats():
-    """`import mixar.cli` must not pull in scipy.stats.
+COMMANDS_WITHOUT_SCIPY = """
+import sys
+from mixar.cli import main
 
-    No mixar module uses it, and importing it would add about as much start-up
-    time to every command as the rest of the package does.
+out, steps = sys.argv[1], sys.argv[2:]
+sets = lambda *pairs: [arg for pair in pairs for arg in ("--set", pair)]
+series, draws = f"input={out}/series.csv", f"draws={out}/draws.csv"
+forecast = sets(series, draws, "horizon=3", "thin=20", "mc_paths=200")
+commands = {
+    "simulate": ["simulate", *sets(f"output_dir={out}", "n=120", "seed=3")],
+    "fit": ["fit", *sets(series, f"output_dir={out}", "g=1", "orders=1", "n_iter=260",
+                         "burn_in=100", "gamma=40", "relabel_warm_start=50")],
+    "mc": ["forecast", *forecast, "--set", "mode=monte-carlo", "--set", f"output_dir={out}/mc"],
+    "exact": ["forecast", *forecast, "--set", "mode=exact", "--set", f"output_dir={out}/exact"],
+}
+for step in steps:
+    assert main(commands[step]) == 0, step
+loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+assert not loaded, f"{steps} loaded {loaded[:5]}"
+if steps == ["exact"]:
+    assert "numpy.random" not in sys.modules, "an exact forecast loaded numpy.random"
+"""
+
+
+def test_commands_leave_out_scipy_and_unused_generators(tmp_path):
+    """No command loads scipy, and an exact forecast does not load numpy.random.
+
+    The package has its own logsumexp, normal CDF and kernel density
+    estimate, and manifests record only python, numpy and mixar versions;
+    loading scipy would add 18-30 ms to every command, and numpy.random
+    about 20 ms to a forecast that draws nothing.
     """
     package_root = str(Path(mixar.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
-    res = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, mixar.cli; assert 'scipy.stats' not in sys.modules"],
-        capture_output=True, text=True, env=env, timeout=120,
-    )
-    assert res.returncode == 0, res.stderr
-
-
-def test_cli_import_leaves_out_scipy_special():
-    """`import mixar.cli` must not pull in scipy.special.
-
-    The package has its own logsumexp and normal CDF; loading scipy.special
-    would add about half of the package's import time to every command.
-    """
-    package_root = str(Path(mixar.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
-    res = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, mixar.cli; assert 'scipy.special' not in sys.modules"],
-        capture_output=True, text=True, env=env, timeout=120,
-    )
-    assert res.returncode == 0, res.stderr
+    for steps in (["simulate", "fit", "mc"], ["exact"]):
+        res = subprocess.run(
+            [sys.executable, "-c", COMMANDS_WITHOUT_SCIPY, str(tmp_path), *steps],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert res.returncode == 0, res.stderr
 
 
 def test_cli_import_leaves_out_the_process_pool():

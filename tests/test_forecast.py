@@ -285,19 +285,22 @@ class TestMonteCarlo:
         assert np.trapezoid(mc, grid) == pytest.approx(1.0, abs=5e-3)
 
 
-def one_draw_output(spec):
+def specs_output(specs):
+    """A ChainOutput holding one draw per spec, AR rows zero-padded to the widest order."""
+    p = max(s.max_order for s in specs)
+    n = len(specs)
     return ChainOutput(
-        g=spec.g,
-        cond=spec.max_order,
-        weights=spec.weights[None, :],
-        shifts=spec.shifts[None, :],
-        means=spec.shifts[None, :],
-        scales=spec.scales[None, :],
-        ar=spec.phi_matrix()[None, :, :],
-        orders=np.array([spec.orders]),
-        lam=np.array([1.0]),
-        log_likelihoods=np.zeros(1),
-        log_posteriors=np.zeros(1),
+        g=specs[0].g,
+        cond=p,
+        weights=np.array([s.weights for s in specs]),
+        shifts=np.array([s.shifts for s in specs]),
+        means=np.array([s.shifts for s in specs]),
+        scales=np.array([s.scales for s in specs]),
+        ar=np.array([s.phi_matrix(p) for s in specs]),
+        orders=np.array([s.orders for s in specs]),
+        lam=np.ones(n),
+        log_likelihoods=np.zeros(n),
+        log_posteriors=np.zeros(n),
         acceptance=None,
         stability_rejections=0,
         gamma=None,
@@ -309,7 +312,7 @@ class TestPosteriorAveraging:
     def test_single_draw_bands_collapse(self):
         spec = model_a_spec()
         series = simulate_path(spec, 30, seed=10)
-        out = one_draw_output(spec)
+        out = specs_output([spec])
         req = ForecastRequest(horizon=2, thin=1, grid=np.linspace(-8, 8, 101))
         res = posterior_averaged_forecast(out, series, req)
         np.testing.assert_array_equal(res.lower_90, res.mean_density)
@@ -340,7 +343,7 @@ class TestPosteriorAveraging:
         spec = ar1_spec()
         series = TimeSeries([0.3, -0.1, 1.0])
         res = posterior_averaged_forecast(
-            one_draw_output(spec), series, ForecastRequest(horizon=3, thin=1)
+            specs_output([spec]), series, ForecastRequest(horizon=3, thin=1)
         )
         assert res.predictive_mean == pytest.approx(0.608, abs=1e-12)
         assert res.predictive_sd == pytest.approx(math.sqrt(0.25 * 1.4896), abs=1e-12)
@@ -348,24 +351,7 @@ class TestPosteriorAveraging:
     def test_predictive_sd_averages_draw_moments(self):
         rng = np.random.default_rng(15)
         specs = [random_spec(rng, 3) for _ in range(6)]
-        p = max(s.max_order for s in specs)
-        out = ChainOutput(
-            g=3,
-            cond=p,
-            weights=np.array([s.weights for s in specs]),
-            shifts=np.array([s.shifts for s in specs]),
-            means=np.array([s.shifts for s in specs]),
-            scales=np.array([s.scales for s in specs]),
-            ar=np.array([s.phi_matrix(p) for s in specs]),
-            orders=np.array([s.orders for s in specs]),
-            lam=np.ones(6),
-            log_likelihoods=np.zeros(6),
-            log_posteriors=np.zeros(6),
-            acceptance=None,
-            stability_rejections=0,
-            gamma=None,
-            fixed_shift=False,
-        )
+        out = specs_output(specs)
         series = TimeSeries(rng.normal(0.0, 1.0, 10))
         res = posterior_averaged_forecast(out, series, ForecastRequest(horizon=4, thin=2))
         first = second = 0.0
@@ -379,7 +365,7 @@ class TestPosteriorAveraging:
 
     def test_grid_override_respected(self):
         series = simulate_path(model_a_spec(), 40, seed=13)
-        out = one_draw_output(model_a_spec())
+        out = specs_output([model_a_spec()])
         grid = np.linspace(-2, 2, 33)
         res = posterior_averaged_forecast(
             out, series, ForecastRequest(horizon=1, thin=1, grid=grid)
@@ -397,3 +383,45 @@ class TestDefaultGrid:
         assert grid.size == 64
         assert grid[0] == pytest.approx(m - 6 * sd, abs=1e-12)
         assert grid[-1] == pytest.approx(m + 6 * sd, abs=1e-12)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_chain_and_spec_branches_agree_on_one_draw(self, seed):
+        rng = np.random.default_rng(300 + seed)
+        spec = random_spec(rng, 1 + seed % 3)
+        series = TimeSeries(rng.normal(0.0, 1.0, 6))
+        np.testing.assert_array_equal(
+            default_grid(specs_output([spec]), series, 6, 5), default_grid(spec, series, 6, 5)
+        )
+
+    def test_draw_with_non_finite_moments_is_refused(self):
+        # the grid reads draws without building a validated spec for each
+        rng = np.random.default_rng(310)
+        out = specs_output([random_spec(rng, 2) for _ in range(3)])
+        out.shifts[1, 0] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            default_grid(out, TimeSeries(rng.normal(0.0, 1.0, 6)), 6, 2)
+
+
+class TestBatchedMoments:
+    @pytest.mark.parametrize("g, horizon", [(1, 1), (2, 3), (3, 7), (4, 12)])
+    def test_batch_equals_single_spec_calls(self, g, horizon):
+        # mixed orders 1-3 share one zero-padded width; entries beyond a draw's
+        # orders are junk here and must be ignored, as spec_at ignores them
+        rng = np.random.default_rng(400 + g)
+        specs = [random_spec(rng, g) for _ in range(9)]
+        out = specs_output(specs)
+        for i, spec in enumerate(specs):
+            for k, order in enumerate(spec.orders):
+                out.ar[i, k, order:] = 99.0
+        series = TimeSeries(rng.normal(0.0, 1.0, 8))
+        draws = np.arange(9)
+        means, variances = forecast._chain_moments(out, draws, series, 8, horizon)
+        single = np.array([predictive_moments(s, series, 8, horizon) for s in specs])
+        np.testing.assert_array_equal(means, single[:, 0])
+        np.testing.assert_array_equal(variances, single[:, 1])
+
+    def test_widest_order_needs_its_history(self):
+        ar3 = MARSpec(np.ones(1), np.zeros(1), (np.array([0.2, 0.1, 0.1]),), np.ones(1))
+        out = specs_output([ar1_spec(), ar3])
+        with pytest.raises(ValueError, match="origin 2"):
+            forecast._chain_moments(out, np.arange(2), TimeSeries([0.1, 0.2]), 2, 3)

@@ -1,8 +1,8 @@
-"""Every top-level import of a mixar module is used there (or re-exported by __all__),
-every public function has a caller in the package or is exported, every
-dataclass field is read somewhere in the package, every function the
-benchmark's traced run wraps still exists, and every configuration key has a
-reader."""
+"""No mixar module imports scipy, every top-level import of a mixar module is
+used there (or re-exported by __all__), every public function has a caller in
+the package or is exported, every dataclass field is read somewhere in the
+package, every function the benchmark's traced run wraps still exists, and
+every configuration key has a reader."""
 
 import ast
 import dataclasses
@@ -55,6 +55,33 @@ def test_guard_flags_an_unused_import(tmp_path):
 
 def package_sources() -> dict[str, str]:
     return {path.stem: path.read_text() for path in sorted(SRC.glob("*.py"))}
+
+
+def scipy_imports(sources: dict[str, str]) -> list[str]:
+    """Every import of scipy, at any depth of a module, as module:line.
+
+    At run time the package needs only numpy; scipy is a test dependency.
+    """
+    return sorted(
+        f"{module}:{node.lineno}"
+        for module, text in sources.items()
+        for node in ast.walk(ast.parse(text))
+        if (isinstance(node, ast.Import)
+            and any(alias.name.split(".")[0] == "scipy" for alias in node.names))
+        or (isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "scipy")
+    )
+
+
+def test_no_module_imports_scipy():
+    assert scipy_imports(package_sources()) == []
+
+
+def test_guard_flags_a_scipy_import_inside_a_function():
+    sources = package_sources()
+    sources["io"] += "\n\ndef _scipy_version():\n    import scipy.special\n    return scipy.__version__\n"
+    sources["summary"] = "from scipy.stats import norm\n" + sources["summary"]
+    line = sources["io"].count("\n") - 1
+    assert scipy_imports(sources) == [f"io:{line}", "summary:1"]
 
 
 def uncalled_functions(sources: dict[str, str]) -> list[str]:

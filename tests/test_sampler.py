@@ -133,6 +133,11 @@ class TestHyperparams:
         with pytest.raises(ValueError):
             base_hyper(gamma=0.0)
 
+    @pytest.mark.parametrize("gamma", [(1.0, 2.0), "fast", [3.0]])
+    def test_non_numeric_gamma_is_a_value_error_naming_gamma(self, gamma):
+        with pytest.raises(ValueError, match="gamma"):
+            base_hyper(gamma=gamma)
+
 
 class TestAllocations:
     def test_rows_sum_to_one(self):

@@ -61,6 +61,15 @@ class TestMixtureDensity:
         ref = blockwise_oracle(w, m, s, x)
         assert np.max(np.abs(mixture_density(w, m, s, x) - ref)) <= 1e-13 * ref.max()
 
+    @pytest.mark.parametrize("points", [2, 3, 512])
+    def test_more_components_than_a_block(self, points):
+        # more components than BLOCK entries: each block holds one grid point
+        assert 70_000 > BLOCK
+        w, m, s = mixture_case(70_000, seed=points)
+        x = np.linspace(-6.0, 9.0, points)
+        ref = blockwise_oracle(w, m, s, x)
+        assert np.max(np.abs(mixture_density(w, m, s, x) - ref)) <= 1e-13 * ref.max()
+
     def test_non_uniform_grid_and_zero_weights(self):
         w, m, s = mixture_case(4097, seed=5)
         w[::3] = 0.0
