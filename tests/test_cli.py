@@ -497,6 +497,40 @@ def test_commands_leave_out_scipy_and_unused_generators(tmp_path):
         assert res.returncode == 0, res.stderr
 
 
+def test_cli_import_leaves_out_scipy_stats():
+    """`import mixar.cli` must not pull in scipy.stats.
+
+    No mixar module uses it, and importing it would add about as much start-up
+    time to every command as the rest of the package does.
+    """
+    package_root = str(Path(mixar.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+    res = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, mixar.cli; assert 'scipy.stats' not in sys.modules"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert res.returncode == 0, res.stderr
+
+
+def test_cli_import_leaves_out_scipy_special():
+    """`import mixar.cli` must not pull in scipy.special.
+
+    The package has its own logsumexp and normal CDF; loading scipy.special
+    would add about half of the package's import time to every command.
+    """
+    package_root = str(Path(mixar.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+    res = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, mixar.cli; assert 'scipy.special' not in sys.modules"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert res.returncode == 0, res.stderr
+
+
 def test_cli_import_leaves_out_the_process_pool():
     """`import mixar.cli` must not load concurrent.futures.
 
