@@ -35,6 +35,7 @@ from .model import (
     LOG_2PI,
     MARSpec,
     TimeSeries,
+    fitted_ar,
     log_likelihood,
     logsumexp,
     row_sum,
@@ -235,15 +236,11 @@ def estimate_mu_ordinate(
         return 0.0
     g = star.spec.g
     yt, lm = series.design(cond)
-    phi_mat = star.spec.phi_matrix(lm.shape[1])
-    r_star = yt[:, None] - lm @ phi_mat.T  # shift-free residuals at phi*
-    bk = 1.0 - row_sum(phi_mat)
+    r_star = yt - fitted_ar(star.spec, lm)  # (g, T) shift-free residuals at phi*
+    bk = 1.0 - row_sum(star.spec.phi_matrix(lm.shape[1]))
 
     def term(state):
-        alloc = state.alloc
-        m, prec = means_conditional(
-            r_star, alloc.z - 1, alloc.counts, state.spec.precisions, bk, hyper
-        )
+        m, prec = means_conditional(r_star, state.alloc, state.spec.precisions, bk, hyper)
         total = 0.0
         for k in range(g):
             total += (
@@ -266,13 +263,12 @@ def estimate_tau_ordinate(
     """Rao-Blackwellized log ordinate of the precisions given starred AR and means."""
     g = star.spec.g
     yt, lm = series.design(cond)
-    e_star = yt[:, None] - star.spec.shifts[None, :] - lm @ star.spec.phi_matrix(lm.shape[1]).T
+    e_star = yt - star.spec.shifts[:, None] - fitted_ar(star.spec, lm)  # (g, T) at phi*, mu*
     tau_star = star.spec.precisions
     log_tau_star = [math.log(t) for t in tau_star]
 
     def term(state):
-        alloc = state.alloc
-        shape, rate = precisions_conditional(e_star, alloc.z - 1, alloc.counts, state.lam, hyper)
+        shape, rate = precisions_conditional(e_star, state.alloc, state.lam, hyper)
         total = 0.0
         for k in range(g):
             total += (

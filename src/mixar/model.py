@@ -181,7 +181,8 @@ class LatentAllocation:
     """Component labels for observations t = t0, ..., n.
 
     z holds 1-based component labels; counts holds the per-component label
-    counts n_1, ..., n_g (summing to len(z)).
+    counts n_1, ..., n_g (summing to len(z)); `members` the positions of
+    each component's points.
     """
 
     z: np.ndarray
@@ -202,6 +203,15 @@ class LatentAllocation:
         if full is None or full[0]:
             raise ValueError("labels must lie in 1..g")
         object.__setattr__(self, "counts", full[1:])
+
+    @functools.cached_property
+    def members(self) -> tuple[np.ndarray, ...]:
+        """For each component k = 1..g, the ascending positions t with z_t = k.
+
+        Built on first read and shared by every kernel that gathers one
+        component's points.
+        """
+        return tuple(np.flatnonzero(self.z == k) for k in range(1, self.g + 1))
 
 
 def _check_time(series: TimeSeries, t: int, p: int) -> None:
@@ -253,37 +263,48 @@ def logsumexp(a: np.ndarray, axis: int | None = None) -> np.ndarray | float:
     """log sum exp(a) over `axis` (all entries when None), shifted by the maximum.
 
     A slice that is all -inf gives -inf, so callers can detect it.  Over the
-    rows of a 2-D array (axis 1) the maximum and the sum run one column at a
-    time, which costs a few numpy calls per column instead of a short-axis
-    reduction per row; the sum adds columns left to right, the order numpy
-    uses for rows of up to 7 entries.
+    first axis of a (g, T) array of log terms the maximum and the sum run
+    one component row at a time over all T columns, adding rows top to
+    bottom.
     """
     a = np.asarray(a, dtype=float)
-    if axis == 1 and a.ndim == 2:
-        top = functools.reduce(np.maximum, a.T)
-        top = np.where(np.isfinite(top), top, 0.0)
-        with np.errstate(divide="ignore"):
-            return np.log(row_sum(np.exp(a - top[:, None]))) + top
     top = np.max(a, axis=axis, keepdims=True)
     top[~np.isfinite(top)] = 0.0
+    out = np.sum(np.exp(a - top), axis=axis, keepdims=True)
     with np.errstate(divide="ignore"):
-        out = np.log(np.sum(np.exp(a - top), axis=axis, keepdims=True)) + top
+        np.log(out, out=out)
+    out += top
     return out.reshape(()).item() if axis is None else np.squeeze(out, axis=axis)
 
 
-def _log_terms(spec: MARSpec, yt: np.ndarray, lm: np.ndarray) -> np.ndarray:
-    """(T, g) matrix of log(pi_k / sigma_k phi(e_tk / sigma_k)), rows unnormalized.
+def fitted_ar(spec: MARSpec, lm: np.ndarray) -> np.ndarray:
+    """(g, T) AR parts sum_i phi_ki y_{t-i} of the component means on the lag matrix lm.
 
-    yt and lm are design arrays from `_design`; lm may be wider than the
-    maximum order (the extra columns meet zero coefficients).
+    Computed as lm @ phi^T and stored transposed, so every kernel that
+    reads it gets the same bits.
     """
-    e = (yt[:, None] - spec.shifts[None, :] - lm @ spec.phi_matrix(lm.shape[1]).T) / spec.scales
-    return np.log(spec.weights) - np.log(spec.scales) - 0.5 * e**2 - 0.5 * LOG_2PI
+    return np.ascontiguousarray((lm @ spec.phi_matrix(lm.shape[1]).T).T)
+
+
+def _log_terms(
+    spec: MARSpec, yt: np.ndarray, lm: np.ndarray, fitted: np.ndarray | None = None
+) -> np.ndarray:
+    """(g, T) matrix of log(pi_k / sigma_k phi(e_kt / sigma_k)), columns unnormalized.
+
+    Component-major: row k holds component k's term at every design time.
+    yt and lm are design arrays from `_design`; lm may be wider than the
+    maximum order (the extra columns meet zero coefficients).  fitted is
+    `fitted_ar(spec, lm)` when it is already at hand.
+    """
+    if fitted is None:
+        fitted = fitted_ar(spec, lm)
+    e = (yt - spec.shifts[:, None] - fitted) / spec.scales[:, None]
+    return (np.log(spec.weights) - np.log(spec.scales))[:, None] - 0.5 * e**2 - 0.5 * LOG_2PI
 
 
 def _mixture_loglik(spec: MARSpec, yt: np.ndarray, lm: np.ndarray) -> float:
-    """Sum over rows of log sum_k exp(log term): the conditional log likelihood."""
-    return float(np.sum(logsumexp(_log_terms(spec, yt, lm), axis=1)))
+    """Sum over design times of log sum_k exp(log term): the conditional log likelihood."""
+    return float(np.sum(logsumexp(_log_terms(spec, yt, lm), axis=0)))
 
 
 def component_means_at(spec: MARSpec, values: np.ndarray, t: int) -> np.ndarray:

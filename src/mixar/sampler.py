@@ -35,10 +35,11 @@ from .model import (
     TimeSeries,
     _log_terms,
     _resolve_cond,
+    fitted_ar,
     logsumexp,
     row_sum,
 )
-from .stability import is_stable
+from .stability import is_stable, is_stable_phi
 
 
 @dataclass(frozen=True)
@@ -118,8 +119,9 @@ def default_hyperparams(series: TimeSeries, **overrides) -> Hyperparams:
 class ChainState:
     """One point of the chain: spec, allocations, lambda, sampled means.
 
-    `terms` memoizes the (T, g) log terms of `spec` and their row
-    log-sum-exps on one design (see `state_log_terms`).  It is not an
+    `terms` memoizes the (g, T) log terms of `spec`, their per-time
+    log-sum-exps and the (g, T) fitted AR parts on one design (see
+    `state_log_terms`).  It is not an
     __init__ argument, so `dataclasses.replace` starts it empty and a state
     with a changed spec never carries terms of another.
     """
@@ -189,16 +191,21 @@ class ChainOutput:
 def state_log_terms(
     state: ChainState, values: np.ndarray, yt: np.ndarray, lm: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(T, g) log terms of state.spec on the design (yt, lm) of `values`, and their row norms.
+    """(g, T) log terms of state.spec on the design (yt, lm) of `values`, and their column norms.
 
-    Memoized on the state, keyed by the series values and cond = lm.shape[1]:
-    the terms a sweep computes for the spec it ends with serve the next
-    sweep's allocation draw.
+    Component-major: row k holds component k's log term at every design
+    time, and the norms are the (T,) log-sum-exps over components.
+    Memoized on the state, keyed by the series values and cond = lm.shape[1],
+    as (values, cond, log terms, norms, fitted) with fitted the (g, T)
+    `fitted_ar` of state.spec: the terms a sweep computes for the spec it
+    ends with serve the next sweep's allocation draw, and the fitted AR
+    parts its means and precisions.
     """
     memo = state.terms
     if memo is None or memo[0] is not values or memo[1] != lm.shape[1]:
-        logw = _log_terms(state.spec, yt, lm)
-        memo = (values, lm.shape[1], logw, logsumexp(logw, axis=1))
+        fitted = fitted_ar(state.spec, lm)
+        logw = _log_terms(state.spec, yt, lm, fitted)
+        memo = (values, lm.shape[1], logw, logsumexp(logw, axis=0), fitted)
         object.__setattr__(state, "terms", memo)
     return memo[2], memo[3]
 
@@ -209,14 +216,16 @@ def allocation_probabilities(
     lm: np.ndarray,
     terms: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> np.ndarray:
-    """Posterior allocation probabilities, one row per design row, summing to one.
+    """Posterior allocation probabilities as a (g, T) array whose columns sum to one.
 
-    terms are the (log terms, row norms) of spec on this design when they
-    are already at hand (`state_log_terms`); otherwise they are computed.
+    Component-major: row k holds P(z_t = k | ...) at every design time.
+    terms are the ((g, T) log terms, (T,) norms) of spec on this design
+    when they are already at hand (`state_log_terms`); otherwise they are
+    computed.
     """
     if terms is None:
         logw = _log_terms(spec, yt, lm)
-        terms = logw, logsumexp(logw, axis=1)
+        terms = logw, logsumexp(logw, axis=0)
     logw, norm = terms
     bad = ~np.isfinite(norm)
     if np.any(bad):
@@ -225,7 +234,7 @@ def allocation_probabilities(
             f"all component densities underflow at t={t_bad}; "
             "the current parameters leave that observation unexplainable"
         )
-    return np.exp(logw - norm[:, None])
+    return np.exp(logw - norm)
 
 
 def draw_allocations(
@@ -238,13 +247,13 @@ def draw_allocations(
     """Draw every z_t from its full conditional (one uniform per row).
 
     z_t is one plus the number of running sums pi_t1, pi_t1 + pi_t2, ... below
-    the uniform, taken a column at a time over the first g - 1 columns (the
-    last running sum would only add a label past g).
+    the uniform, taken a component row at a time over the first g - 1 rows
+    (the last running sum would only add a label past g).
     """
     probs = allocation_probabilities(spec, yt, lm, terms)
-    u = rng.random(probs.shape[0])
-    z = np.ones(probs.shape[0], dtype=np.int64)
-    for cum in itertools.accumulate(probs.T[:-1]):
+    u = rng.random(probs.shape[1])
+    z = np.ones(probs.shape[1], dtype=np.int64)
+    for cum in itertools.accumulate(probs[:-1]):
         z += u > cum
     return LatentAllocation(z=z, g=spec.g)
 
@@ -266,25 +275,25 @@ def dirichlet_log_density(alpha: np.ndarray, log_weights: np.ndarray) -> float:
 
 def means_conditional(
     r: np.ndarray,
-    z0: np.ndarray,
-    counts: np.ndarray,
+    alloc: LatentAllocation,
     tau: np.ndarray,
     bk: np.ndarray,
     hyper: Hyperparams,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Normal full conditional of the component means: (mean, precision) per component.
 
-    r holds the (T, g) shift-free residuals y_t - sum_i phi_ki y_{t-i}, z0 the
-    0-based labels and bk = 1 - sum_i phi_ki.  The precision is
-    tau_k n_k b_k^2 + kappa and the mean (tau_k n_k ebar_k b_k + kappa zeta) /
-    precision, where ebar_k averages r over the points assigned to k.  Empty
-    components fall back to the prior.
+    r holds the (g, T) shift-free residuals y_t - sum_i phi_ki y_{t-i}, row k
+    for component k, alloc the allocations and bk = 1 - sum_i phi_ki.  The
+    precision is tau_k n_k b_k^2 + kappa and the mean (tau_k n_k ebar_k b_k +
+    kappa zeta) / precision, where ebar_k averages row k of r over the points
+    assigned to k.  Empty components fall back to the prior.
     """
+    counts = alloc.counts
     mean = np.empty(counts.size)
     prec = np.empty(counts.size)
-    for k in range(counts.size):
+    for k, rows in enumerate(alloc.members):
         nk = counts[k]
-        ebar = r[:, k][z0 == k].sum() / nk if nk > 0 else 0.0
+        ebar = r[k].take(rows).sum() / nk if nk > 0 else 0.0
         prec[k] = tau[k] * nk * bk[k] ** 2 + hyper.kappa
         mean[k] = (tau[k] * nk * ebar * bk[k] + hyper.kappa * hyper.zeta) / prec[k]
     return mean, prec
@@ -298,15 +307,17 @@ def draw_lambda(scales: np.ndarray, hyper: Hyperparams, rng: np.random.Generator
 
 
 def precisions_conditional(
-    e: np.ndarray, z0: np.ndarray, counts: np.ndarray, lam: float, hyper: Hyperparams
+    e: np.ndarray, alloc: LatentAllocation, lam: float, hyper: Hyperparams
 ) -> tuple[np.ndarray, np.ndarray]:
     """Gamma full conditional of the precisions: (shape, rate) = (c + n_k/2, lambda + SSE_k/2).
 
-    e holds the (T, g) residuals including the shifts; SSE_k sums e^2 over
-    the points assigned to k.
+    e holds the (g, T) residuals including the shifts, row k for component
+    k; SSE_k sums e^2 over the points assigned to k.
     """
+    counts = alloc.counts
     sse = np.array(
-        [float((e[:, k][z0 == k] ** 2).sum()) if n > 0 else 0.0 for k, n in enumerate(counts)]
+        [float((e[k].take(rows) ** 2).sum()) if rows.size else 0.0
+         for k, rows in enumerate(alloc.members)]
     )
     return hyper.c + counts / 2.0, lam + sse / 2.0
 
@@ -314,7 +325,7 @@ def precisions_conditional(
 def ar_log_ratio(
     yt: np.ndarray,
     lm: np.ndarray,
-    mask: np.ndarray,
+    rows: np.ndarray,
     shift: float,
     scale: float,
     cur: np.ndarray,
@@ -322,14 +333,15 @@ def ar_log_ratio(
 ) -> float:
     """Log likelihood ratio of AR block `new` against `cur` for one component.
 
-    Restricted to the rows in `mask`, the points allocated to the component;
-    its shift and scale stay fixed.  The two blocks may differ in length, as
+    Restricted to the design rows at the integer positions `rows`, the
+    points allocated to the component (`LatentAllocation.members`); its
+    shift and scale stay fixed.  The two blocks may differ in length, as
     in a birth or death move.
     """
-    r = yt[mask] - shift
+    r = yt.take(rows) - shift
     if not r.size:
         return 0.0
-    x = lm.compress(mask, axis=0)
+    x = lm.take(rows, axis=0)
     e_cur = r - x[:, : cur.size] @ cur
     e_new = r - x[:, : new.size] @ new
     tau = 1.0 / scale**2
@@ -348,13 +360,21 @@ def swap_log_alpha(
     """Log acceptance of replacing component k's AR block by coeffs.
 
     min(0, log LR + log_move + log_q) with the allocated-point ratio of
-    `ar_log_ratio`, or -inf when the swapped model is unstable.
+    `ar_log_ratio`, or -inf when the swapped model is unstable.  Stability
+    is decided on the weights and the AR matrix with row k replaced, as
+    wide as the swapped model's maximum order; no spec is built.
     """
     spec = state.spec
-    if not is_stable(spec.with_ar(k, coeffs)).stable:
+    orders = list(spec.orders)
+    orders[k - 1] = coeffs.size
+    width = max(orders)
+    phi = spec.phi_matrix(max(width, spec.max_order))[:, :width].copy()
+    phi[k - 1] = 0.0
+    phi[k - 1, : coeffs.size] = coeffs
+    if not is_stable_phi(spec.weights, phi):
         return -math.inf
     log_lr = ar_log_ratio(
-        yt, lm, state.alloc.z == k, spec.shifts[k - 1], spec.scales[k - 1],
+        yt, lm, state.alloc.members[k - 1], spec.shifts[k - 1], spec.scales[k - 1],
         spec.ar_coeffs[k - 1], coeffs,
     )
     return min(log_lr + log_move + log_q, 0.0)
@@ -387,19 +407,15 @@ def gibbs_sweep(
     yt, lm = series.design(cond)
 
     alloc = draw_allocations(spec0, yt, lm, rng, state_log_terms(state, series.values, yt, lm))
-    z0 = alloc.z - 1
-    counts = alloc.counts
+    fitted = state.terms[4]  # (g, T) AR parts of spec0, memoized with its log terms
     weights = sample_weights(alloc, rng)
 
     update_means = pinned <= g and not hyper.fixed_shift
     update_precisions = pinned <= g + 1
-    if update_means or update_precisions:
-        phi_mat = spec0.phi_matrix(lm.shape[1])
-        fitted = lm @ phi_mat.T
     scales = spec0.scales
     if update_means:
-        bk = 1.0 - row_sum(phi_mat)
-        m, prec = means_conditional(yt[:, None] - fitted, z0, counts, 1.0 / scales**2, bk, hyper)
+        bk = 1.0 - row_sum(spec0.phi_matrix(lm.shape[1]))
+        m, prec = means_conditional(yt - fitted, alloc, 1.0 / scales**2, bk, hyper)
         # mean + sd * z is how rng.normal draws; one standard-normal call for
         # all components gives the same values from the same stream position
         means = m + np.sqrt(1.0 / prec) * rng.standard_normal(g)
@@ -410,8 +426,8 @@ def gibbs_sweep(
     lam = draw_lambda(scales, hyper, rng)
 
     if update_precisions:
-        e = yt[:, None] - shifts[None, :] - fitted
-        shape, rate = precisions_conditional(e, z0, counts, lam, hyper)
+        e = yt - shifts[:, None] - fitted
+        shape, rate = precisions_conditional(e, alloc, lam, hyper)
         scales = np.array(
             [1.0 / math.sqrt(rng.gamma(a, 1.0 / b)) for a, b in zip(shape.tolist(), rate.tolist())]
         )
@@ -425,7 +441,7 @@ def gibbs_sweep(
         attempted[k - 1] = True
         proposal = ar[k - 1] + rng.normal(0.0, 1.0 / math.sqrt(gamma[k - 1]), size=ar[k - 1].size)
         log_ratio = ar_log_ratio(
-            yt, lm, z0 == k - 1, shifts[k - 1], scales[k - 1], ar[k - 1], proposal
+            yt, lm, alloc.members[k - 1], shifts[k - 1], scales[k - 1], ar[k - 1], proposal
         )
         if math.log(rng.random()) < log_ratio:
             accepted[k - 1] = True

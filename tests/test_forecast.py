@@ -308,6 +308,63 @@ def specs_output(specs):
     )
 
 
+# Eight g = 3 draws with orders 1-3 and a ten-value history, written out so
+# that the pinned forecast bits below depend on no generator.
+PINNED_DRAWS = [  # (weights, shifts, AR blocks, scales)
+    ((0.5, 0.3, 0.2), (0.1, -0.4, 0.25), ((0.6, -0.2), (0.35,), (-0.5,)), (0.8, 1.3, 0.45)),
+    ((0.45, 0.35, 0.2), (0.12, -0.38, 0.3), ((0.55, -0.15), (0.4,), (-0.45,)), (0.75, 1.2, 0.5)),
+    ((0.6, 0.25, 0.15), (0.05, -0.5, 0.2), ((0.7, -0.3, 0.1), (0.3,), (-0.6,)), (0.9, 1.1, 0.4)),
+    ((0.3, 0.4, 0.3), (0.2, -0.3, 0.15), ((0.45,), (0.5, -0.25), (-0.35,)), (0.7, 1.4, 0.55)),
+    (
+        (0.55, 0.15, 0.3), (-0.05, -0.45, 0.35), ((0.65, -0.25), (0.2,), (-0.55, 0.1)),
+        (0.85, 1.25, 0.6),
+    ),
+    (
+        (0.4, 0.4, 0.2), (0.15, -0.35, 0.1), ((0.5, -0.1), (0.45, 0.15, -0.2), (-0.4,)),
+        (0.65, 1.35, 0.5),
+    ),
+    ((0.35, 0.25, 0.4), (0.0, -0.6, 0.4), ((0.75,), (0.25,), (-0.65, 0.2)), (0.95, 1.15, 0.35)),
+    ((0.5, 0.2, 0.3), (0.08, -0.42, 0.22), ((0.58, -0.18), (0.38,), (-0.48,)), (0.78, 1.28, 0.47)),
+]
+PINNED_SERIES = [0.3, -0.8, 1.4, 0.2, -0.1, 0.9, -1.2, 0.5, 0.7, -0.35]
+
+
+class TestPinnedForecastBits:
+    """Forecast moments and the default grid of a fixed ChainOutput against recorded bits.
+
+    Recorded once and compared with ==: a change to how `forecast._moments`
+    rounds (an einsum for one of its matmuls, say) moves them by an ulp.
+    """
+
+    MEANS = [
+        "-0x1.9eebc12b579bbp-6", "-0x1.94ec24a4d18fbp-6", "-0x1.7137088fcbb74p-4",
+        "-0x1.1b43d670936e2p-6", "0x1.71b62af4a854cp-7", "-0x1.3f5957ac86a89p-4",
+        "0x1.7eb0365a500cfp-7", "0x1.9ebb49fbf3d55p-6",
+    ]
+    VARIANCES = [
+        "0x1.408e90598acc2p+0", "0x1.2310caa56de16p+0", "0x1.51b620f987e6ap+0",
+        "0x1.594b3f9e6d4c1p+0", "0x1.315abbba08a47p+0", "0x1.506a3ff7cf3f6p+0",
+        "0x1.631fc7ed52a46p+0", "0x1.033ae5331bbd6p+0",
+    ]
+    GRID_ENDS = ("-0x1.c386b9a3334c2p+2", "0x1.c50569d98d9c2p+2")
+
+    def setup(self):
+        out = specs_output([MARSpec(*draw) for draw in PINNED_DRAWS])
+        return out, TimeSeries(PINNED_SERIES)
+
+    def test_moments(self):
+        out, series = self.setup()
+        means, variances = forecast._chain_moments(out, np.arange(8), series, series.n, 7)
+        assert [x.hex() for x in means.tolist()] == self.MEANS
+        assert [x.hex() for x in variances.tolist()] == self.VARIANCES
+
+    def test_default_grid(self):
+        out, series = self.setup()
+        grid = default_grid(out, series, series.n, 7)
+        assert (grid[0].hex(), grid[-1].hex()) == self.GRID_ENDS
+        assert grid.tobytes() == np.linspace(grid[0], grid[-1], 512).tobytes()
+
+
 class TestPosteriorAveraging:
     def test_single_draw_bands_collapse(self):
         spec = model_a_spec()

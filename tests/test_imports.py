@@ -84,6 +84,59 @@ def test_guard_flags_a_scipy_import_inside_a_function():
     assert scipy_imports(sources) == [f"io:{line}", "summary:1"]
 
 
+EIGENSOLVERS = {"eig", "eigvals"}
+
+
+def eigensolver_calls(sources: dict[str, str]) -> list[str]:
+    """Calls of numpy's general eigensolvers, and imports of them by name, as module:line,
+    outside `stability.spectral_radius`.
+
+    The sweep decides stability without eigenvalues at p <= 2; a radius is
+    computed only where a number is reported, through `spectral_radius`.
+    """
+    found = []
+
+    def visit(node, module, owner):
+        for child in ast.iter_child_nodes(node):
+            inner = owner
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                inner = f"{owner}.{child.name}" if owner else child.name
+            elif isinstance(child, ast.Call):
+                func = child.func
+                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                if name in EIGENSOLVERS and (module, owner) != ("stability", "spectral_radius"):
+                    found.append(f"{module}:{child.lineno}")
+            elif isinstance(child, ast.ImportFrom) and any(
+                alias.name in EIGENSOLVERS for alias in child.names
+            ):
+                found.append(f"{module}:{child.lineno}")
+            visit(child, module, inner)
+
+    for module, text in sources.items():
+        visit(ast.parse(text), module, "")
+    return sorted(found)
+
+
+def test_no_eigensolver_outside_spectral_radius():
+    assert eigensolver_calls(package_sources()) == []
+
+
+def test_guard_flags_an_eigensolver_call():
+    sources = package_sources()
+    sources["sampler"] += (
+        "\n\ndef _radius(m):\n    return abs(np.linalg.eigvals(m)).max()\n"
+    )
+    sources["stability"] += (
+        "\n\ndef _eig_radius(m):\n    from numpy.linalg import eig\n    return eig(m)[0]\n"
+    )
+    last = {module: sources[module].count("\n") for module in ("sampler", "stability")}
+    assert eigensolver_calls(sources) == [
+        f"sampler:{last['sampler']}",
+        f"stability:{last['stability'] - 1}",  # the import
+        f"stability:{last['stability']}",  # the call
+    ]
+
+
 def uncalled_functions(sources: dict[str, str]) -> list[str]:
     """Top-level public functions, as module.name, that `mixar.__all__` does not
     export and that no module of `sources` names (as a variable or an attribute)."""

@@ -187,7 +187,7 @@ class TestConditionals:
         np.testing.assert_allclose(component_means_at(spec, series.values, 2), [-0.5, 1.0])
         e = np.array([2.5, 1.0])
         row = np.log(spec.weights / spec.scales) - 0.5 * (e / spec.scales) ** 2 - 0.5 * LOG_2PI
-        np.testing.assert_allclose(_log_terms(spec, *_design(series.values, 1))[0], row)
+        np.testing.assert_allclose(_log_terms(spec, *_design(series.values, 1))[:, 0], row)
         with pytest.raises(ValueError):
             conditional_pdf(spec, series, 1)
 
@@ -244,29 +244,31 @@ class TestConditionals:
 class TestKernels:
     """The numpy logsumexp and the erfc normal CDF against their scipy counterparts."""
 
+    # log terms are component-major, (g, T): the log-sum-exp of each design
+    # time runs over the first axis
     @pytest.mark.parametrize("shape", [(600, 3), (300, 2), (50, 1), (40, 4)])
     def test_logsumexp_rows_match_scipy(self, shape):
         rng = np.random.default_rng(sum(shape))
-        a = rng.uniform(-40.0, 10.0, size=shape)
+        a = rng.uniform(-40.0, 10.0, size=shape[::-1])
         np.testing.assert_allclose(
-            logsumexp(a, axis=1), special.logsumexp(a, axis=1), rtol=1e-15, atol=1e-15
+            logsumexp(a, axis=0), special.logsumexp(a, axis=0), rtol=1e-15, atol=1e-15
         )
         # the log terms of spec B on a series it generated, as the sampler builds them
         spec = model_b_spec()
         series = simulate_path(spec, 400, seed=shape[0])
-        rows = _log_terms(spec, *_design(series.values, 2))
+        terms = _log_terms(spec, *_design(series.values, 2))
         np.testing.assert_allclose(
-            logsumexp(rows, axis=1), special.logsumexp(rows, axis=1), rtol=1e-15, atol=1e-15
+            logsumexp(terms, axis=0), special.logsumexp(terms, axis=0), rtol=1e-15, atol=1e-15
         )
 
     def test_logsumexp_rows_with_minus_infinity(self):
         rng = np.random.default_rng(3)
-        a = rng.uniform(-40.0, 10.0, size=(500, 3))
+        a = rng.uniform(-40.0, 10.0, size=(3, 500))
         holes = rng.random(a.shape) < 0.3
-        holes[np.arange(500), rng.integers(0, 3, size=500)] = False  # one finite entry a row
+        holes[rng.integers(0, 3, size=500), np.arange(500)] = False  # one finite entry a time
         a[holes] = -np.inf
         np.testing.assert_allclose(
-            logsumexp(a, axis=1), special.logsumexp(a, axis=1), rtol=1e-15, atol=1e-15
+            logsumexp(a, axis=0), special.logsumexp(a, axis=0), rtol=1e-15, atol=1e-15
         )
 
     def test_logsumexp_vector(self):
@@ -279,15 +281,18 @@ class TestKernels:
         assert logsumexp(np.full(5, -np.inf)) == -np.inf
 
     def test_all_minus_infinity_row_gives_minus_infinity(self):
-        a = np.array([[0.0, -1.0], [-np.inf, -np.inf], [2.0, -np.inf]])
+        a = np.array([[0.0, -1.0], [-np.inf, -np.inf], [2.0, -np.inf]]).T
         with np.errstate(all="raise"):
-            out = logsumexp(a, axis=1)
+            out = logsumexp(a, axis=0)
         assert out[1] == -np.inf
-        np.testing.assert_allclose(out[[0, 2]], special.logsumexp(a[[0, 2]], axis=1), rtol=1e-15)
+        np.testing.assert_allclose(
+            out[[0, 2]], special.logsumexp(a[:, [0, 2]], axis=0), rtol=1e-15
+        )
 
     @pytest.mark.parametrize("g", range(1, 8))
     def test_logsumexp_rows_bitwise_equal_to_row_reductions(self, g):
-        """The column-at-a-time row log-sum-exp against numpy's per-row reductions."""
+        """The (g, T) log-sum-exp over components against numpy's per-row
+        reductions of the (T, g) transpose."""
         rng = np.random.default_rng(100 + g)
         a = rng.uniform(-800.0, 50.0, size=(300, g))
         a[rng.random(a.shape) < 0.3] = -np.inf
@@ -296,7 +301,7 @@ class TestKernels:
         top[~np.isfinite(top)] = 0.0
         with np.errstate(divide="ignore"):
             expect = (np.log(np.sum(np.exp(a - top), axis=1, keepdims=True)) + top)[:, 0]
-        got = logsumexp(a, axis=1)
+        got = logsumexp(np.ascontiguousarray(a.T), axis=0)
         assert got.tobytes() == expect.tobytes()
         assert np.all(got[::17] == -np.inf)
         assert row_sum(a[:, :g]).tobytes() == a.sum(axis=1).tobytes()
@@ -353,10 +358,10 @@ class TestLikelihood:
                 scales=rng.uniform(0.5, 2.0, size=g),
             )
             series = TimeSeries(rng.normal(size=n))
-            # row t of the log terms holds the complete-data term of each label
-            rows = _log_terms(spec, *_design(series.values, 1))
+            # column t of the log terms holds the complete-data term of each label
+            terms = _log_terms(spec, *_design(series.values, 1))
             logs = [
-                float(rows[np.arange(n - 1), np.array(z) - 1].sum())
+                float(terms[np.array(z) - 1, np.arange(n - 1)].sum())
                 for z in itertools.product(range(1, g + 1), repeat=n - 1)
             ]
             brute = math.log(sum(math.exp(v) for v in logs))

@@ -116,10 +116,11 @@ class TestAcceptance:
     def test_death_outside_proposal_support_rejected(self, monkeypatch):
         # the dropped 1.5 lies outside the birth support (-1.5, 1.5): the move
         # draws its direction and acceptance uniforms and tests no stability
-        def no_stability_test(spec):
+        def no_stability_test(*args):
             raise AssertionError("a death outside the birth support needs no stability test")
 
         monkeypatch.setattr(sampler, "is_stable", no_stability_test)
+        monkeypatch.setattr(sampler, "is_stable_phi", no_stability_test)
         state = single_state([0.1, 1.5])
         rng = ScriptedRng(0.3, 0.0)
         new_state, direction, accepted = order_move(state, SERIES, OrderMoveConfig(p_max=2), 1, rng)

@@ -1,6 +1,7 @@
 """Gibbs sweep blocks: full conditionals, RWM step, tuning, whole chains."""
 
 import dataclasses
+import functools
 import math
 from types import SimpleNamespace
 
@@ -11,6 +12,7 @@ from scipy.special import gammaln, logsumexp
 
 from mixar.datasets import model_a_spec, model_b_spec
 from mixar.model import (
+    LOG_2PI,
     LatentAllocation,
     MARSpec,
     TimeSeries,
@@ -35,6 +37,7 @@ from mixar.sampler import (
     precisions_conditional,
     run_chain,
     sample_weights,
+    state_log_terms,
     tune_gamma,
 )
 
@@ -61,16 +64,16 @@ def means_kernel(state, series, hyper):
     yt, lm = _design(series.values, 1)
     phi_mat = state.spec.phi_matrix(1)
     return means_conditional(
-        yt[:, None] - lm @ phi_mat.T, state.alloc.z - 1, state.alloc.counts,
-        state.spec.precisions, 1.0 - phi_mat.sum(axis=1), hyper,
+        yt - (lm @ phi_mat.T).T, state.alloc, state.spec.precisions,
+        1.0 - phi_mat.sum(axis=1), hyper,
     )
 
 
 def precisions_kernel(state, series, hyper):
     """(shape, rate) of the precisions conditional at state."""
     yt, lm = _design(series.values, 1)
-    e = yt[:, None] - state.spec.shifts[None, :] - lm @ state.spec.phi_matrix(1).T
-    return precisions_conditional(e, state.alloc.z - 1, state.alloc.counts, state.lam, hyper)
+    e = yt - state.spec.shifts[:, None] - (lm @ state.spec.phi_matrix(1).T).T
+    return precisions_conditional(e, state.alloc, state.lam, hyper)
 
 
 def kernel_sweep(state, series, hyper, rng, gamma=None):
@@ -95,7 +98,7 @@ def kernel_sweep(state, series, hyper, rng, gamma=None):
     ar, accepted = list(spec.ar_coeffs), np.zeros(spec.g, dtype=bool)
     for k in range(spec.g) if gamma is not None else ():
         proposal = ar[k] + rng.normal(0.0, 1.0 / math.sqrt(gamma[k]), size=ar[k].size)
-        log_ratio = ar_log_ratio(yt, lm, alloc.z == k + 1, shifts[k], scales[k], ar[k], proposal)
+        log_ratio = ar_log_ratio(yt, lm, alloc.members[k], shifts[k], scales[k], ar[k], proposal)
         if math.log(rng.random()) < log_ratio:
             accepted[k] = True
             ar[k] = proposal
@@ -142,15 +145,15 @@ class TestHyperparams:
 class TestAllocations:
     def test_rows_sum_to_one(self):
         probs = allocation_probabilities(tiny_state().spec, *_design(tiny_series().values, 1))
-        assert probs.shape == (4, 2)
-        np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-12)
+        assert probs.shape == (2, 4)
+        np.testing.assert_allclose(probs.sum(axis=0), 1.0, atol=1e-12)
 
     def test_two_thirds_example(self):
         # both components centred at 0 with scales (1, 2) and equal weights:
         # densities at y=0 are in ratio 1 : 1/2, so probabilities (2/3, 1/3)
         series = TimeSeries([0.0, 0.0])
         probs = allocation_probabilities(model_a_spec(), *_design(series.values, 1))
-        np.testing.assert_allclose(probs[0], [2.0 / 3.0, 1.0 / 3.0], atol=1e-12)
+        np.testing.assert_allclose(probs[:, 0], [2.0 / 3.0, 1.0 / 3.0], atol=1e-12)
 
     @pytest.mark.filterwarnings("ignore:overflow encountered")
     def test_underflow_names_time_index(self):
@@ -164,11 +167,11 @@ class TestAllocations:
         yt, lm = _design(series.values, 1)
         probs = allocation_probabilities(state.spec, yt, lm)
         rng = np.random.default_rng(0)
-        counts = np.zeros((4, 2))
+        counts = np.zeros((2, 4))
         n = 40_000
         for _ in range(n):
             alloc = draw_allocations(state.spec, yt, lm, rng)
-            counts[np.arange(4), alloc.z - 1] += 1
+            counts[alloc.z - 1, np.arange(4)] += 1
         np.testing.assert_allclose(counts / n, probs, atol=0.01)
 
 
@@ -198,6 +201,8 @@ class TestAllocationOracle:
 
     @staticmethod
     def cumsum_labels(probs, u):
+        """Labels from the (T, g) running sums of the (g, T) probabilities."""
+        probs = probs.T
         labels = (u[:, None] > np.cumsum(probs, axis=1)).sum(axis=1)
         return np.minimum(labels, probs.shape[1] - 1) + 1
 
@@ -207,7 +212,8 @@ class TestAllocationOracle:
         logw = rng.uniform(-30.0, 0.0, size=(n, g))
         logw[rng.random(logw.shape) < 0.2] = -np.inf
         logw[np.arange(n), rng.integers(0, g, n)] = rng.uniform(-5.0, 0.0, n)
-        return logw, model_logsumexp(logw, axis=1)
+        logw = np.ascontiguousarray(logw.T)  # component-major, as the sampler holds them
+        return logw, model_logsumexp(logw, axis=0)
 
     @pytest.mark.parametrize("g", range(1, 8))
     def test_same_labels_and_stream_position(self, g):
@@ -228,11 +234,59 @@ class TestAllocationOracle:
         spec = equal_weight_spec(g)
         probs = allocation_probabilities(spec, yt, lm, (logw, norm))
         pick = np.random.default_rng(g).integers(0, g, norm.size)
-        u = np.cumsum(probs, axis=1)[np.arange(norm.size), pick]
+        u = np.cumsum(probs, axis=0)[pick, np.arange(norm.size)]
         u[::5] = 0.0
         u[1::5] = np.nextafter(1.0, 0.0)
         alloc = draw_allocations(spec, yt, lm, FixedUniforms(u), (logw, norm))
         np.testing.assert_array_equal(alloc.z, self.cumsum_labels(probs, u))
+
+
+def time_major_oracle(spec, yt, lm):
+    """(T, g) log terms, their row log-sum-exps and the allocation probabilities,
+    one row per design time, reduced a column at a time from the left."""
+    e = (yt[:, None] - spec.shifts[None, :] - lm @ spec.phi_matrix(lm.shape[1]).T) / spec.scales
+    logw = np.log(spec.weights) - np.log(spec.scales) - 0.5 * e**2 - 0.5 * LOG_2PI
+    top = functools.reduce(np.maximum, logw.T)
+    top = np.where(np.isfinite(top), top, 0.0)
+    norm = np.log(functools.reduce(np.add, np.exp(logw - top[:, None]).T)) + top
+    return logw, norm, np.exp(logw - norm[:, None])
+
+
+class TestComponentMajorLayout:
+    """The (g, T) kernels carry the bits of the time-major (T, g) arithmetic."""
+
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    @pytest.mark.parametrize("g", range(1, 9))
+    def test_terms_norms_and_probabilities_equal_the_time_major_oracle(self, g, p):
+        rng = np.random.default_rng(500 + 10 * g + p)
+        values = rng.normal(0.0, 2.0, 150)
+        values[::23] *= 40.0  # outliers drive some probabilities to zero
+        series = TimeSeries(values)
+        underflow = False
+        for _ in range(3):
+            orders = rng.integers(1, p + 1, size=g)
+            orders[rng.integers(g)] = p
+            spec = MARSpec(
+                weights=rng.dirichlet(np.ones(g)),
+                shifts=rng.normal(0.0, 1.0, g),
+                ar_coeffs=tuple(rng.uniform(-0.6, 0.6, o) for o in orders),
+                scales=rng.uniform(0.05, 3.0, g),
+            )
+            for cond in (p, p + 1, p + 3):
+                yt, lm = series.design(cond)
+                logw, norm, probs = time_major_oracle(spec, yt, lm)
+                got = _log_terms(spec, yt, lm)
+                assert got.shape == (g, yt.size)
+                assert np.ascontiguousarray(got.T).tobytes() == logw.tobytes()
+                assert model_logsumexp(got, axis=0).tobytes() == norm.tobytes()
+                got_probs = allocation_probabilities(spec, yt, lm)
+                assert np.ascontiguousarray(got_probs.T).tobytes() == probs.tobytes()
+                state = ChainState(spec, LatentAllocation(np.ones(yt.size), g), 1.0, np.zeros(g))
+                memo_terms, memo_norm = state_log_terms(state, series.values, yt, lm)
+                assert memo_terms.tobytes() == got.tobytes()
+                assert memo_norm.tobytes() == norm.tobytes()
+                underflow |= bool(np.any(probs == 0.0))
+        assert underflow or g == 1
 
 
 class TestWeights:
@@ -346,16 +400,16 @@ class TestRWM:
         # one allocated point: y=(1, 0.5), shift 0.3, phi 0.5 -> e_cur=-0.3;
         # proposal 0.2 -> e_new=0; ratio = -tau/2 (0 - 0.09) with tau=1/0.49
         yt, lm = _design(np.array([1.0, 0.5]), 1)
-        got = ar_log_ratio(yt, lm, np.array([True]), 0.3, 0.7, np.array([0.5]), np.array([0.2]))
+        got = ar_log_ratio(yt, lm, np.array([0]), 0.3, 0.7, np.array([0.5]), np.array([0.2]))
         assert got == pytest.approx(0.09 / (2 * 0.49), abs=1e-14)
 
     def test_zero_step_and_empty_component(self):
         state = tiny_state()
         yt, lm = _design(tiny_series().values, 1)
         cur = state.spec.ar_coeffs[0]
-        mask = state.alloc.z == 1
-        assert ar_log_ratio(yt, lm, mask, 0.3, 0.7, cur, cur) == 0.0
-        none = np.zeros(4, dtype=bool)
+        rows = state.alloc.members[0]
+        assert ar_log_ratio(yt, lm, rows, 0.3, 0.7, cur, cur) == 0.0
+        none = np.zeros(0, dtype=np.intp)
         assert ar_log_ratio(yt, lm, none, -0.2, 1.5, cur, np.array([5.0])) == 0.0
 
     def test_blocks_of_different_length(self):
@@ -365,9 +419,9 @@ class TestRWM:
         # is -2 (0.2025 - 0.0225) = -0.36 and the death ratio its negative
         yt, lm = _design(np.array([1.0, 0.5, 0.2]), 2)
         short, long = np.array([0.5]), np.array([0.5, 0.3])
-        mask = np.array([True])
-        assert ar_log_ratio(yt, lm, mask, 0.1, 0.5, short, long) == pytest.approx(-0.36)
-        assert ar_log_ratio(yt, lm, mask, 0.1, 0.5, long, short) == pytest.approx(0.36)
+        rows = np.array([0])
+        assert ar_log_ratio(yt, lm, rows, 0.1, 0.5, short, long) == pytest.approx(-0.36)
+        assert ar_log_ratio(yt, lm, rows, 0.1, 0.5, long, short) == pytest.approx(0.36)
 
     def test_single_gamma_applies_to_every_component(self):
         series = simulate_path(model_a_spec(), 60, seed=5)
@@ -522,9 +576,11 @@ class TestLogTermMemo:
         series, hyper, state = self.start()
         assert state.terms is None
         new_state, _ = gibbs_sweep(state, series, hyper, np.random.default_rng(1), 2, self.GAMMA)
-        values, cond, logw, norm = new_state.terms
+        values, cond, logw, norm, fitted = new_state.terms
         assert values is series.values and cond == 2
-        np.testing.assert_array_equal(logw, _log_terms(new_state.spec, *_design(series.values, 2)))
+        yt, lm = _design(series.values, 2)
+        np.testing.assert_array_equal(logw, _log_terms(new_state.spec, yt, lm))
+        np.testing.assert_array_equal(fitted, (lm @ new_state.spec.phi_matrix(2).T).T)
         assert float(np.sum(norm)) == log_likelihood(new_state.spec, series, 2)
 
     def test_sweep_from_memo_equals_sweep_from_fresh_state(self):

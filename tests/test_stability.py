@@ -9,6 +9,7 @@ from mixar.stability import (
     StabilityReport,
     companion_matrices,
     is_stable,
+    is_stable_phi,
     spectral_radius,
     stability_matrix,
 )
@@ -49,10 +50,12 @@ def _power_iteration_radius(mat, iters=20_000):
 
 class TestCompanion:
     def test_model_a_companions(self):
-        np.testing.assert_allclose(companion_matrices(model_a_spec()), [[[-0.5]], [[1.0]]])
+        np.testing.assert_allclose(
+            companion_matrices(model_a_spec().phi_matrix()), [[[-0.5]], [[1.0]]]
+        )
 
     def test_model_b_companion_layout(self):
-        a1, a2, _ = companion_matrices(model_b_spec())
+        a1, a2, _ = companion_matrices(model_b_spec().phi_matrix())
         np.testing.assert_allclose(a1, [[-0.5, 0.5], [1.0, 0.0]])
         np.testing.assert_allclose(a2, [[-0.4, 0.0], [1.0, 0.0]])
 
@@ -68,7 +71,7 @@ class TestStabilityMatrix:
         spec = model_b_spec()
         mat = stability_matrix(spec)
         expect = np.zeros((4, 4))
-        for w, a in zip(spec.weights, companion_matrices(spec)):
+        for w, a in zip(spec.weights, companion_matrices(spec.phi_matrix())):
             expect += w * np.kron(a, a)
         np.testing.assert_allclose(mat, expect)
 
@@ -91,12 +94,12 @@ class TestStabilityMatrix:
                 a = np.zeros((p, p))
                 a[0, : orders[k - 1]] = spec.ar_coeffs[k - 1]
                 a[np.arange(1, p), np.arange(p - 1)] = 1.0
-                np.testing.assert_array_equal(companion_matrices(spec)[k - 1], a)
+                np.testing.assert_array_equal(companion_matrices(spec.phi_matrix())[k - 1], a)
                 expect += spec.weights[k - 1] * np.kron(a, a)
             got = stability_matrix(spec)
             assert got.shape == expect.shape
             assert got.tobytes() == expect.tobytes()
-            assert companion_matrices(spec).shape == (g, p, p)
+            assert companion_matrices(spec.phi_matrix()).shape == (g, p, p)
 
 
 class TestSpectralRadius:
@@ -210,10 +213,94 @@ def test_order_one_closed_form_bitwise_equal_to_kronecker_path(g):
         )
         radius = spectral_radius(stability_matrix(spec))
         report = is_stable(spec)
-        assert report == StabilityReport(spectral_radius=radius, stable=radius < 1.0)
+        assert (report.spectral_radius, report.stable) == (radius, radius < 1.0)
     # on the boundary: weights 1/2 and phi^2 summing to exactly one
     edge = MARSpec(
         weights=np.array([0.5, 0.5]), shifts=np.zeros(2),
         ar_coeffs=(np.array([1.0]), np.array([-1.0])), scales=np.ones(2),
     )
-    assert is_stable(edge) == StabilityReport(1.0, False)
+    report = is_stable(edge)
+    assert (report.spectral_radius, report.stable) == (1.0, False)
+
+
+def kron_radius(weights, phi):
+    """Oracle: spectral radius of sum_k w_k (A_k kron A_k), built with np.kron."""
+    p = phi.shape[1]
+    total = np.zeros((p * p, p * p))
+    for w, row in zip(weights, phi):
+        a = np.eye(p, k=-1)
+        a[0] = row
+        total += w * np.kron(a, a)
+    return float(np.abs(np.linalg.eigvals(total)).max())
+
+
+def mixed_order_phi(rng, g):
+    """A (g, max order) AR matrix with orders drawn from 1-2 and coefficients on (-s, s)."""
+    orders = rng.integers(1, 3, size=g)
+    scale = rng.uniform(0.3, 2.5)
+    phi = np.zeros((g, int(orders.max())))
+    for k, order in enumerate(orders):
+        phi[k, :order] = rng.uniform(-scale, scale, order)
+    return phi
+
+
+class TestClosedFormVerdict:
+    """The eigensolver-free verdict at p <= 2 against the eigenvalue radius."""
+
+    def test_random_specs_with_orders_one_and_two(self):
+        rng = np.random.default_rng(2024)
+        verdicts = []
+        for _ in range(10_000):
+            g = int(rng.integers(1, 5))
+            phi = mixed_order_phi(rng, g)
+            orders = [int(np.flatnonzero(row).max()) + 1 if row.any() else 1 for row in phi]
+            spec = MARSpec(
+                weights=rng.dirichlet(np.ones(g)),
+                shifts=np.zeros(g),
+                ar_coeffs=tuple(row[:order] for row, order in zip(phi, orders)),
+                scales=np.ones(g),
+            )
+            expect = kron_radius(spec.weights, spec.phi_matrix()) < 1.0
+            assert is_stable(spec).stable == expect
+            verdicts.append(expect)
+        assert 0.3 < np.mean(verdicts) < 0.8  # both verdicts are exercised
+
+    def test_weights_that_do_not_sum_to_one(self):
+        # the verdict holds for any positive weights, so their sum enters it
+        rng = np.random.default_rng(2025)
+        for _ in range(5_000):
+            g = int(rng.integers(1, 5))
+            phi = mixed_order_phi(rng, g)
+            weights = rng.dirichlet(np.ones(g)) * rng.uniform(0.3, 1.7)
+            assert is_stable_phi(weights, phi) == (kron_radius(weights, phi) < 1.0)
+
+    @pytest.mark.parametrize("radius", [1.0 - 1e-6, 1.0 + 1e-6])
+    def test_scaled_to_radius_one(self, radius):
+        # scaling every weight by c scales the Kronecker sum, and its radius, by c
+        rng = np.random.default_rng(2026 if radius < 1.0 else 2027)
+        checked = 0
+        while checked < 2_000:
+            g = int(rng.integers(1, 5))
+            phi = mixed_order_phi(rng, g)
+            weights = rng.dirichlet(np.ones(g))
+            base = kron_radius(weights, phi)
+            if base < 1e-3:
+                continue
+            scaled = weights * (radius / base)
+            assert kron_radius(scaled, phi) == pytest.approx(radius, abs=1e-9)
+            assert is_stable_phi(scaled, phi) == (radius < 1.0)
+            checked += 1
+
+    def test_order_two_stein_solution_by_hand(self):
+        # one AR(2) component (a, b) = (0.5, 0.3): rho = max|root|^2 with roots of
+        # z^2 - 0.5 z - 0.3, about 0.8521^2 = 0.726; b = 1 - 0.5 sits on the boundary
+        assert is_stable_phi(np.ones(1), np.array([[0.5, 0.3]]))
+        assert not is_stable_phi(np.ones(1), np.array([[0.5, 0.5]]))
+        assert not is_stable_phi(np.ones(1), np.array([[0.5, 0.6]]))
+
+    def test_report_radius_is_read_on_demand_and_unchanged(self):
+        # the p = 2 verdict takes no eigenvalues; the radius, when read, is the eigenvalue one
+        spec = model_b_spec()
+        report = is_stable(spec)
+        assert report.stable
+        assert report.spectral_radius == spectral_radius(stability_matrix(spec))
