@@ -130,7 +130,7 @@ def cmd_simulate(config: RunConfig, out: Path) -> tuple[list[str], dict]:
     diag = {
         "spec": config.spec_file or config.spec,
         "n": n,
-        "spectral_radius": is_stable(spec).spectral_radius,
+        "spectral_radius": is_stable(spec.weights, spec.phi_matrix()).spectral_radius,
     }
     return [str(path)], diag
 
@@ -144,7 +144,9 @@ def cmd_fit(config: RunConfig, out: Path) -> tuple[list[str], dict]:
     check_draw_count(config.n_iter - config.burn_in)
     hyper = default_hyperparams(series, fixed_shift=fixed_shift, **config.chain_settings())
     output = run_chain(series, g, orders, hyper, config.seed)
+    start = time.perf_counter()
     output = relabel_chain(output, relabel)
+    timing = {**output.timing, "relabel_s": time.perf_counter() - start}
     summaries = _fit_summaries(output)
     draws_path = out / "draws.csv"
     summaries_path = out / "summaries.json"
@@ -159,6 +161,7 @@ def cmd_fit(config: RunConfig, out: Path) -> tuple[list[str], dict]:
             "acceptance_rates": output.acceptance,
             "stability_rejections": output.stability_rejections,
             "proposal_precisions": output.gamma,
+            "timing": timing,
         }
     )
     return [str(draws_path), str(summaries_path)], diag
@@ -177,7 +180,7 @@ def cmd_select(config: RunConfig, out: Path) -> tuple[list[str], dict]:
     report_path = out / "evidence.json"
     write_json(report_path, evidence_payload(results, best_g))
     diag = dict(echo)
-    diag.update({"best_g": best_g, "workers": workers})
+    diag.update({"best_g": best_g, "workers": workers, "timing": {r.g: r.timing for r in results}})
     return [str(report_path)], diag
 
 

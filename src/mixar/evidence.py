@@ -27,7 +27,8 @@ p_max = 1 that run could only visit orders (1, ..., 1), so it is skipped.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+import time
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -35,6 +36,7 @@ from .model import (
     LOG_2PI,
     MARSpec,
     TimeSeries,
+    _log_terms,
     fitted_ar,
     log_likelihood,
     logsumexp,
@@ -45,7 +47,6 @@ from .relabel import RelabelConfig, relabel_chain
 from .rjmcmc import OrderMoveConfig, OrderTrace, rjmcmc_run
 from .sampler import (
     ChainOutput,
-    ChainState,
     Hyperparams,
     dirichlet_log_density,
     draw_allocations,
@@ -53,8 +54,10 @@ from .sampler import (
     gibbs_sweep,
     log_prior_density,
     means_conditional,
+    member_rows,
     precisions_conditional,
     run_chain,
+    spec_state,
     swap_log_alpha,
 )
 from .stability import is_stable
@@ -97,12 +100,15 @@ class StarredPoint:
 
 @dataclass
 class EvidenceResult:
+    """One component count's evidence, its parts, and the seconds each phase took."""
+
     g: int
     orders: tuple[int, ...]
     preference: float
     log_marginal: float
     parts: dict[str, float]
     log_p_g: float | None = None
+    timing: dict[str, float] = field(default_factory=dict)
 
     def recompose(self) -> float:
         """The evidence identity: log_marginal assembled from its parts."""
@@ -131,16 +137,10 @@ def starred_point(output: ChainOutput) -> StarredPoint:
     i = theta_star_index(output)
     spec = output.spec_at(i)
     means = output.means[i].copy()
-    if output.fixed_shift:
-        shifts = np.zeros(output.g)
-    else:
-        shifts = np.array(
-            [shift_from_mean(means[k], spec.ar_coeffs[k]) for k in range(output.g)]
-        )
-    spec = MARSpec(
-        weights=spec.weights, shifts=shifts, ar_coeffs=spec.ar_coeffs, scales=spec.scales
-    )
-    if not is_stable(spec).stable:
+    if not output.fixed_shift:
+        shifts = [shift_from_mean(m, a) for m, a in zip(means, spec.ar_coeffs)]
+        spec = replace(spec, shifts=np.array(shifts))
+    if not is_stable(spec.weights, spec.phi_matrix()).stable:
         raise ValueError("the selected high-density draw is unstable; chain is corrupted")
     return StarredPoint(spec=spec, means=means)
 
@@ -158,12 +158,10 @@ def _reduced_log_mean(
     n_keep = config.n_i if n_keep is None else n_keep
     burn = config.reduced_burn_in
     yt, lm = series.design(cond)
-    state = ChainState(
-        spec=star.spec,
-        alloc=draw_allocations(star.spec, yt, lm, rng),
-        lam=draw_lambda(star.spec.scales, hyper, rng),
-        means=star.means,
-    )
+    logw = _log_terms(star.spec, yt, lm)
+    z = draw_allocations(logw, logsumexp(logw, axis=0), cond, rng)
+    lam = draw_lambda(star.spec.scales, hyper, rng)
+    state = spec_state(star.spec, star.means, z, lam, cond)
     terms = np.empty(n_keep)
     for i in range(burn + n_keep):
         state, _ = gibbs_sweep(state, series, hyper, rng, cond, gamma, pinned)
@@ -205,7 +203,8 @@ def estimate_phi_ordinate(
 
         def to_star(state):
             log_alpha = swap_log_alpha(state, yt, lm, k, phi_star_k)
-            return log_alpha + _log_normal_q(phi_star_k, state.spec.ar_coeffs[k - 1], gamma_k)
+            phi_k = state.phi[k - 1, : state.orders[k - 1]]
+            return log_alpha + _log_normal_q(phi_star_k, phi_k, gamma_k)
 
         def from_star(state):
             prop = phi_star_k + rng.normal(0.0, 1.0 / math.sqrt(gamma_k), phi_star_k.size)
@@ -236,11 +235,13 @@ def estimate_mu_ordinate(
         return 0.0
     g = star.spec.g
     yt, lm = series.design(cond)
-    r_star = yt - fitted_ar(star.spec, lm)  # (g, T) shift-free residuals at phi*
-    bk = 1.0 - row_sum(star.spec.phi_matrix(lm.shape[1]))
+    phi_star = star.spec.phi_matrix(lm.shape[1])
+    r_star = yt - fitted_ar(phi_star, lm)  # (g, T) shift-free residuals at phi*
+    bk = 1.0 - row_sum(phi_star)
 
     def term(state):
-        m, prec = means_conditional(r_star, state.alloc, state.spec.precisions, bk, hyper)
+        tau = 1.0 / state.scales**2
+        m, prec = means_conditional(r_star, member_rows(state), state.counts, tau, bk, hyper)
         total = 0.0
         for k in range(g):
             total += (
@@ -263,12 +264,14 @@ def estimate_tau_ordinate(
     """Rao-Blackwellized log ordinate of the precisions given starred AR and means."""
     g = star.spec.g
     yt, lm = series.design(cond)
-    e_star = yt - star.spec.shifts[:, None] - fitted_ar(star.spec, lm)  # (g, T) at phi*, mu*
-    tau_star = star.spec.precisions
+    fitted = fitted_ar(star.spec.phi_matrix(lm.shape[1]), lm)
+    e_star = yt - star.spec.shifts[:, None] - fitted  # (g, T) residuals at phi*, mu*
+    tau_star = 1.0 / star.spec.scales**2
     log_tau_star = [math.log(t) for t in tau_star]
 
     def term(state):
-        shape, rate = precisions_conditional(e_star, state.alloc, state.lam, hyper)
+        rows = member_rows(state)
+        shape, rate = precisions_conditional(e_star, rows, state.counts, state.lam, hyper)
         total = 0.0
         for k in range(g):
             total += (
@@ -299,7 +302,7 @@ def estimate_pi_ordinate(
     log_pi_star = np.log(star.spec.weights)
 
     def term(state):
-        return dirichlet_log_density(1.0 + state.alloc.counts, log_pi_star)
+        return dirichlet_log_density(1.0 + state.counts, log_pi_star)
 
     return _reduced_log_mean(star.spec.g + 2, term, series, star, hyper, gamma, config, rng, cond)
 
@@ -326,8 +329,16 @@ def marginal_log_likelihood(
     """
     s_rj, s_fit, s_ord = _child_seeds(seed, 3)
     p_max = config.order_config.p_max
+    timing = {"order_chain_s": 0.0}
+
+    def timed(name, fn, *args):
+        start = time.perf_counter()
+        out = fn(*args)
+        timing[name] = time.perf_counter() - start
+        return out
+
     if p_max > 1:
-        trace, _ = rjmcmc_run(series, g, hyper, config.order_config, s_rj)
+        trace, _ = timed("order_chain_s", rjmcmc_run, series, g, hyper, config.order_config, s_rj)
     else:
         # an order chain capped at 1 can only visit (1, ..., 1)
         trace = OrderTrace(orders=np.ones((1, g), dtype=np.int64))
@@ -340,22 +351,23 @@ def marginal_log_likelihood(
             "cannot estimate its posterior probability"
         )
 
-    output = run_chain(series, g, orders, hyper, s_fit, cond=p_max)
+    output = timed("fit_chain_s", run_chain, series, g, orders, hyper, s_fit, p_max)
     output = relabel_chain(output, config.relabel)
     star = starred_point(output)
     cond = output.cond
     gamma = output.gamma
     rng = np.random.default_rng(s_ord)
+    args = (series, star, hyper, gamma, config, rng, cond)
 
-    log_phi, per_k = estimate_phi_ordinate(series, star, hyper, gamma, config, rng, cond)
+    log_phi, per_k = timed("phi_ordinate_s", estimate_phi_ordinate, *args)
     parts = {
         "log_likelihood": log_likelihood(star.spec, series, cond),
         "log_prior": log_prior_density(star.spec.weights, star.means, star.spec.scales, hyper),
         "log_order_prior": -g * math.log(p_max),
         "log_phi_ordinate": log_phi,
-        "log_mu_ordinate": estimate_mu_ordinate(series, star, hyper, gamma, config, rng, cond),
-        "log_tau_ordinate": estimate_tau_ordinate(series, star, hyper, gamma, config, rng, cond),
-        "log_pi_ordinate": estimate_pi_ordinate(series, star, hyper, gamma, config, rng, cond),
+        "log_mu_ordinate": timed("mu_ordinate_s", estimate_mu_ordinate, *args),
+        "log_tau_ordinate": timed("tau_ordinate_s", estimate_tau_ordinate, *args),
+        "log_pi_ordinate": timed("pi_ordinate_s", estimate_pi_ordinate, *args),
         "log_order_posterior": math.log(preference),
     }
     for k, v in enumerate(per_k, start=1):
@@ -366,6 +378,7 @@ def marginal_log_likelihood(
         preference=preference,
         log_marginal=math.nan,
         parts=parts,
+        timing=timing,
     )
     result.log_marginal = result.recompose()
     return result

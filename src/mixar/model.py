@@ -64,19 +64,16 @@ class MARSpec:
         orders = tuple(a.size for a in ar)
         object.__setattr__(self, "orders", orders)
         g = w.size
-        # One pass over every value decides; the per-field checks run only
-        # to name what is wrong.
         if not (
             g >= 1
             and sh.size == g
             and sc.size == g
             and len(ar) == g
             and min(orders) >= 1
-            and np.isfinite(values := np.concatenate((w, sc, sh, *ar), axis=None)).all()
-            and values[: 2 * g].min() > 0.0
+            and values_valid(w, sc, sh, *ar)
             and abs(w.sum() - 1.0) <= 1e-8
         ):
-            _check_fields(w, sh, sc, ar)
+            check_fields(w, sh, sc, ar)
         phi = np.zeros((g, max(orders)))
         for k, a in enumerate(ar):
             phi[k, : a.size] = a
@@ -90,11 +87,6 @@ class MARSpec:
     @property
     def max_order(self) -> int:
         return max(self.orders)
-
-    @property
-    def precisions(self) -> np.ndarray:
-        """Component precisions tau_k = 1 / sigma_k^2."""
-        return 1.0 / self.scales**2
 
     def phi_matrix(self, width: int | None = None) -> np.ndarray:
         """AR coefficients as a read-only (g, width) matrix, zero-padded on the right.
@@ -112,16 +104,17 @@ class MARSpec:
             self._phi[width] = out
         return out
 
-    def with_ar(self, k: int, coeffs: np.ndarray) -> MARSpec:
-        """The same model with component k's (1-based) AR block replaced by coeffs."""
-        ar = list(self.ar_coeffs)
-        ar[k - 1] = coeffs
-        return MARSpec(
-            weights=self.weights, shifts=self.shifts, ar_coeffs=tuple(ar), scales=self.scales
-        )
+
+def values_valid(w: np.ndarray, sc: np.ndarray, *rest: np.ndarray) -> bool:
+    """One pass over every value: all finite, every weight and scale positive.
+
+    The per-field checks of `check_fields` run only to name what is wrong.
+    """
+    values = np.concatenate((w, sc, *rest), axis=None)
+    return bool(np.isfinite(values).all() and values[: w.size + sc.size].min() > 0.0)
 
 
-def _check_fields(w, sh, sc, ar) -> None:
+def check_fields(w, sh, sc, ar) -> None:
     """The per-field checks of `MARSpec`, raising on the first that fails."""
     g = w.size
     if g < 1:
@@ -176,44 +169,6 @@ class TimeSeries:
         return self.values.size
 
 
-@dataclass(frozen=True)
-class LatentAllocation:
-    """Component labels for observations t = t0, ..., n.
-
-    z holds 1-based component labels; counts holds the per-component label
-    counts n_1, ..., n_g (summing to len(z)); `members` the positions of
-    each component's points.
-    """
-
-    z: np.ndarray
-    g: int
-    counts: np.ndarray = field(init=False)
-
-    def __post_init__(self):
-        z = np.asarray(self.z, dtype=np.int64).reshape(-1)
-        object.__setattr__(self, "z", z)
-        if self.g < 1:
-            raise ValueError("g must be >= 1")
-        # The label count is the range check too: bincount refuses negative
-        # labels and counts label 0 in its first entry; the maximum bounds its length.
-        try:
-            full = None if z.size and z.max() > self.g else np.bincount(z, minlength=self.g + 1)
-        except ValueError:
-            full = None
-        if full is None or full[0]:
-            raise ValueError("labels must lie in 1..g")
-        object.__setattr__(self, "counts", full[1:])
-
-    @functools.cached_property
-    def members(self) -> tuple[np.ndarray, ...]:
-        """For each component k = 1..g, the ascending positions t with z_t = k.
-
-        Built on first read and shared by every kernel that gathers one
-        component's points.
-        """
-        return tuple(np.flatnonzero(self.z == k) for k in range(1, self.g + 1))
-
-
 def _check_time(series: TimeSeries, t: int, p: int) -> None:
     if not p < t <= series.n:
         raise ValueError(f"time index t={t} must satisfy {p} < t <= {series.n}")
@@ -265,46 +220,51 @@ def logsumexp(a: np.ndarray, axis: int | None = None) -> np.ndarray | float:
     A slice that is all -inf gives -inf, so callers can detect it.  Over the
     first axis of a (g, T) array of log terms the maximum and the sum run
     one component row at a time over all T columns, adding rows top to
-    bottom.
+    bottom.  One row is returned as it is: it is its own log-sum-exp bit for
+    bit (top = row, exp 0 = 1, log 1 = 0, 0 + top = top; -inf and NaN too).
     """
     a = np.asarray(a, dtype=float)
-    top = np.max(a, axis=axis, keepdims=True)
+    if axis == 0 and len(a) == 1:
+        return a[0]
+    top = a.max(axis=axis, keepdims=True)
     top[~np.isfinite(top)] = 0.0
-    out = np.sum(np.exp(a - top), axis=axis, keepdims=True)
+    out = np.exp(a - top).sum(axis=axis, keepdims=True)
     with np.errstate(divide="ignore"):
         np.log(out, out=out)
     out += top
     return out.reshape(()).item() if axis is None else np.squeeze(out, axis=axis)
 
 
-def fitted_ar(spec: MARSpec, lm: np.ndarray) -> np.ndarray:
+def fitted_ar(phi: np.ndarray, lm: np.ndarray) -> np.ndarray:
     """(g, T) AR parts sum_i phi_ki y_{t-i} of the component means on the lag matrix lm.
 
+    phi is the (g, cond) AR matrix, zero-padded to the width of lm.
     Computed as lm @ phi^T and stored transposed, so every kernel that
     reads it gets the same bits.
     """
-    return np.ascontiguousarray((lm @ spec.phi_matrix(lm.shape[1]).T).T)
+    return np.ascontiguousarray((lm @ phi.T).T)
 
 
-def _log_terms(
-    spec: MARSpec, yt: np.ndarray, lm: np.ndarray, fitted: np.ndarray | None = None
+def log_terms(
+    weights: np.ndarray,
+    shifts: np.ndarray,
+    scales: np.ndarray,
+    yt: np.ndarray,
+    fitted: np.ndarray,
 ) -> np.ndarray:
     """(g, T) matrix of log(pi_k / sigma_k phi(e_kt / sigma_k)), columns unnormalized.
 
-    Component-major: row k holds component k's term at every design time.
-    yt and lm are design arrays from `_design`; lm may be wider than the
-    maximum order (the extra columns meet zero coefficients).  fitted is
-    `fitted_ar(spec, lm)` when it is already at hand.
+    Row k holds component k's term at every design time of the target yt;
+    fitted is the (g, T) `fitted_ar` on its lag matrix.
     """
-    if fitted is None:
-        fitted = fitted_ar(spec, lm)
-    e = (yt - spec.shifts[:, None] - fitted) / spec.scales[:, None]
-    return (np.log(spec.weights) - np.log(spec.scales))[:, None] - 0.5 * e**2 - 0.5 * LOG_2PI
+    e = (yt - shifts[:, None] - fitted) / scales[:, None]
+    return (np.log(weights) - np.log(scales))[:, None] - 0.5 * e**2 - 0.5 * LOG_2PI
 
 
-def _mixture_loglik(spec: MARSpec, yt: np.ndarray, lm: np.ndarray) -> float:
-    """Sum over design times of log sum_k exp(log term): the conditional log likelihood."""
-    return float(np.sum(logsumexp(_log_terms(spec, yt, lm), axis=0)))
+def _log_terms(spec: MARSpec, yt: np.ndarray, lm: np.ndarray) -> np.ndarray:
+    """`log_terms` of spec on the design (yt, lm); lm may be wider than the maximum order."""
+    fitted = fitted_ar(spec.phi_matrix(lm.shape[1]), lm)
+    return log_terms(spec.weights, spec.shifts, spec.scales, yt, fitted)
 
 
 def component_means_at(spec: MARSpec, values: np.ndarray, t: int) -> np.ndarray:
@@ -357,7 +317,8 @@ def log_likelihood(spec: MARSpec, series: TimeSeries, cond: int | None = None) -
     The first `cond` observations (default: the maximum order) are
     conditioned on and contribute no terms.
     """
-    out = _mixture_loglik(spec, *series.design(_resolve_cond(spec, series, cond)))
+    yt, lm = series.design(_resolve_cond(spec, series, cond))
+    out = float(np.sum(logsumexp(_log_terms(spec, yt, lm), axis=0)))
     if not np.isfinite(out):
         raise ValueError("log likelihood is not finite; model collapsed numerically")
     return out
@@ -407,7 +368,7 @@ def simulate_path(spec: MARSpec, n: int, seed: int | np.random.Generator) -> Tim
 
     if n < 1:
         raise ValueError("n must be >= 1")
-    report = is_stable(spec)
+    report = is_stable(spec.weights, spec.phi_matrix())
     if not report.stable:
         raise ValueError(
             f"refusing to simulate: spectral radius {report.spectral_radius:.6f} >= 1"

@@ -26,7 +26,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .model import TimeSeries
-from .sampler import ChainOutput, ChainState, Hyperparams, _run, swap_log_alpha
+from .sampler import ChainOutput, ChainState, Hyperparams, _run, swap_log_alpha, swapped_ar
 
 
 @dataclass(frozen=True)
@@ -71,10 +71,9 @@ def order_move(
     """
     if config.p_max == 1:
         return state, "none", False
-    spec = state.spec
-    p = spec.orders[k - 1]
+    p = state.orders[k - 1]
     w = config.birth_half_width
-    coeffs = spec.ar_coeffs[k - 1]
+    coeffs = state.phi[k - 1, :p]
     if rng.random() < config.birth_prob(p):
         direction = "birth"
         new_coeffs = np.append(coeffs, rng.uniform(-w, w))
@@ -92,7 +91,8 @@ def order_move(
         log_alpha = swap_log_alpha(state, yt, lm, k, new_coeffs, log_move, log_q)
     accepted = rng.random() < math.exp(log_alpha)
     if accepted:
-        state = replace(state, spec=spec.with_ar(k, new_coeffs))
+        phi, orders = swapped_ar(state, k, new_coeffs)
+        state = replace(state, phi=phi, orders=orders)
     return state, direction, accepted
 
 

@@ -24,22 +24,23 @@ from __future__ import annotations
 
 import itertools
 import math
+import time
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .model import (
-    LatentAllocation,
     MARSpec,
     TimeSeries,
-    _log_terms,
-    _resolve_cond,
+    check_fields,
     fitted_ar,
+    log_terms,
     logsumexp,
     row_sum,
+    values_valid,
 )
-from .stability import is_stable, is_stable_phi
+from .stability import is_stable
 
 
 @dataclass(frozen=True)
@@ -115,27 +116,36 @@ def default_hyperparams(series: TimeSeries, **overrides) -> Hyperparams:
     return Hyperparams(**base)
 
 
-@dataclass(frozen=True)
+@dataclass(eq=False, slots=True)
 class ChainState:
-    """One point of the chain: spec, allocations, lambda, sampled means.
+    """One point of the chain as plain arrays, never written once built.
 
-    `terms` memoizes the (g, T) log terms of `spec`, their per-time
-    log-sum-exps and the (g, T) fitted AR parts on one design (see
-    `state_log_terms`).  It is not an
-    __init__ argument, so `dataclasses.replace` starts it empty and a state
-    with a changed spec never carries terms of another.
+    phi is the (g, width) AR matrix, zero-padded; z the 1-based labels of
+    the design points and counts their tally per component.  The memos
+    `terms` (`state_log_terms`) and `rows` (`member_rows`) are not __init__
+    arguments, so `dataclasses.replace` starts them empty.
     """
 
-    spec: MARSpec
-    alloc: LatentAllocation
-    lam: float
+    weights: np.ndarray
+    shifts: np.ndarray
     means: np.ndarray
-    terms: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    scales: np.ndarray
+    phi: np.ndarray
+    orders: tuple[int, ...]
+    z: np.ndarray
+    counts: np.ndarray
+    lam: float
+    terms: tuple | None = field(default=None, init=False, repr=False)
+    rows: tuple | None = field(default=None, init=False, repr=False)
 
-    def __post_init__(self):
-        object.__setattr__(self, "means", np.asarray(self.means, dtype=float).reshape(-1))
-        if self.means.size != self.spec.g:
-            raise ValueError("means must have one entry per component")
+
+def spec_state(spec: MARSpec, means, z, lam: float, width: int) -> ChainState:
+    """The chain state at a validated spec, its AR matrix `width` columns wide."""
+    z = np.asarray(z, dtype=np.int64)
+    return ChainState(
+        spec.weights, spec.shifts, np.asarray(means, dtype=float), spec.scales,
+        spec.phi_matrix(width), spec.orders, z, np.bincount(z, minlength=spec.g + 1)[1:], lam,
+    )
 
 
 @dataclass(frozen=True)
@@ -150,7 +160,8 @@ class ChainOutput:
     """Retained draws and run diagnostics of one chain.
 
     Arrays are indexed [draw, component(, lag)]; ar is zero-padded to a
-    common width and `orders` gives per-draw component orders.
+    common width and `orders` gives per-draw component orders.  `timing`
+    holds the seconds of the pilot, burn-in and retained sweeps.
     """
 
     g: int
@@ -168,6 +179,7 @@ class ChainOutput:
     stability_rejections: int
     gamma: np.ndarray | None
     fixed_shift: bool
+    timing: dict = field(default_factory=dict)
 
     @property
     def n_draws(self) -> int:
@@ -188,79 +200,84 @@ class ChainOutput:
 # order moves; data enter as the design arrays (yt, lm) of `TimeSeries.design`.
 
 
-def state_log_terms(
-    state: ChainState, values: np.ndarray, yt: np.ndarray, lm: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """(g, T) log terms of state.spec on the design (yt, lm) of `values`, and their column norms.
+def _padded(phi: np.ndarray, orders: tuple[int, ...], width: int) -> np.ndarray:
+    """phi as a (g, width) matrix: itself at that width, else a zero-padded copy."""
+    if phi.shape[1] != width:
+        if width < max(orders):
+            raise ValueError("cannot condition on fewer observations than the maximum order")
+        phi = np.pad(phi[:, : max(orders)], ((0, 0), (0, width - max(orders))))
+    return phi
 
-    Component-major: row k holds component k's log term at every design
-    time, and the norms are the (T,) log-sum-exps over components.
-    Memoized on the state, keyed by the series values and cond = lm.shape[1],
-    as (values, cond, log terms, norms, fitted) with fitted the (g, T)
-    `fitted_ar` of state.spec: the terms a sweep computes for the spec it
-    ends with serve the next sweep's allocation draw, and the fitted AR
-    parts its means and precisions.
+
+def state_log_terms(
+    state: ChainState, values: np.ndarray, yt: np.ndarray, lm: np.ndarray, fitted=None
+) -> tuple[np.ndarray, np.ndarray]:
+    """(g, T) log terms of state on the design (yt, lm) of `values`, and their column norms.
+
+    Memoized on the state, keyed by the series values and cond =
+    lm.shape[1], as (values, cond, log terms, norms, fitted) with fitted
+    the (g, T) `fitted_ar` of state.phi (computed unless given): the terms
+    a sweep computes for its end state serve the next sweep's allocation
+    draw, and the fitted AR parts its means and precisions.
     """
     memo = state.terms
     if memo is None or memo[0] is not values or memo[1] != lm.shape[1]:
-        fitted = fitted_ar(state.spec, lm)
-        logw = _log_terms(state.spec, yt, lm, fitted)
+        if fitted is None:
+            fitted = fitted_ar(_padded(state.phi, state.orders, lm.shape[1]), lm)
+        logw = log_terms(state.weights, state.shifts, state.scales, yt, fitted)
         memo = (values, lm.shape[1], logw, logsumexp(logw, axis=0), fitted)
-        object.__setattr__(state, "terms", memo)
+        state.terms = memo
     return memo[2], memo[3]
 
 
-def allocation_probabilities(
-    spec: MARSpec,
-    yt: np.ndarray,
-    lm: np.ndarray,
-    terms: tuple[np.ndarray, np.ndarray] | None = None,
-) -> np.ndarray:
-    """Posterior allocation probabilities as a (g, T) array whose columns sum to one.
+def member_rows(state: ChainState) -> tuple[np.ndarray | None, ...]:
+    """Each component's ascending positions t with z_t = k, built on first read.
 
-    Component-major: row k holds P(z_t = k | ...) at every design time.
-    terms are the ((g, T) log terms, (T,) norms) of spec on this design
-    when they are already at hand (`state_log_terms`); otherwise they are
-    computed.
+    A component holding every design point gets None, and the kernels read
+    its row as it is: the values a gather of every position gives.
     """
-    if terms is None:
-        logw = _log_terms(spec, yt, lm)
-        terms = logw, logsumexp(logw, axis=0)
-    logw, norm = terms
-    bad = ~np.isfinite(norm)
-    if np.any(bad):
-        t_bad = lm.shape[1] + 1 + int(np.nonzero(bad)[0][0])
+    if state.rows is None:
+        state.rows = _member_rows(state.z, state.counts)
+    return state.rows
+
+
+def _member_rows(z: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray | None, ...]:
+    return tuple(None if n == z.size else (z == k).nonzero()[0]
+                 for k, n in enumerate(counts.tolist(), 1))
+
+
+def _gather(a: np.ndarray, rows: np.ndarray | None) -> np.ndarray:
+    """The entries of a (rows, for a 2-D a) at the positions `rows`; all of a when rows is None."""
+    return a if rows is None else a.take(rows, axis=0)
+
+
+def draw_allocations(
+    logw: np.ndarray, norm: np.ndarray, cond: int, rng: np.random.Generator
+) -> np.ndarray:
+    """Draw every 1-based label z_t from its full conditional (one uniform per time).
+
+    P(z_t = k) = exp(logw_kt - norm_t) for the log terms and column norms of
+    `state_log_terms`.  z_t is one plus the number of running sums below the
+    uniform, taken a row at a time over the first g - 1 rows (at g = 1 every
+    label is 1, and the uniforms are still drawn).  A time whose norm is not
+    finite, one no component explains, is refused by its 1-based index.
+    """
+    if not np.isfinite(norm).all():
+        t_bad = cond + 1 + int(np.nonzero(~np.isfinite(norm))[0][0])
         raise ValueError(
             f"all component densities underflow at t={t_bad}; "
             "the current parameters leave that observation unexplainable"
         )
-    return np.exp(logw - norm)
-
-
-def draw_allocations(
-    spec: MARSpec,
-    yt: np.ndarray,
-    lm: np.ndarray,
-    rng: np.random.Generator,
-    terms: tuple[np.ndarray, np.ndarray] | None = None,
-) -> LatentAllocation:
-    """Draw every z_t from its full conditional (one uniform per row).
-
-    z_t is one plus the number of running sums pi_t1, pi_t1 + pi_t2, ... below
-    the uniform, taken a component row at a time over the first g - 1 rows
-    (the last running sum would only add a label past g).
-    """
-    probs = allocation_probabilities(spec, yt, lm, terms)
-    u = rng.random(probs.shape[1])
-    z = np.ones(probs.shape[1], dtype=np.int64)
-    for cum in itertools.accumulate(probs[:-1]):
+    u = rng.random(norm.size)
+    z = np.ones(norm.size, dtype=np.int64)
+    for cum in itertools.accumulate(np.exp(logw[:-1] - norm)):
         z += u > cum
-    return LatentAllocation(z=z, g=spec.g)
+    return z
 
 
-def sample_weights(alloc: LatentAllocation, rng: np.random.Generator) -> np.ndarray:
+def sample_weights(counts: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """Draw pi from its full conditional Dirichlet(1 + counts)."""
-    w = rng.dirichlet(1.0 + alloc.counts)
+    w = rng.dirichlet(1.0 + counts)
     w = np.maximum(w, 1e-300)
     return w / w.sum()
 
@@ -275,7 +292,8 @@ def dirichlet_log_density(alpha: np.ndarray, log_weights: np.ndarray) -> float:
 
 def means_conditional(
     r: np.ndarray,
-    alloc: LatentAllocation,
+    rows: tuple[np.ndarray | None, ...],
+    counts: np.ndarray,
     tau: np.ndarray,
     bk: np.ndarray,
     hyper: Hyperparams,
@@ -283,17 +301,17 @@ def means_conditional(
     """Normal full conditional of the component means: (mean, precision) per component.
 
     r holds the (g, T) shift-free residuals y_t - sum_i phi_ki y_{t-i}, row k
-    for component k, alloc the allocations and bk = 1 - sum_i phi_ki.  The
-    precision is tau_k n_k b_k^2 + kappa and the mean (tau_k n_k ebar_k b_k +
-    kappa zeta) / precision, where ebar_k averages row k of r over the points
-    assigned to k.  Empty components fall back to the prior.
+    for component k, rows and counts the `member_rows` and tallies of the
+    allocations and bk = 1 - sum_i phi_ki.  The precision is tau_k n_k b_k^2 +
+    kappa and the mean (tau_k n_k ebar_k b_k + kappa zeta) / precision, where
+    ebar_k averages row k of r over the points assigned to k.  Empty
+    components fall back to the prior.
     """
-    counts = alloc.counts
     mean = np.empty(counts.size)
     prec = np.empty(counts.size)
-    for k, rows in enumerate(alloc.members):
+    for k, rows_k in enumerate(rows):
         nk = counts[k]
-        ebar = r[k].take(rows).sum() / nk if nk > 0 else 0.0
+        ebar = _gather(r[k], rows_k).sum() / nk if nk > 0 else 0.0
         prec[k] = tau[k] * nk * bk[k] ** 2 + hyper.kappa
         mean[k] = (tau[k] * nk * ebar * bk[k] + hyper.kappa * hyper.zeta) / prec[k]
     return mean, prec
@@ -307,17 +325,16 @@ def draw_lambda(scales: np.ndarray, hyper: Hyperparams, rng: np.random.Generator
 
 
 def precisions_conditional(
-    e: np.ndarray, alloc: LatentAllocation, lam: float, hyper: Hyperparams
+    e: np.ndarray, rows: tuple, counts: np.ndarray, lam: float, hyper: Hyperparams
 ) -> tuple[np.ndarray, np.ndarray]:
     """Gamma full conditional of the precisions: (shape, rate) = (c + n_k/2, lambda + SSE_k/2).
 
     e holds the (g, T) residuals including the shifts, row k for component
-    k; SSE_k sums e^2 over the points assigned to k.
+    k; SSE_k sums e^2 over the points assigned to k (`member_rows`).
     """
-    counts = alloc.counts
     sse = np.array(
-        [float((e[k].take(rows) ** 2).sum()) if rows.size else 0.0
-         for k, rows in enumerate(alloc.members)]
+        [float((_gather(e[k], rows_k) ** 2).sum()) if counts[k] else 0.0
+         for k, rows_k in enumerate(rows)]
     )
     return hyper.c + counts / 2.0, lam + sse / 2.0
 
@@ -325,7 +342,7 @@ def precisions_conditional(
 def ar_log_ratio(
     yt: np.ndarray,
     lm: np.ndarray,
-    rows: np.ndarray,
+    rows: np.ndarray | None,
     shift: float,
     scale: float,
     cur: np.ndarray,
@@ -333,19 +350,31 @@ def ar_log_ratio(
 ) -> float:
     """Log likelihood ratio of AR block `new` against `cur` for one component.
 
-    Restricted to the design rows at the integer positions `rows`, the
-    points allocated to the component (`LatentAllocation.members`); its
-    shift and scale stay fixed.  The two blocks may differ in length, as
-    in a birth or death move.
+    Restricted to the design rows at the integer positions `rows` (all of
+    them when None), the points allocated to the component
+    (`member_rows`); its shift and scale stay fixed.  The two blocks may
+    differ in length, as in a birth or death move.
     """
-    r = yt.take(rows) - shift
+    r = _gather(yt, rows) - shift
     if not r.size:
         return 0.0
-    x = lm.take(rows, axis=0)
+    x = _gather(lm, rows)
     e_cur = r - x[:, : cur.size] @ cur
     e_new = r - x[:, : new.size] @ new
     tau = 1.0 / scale**2
     return -0.5 * tau * float(e_new @ e_new - e_cur @ e_cur)
+
+
+def swapped_ar(state: ChainState, k: int, coeffs: np.ndarray) -> tuple[np.ndarray, tuple]:
+    """A new AR matrix, and the orders, of state with component k's block replaced by coeffs."""
+    orders = list(state.orders)
+    orders[k - 1] = coeffs.size
+    g, width = state.phi.shape
+    phi = np.zeros((g, max(width, coeffs.size)))
+    phi[:, :width] = state.phi
+    phi[k - 1] = 0.0
+    phi[k - 1, : coeffs.size] = coeffs
+    return phi, tuple(orders)
 
 
 def swap_log_alpha(
@@ -362,20 +391,14 @@ def swap_log_alpha(
     min(0, log LR + log_move + log_q) with the allocated-point ratio of
     `ar_log_ratio`, or -inf when the swapped model is unstable.  Stability
     is decided on the weights and the AR matrix with row k replaced, as
-    wide as the swapped model's maximum order; no spec is built.
+    wide as the swapped model's maximum order.
     """
-    spec = state.spec
-    orders = list(spec.orders)
-    orders[k - 1] = coeffs.size
-    width = max(orders)
-    phi = spec.phi_matrix(max(width, spec.max_order))[:, :width].copy()
-    phi[k - 1] = 0.0
-    phi[k - 1, : coeffs.size] = coeffs
-    if not is_stable_phi(spec.weights, phi):
+    phi, orders = swapped_ar(state, k, coeffs)
+    if not is_stable(state.weights, phi[:, : max(orders)]).stable:
         return -math.inf
     log_lr = ar_log_ratio(
-        yt, lm, state.alloc.members[k - 1], spec.shifts[k - 1], spec.scales[k - 1],
-        spec.ar_coeffs[k - 1], coeffs,
+        yt, lm, member_rows(state)[k - 1], state.shifts[k - 1], state.scales[k - 1],
+        state.phi[k - 1, : state.orders[k - 1]], coeffs,
     )
     return min(log_lr + log_move + log_q, 0.0)
 
@@ -395,68 +418,68 @@ def gibbs_sweep(
     precisions, RWM per component with proposal precisions gamma.  `pinned`
     holds the first `pinned` blocks of the evidence order phi_1, ..., phi_g,
     mu, tau at their current values, as the reduced evidence chains do;
-    allocations, weights and lambda are always drawn.  If the
-    end-of-sweep candidate spec is unstable, the entire previous state is
-    restored bit for bit.  The log terms of the returned spec stay memoized
-    on the returned state, so the next sweep's allocation draw does not
-    recompute them.
+    allocations, weights and lambda are always drawn.  If the end-of-sweep
+    candidate is unstable, the previous state itself is returned.  Member
+    positions are built only when a block that gathers runs, and the
+    fitted AR parts only when an AR block moved.
     """
-    spec0 = state.spec
-    g = spec0.g
-    cond = _resolve_cond(spec0, series, cond)
+    g = state.weights.size
     yt, lm = series.design(cond)
+    phi = _padded(state.phi, state.orders, cond)
 
-    alloc = draw_allocations(spec0, yt, lm, rng, state_log_terms(state, series.values, yt, lm))
-    fitted = state.terms[4]  # (g, T) AR parts of spec0, memoized with its log terms
-    weights = sample_weights(alloc, rng)
+    logw, norm = state_log_terms(state, series.values, yt, lm)
+    fitted = state.terms[4]  # (g, T) AR parts of phi, memoized with the log terms
+    z = draw_allocations(logw, norm, cond, rng)
+    counts = np.bincount(z, minlength=g + 1)[1:]
+    weights = sample_weights(counts, rng)
 
     update_means = pinned <= g and not hyper.fixed_shift
     update_precisions = pinned <= g + 1
-    scales = spec0.scales
+    rows = _member_rows(z, counts) if update_precisions else None
+    scales = state.scales
     if update_means:
-        bk = 1.0 - row_sum(spec0.phi_matrix(lm.shape[1]))
-        m, prec = means_conditional(yt - fitted, alloc, 1.0 / scales**2, bk, hyper)
+        bk = 1.0 - row_sum(phi)
+        m, prec = means_conditional(yt - fitted, rows, counts, 1.0 / scales**2, bk, hyper)
         # mean + sd * z is how rng.normal draws; one standard-normal call for
         # all components gives the same values from the same stream position
         means = m + np.sqrt(1.0 / prec) * rng.standard_normal(g)
         shifts = means * bk
     else:
-        means, shifts = state.means.copy(), spec0.shifts.copy()
+        means, shifts = state.means, state.shifts
 
     lam = draw_lambda(scales, hyper, rng)
 
     if update_precisions:
         e = yt - shifts[:, None] - fitted
-        shape, rate = precisions_conditional(e, alloc, lam, hyper)
+        shape, rate = precisions_conditional(e, rows, counts, lam, hyper)
         scales = np.array(
             [1.0 / math.sqrt(rng.gamma(a, 1.0 / b)) for a, b in zip(shape.tolist(), rate.tolist())]
         )
-    else:
-        scales = scales.copy()
 
-    ar = [a.copy() for a in spec0.ar_coeffs]
+    orders = state.orders
+    new_phi = phi
     attempted = np.zeros(g, dtype=bool)
     accepted = np.zeros(g, dtype=bool)
-    for k in range(pinned + 1, g + 1):
-        attempted[k - 1] = True
-        proposal = ar[k - 1] + rng.normal(0.0, 1.0 / math.sqrt(gamma[k - 1]), size=ar[k - 1].size)
-        log_ratio = ar_log_ratio(
-            yt, lm, alloc.members[k - 1], shifts[k - 1], scales[k - 1], ar[k - 1], proposal
-        )
+    for k in range(pinned, g):
+        attempted[k] = True
+        cur = new_phi[k, : orders[k]]
+        proposal = cur + rng.normal(0.0, 1.0 / math.sqrt(gamma[k]), size=cur.size)
+        log_ratio = ar_log_ratio(yt, lm, rows[k], shifts[k], scales[k], cur, proposal)
         if math.log(rng.random()) < log_ratio:
-            accepted[k - 1] = True
-            ar[k - 1] = proposal
+            accepted[k] = True
+            if new_phi is phi:
+                new_phi = phi.copy()
+            new_phi[k, : orders[k]] = proposal
 
-    candidate = MARSpec(weights=weights, shifts=shifts, ar_coeffs=tuple(ar), scales=scales)
-    if is_stable(candidate).stable:
-        new_state = ChainState(candidate, alloc, lam, means)
-        rejected = False
-    else:
-        new_state = ChainState(spec0, state.alloc, state.lam, state.means)
-        object.__setattr__(new_state, "terms", state.terms)
-        rejected = True
-    state_log_terms(new_state, series.values, yt, lm)  # memoized for the next allocation draw
-    return new_state, SweepInfo(attempted, accepted, rejected)
+    if not values_valid(weights, scales, shifts, new_phi):
+        check_fields(weights, shifts, scales, tuple(new_phi[k, :p] for k, p in enumerate(orders)))
+    if not is_stable(weights, new_phi[:, : max(orders)]).stable:
+        return state, SweepInfo(attempted, accepted, True)
+    new_state = ChainState(weights, shifts, means, scales, new_phi, orders, z, counts, lam)
+    new_state.rows = rows
+    # memoized for the next allocation draw; the AR parts carry over unless a block moved
+    state_log_terms(new_state, series.values, yt, lm, fitted if new_phi is phi else None)
+    return new_state, SweepInfo(attempted, accepted, False)
 
 
 def make_log_prior(hyper: Hyperparams, g: int):
@@ -542,7 +565,7 @@ def initial_state(
 
     ytc = yt - ybar
     lmc = lm - ybar
-    ar = []
+    phi = np.zeros((g, p))
     for k in range(g):
         pk = orders[k]
         mask = z0 == k
@@ -550,26 +573,21 @@ def initial_state(
             x = lmc[mask, :pk]
             xtx = x.T @ x
             ridge = 0.01 * (np.trace(xtx) / pk + 1.0)
-            coef = np.linalg.solve(xtx + ridge * np.eye(pk), x.T @ ytc[mask])
-        else:
-            coef = np.zeros(pk)
-        ar.append(coef)
+            phi[k, :pk] = np.linalg.solve(xtx + ridge * np.eye(pk), x.T @ ytc[mask])
 
     weights = np.full(g, 1.0 / g)
     scales = np.full(g, math.sqrt(var))
     means = np.zeros(g) if hyper.fixed_shift else np.full(g, ybar)
     for _ in range(400):
-        shifts = np.array([0.0 if hyper.fixed_shift else ybar * (1.0 - a.sum()) for a in ar])
-        spec = MARSpec(weights=weights, shifts=shifts, ar_coeffs=tuple(ar), scales=scales)
-        if is_stable(spec).stable:
+        if is_stable(weights, phi).stable:
             break
-        ar = [a * 0.9 for a in ar]
+        phi = phi * 0.9
     else:
         raise RuntimeError("failed to find a stable starting point")
-
-    alloc = LatentAllocation(z=z0 + 1, g=g)
-    lam = hyper.a / hyper.b
-    return ChainState(spec=spec, alloc=alloc, lam=lam, means=means)
+    ar = tuple(phi[k, :pk] for k, pk in enumerate(orders))
+    shifts = np.array([0.0 if hyper.fixed_shift else ybar * (1.0 - a.sum()) for a in ar])
+    spec = MARSpec(weights=weights, shifts=shifts, ar_coeffs=ar, scales=scales)
+    return spec_state(spec, means, z0 + 1, hyper.a / hyper.b, cond)
 
 
 # Pilot tuning: batches of TUNE_BATCH sweeps, each moving log gamma_k toward
@@ -594,7 +612,7 @@ def tune_gamma(
     last batch's acceptance rates and the pilot's final state so the main
     chain can continue from it.
     """
-    g = state.spec.g
+    g = state.weights.size
     log_gamma = np.log(np.full(g, 100.0))
     n_batches = hyper.pilot_iters // TUNE_BATCH
     rates = np.zeros(g)
@@ -636,14 +654,17 @@ def _run(
     burn-in.  move(state, rng) -> state, when given, runs after every sweep.
     A recorded draw's log likelihood comes from the log terms memoized on
     its state: those of the sweep, or recomputed for a state the move
-    changed.  AR blocks are stored zero-padded to `width`.
+    changed.  AR blocks are stored zero-padded to `width`.  The pilot, the
+    burn-in and the retained sweeps are timed with `time.perf_counter`.
     """
     rng = np.random.default_rng(seed)
     state = initial_state(series, g, orders, hyper, cond)
+    marks = [time.perf_counter()]  # pilot, burn-in and retained sweeps start and end here
     if hyper.gamma is not None:
         gamma = np.full(g, hyper.gamma)
     else:
         gamma, _, state = tune_gamma(state, series, hyper, rng, cond)
+    marks.append(time.perf_counter())
 
     n_keep = hyper.n_iter - hyper.burn_in
     weights = np.empty((n_keep, g))
@@ -661,6 +682,8 @@ def _run(
     acc_counts = np.zeros(g)
     stab_rej = 0
     for it in range(hyper.n_iter):
+        if it == hyper.burn_in:
+            marks.append(time.perf_counter())
         state, info = gibbs_sweep(state, series, hyper, rng, cond=cond, gamma=gamma)
         acc_counts += info.accepted
         stab_rej += int(info.stability_rejected)
@@ -669,16 +692,16 @@ def _run(
         j = it - hyper.burn_in
         if j < 0:
             continue
-        spec = state.spec
-        weights[j] = spec.weights
-        shifts[j] = spec.shifts
+        weights[j] = state.weights
+        shifts[j] = state.shifts
         means[j] = state.means
-        scales[j] = spec.scales
-        ar[j] = spec.phi_matrix(width)
-        orders_arr[j] = spec.orders
+        scales[j] = state.scales
+        ar[j] = state.phi[:, :width]
+        orders_arr[j] = state.orders
         lam[j] = state.lam
-        ll[j] = float(np.sum(state_log_terms(state, series.values, yt, lm)[1]))
-        lp[j] = ll[j] + log_prior(spec.weights, state.means, spec.scales)
+        ll[j] = float(state_log_terms(state, series.values, yt, lm)[1].sum())
+        lp[j] = ll[j] + log_prior(state.weights, state.means, state.scales)
+    marks.append(time.perf_counter())
 
     return ChainOutput(
         g=g,
@@ -696,6 +719,7 @@ def _run(
         stability_rejections=stab_rej,
         gamma=gamma,
         fixed_shift=hyper.fixed_shift,
+        timing=dict(zip(("pilot_s", "burn_in_s", "retain_s"), np.diff(marks).tolist())),
     )
 
 

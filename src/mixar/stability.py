@@ -29,18 +29,20 @@ if TYPE_CHECKING:
 
 @dataclass(frozen=True, eq=False)
 class StabilityReport:
-    """The strict stability verdict on `spec`.
+    """The strict stability verdict on positive weights and a (g, p) AR matrix.
 
-    `spectral_radius` is the spectral radius of `stability_matrix(spec)`.
-    The verdict at p <= 2 does not need it, so it is computed on first read.
+    `spectral_radius` is the spectral radius of their Kronecker-square
+    matrix.  The verdict at p <= 2 does not need it, so it is computed on
+    first read.
     """
 
-    spec: MARSpec = field(repr=False)
+    weights: np.ndarray = field(repr=False)
+    phi: np.ndarray = field(repr=False)
     stable: bool
 
     @functools.cached_property
     def spectral_radius(self) -> float:
-        return spectral_radius(stability_matrix(self.spec))
+        return spectral_radius(_kron_sum(self.weights, self.phi))
 
 
 def companion_matrices(phi: np.ndarray) -> np.ndarray:
@@ -115,12 +117,13 @@ def _order_two_stable(weights: np.ndarray, phi: np.ndarray) -> bool:
     return c > 0.0 and e > 0.0 and e * c + (1.0 + sbb) * (s1 * c * c - sa * sa) > 0.0
 
 
-def is_stable_phi(weights: np.ndarray, phi: np.ndarray) -> bool:
+def is_stable(weights: np.ndarray, phi: np.ndarray) -> StabilityReport:
     """Strict verdict from positive weights and the (g, p) AR matrix, zero-padded to p.
 
-    p = 1 compares sum_k pi_k phi_k^2 with one, p = 2 solves the Stein
-    equation in closed form, and p >= 3 takes the spectral radius of the
-    Kronecker-square matrix.  The weights need not sum to one.
+    Every verdict in the package comes from here.  Spectral radius exactly
+    1 is unstable.  p = 1 compares sum_k pi_k phi_k^2 with one, p = 2 solves
+    the Stein equation in closed form, and p >= 3 takes the spectral radius
+    of the Kronecker-square matrix.  The weights need not sum to one.
     """
     p = phi.shape[1]
     if p == 1:
@@ -128,16 +131,9 @@ def is_stable_phi(weights: np.ndarray, phi: np.ndarray) -> bool:
         total = 0.0
         for w, a in zip(weights.tolist(), phi[:, 0].tolist()):
             total += w * (a * a)
-        return total < 1.0
-    if p == 2:
-        return _order_two_stable(weights, phi)
-    return spectral_radius(_kron_sum(weights, phi)) < 1.0
-
-
-def is_stable(spec: "MARSpec") -> StabilityReport:
-    """Stability verdict for a MAR specification.
-
-    The verdict is strict: spectral radius exactly 1 is unstable.  It comes
-    from `is_stable_phi` on the spec's weights and AR matrix.
-    """
-    return StabilityReport(spec, is_stable_phi(spec.weights, spec.phi_matrix()))
+        stable = total < 1.0
+    elif p == 2:
+        stable = _order_two_stable(weights, phi)
+    else:
+        stable = spectral_radius(_kron_sum(weights, phi)) < 1.0
+    return StabilityReport(weights, phi, stable)

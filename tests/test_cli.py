@@ -610,6 +610,10 @@ class TestFit:
         assert diag["g"] == 2 and diag["orders"] == [1, 1]
         assert len(diag["acceptance_rates"]) == 2
         assert diag["transform"] == "none"
+        # perf_counter spans of the run's phases; the draws and summaries carry no times
+        timing = diag["timing"]
+        assert set(timing) == {"pilot_s", "burn_in_s", "retain_s", "relabel_s"}
+        assert all(v >= 0.0 for v in timing.values()) and timing["retain_s"] > 0.0
 
     def test_draws_layout(self, fitted):
         _, fit = fitted
@@ -806,6 +810,16 @@ class TestSelect:
         assert code == 0
         report = json.loads((out / "evidence.json").read_text())
         assert [m["g"] for m in report["models"]] == [1, 2]
+        assert all("timing" not in m for m in report["models"])
+        timing = json.loads((out / "manifest.json").read_text())["diagnostics"]["timing"]
+        assert set(timing) == {"1", "2"}
+        for spans in timing.values():
+            assert set(spans) == {
+                "order_chain_s", "fit_chain_s", "phi_ordinate_s", "mu_ordinate_s",
+                "tau_ordinate_s", "pi_ordinate_s",
+            }
+            assert spans["order_chain_s"] == 0.0  # p_max = 1 runs no order chain
+            assert min(spans["fit_chain_s"], spans["pi_ordinate_s"]) > 0.0
 
 
 @QUIET

@@ -9,9 +9,9 @@ import pytest
 
 from mixar import sampler
 from mixar.datasets import model_a_spec
-from mixar.model import LatentAllocation, MARSpec, TimeSeries, log_likelihood, simulate_path
+from mixar.model import MARSpec, TimeSeries, log_likelihood, simulate_path
 from mixar.rjmcmc import OrderMoveConfig, OrderTrace, order_move, rjmcmc_run
-from mixar.sampler import ChainState, default_hyperparams, swap_log_alpha
+from mixar.sampler import default_hyperparams, spec_state, swap_log_alpha, swapped_ar
 
 
 def single_state(coeffs, scale=0.3):
@@ -21,8 +21,7 @@ def single_state(coeffs, scale=0.3):
         ar_coeffs=(np.asarray(coeffs, dtype=float),),
         scales=np.array([scale]),
     )
-    alloc = LatentAllocation(z=np.ones(3, dtype=int), g=1)
-    return ChainState(spec, alloc, lam=1.0, means=np.zeros(1))
+    return spec_state(spec, np.zeros(1), np.ones(3), 1.0, spec.max_order)
 
 
 SERIES = TimeSeries([1.0, 0.5, 0.2, -0.3, 0.4])
@@ -120,7 +119,6 @@ class TestAcceptance:
             raise AssertionError("a death outside the birth support needs no stability test")
 
         monkeypatch.setattr(sampler, "is_stable", no_stability_test)
-        monkeypatch.setattr(sampler, "is_stable_phi", no_stability_test)
         state = single_state([0.1, 1.5])
         rng = ScriptedRng(0.3, 0.0)
         new_state, direction, accepted = order_move(state, SERIES, OrderMoveConfig(p_max=2), 1, rng)
@@ -135,7 +133,8 @@ class TestAcceptance:
         rng = ScriptedRng(0.2, 0.6, 0.5)
         new_state, direction, accepted = order_move(state, SERIES, OrderMoveConfig(p_max=2), 1, rng)
         assert (direction, accepted) == ("birth", True)
-        np.testing.assert_allclose(new_state.spec.ar_coeffs[0], [0.5, 0.3], atol=1e-15)
+        assert new_state.orders == (2,)
+        np.testing.assert_allclose(new_state.phi[0], [0.5, 0.3], atol=1e-15)
         assert rng.draws == ["random", "uniform", "random"]
 
     def test_empty_component_birth_controlled_by_move_ratio_only(self):
@@ -145,7 +144,7 @@ class TestAcceptance:
             ar_coeffs=(np.array([0.2]), np.array([0.0])),
             scales=np.array([1.0, 1.0]),
         )
-        state = ChainState(spec, LatentAllocation(z=np.ones(2, dtype=int), g=2), 1.0, np.zeros(2))
+        state = spec_state(spec, np.zeros(2), np.ones(2), 1.0, 1)
         # p_max = 3, w = 1.5 and LR = 1 for an empty component:
         # alpha = min(1, [d(2)/b(1)] * 2w) = min(1, 0.5 * 3)
         alpha = move_alpha(state, 2, [0.0, 0.05], math.log(0.5 / 1.0), math.log(3.0), p_max=3)
@@ -162,11 +161,12 @@ class TestMoveKernel:
             new_state, direction, accepted = order_move(state, SERIES, cfg, 1, rng)
             assert direction == "birth"
             if accepted:
-                assert new_state.spec.orders == (2,)
-                assert new_state.spec.ar_coeffs[0][0] == 0.5
+                assert new_state.orders == (2,)
+                assert new_state.phi[0, 0] == 0.5
+                assert new_state.terms is None  # the next sweep recomputes the log terms
                 moved = True
             else:
-                assert new_state.spec.orders == (1,)
+                assert new_state is state
         assert moved
 
     def test_stationary_distribution_of_flat_likelihood_walk(self):
@@ -182,14 +182,15 @@ class TestMoveKernel:
             ar_coeffs=(np.array([0.0]), np.array([0.0])),
             scales=np.array([1.0, 1.0]),
         )
-        state = ChainState(spec, LatentAllocation(z=np.ones(3, dtype=int), g=2), 1.0, np.zeros(2))
+        state = spec_state(spec, np.zeros(2), np.ones(3), 1.0, 3)
         cfg = OrderMoveConfig(p_max=3, birth_half_width=0.05)
         yt, lm = series.design(3)
         for p, alpha in ((1, 0.05), (2, 0.2)):
             # birth alpha = [d(p + 1) / b(p)] * 2w, exact for any coefficient
             born = np.append(np.zeros(p), 0.01)
             ratio = cfg.death_prob(p + 1) / cfg.birth_prob(p)
-            walk = dataclasses.replace(state, spec=state.spec.with_ar(2, np.zeros(p)))
+            phi, orders = swapped_ar(state, 2, np.zeros(p))
+            walk = dataclasses.replace(state, phi=phi, orders=orders)
             log_alpha = swap_log_alpha(walk, yt, lm, 2, born, math.log(ratio), math.log(0.1))
             assert math.exp(log_alpha) == pytest.approx(alpha)
         rng = np.random.default_rng(3)
@@ -197,10 +198,10 @@ class TestMoveKernel:
         visits = np.zeros(4)
         tally = Counter()
         for _ in range(n):
-            p = state.spec.orders[1]
+            p = state.orders[1]
             state, direction, accepted = order_move(state, series, cfg, 2, rng)
             tally[direction, p, accepted] += 1
-            visits[state.spec.orders[1]] += 1
+            visits[state.orders[1]] += 1
         assert tally["death", 2, False] == tally["death", 3, False] == 0
         for p, alpha in ((1, 0.05), (2, 0.2)):
             births = tally["birth", p, True] + tally["birth", p, False]

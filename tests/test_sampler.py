@@ -13,19 +13,19 @@ from scipy.special import gammaln, logsumexp
 from mixar.datasets import model_a_spec, model_b_spec
 from mixar.model import (
     LOG_2PI,
-    LatentAllocation,
     MARSpec,
     TimeSeries,
     _design,
     _log_terms,
+    fitted_ar,
     log_likelihood,
+    log_terms,
     simulate_path,
 )
 from mixar.model import logsumexp as model_logsumexp
 from mixar.sampler import (
     ChainState,
     Hyperparams,
-    allocation_probabilities,
     ar_log_ratio,
     default_hyperparams,
     draw_allocations,
@@ -34,10 +34,13 @@ from mixar.sampler import (
     initial_state,
     log_prior_density,
     means_conditional,
+    member_rows,
     precisions_conditional,
     run_chain,
     sample_weights,
+    spec_state,
     state_log_terms,
+    swapped_ar,
     tune_gamma,
 )
 
@@ -51,20 +54,48 @@ def tiny_state():
         ar_coeffs=(np.array([0.5]), np.array([-0.8])),
         scales=np.array([0.7, 1.5]),
     )
-    alloc = LatentAllocation(z=np.array([1, 2, 1, 1]), g=2)
-    return ChainState(spec=spec, alloc=alloc, lam=1.2, means=np.array([0.6, -0.1]))
+    return spec_state(spec, np.array([0.6, -0.1]), np.array([1, 2, 1, 1]), 1.2, 1)
 
 
 def tiny_series():
     return TimeSeries([0.4, -1.1, 0.9, 0.2, -0.5])
 
 
+def labelled(state, z):
+    """state with labels z (1-based) and their tallies."""
+    z = np.asarray(z, dtype=np.int64)
+    counts = np.bincount(z, minlength=state.weights.size + 1)[1:]
+    return dataclasses.replace(state, z=z, counts=counts)
+
+
+def spec_of(state):
+    """The MARSpec of a chain state's parameters."""
+    ar = tuple(state.phi[k, :p] for k, p in enumerate(state.orders))
+    return MARSpec(state.weights, state.shifts, ar, state.scales)
+
+
+def positions(state):
+    """Each component's label positions by `flatnonzero`, none left out as `member_rows` may."""
+    return tuple(np.flatnonzero(state.z == k) for k in range(1, state.weights.size + 1))
+
+
+def spec_terms(spec, yt, lm):
+    """(log terms, column norms) of spec on a design, computed afresh."""
+    logw = _log_terms(spec, yt, lm)
+    return logw, model_logsumexp(logw, axis=0)
+
+
+def probabilities(logw, norm):
+    """The (g, T) allocation probabilities `draw_allocations` draws from."""
+    return np.exp(logw - norm)
+
+
 def means_kernel(state, series, hyper):
     """(mean, precision) of the means conditional at state, as the sweep evaluates it."""
     yt, lm = _design(series.values, 1)
-    phi_mat = state.spec.phi_matrix(1)
+    phi_mat = state.phi
     return means_conditional(
-        yt - (lm @ phi_mat.T).T, state.alloc, state.spec.precisions,
+        yt - (lm @ phi_mat.T).T, positions(state), state.counts, 1.0 / state.scales**2,
         1.0 - phi_mat.sum(axis=1), hyper,
     )
 
@@ -72,8 +103,8 @@ def means_kernel(state, series, hyper):
 def precisions_kernel(state, series, hyper):
     """(shape, rate) of the precisions conditional at state."""
     yt, lm = _design(series.values, 1)
-    e = yt - state.spec.shifts[:, None] - (lm @ state.spec.phi_matrix(1).T).T
-    return precisions_conditional(e, state.alloc, state.lam, hyper)
+    e = yt - state.shifts[:, None] - (lm @ state.phi.T).T
+    return precisions_conditional(e, positions(state), state.counts, state.lam, hyper)
 
 
 def kernel_sweep(state, series, hyper, rng, gamma=None):
@@ -82,28 +113,28 @@ def kernel_sweep(state, series, hyper, rng, gamma=None):
     Allocations, weights, means, lambda and precisions always move; the AR
     blocks move only when gamma is given.
     """
-    spec = state.spec
     yt, lm = _design(series.values, 1)
-    alloc = draw_allocations(spec, yt, lm, rng)
-    weights = sample_weights(alloc, rng)
-    mean, prec = means_kernel(dataclasses.replace(state, alloc=alloc), series, hyper)
+    z = draw_allocations(*spec_terms(spec_of(state), yt, lm), 1, rng)
+    drawn = labelled(state, z)
+    weights = sample_weights(drawn.counts, rng)
+    mean, prec = means_kernel(drawn, series, hyper)
     means = np.array([rng.normal(m, math.sqrt(1.0 / p)) for m, p in zip(mean, prec)])
-    shifts = means * (1.0 - spec.phi_matrix(1)[:, 0])
-    lam = draw_lambda(spec.scales, hyper, rng)
-    moved = ChainState(
-        MARSpec(weights, shifts, spec.ar_coeffs, spec.scales), alloc, lam, means
-    )
+    shifts = means * (1.0 - state.phi[:, 0])
+    lam = draw_lambda(state.scales, hyper, rng)
+    moved = dataclasses.replace(drawn, weights=weights, shifts=shifts, means=means, lam=lam)
     shape, rate = precisions_kernel(moved, series, hyper)
     scales = np.array([1.0 / math.sqrt(rng.gamma(a, 1.0 / b)) for a, b in zip(shape, rate)])
-    ar, accepted = list(spec.ar_coeffs), np.zeros(spec.g, dtype=bool)
-    for k in range(spec.g) if gamma is not None else ():
+    g = state.weights.size
+    ar, accepted = [state.phi[k].copy() for k in range(g)], np.zeros(g, dtype=bool)
+    for k in range(g) if gamma is not None else ():
         proposal = ar[k] + rng.normal(0.0, 1.0 / math.sqrt(gamma[k]), size=ar[k].size)
-        log_ratio = ar_log_ratio(yt, lm, alloc.members[k], shifts[k], scales[k], ar[k], proposal)
+        rows = positions(drawn)[k]
+        log_ratio = ar_log_ratio(yt, lm, rows, shifts[k], scales[k], ar[k], proposal)
         if math.log(rng.random()) < log_ratio:
             accepted[k] = True
             ar[k] = proposal
-    return SimpleNamespace(alloc=alloc, weights=weights, means=means, shifts=shifts, lam=lam,
-                           scales=scales, ar=ar, accepted=accepted)
+    return SimpleNamespace(z=z, counts=drawn.counts, weights=weights, means=means, shifts=shifts,
+                           lam=lam, scales=scales, ar=ar, accepted=accepted)
 
 
 def base_hyper(**overrides):
@@ -144,7 +175,8 @@ class TestHyperparams:
 
 class TestAllocations:
     def test_rows_sum_to_one(self):
-        probs = allocation_probabilities(tiny_state().spec, *_design(tiny_series().values, 1))
+        spec = spec_of(tiny_state())
+        probs = probabilities(*spec_terms(spec, *_design(tiny_series().values, 1)))
         assert probs.shape == (2, 4)
         np.testing.assert_allclose(probs.sum(axis=0), 1.0, atol=1e-12)
 
@@ -152,26 +184,27 @@ class TestAllocations:
         # both components centred at 0 with scales (1, 2) and equal weights:
         # densities at y=0 are in ratio 1 : 1/2, so probabilities (2/3, 1/3)
         series = TimeSeries([0.0, 0.0])
-        probs = allocation_probabilities(model_a_spec(), *_design(series.values, 1))
+        probs = probabilities(*spec_terms(model_a_spec(), *_design(series.values, 1)))
         np.testing.assert_allclose(probs[:, 0], [2.0 / 3.0, 1.0 / 3.0], atol=1e-12)
 
     @pytest.mark.filterwarnings("ignore:overflow encountered")
     def test_underflow_names_time_index(self):
         series = TimeSeries([0.0, 1e160, 0.0])
         with pytest.raises(ValueError, match="t=2"):
-            allocation_probabilities(model_a_spec(), *_design(series.values, 1))
+            draw_allocations(*spec_terms(model_a_spec(), *_design(series.values, 1)), 1, None)
 
     def test_draw_frequencies_match_probabilities(self):
         state = tiny_state()
         series = tiny_series()
         yt, lm = _design(series.values, 1)
-        probs = allocation_probabilities(state.spec, yt, lm)
+        logw, norm = spec_terms(spec_of(state), yt, lm)
+        probs = probabilities(logw, norm)
         rng = np.random.default_rng(0)
         counts = np.zeros((2, 4))
         n = 40_000
         for _ in range(n):
-            alloc = draw_allocations(state.spec, yt, lm, rng)
-            counts[alloc.z - 1, np.arange(4)] += 1
+            z = draw_allocations(logw, norm, 1, rng)
+            counts[z - 1, np.arange(4)] += 1
         np.testing.assert_allclose(counts / n, probs, atol=0.01)
 
 
@@ -218,27 +251,23 @@ class TestAllocationOracle:
     @pytest.mark.parametrize("g", range(1, 8))
     def test_same_labels_and_stream_position(self, g):
         logw, norm = self.terms(g, 200 + g)
-        yt, lm = np.zeros(norm.size), np.zeros((norm.size, 1))
-        spec = equal_weight_spec(g)
         rng, twin = np.random.default_rng(g), np.random.default_rng(g)
-        alloc = draw_allocations(spec, yt, lm, rng, (logw, norm))
-        probs = allocation_probabilities(spec, yt, lm, (logw, norm))
-        np.testing.assert_array_equal(alloc.z, self.cumsum_labels(probs, twin.random(norm.size)))
+        z = draw_allocations(logw, norm, 1, rng)
+        probs = probabilities(logw, norm)
+        np.testing.assert_array_equal(z, self.cumsum_labels(probs, twin.random(norm.size)))
         assert rng.random() == twin.random()
 
     @pytest.mark.parametrize("g", range(1, 8))
     def test_uniforms_on_the_boundaries(self, g):
         # u equal to a running sum, zero, and the largest double below one
         logw, norm = self.terms(g, 300 + g)
-        yt, lm = np.zeros(norm.size), np.zeros((norm.size, 1))
-        spec = equal_weight_spec(g)
-        probs = allocation_probabilities(spec, yt, lm, (logw, norm))
+        probs = probabilities(logw, norm)
         pick = np.random.default_rng(g).integers(0, g, norm.size)
         u = np.cumsum(probs, axis=0)[pick, np.arange(norm.size)]
         u[::5] = 0.0
         u[1::5] = np.nextafter(1.0, 0.0)
-        alloc = draw_allocations(spec, yt, lm, FixedUniforms(u), (logw, norm))
-        np.testing.assert_array_equal(alloc.z, self.cumsum_labels(probs, u))
+        z = draw_allocations(logw, norm, 1, FixedUniforms(u))
+        np.testing.assert_array_equal(z, self.cumsum_labels(probs, u))
 
 
 def time_major_oracle(spec, yt, lm):
@@ -279,9 +308,9 @@ class TestComponentMajorLayout:
                 assert got.shape == (g, yt.size)
                 assert np.ascontiguousarray(got.T).tobytes() == logw.tobytes()
                 assert model_logsumexp(got, axis=0).tobytes() == norm.tobytes()
-                got_probs = allocation_probabilities(spec, yt, lm)
+                got_probs = probabilities(got, model_logsumexp(got, axis=0))
                 assert np.ascontiguousarray(got_probs.T).tobytes() == probs.tobytes()
-                state = ChainState(spec, LatentAllocation(np.ones(yt.size), g), 1.0, np.zeros(g))
+                state = spec_state(spec, np.zeros(g), np.ones(yt.size), 1.0, cond)
                 memo_terms, memo_norm = state_log_terms(state, series.values, yt, lm)
                 assert memo_terms.tobytes() == got.tobytes()
                 assert memo_norm.tobytes() == norm.tobytes()
@@ -291,18 +320,18 @@ class TestComponentMajorLayout:
 
 class TestWeights:
     def test_dirichlet_posterior_marginal(self):
-        alloc = LatentAllocation(z=np.repeat([1, 2], [30, 70]), g=2)
+        counts = np.array([30, 70])
         rng = np.random.default_rng(1)
-        draws = np.array([sample_weights(alloc, rng)[0] for _ in range(20_000)])
+        draws = np.array([sample_weights(counts, rng)[0] for _ in range(20_000)])
         # marginal of the first coordinate is Beta(1+30, 1+70)
         p = stats.kstest(draws, stats.beta(31, 71).cdf).pvalue
         assert p > KS_ALPHA
 
     def test_weights_always_positive(self):
-        alloc = LatentAllocation(z=np.repeat(1, 500), g=2)
+        counts = np.array([500, 0])
         rng = np.random.default_rng(3)
         for _ in range(200):
-            w = sample_weights(alloc, rng)
+            w = sample_weights(counts, rng)
             assert np.all(w > 0) and w.sum() == pytest.approx(1.0)
 
 
@@ -313,13 +342,13 @@ class TestMeans:
         hyper = base_hyper(zeta=0.4, kappa=2.0)
         yt = series.values[1:]
         lm = series.values[:-1][:, None]
-        z0 = state.alloc.z - 1
+        z0 = state.z - 1
         for k in range(2):
-            r = yt - lm[:, 0] * state.spec.ar_coeffs[k][0]
+            r = yt - lm[:, 0] * state.phi[k, 0]
             ebar = r[z0 == k].mean()
             nk = (z0 == k).sum()
-            tau = 1.0 / state.spec.scales[k] ** 2
-            bk = 1.0 - state.spec.ar_coeffs[k].sum()
+            tau = 1.0 / state.scales[k] ** 2
+            bk = 1.0 - state.phi[k].sum()
             prec = tau * nk * bk**2 + hyper.kappa
             m = (tau * nk * ebar * bk + hyper.kappa * hyper.zeta) / prec
             mean, precision = means_kernel(state, series, hyper)
@@ -333,9 +362,7 @@ class TestMeans:
         np.testing.assert_allclose(mean, 3.0, atol=1e-4)
 
     def test_empty_component_falls_back_to_prior(self):
-        state = tiny_state()
-        alloc = LatentAllocation(z=np.array([1, 1, 1, 1]), g=2)
-        state = ChainState(state.spec, alloc, state.lam, state.means)
+        state = labelled(tiny_state(), [1, 1, 1, 1])
         hyper = base_hyper(zeta=-2.0, kappa=4.0)
         mean, precision = means_kernel(state, tiny_series(), hyper)
         assert mean[1] == -2.0 and precision[1] == 4.0
@@ -349,9 +376,7 @@ class TestMeans:
             ar_coeffs=(np.array([1.0]),),
             scales=np.array([2.0]),
         )
-        state = ChainState(
-            spec, LatentAllocation(z=np.ones(4, dtype=int), g=1), 1.0, np.zeros(1)
-        )
+        state = spec_state(spec, np.zeros(1), np.ones(4), 1.0, 1)
         hyper = base_hyper(zeta=1.5, kappa=9.0)
         mean, precision = means_kernel(state, tiny_series(), hyper)
         assert mean[0] == 1.5 and precision[0] == 9.0
@@ -364,16 +389,14 @@ class TestLambdaAndPrecisions:
         state = tiny_state()
         hyper = base_hyper(a=0.7, b=2.0, c=3.0)
         rng = np.random.default_rng(8)
-        draws = np.array([draw_lambda(state.spec.scales, hyper, rng) for _ in range(20_000)])
+        draws = np.array([draw_lambda(state.scales, hyper, rng) for _ in range(20_000)])
         shape = 0.7 + 2 * 3.0
-        rate = 2.0 + float(state.spec.precisions.sum())
+        rate = 2.0 + float((1.0 / state.scales**2).sum())
         p = stats.kstest(draws, stats.gamma(a=shape, scale=1.0 / rate).cdf).pvalue
         assert p > KS_ALPHA
 
     def test_empty_component_precision_is_prior(self):
-        state = tiny_state()
-        alloc = LatentAllocation(z=np.array([2, 2, 2, 2]), g=2)
-        state = ChainState(state.spec, alloc, 1.7, state.means)
+        state = dataclasses.replace(labelled(tiny_state(), [2, 2, 2, 2]), lam=1.7)
         shape, rate = precisions_kernel(state, tiny_series(), base_hyper(c=2.5))
         assert shape[0] == 2.5 and rate[0] == 1.7
 
@@ -387,8 +410,7 @@ class TestLambdaAndPrecisions:
             ar_coeffs=(np.array([0.0]),),
             scales=np.array([1.0]),
         )
-        alloc = LatentAllocation(z=np.ones(n - 1, dtype=int), g=1)
-        state = ChainState(spec, alloc, 0.8, np.zeros(1))
+        state = spec_state(spec, np.zeros(1), np.ones(n - 1), 0.8, 1)
         sse = float(np.sum(series.values[1:] ** 2))
         expect = (2.0 + (n - 1) / 2.0) / (0.8 + sse / 2.0)
         shape, rate = precisions_kernel(state, series, base_hyper(c=2.0))
@@ -406,8 +428,8 @@ class TestRWM:
     def test_zero_step_and_empty_component(self):
         state = tiny_state()
         yt, lm = _design(tiny_series().values, 1)
-        cur = state.spec.ar_coeffs[0]
-        rows = state.alloc.members[0]
+        cur = state.phi[0]
+        rows = member_rows(state)[0]
         assert ar_log_ratio(yt, lm, rows, 0.3, 0.7, cur, cur) == 0.0
         none = np.zeros(0, dtype=np.intp)
         assert ar_log_ratio(yt, lm, none, -0.2, 1.5, cur, np.array([5.0])) == 0.0
@@ -450,9 +472,7 @@ class TestRWM:
         for _ in range(200):
             new_state, info = gibbs_sweep(state, tiny_series(), hyper, rng, 1, gamma)
             if not info.accepted[0]:
-                np.testing.assert_array_equal(
-                    new_state.spec.ar_coeffs[0], state.spec.ar_coeffs[0]
-                )
+                np.testing.assert_array_equal(new_state.phi[0], state.phi[0])
                 saw_reject = True
         assert saw_reject
 
@@ -476,19 +496,20 @@ class TestSweepWiring:
 
     def test_allocations(self):
         new_state, _, expect = self.sweeps()
-        np.testing.assert_array_equal(new_state.alloc.z, expect.alloc.z)
+        np.testing.assert_array_equal(new_state.z, expect.z)
+        np.testing.assert_array_equal(new_state.counts, expect.counts)
         # the row norms memoized on the returned state sum to its log likelihood
-        ll = log_likelihood(new_state.spec, tiny_series(), 1)
+        ll = log_likelihood(spec_of(new_state), tiny_series(), 1)
         assert float(np.sum(new_state.terms[3])) == ll
 
     def test_weights(self):
         new_state, _, expect = self.sweeps()
-        np.testing.assert_array_equal(new_state.spec.weights, expect.weights)
+        np.testing.assert_array_equal(new_state.weights, expect.weights)
 
     def test_means(self):
         new_state, _, expect = self.sweeps()
         np.testing.assert_array_equal(new_state.means, expect.means)
-        np.testing.assert_array_equal(new_state.spec.shifts, expect.shifts)
+        np.testing.assert_array_equal(new_state.shifts, expect.shifts)
 
     @pytest.mark.parametrize("g", range(1, 8))
     def test_means_and_precisions_match_per_component_draws(self, g):
@@ -500,17 +521,16 @@ class TestSweepWiring:
         shifts = spec.shifts.copy()
         shifts[-1] += 0.0 if g == 1 else 100.0
         spec = MARSpec(spec.weights, shifts, spec.ar_coeffs, spec.scales)
-        state = ChainState(spec, LatentAllocation(z=np.ones(series.n - 1, int), g=g), 1.3,
-                           np.zeros(g))
+        state = spec_state(spec, np.zeros(g), np.ones(series.n - 1), 1.3, 1)
         hyper = base_hyper(zeta=0.2, kappa=0.5)
         rng, twin = np.random.default_rng(g), np.random.default_rng(g)
         new_state, info = gibbs_sweep(state, series, hyper, rng, 1, np.full(g, 50.0), pinned=g)
         assert not info.stability_rejected
         expect = kernel_sweep(state, series, hyper, twin)
-        assert g == 1 or expect.alloc.counts[-1] == 0
+        assert g == 1 or expect.counts[-1] == 0
         np.testing.assert_array_equal(new_state.means, expect.means)
         assert new_state.lam == expect.lam
-        np.testing.assert_array_equal(new_state.spec.scales, expect.scales)
+        np.testing.assert_array_equal(new_state.scales, expect.scales)
         assert rng.random() == twin.random()
 
     def test_lambda(self):
@@ -519,13 +539,13 @@ class TestSweepWiring:
 
     def test_precisions(self):
         new_state, _, expect = self.sweeps()
-        np.testing.assert_array_equal(new_state.spec.scales, expect.scales)
+        np.testing.assert_array_equal(new_state.scales, expect.scales)
 
     def test_ar_blocks(self):
         new_state, info, expect = self.sweeps()
         np.testing.assert_array_equal(info.attempted, [True, True])
         np.testing.assert_array_equal(info.accepted, expect.accepted)
-        for got, want in zip(new_state.spec.ar_coeffs, expect.ar):
+        for got, want in zip(new_state.phi, expect.ar):
             np.testing.assert_array_equal(got, want)
 
 
@@ -543,7 +563,7 @@ class TestLogTermMemo:
     @staticmethod
     def fresh(state):
         """The same fields in a new state, with nothing memoized."""
-        return ChainState(state.spec, state.alloc, state.lam, state.means)
+        return dataclasses.replace(state)
 
     def same_sweep(self, state, series, hyper, seed, cond=2):
         """Sweep `state` and a fresh copy from one seed; assert bitwise equal results."""
@@ -552,12 +572,9 @@ class TestLogTermMemo:
             rng = np.random.default_rng(seed)
             out.append(gibbs_sweep(s, series, hyper, rng, cond, self.GAMMA))
         (a, info_a), (b, info_b) = out
-        np.testing.assert_array_equal(a.alloc.z, b.alloc.z)
-        for name in ("weights", "shifts", "scales"):
-            np.testing.assert_array_equal(getattr(a.spec, name), getattr(b.spec, name))
-        for x, y in zip(a.spec.ar_coeffs, b.spec.ar_coeffs):
-            np.testing.assert_array_equal(x, y)
-        np.testing.assert_array_equal(a.means, b.means)
+        for name in ("z", "counts", "weights", "shifts", "scales", "phi", "means"):
+            np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
+        assert a.orders == b.orders
         assert a.lam == b.lam
         np.testing.assert_array_equal(info_a.accepted, info_b.accepted)
         assert info_a.stability_rejected == info_b.stability_rejected
@@ -572,16 +589,16 @@ class TestLogTermMemo:
         assert state.terms[0] is series.values and state.terms[1] == 2
         return series, hyper, state
 
-    def test_sweep_keeps_the_terms_of_the_spec_it_returns(self):
+    def test_sweep_keeps_the_terms_of_the_state_it_returns(self):
         series, hyper, state = self.start()
         assert state.terms is None
         new_state, _ = gibbs_sweep(state, series, hyper, np.random.default_rng(1), 2, self.GAMMA)
         values, cond, logw, norm, fitted = new_state.terms
         assert values is series.values and cond == 2
         yt, lm = _design(series.values, 2)
-        np.testing.assert_array_equal(logw, _log_terms(new_state.spec, yt, lm))
-        np.testing.assert_array_equal(fitted, (lm @ new_state.spec.phi_matrix(2).T).T)
-        assert float(np.sum(norm)) == log_likelihood(new_state.spec, series, 2)
+        np.testing.assert_array_equal(logw, _log_terms(spec_of(new_state), yt, lm))
+        np.testing.assert_array_equal(fitted, (lm @ new_state.phi.T).T)
+        assert float(np.sum(norm)) == log_likelihood(spec_of(new_state), series, 2)
 
     def test_sweep_from_memo_equals_sweep_from_fresh_state(self):
         series, hyper, state = self.start()
@@ -589,20 +606,25 @@ class TestLogTermMemo:
             state = self.same_sweep(state, series, hyper, seed)
             assert state.terms is not None
 
-    def test_replace_drops_the_memo(self):
+    @staticmethod
+    def born(state):
+        """state after a birth on component 2, swapped in as the order chain does."""
+        phi, orders = swapped_ar(state, 2, np.append(state.phi[1, : state.orders[1]], 0.2))
+        return dataclasses.replace(state, phi=phi, orders=orders)
+
+    def test_replace_drops_the_memos(self):
         _, _, state = self.swept()
-        born = dataclasses.replace(
-            state, spec=state.spec.with_ar(2, np.append(state.spec.ar_coeffs[1], 0.2))
-        )
-        assert born.terms is None
+        member_rows(state)
+        assert state.terms is not None and state.rows is not None
+        born = self.born(state)
+        assert born.terms is None and born.rows is None
+        assert born.orders == (2, 2, 1)
         assert dataclasses.replace(state, lam=2.0 * state.lam).terms is None
 
-    def test_sweep_after_an_order_move_uses_the_new_spec(self):
+    def test_sweep_after_an_order_move_uses_the_new_blocks(self):
         # the order chain swaps a block with dataclasses.replace, as a birth here
         series, hyper, state = self.swept()
-        born = dataclasses.replace(
-            state, spec=state.spec.with_ar(2, np.append(state.spec.ar_coeffs[1], 0.2))
-        )
+        born = self.born(state)
         for seed in range(3, 8):
             born = self.same_sweep(born, series, hyper, seed, cond=2)
 
@@ -623,8 +645,8 @@ class TestLogTermMemo:
             np.array([50.0, 1e-4]),
         )
         assert info.stability_rejected
-        assert new_state.spec is spec
-        assert start is None and new_state.terms is state.terms
+        assert new_state is state
+        assert start is None and new_state.terms is not None
         assert float(np.sum(new_state.terms[3])) == log_likelihood(spec, series, 1)
 
 
@@ -637,7 +659,7 @@ def veto_setup():
         ar_coeffs=(np.array([0.3]), np.array([0.0])),
         scales=np.array([1.0, 0.5]),
     )
-    state = ChainState(spec, LatentAllocation(z=np.ones(5, dtype=int), g=2), 1.0, np.zeros(2))
+    state = spec_state(spec, np.zeros(2), np.ones(5), 1.0, 1)
     return series, spec, state
 
 
@@ -652,14 +674,14 @@ class TestGibbsSweep:
         new_state, info = gibbs_sweep(state, series, hyper, rng, 1, np.array([50.0, 1e-4]))
         assert info.stability_rejected
         assert info.accepted[1]  # the per-move step itself was accepted
-        np.testing.assert_array_equal(new_state.spec.weights, spec.weights)
-        np.testing.assert_array_equal(new_state.spec.shifts, spec.shifts)
-        np.testing.assert_array_equal(new_state.spec.scales, spec.scales)
-        for a, b in zip(new_state.spec.ar_coeffs, spec.ar_coeffs):
-            np.testing.assert_array_equal(a, b)
-        np.testing.assert_array_equal(new_state.alloc.z, state.alloc.z)
-        np.testing.assert_array_equal(new_state.means, state.means)
-        assert new_state.lam == state.lam
+        assert new_state is state
+        np.testing.assert_array_equal(new_state.weights, spec.weights)
+        np.testing.assert_array_equal(new_state.shifts, spec.shifts)
+        np.testing.assert_array_equal(new_state.scales, spec.scales)
+        np.testing.assert_array_equal(new_state.phi, spec.phi_matrix())
+        np.testing.assert_array_equal(new_state.z, np.ones(5))
+        np.testing.assert_array_equal(new_state.means, np.zeros(2))
+        assert new_state.lam == 1.0
 
     def test_stable_chain_never_leaves_the_region(self):
         rng = np.random.default_rng(13)
@@ -668,36 +690,36 @@ class TestGibbsSweep:
         state = initial_state(series, 1, (1,), hyper, 1)
         for _ in range(300):
             state, _ = gibbs_sweep(state, series, hyper, rng, 1, np.array([2.0]))
-            assert abs(state.spec.ar_coeffs[0][0]) < 1.0
+            assert abs(state.phi[0, 0]) < 1.0
 
     @pytest.mark.parametrize("pinned", range(5))
     def test_pinned_prefix_of_the_block_order(self, pinned):
         # the evidence order of tiny_state's blocks is phi_1, phi_2, mu, tau
         state, series, hyper = tiny_state(), tiny_series(), base_hyper()
-        g = state.spec.g
+        g = state.weights.size
         new_state, info = gibbs_sweep(
             state, series, hyper, np.random.default_rng(14), 1, np.array([400.0, 400.0]), pinned
         )
         assert not info.stability_rejected
         assert set(np.flatnonzero(info.attempted) + 1) == set(range(pinned + 1, g + 1))
         for k in range(1, min(pinned, g) + 1):
-            np.testing.assert_array_equal(
-                new_state.spec.ar_coeffs[k - 1], state.spec.ar_coeffs[k - 1]
-            )
+            np.testing.assert_array_equal(new_state.phi[k - 1], state.phi[k - 1])
         means_held = np.array_equal(new_state.means, state.means) and np.array_equal(
-            new_state.spec.shifts, state.spec.shifts
+            new_state.shifts, state.shifts
         )
         assert means_held == (pinned > g)
-        assert np.array_equal(new_state.spec.scales, state.spec.scales) == (pinned > g + 1)
+        assert np.array_equal(new_state.scales, state.scales) == (pinned > g + 1)
         # allocations, weights and lambda are drawn whatever is pinned
         twin = np.random.default_rng(14)
-        alloc = draw_allocations(state.spec, *_design(series.values, 1), twin)
-        weights = sample_weights(alloc, twin)
+        z = draw_allocations(*spec_terms(spec_of(state), *_design(series.values, 1)), 1, twin)
+        weights = sample_weights(labelled(state, z).counts, twin)
         if pinned <= g:
             twin.standard_normal(g)  # the means draw
-        np.testing.assert_array_equal(new_state.alloc.z, alloc.z)
-        np.testing.assert_array_equal(new_state.spec.weights, weights)
-        assert new_state.lam == draw_lambda(state.spec.scales, hyper, twin)
+        np.testing.assert_array_equal(new_state.z, z)
+        np.testing.assert_array_equal(new_state.weights, weights)
+        assert new_state.lam == draw_lambda(state.scales, hyper, twin)
+        # member positions are built only when a block that gathers runs
+        assert (new_state.rows is None) == (pinned > g + 1)
 
 
 class TestTuning:
@@ -845,3 +867,118 @@ class TestRunChain:
         emp = np.histogram(phi, bins=edges)[0] / phi.size
         tv = 0.5 * float(np.abs(emp - masses).sum())
         assert tv <= 0.05
+
+
+class TestArrayState:
+    """The chain state is plain arrays: labels and tallies, gathers, memos, validation."""
+
+    def test_counts_tally_the_labels(self):
+        spec = equal_weight_spec(3)
+        state = spec_state(spec, np.zeros(3), np.array([1, 2, 2, 3, 2]), 1.0, 1)
+        np.testing.assert_array_equal(state.counts, [1, 3, 1])
+        empty = spec_state(spec, np.zeros(3), np.array([], dtype=np.int64), 1.0, 1)
+        np.testing.assert_array_equal(empty.counts, [0, 0, 0])
+        assert isinstance(state, ChainState) and state.rows is None and state.terms is None
+
+    def test_member_rows_leave_out_a_component_that_holds_every_point(self):
+        spec = equal_weight_spec(3)
+        state = spec_state(spec, np.zeros(3), np.full(6, 2), 1.0, 1)
+        first, full, last = member_rows(state)
+        assert full is None and first.size == last.size == 0
+        assert member_rows(state) is state.rows  # built once
+
+    @pytest.mark.parametrize("p", [1, 2])
+    def test_full_component_gathers_equal_position_gathers_bitwise(self, p):
+        rng = np.random.default_rng(40 + p)
+        series = TimeSeries(rng.normal(0.0, 3.0, 300))
+        yt, lm = series.design(p + 1)  # wide enough for a birth
+        every = np.arange(yt.size)
+        cur, new = rng.uniform(-0.5, 0.5, p), rng.uniform(-0.5, 0.5, p + 1)
+        for shift, scale in ((0.3, 0.7), (-1.2, 2.5)):
+            got = ar_log_ratio(yt, lm, None, shift, scale, cur, new)
+            assert got == ar_log_ratio(yt, lm, every, shift, scale, cur, new)
+        r = rng.normal(size=(2, yt.size))
+        counts = np.array([yt.size, 0])
+        hyper = base_hyper(zeta=0.4, kappa=2.0)
+        tau, bk = np.array([0.8, 1.3]), np.array([0.6, 1.1])
+        for a, b in zip(means_conditional(r, (None, every[:0]), counts, tau, bk, hyper),
+                        means_conditional(r, (every, every[:0]), counts, tau, bk, hyper)):
+            assert a.tobytes() == b.tobytes()
+        for a, b in zip(precisions_conditional(r, (None, every[:0]), counts, 1.7, hyper),
+                        precisions_conditional(r, (every, every[:0]), counts, 1.7, hyper)):
+            assert a.tobytes() == b.tobytes()
+
+    def test_fitted_parts_carry_over_until_an_ar_block_moves(self):
+        series = simulate_path(model_b_spec(), 200, seed=41)
+        hyper = default_hyperparams(series)
+        state = initial_state(series, 3, (2, 1, 1), hyper, 2)
+        yt, lm = series.design(2)
+        rng = np.random.default_rng(5)
+        moved = kept = 0
+        for _ in range(60):
+            new_state, info = gibbs_sweep(state, series, hyper, rng, 2, np.full(3, 60.0))
+            fitted = new_state.terms[4]
+            if new_state is state:
+                continue
+            if info.accepted.any():
+                assert fitted is not state.terms[4]
+                moved += 1
+            else:
+                assert fitted is state.terms[4]
+                kept += 1
+            np.testing.assert_array_equal(fitted, fitted_ar(new_state.phi, lm))
+            np.testing.assert_array_equal(
+                new_state.terms[2],
+                log_terms(new_state.weights, new_state.shifts, new_state.scales, yt, fitted),
+            )
+            state = new_state
+        assert moved and kept
+        # a chain with every AR block pinned never recomputes them
+        for _ in range(5):
+            new_state, _ = gibbs_sweep(state, series, hyper, rng, 2, np.full(3, 60.0), pinned=3)
+            assert new_state.terms[4] is state.terms[4]
+            state = new_state
+
+    def test_nan_candidate_is_refused_naming_the_cause(self):
+        class NanNormals:
+            """A generator whose standard-normal draws, the means block's, are NaN."""
+
+            def __init__(self, rng):
+                self.rng = rng
+
+            def standard_normal(self, n):
+                return np.full(n, np.nan)
+
+            def __getattr__(self, name):
+                return getattr(self.rng, name)
+
+        rng = NanNormals(np.random.default_rng(3))
+        with pytest.raises(ValueError, match="every scale must be positive and finite"):
+            gibbs_sweep(tiny_state(), tiny_series(), base_hyper(), rng, 1, np.array([50.0, 50.0]))
+
+
+@pytest.mark.parametrize(
+    "g, orders, spec",
+    [(1, (1,), model_a_spec), (3, (2, 1, 1), model_b_spec)],
+)
+def test_sweeps_build_no_model_object(monkeypatch, g, orders, spec):
+    # a MARSpec is built at the boundaries only: the start point, not the sweeps
+    series = simulate_path(spec(), 300, seed=60 + g)
+    hyper = default_hyperparams(series)
+    cond = max(orders)
+    state = initial_state(series, g, orders, hyper, cond)
+    builds = []
+    post_init = MARSpec.__post_init__
+
+    def counting(self):
+        builds.append(1)
+        post_init(self)
+
+    monkeypatch.setattr(MARSpec, "__post_init__", counting)
+    rng = np.random.default_rng(61)
+    gamma = np.full(g, 40.0)
+    for i in range(200):
+        state, _ = gibbs_sweep(state, series, hyper, rng, cond, gamma, pinned=i % (g + 3))
+    assert builds == []
+    spec_of(state)
+    assert builds == [1]  # the patch counts

@@ -9,10 +9,14 @@ from mixar.stability import (
     StabilityReport,
     companion_matrices,
     is_stable,
-    is_stable_phi,
     spectral_radius,
     stability_matrix,
 )
+
+
+def verdict(spec):
+    """The stability report on a spec's weights and AR matrix."""
+    return is_stable(spec.weights, spec.phi_matrix())
 
 
 def ar1_spec(phi, weight_pairs=None):
@@ -104,7 +108,7 @@ class TestStabilityMatrix:
 
 class TestSpectralRadius:
     def test_model_a_exact(self):
-        report = is_stable(model_a_spec())
+        report = verdict(model_a_spec())
         assert isinstance(report, StabilityReport)
         assert report.spectral_radius == pytest.approx(0.625, abs=1e-12)
         assert report.stable
@@ -154,16 +158,16 @@ class TestSpectralRadius:
 
 class TestVerdicts:
     def test_strictness_at_one(self):
-        assert not is_stable(ar1_spec(1.0)).stable
-        assert is_stable(ar1_spec(1.0 - 1e-9)).stable
-        assert not is_stable(ar1_spec(-1.0)).stable
+        assert not verdict(ar1_spec(1.0)).stable
+        assert verdict(ar1_spec(1.0 - 1e-9)).stable
+        assert not verdict(ar1_spec(-1.0)).stable
 
     def test_explosive_component_stable_mixture(self):
         # component 2 alone is a random walk (|phi|=1), yet the mixture is stable
-        report = is_stable(model_a_spec())
+        report = verdict(model_a_spec())
         assert report.stable
         comp2 = ar1_spec(1.0)
-        assert not is_stable(comp2).stable
+        assert not verdict(comp2).stable
 
     def test_tiny_weight_on_explosive_component(self):
         eps = 1e-3
@@ -174,7 +178,7 @@ class TestVerdicts:
             scales=np.ones(2),
         )
         # radius = (1-eps)*0 + eps*4 = 0.004 < 1
-        report = is_stable(spec)
+        report = verdict(spec)
         assert report.spectral_radius == pytest.approx(4 * eps, abs=1e-12)
         assert report.stable
         heavy = MARSpec(
@@ -183,7 +187,7 @@ class TestVerdicts:
             ar_coeffs=(np.array([0.0]), np.array([2.0])),
             scales=np.ones(2),
         )
-        assert not is_stable(heavy).stable
+        assert not verdict(heavy).stable
 
     def test_stable_spec_simulates_with_bounded_variance(self):
         # empirical cross-check: a spec close to the boundary still mixes
@@ -193,7 +197,7 @@ class TestVerdicts:
             ar_coeffs=(np.array([-0.7]), np.array([1.1])),
             scales=np.array([1.0, 1.0]),
         )
-        report = is_stable(spec)
+        report = verdict(spec)
         assert report.stable
         series = simulate_path(spec, 200_000, seed=8)
         assert np.isfinite(series.values).all()
@@ -212,14 +216,14 @@ def test_order_one_closed_form_bitwise_equal_to_kronecker_path(g):
             weights=weights, shifts=np.zeros(g), ar_coeffs=tuple(phi[:, None]), scales=np.ones(g)
         )
         radius = spectral_radius(stability_matrix(spec))
-        report = is_stable(spec)
+        report = verdict(spec)
         assert (report.spectral_radius, report.stable) == (radius, radius < 1.0)
     # on the boundary: weights 1/2 and phi^2 summing to exactly one
     edge = MARSpec(
         weights=np.array([0.5, 0.5]), shifts=np.zeros(2),
         ar_coeffs=(np.array([1.0]), np.array([-1.0])), scales=np.ones(2),
     )
-    report = is_stable(edge)
+    report = verdict(edge)
     assert (report.spectral_radius, report.stable) == (1.0, False)
 
 
@@ -261,7 +265,7 @@ class TestClosedFormVerdict:
                 scales=np.ones(g),
             )
             expect = kron_radius(spec.weights, spec.phi_matrix()) < 1.0
-            assert is_stable(spec).stable == expect
+            assert verdict(spec).stable == expect
             verdicts.append(expect)
         assert 0.3 < np.mean(verdicts) < 0.8  # both verdicts are exercised
 
@@ -272,7 +276,7 @@ class TestClosedFormVerdict:
             g = int(rng.integers(1, 5))
             phi = mixed_order_phi(rng, g)
             weights = rng.dirichlet(np.ones(g)) * rng.uniform(0.3, 1.7)
-            assert is_stable_phi(weights, phi) == (kron_radius(weights, phi) < 1.0)
+            assert is_stable(weights, phi).stable == (kron_radius(weights, phi) < 1.0)
 
     @pytest.mark.parametrize("radius", [1.0 - 1e-6, 1.0 + 1e-6])
     def test_scaled_to_radius_one(self, radius):
@@ -288,19 +292,19 @@ class TestClosedFormVerdict:
                 continue
             scaled = weights * (radius / base)
             assert kron_radius(scaled, phi) == pytest.approx(radius, abs=1e-9)
-            assert is_stable_phi(scaled, phi) == (radius < 1.0)
+            assert is_stable(scaled, phi).stable == (radius < 1.0)
             checked += 1
 
     def test_order_two_stein_solution_by_hand(self):
         # one AR(2) component (a, b) = (0.5, 0.3): rho = max|root|^2 with roots of
         # z^2 - 0.5 z - 0.3, about 0.8521^2 = 0.726; b = 1 - 0.5 sits on the boundary
-        assert is_stable_phi(np.ones(1), np.array([[0.5, 0.3]]))
-        assert not is_stable_phi(np.ones(1), np.array([[0.5, 0.5]]))
-        assert not is_stable_phi(np.ones(1), np.array([[0.5, 0.6]]))
+        assert is_stable(np.ones(1), np.array([[0.5, 0.3]])).stable
+        assert not is_stable(np.ones(1), np.array([[0.5, 0.5]])).stable
+        assert not is_stable(np.ones(1), np.array([[0.5, 0.6]])).stable
 
     def test_report_radius_is_read_on_demand_and_unchanged(self):
         # the p = 2 verdict takes no eigenvalues; the radius, when read, is the eigenvalue one
         spec = model_b_spec()
-        report = is_stable(spec)
+        report = verdict(spec)
         assert report.stable
         assert report.spectral_radius == spectral_radius(stability_matrix(spec))

@@ -146,3 +146,85 @@ def test_order_chain_is_pinned():
 
 def test_evidence_parts_are_pinned():
     assert evidence_parts() == EVIDENCE_PARTS
+
+
+# Paths the four pins above leave out: one component (every point in one
+# row), the evidence parts at g=1 in the shape `select` runs them, and a
+# fixed-shift chain, where the sweep skips the means block.
+
+
+def single_component_chain():
+    series = simulate_path(model_a_spec(), 300, seed=49)
+    hyper = default_hyperparams(series, n_iter=400, burn_in=100, pilot_iters=500)
+    return chain_fingerprint(run_chain(series, 1, (1,), hyper, seed=50))
+
+
+def single_component_evidence_parts():
+    series = simulate_path(model_a_spec(), 300, seed=51)
+    hyper = default_hyperparams(series, n_iter=300, burn_in=50, pilot_iters=500)
+    config = EvidenceConfig(
+        order_config=OrderMoveConfig(p_max=1), n_j=150, n_i=150, reduced_burn_in=30
+    )
+    result = marginal_log_likelihood(series, 1, hyper, config, seed=52)
+    return {"log_marginal": result.log_marginal, **result.parts}
+
+
+def fixed_shift_chain():
+    series = simulate_path(model_a_spec(), 300, seed=53)
+    hyper = default_hyperparams(
+        series, fixed_shift=True, n_iter=400, burn_in=100, pilot_iters=500
+    )
+    return chain_fingerprint(run_chain(series, 2, (2, 1), hyper, seed=54))
+
+
+SINGLE_COMPONENT_CHAIN = {
+    "log_likelihood_sum": -216588.38683642886,
+    "last_log_likelihood": -721.4526902915754,
+    "last_log_posterior": -723.9917088869498,
+    "last_draw": [
+        1.0, -0.17994241776463585, -0.2192842216328938, 2.841057735589911,
+        0.17941009879917624, 20.004786998679574,
+    ],
+    "acceptance": [0.2525],
+    "stability_rejections": 0,
+    "gamma": [13.989639618383672],
+}
+
+SINGLE_COMPONENT_EVIDENCE_PARTS = {
+    "log_marginal": -690.4587961896609,
+    "log_likelihood": -681.3555654862255,
+    "log_prior": -2.7925040725486934,
+    "log_order_prior": -0.0,
+    "log_phi_ordinate": 2.1402680740894575,
+    "log_mu_ordinate": 0.8623330722661438,
+    "log_tau_ordinate": 3.3081254845311125,
+    "log_pi_ordinate": 0.0,
+    "log_order_posterior": 0.0,
+    "log_phi_ordinate_1": 2.1402680740894575,
+}
+
+FIXED_SHIFT_CHAIN = {
+    "log_likelihood_sum": -182507.45926180677,
+    "last_log_likelihood": -613.5881005774216,
+    "last_log_posterior": -615.9421005753684,
+    "last_draw": [
+        0.5544803986240726, 0.44551960137592744, 0.0, 0.0, 0.0, 0.0, 1.0567203490393688,
+        1.5660154484681494, -0.5064552636321273, -0.03237253847245853, 1.2676403142307224, 0.0,
+        2.732436400124722,
+    ],
+    "acceptance": [0.2275, 0.3225],
+    "stability_rejections": 0,
+    "gamma": [113.70728132340467, 16.495080486064218],
+}
+
+
+def test_single_component_chain_is_pinned():
+    assert single_component_chain() == SINGLE_COMPONENT_CHAIN
+
+
+def test_single_component_evidence_parts_are_pinned():
+    assert single_component_evidence_parts() == SINGLE_COMPONENT_EVIDENCE_PARTS
+
+
+def test_fixed_shift_chain_is_pinned():
+    assert fixed_shift_chain() == FIXED_SHIFT_CHAIN
