@@ -180,7 +180,8 @@ def cmd_select(config: RunConfig, out: Path) -> tuple[list[str], dict]:
     report_path = out / "evidence.json"
     write_json(report_path, evidence_payload(results, best_g))
     diag = dict(echo)
-    diag.update({"best_g": best_g, "workers": workers, "timing": {r.g: r.timing for r in results}})
+    diag.update({"best_g": best_g, "workers": workers, "timing": {r.g: r.timing for r in results},
+                 "chains": {r.g: r.chains for r in results}})
     return [str(report_path)], diag
 
 

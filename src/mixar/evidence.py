@@ -38,6 +38,7 @@ from .model import (
     TimeSeries,
     _log_terms,
     fitted_ar,
+    left_sum,
     log_likelihood,
     logsumexp,
     row_sum,
@@ -51,6 +52,7 @@ from .sampler import (
     dirichlet_log_density,
     draw_allocations,
     draw_lambda,
+    gather_rows,
     gibbs_sweep,
     log_prior_density,
     means_conditional,
@@ -100,7 +102,7 @@ class StarredPoint:
 
 @dataclass
 class EvidenceResult:
-    """One component count's evidence, its parts, and the seconds each phase took."""
+    """One component count's evidence, its parts, its phases' seconds and how its chains moved."""
 
     g: int
     orders: tuple[int, ...]
@@ -109,6 +111,7 @@ class EvidenceResult:
     parts: dict[str, float]
     log_p_g: float | None = None
     timing: dict[str, float] = field(default_factory=dict)
+    chains: dict = field(default_factory=dict)
 
     def recompose(self) -> float:
         """The evidence identity: log_marginal assembled from its parts."""
@@ -146,25 +149,28 @@ def starred_point(output: ChainOutput) -> StarredPoint:
 
 
 def _reduced_log_mean(
-    pinned, term, series, star, hyper, gamma, config, rng, cond, n_keep=None
+    pinned, term, series, star, hyper, gamma, config, rng, cond, vetoes, n_keep=None
 ) -> float:
     """Run one reduced chain from theta*; log of the mean of exp(term(state)) over its draws.
 
     The chain starts at theta* with allocations and lambda drawn from their
     full conditionals, then sweeps with the first `pinned` blocks of the
     order phi_1, ..., phi_g, mu, tau held at theta* (see `gibbs_sweep`) for
-    config.reduced_burn_in plus n_keep sweeps (default config.n_i).
+    config.reduced_burn_in plus n_keep sweeps (default config.n_i).  Its
+    count of stability-vetoed sweeps is appended to the list `vetoes`.
     """
     n_keep = config.n_i if n_keep is None else n_keep
     burn = config.reduced_burn_in
     yt, lm = series.design(cond)
     logw = _log_terms(star.spec, yt, lm)
     z = draw_allocations(logw, logsumexp(logw, axis=0), cond, rng)
-    lam = draw_lambda(star.spec.scales, hyper, rng)
+    lam = draw_lambda([1.0 / (s * s) for s in star.spec.scales.tolist()], hyper, rng)
     state = spec_state(star.spec, star.means, z, lam, cond)
     terms = np.empty(n_keep)
+    vetoes.append(0)
     for i in range(burn + n_keep):
-        state, _ = gibbs_sweep(state, series, hyper, rng, cond, gamma, pinned)
+        state, info = gibbs_sweep(state, series, hyper, rng, cond, gamma, pinned)
+        vetoes[-1] += info.stability_rejected
         if i >= burn:
             terms[i - burn] = term(state)
     return float(logsumexp(terms) - math.log(n_keep))
@@ -183,6 +189,7 @@ def estimate_phi_ordinate(
     config: EvidenceConfig,
     rng: np.random.Generator,
     cond: int,
+    vetoes: list[int],
 ) -> tuple[float, list[float]]:
     """Log posterior ordinate of the AR blocks at their starred values.
 
@@ -195,7 +202,7 @@ def estimate_phi_ordinate(
     """
     g = star.spec.g
     yt, lm = series.design(cond)
-    args = (series, star, hyper, gamma, config, rng, cond)
+    args = (series, star, hyper, gamma, config, rng, cond, vetoes)
     per_k: list[float] = []
     for k in range(1, g + 1):
         phi_star_k = star.spec.ar_coeffs[k - 1]
@@ -218,7 +225,7 @@ def estimate_phi_ordinate(
                 f"denominator {log_den}); increase n_j/n_i"
             )
         per_k.append(float(log_num - log_den))
-    return float(sum(per_k)), per_k
+    return left_sum(per_k), per_k
 
 
 def estimate_mu_ordinate(
@@ -229,6 +236,7 @@ def estimate_mu_ordinate(
     config: EvidenceConfig,
     rng: np.random.Generator,
     cond: int,
+    vetoes: list[int],
 ) -> float:
     """Rao-Blackwellized log ordinate of the means given the starred AR blocks."""
     if hyper.fixed_shift:
@@ -237,19 +245,16 @@ def estimate_mu_ordinate(
     yt, lm = series.design(cond)
     phi_star = star.spec.phi_matrix(lm.shape[1])
     r_star = yt - fitted_ar(phi_star, lm)  # (g, T) shift-free residuals at phi*
-    bk = 1.0 - row_sum(phi_star)
+    bk = (1.0 - row_sum(phi_star)).tolist()
 
     def term(state):
-        tau = 1.0 / state.scales**2
-        m, prec = means_conditional(r_star, member_rows(state), state.counts, tau, bk, hyper)
-        total = 0.0
-        for k in range(g):
-            total += (
-                0.5 * (math.log(prec[k]) - LOG_2PI) - 0.5 * prec[k] * (star.means[k] - m[k]) ** 2
-            )
-        return total
+        r = gather_rows(r_star, member_rows(state))
+        tau = [1.0 / (s * s) for s in state.scales.tolist()]
+        m, prec = means_conditional(r, state.counts.tolist(), tau, bk, hyper)
+        return left_sum(0.5 * (math.log(p) - LOG_2PI) - 0.5 * p * (mu - m_k) ** 2
+                        for mu, m_k, p in zip(star.means.tolist(), m, prec))
 
-    return _reduced_log_mean(g, term, series, star, hyper, gamma, config, rng, cond)
+    return _reduced_log_mean(g, term, series, star, hyper, gamma, config, rng, cond, vetoes)
 
 
 def estimate_tau_ordinate(
@@ -260,29 +265,23 @@ def estimate_tau_ordinate(
     config: EvidenceConfig,
     rng: np.random.Generator,
     cond: int,
+    vetoes: list[int],
 ) -> float:
     """Rao-Blackwellized log ordinate of the precisions given starred AR and means."""
     g = star.spec.g
     yt, lm = series.design(cond)
     fitted = fitted_ar(star.spec.phi_matrix(lm.shape[1]), lm)
     e_star = yt - star.spec.shifts[:, None] - fitted  # (g, T) residuals at phi*, mu*
-    tau_star = 1.0 / star.spec.scales**2
+    tau_star = (1.0 / star.spec.scales**2).tolist()
     log_tau_star = [math.log(t) for t in tau_star]
 
     def term(state):
-        rows = member_rows(state)
-        shape, rate = precisions_conditional(e_star, rows, state.counts, state.lam, hyper)
-        total = 0.0
-        for k in range(g):
-            total += (
-                shape[k] * math.log(rate[k])
-                - math.lgamma(shape[k])
-                + (shape[k] - 1.0) * log_tau_star[k]
-                - rate[k] * tau_star[k]
-            )
-        return total
+        e = gather_rows(e_star, member_rows(state))
+        shape, rate = precisions_conditional(e, state.counts.tolist(), state.lam, hyper)
+        return left_sum(a * math.log(b) - math.lgamma(a) + (a - 1.0) * log_t - b * t
+                        for a, b, t, log_t in zip(shape, rate, tau_star, log_tau_star))
 
-    return _reduced_log_mean(g + 1, term, series, star, hyper, gamma, config, rng, cond)
+    return _reduced_log_mean(g + 1, term, series, star, hyper, gamma, config, rng, cond, vetoes)
 
 
 def estimate_pi_ordinate(
@@ -293,6 +292,7 @@ def estimate_pi_ordinate(
     config: EvidenceConfig,
     rng: np.random.Generator,
     cond: int,
+    vetoes: list[int],
 ) -> float:
     """Rao-Blackwellized log ordinate of the weights given all other starred blocks.
 
@@ -304,7 +304,9 @@ def estimate_pi_ordinate(
     def term(state):
         return dirichlet_log_density(1.0 + state.counts, log_pi_star)
 
-    return _reduced_log_mean(star.spec.g + 2, term, series, star, hyper, gamma, config, rng, cond)
+    return _reduced_log_mean(
+        star.spec.g + 2, term, series, star, hyper, gamma, config, rng, cond, vetoes
+    )
 
 
 def _child_seeds(seed: int, n: int) -> list[int]:
@@ -357,7 +359,8 @@ def marginal_log_likelihood(
     cond = output.cond
     gamma = output.gamma
     rng = np.random.default_rng(s_ord)
-    args = (series, star, hyper, gamma, config, rng, cond)
+    vetoes: list[int] = []  # per reduced run, in the order the runs go
+    args = (series, star, hyper, gamma, config, rng, cond, vetoes)
 
     log_phi, per_k = timed("phi_ordinate_s", estimate_phi_ordinate, *args)
     parts = {
@@ -372,6 +375,8 @@ def marginal_log_likelihood(
     }
     for k, v in enumerate(per_k, start=1):
         parts[f"log_phi_ordinate_{k}"] = v
+    runs = [f"phi_{k}_{side}" for k in range(1, g + 1) for side in ("num", "den")]
+    runs += ["tau", "pi"] if hyper.fixed_shift else ["mu", "tau", "pi"]
     result = EvidenceResult(
         g=g,
         orders=orders,
@@ -379,6 +384,9 @@ def marginal_log_likelihood(
         log_marginal=math.nan,
         parts=parts,
         timing=timing,
+        chains={"acceptance_rates": output.acceptance.tolist(),
+                "stability_rejections": output.stability_rejections,
+                "reduced_stability_rejections": dict(zip(runs, vetoes))},
     )
     result.log_marginal = result.recompose()
     return result

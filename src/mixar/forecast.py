@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import MARSpec, TimeSeries
+from .model import MARSpec, TimeSeries, quantile
 from .sampler import ChainOutput
 from .summary import mixture_density
 
@@ -319,8 +319,8 @@ def posterior_averaged_forecast(
     return ForecastResult(
         grid=grid,
         mean_density=rows.mean(axis=0),
-        lower_90=np.quantile(rows, 0.05, axis=0),
-        upper_90=np.quantile(rows, 0.95, axis=0),
+        lower_90=quantile(rows, 0.05),
+        upper_90=quantile(rows, 0.95),
         predictive_mean=mean,
         predictive_sd=math.sqrt(max(second - mean**2, 0.0)),
     )

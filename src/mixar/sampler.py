@@ -35,8 +35,10 @@ from .model import (
     TimeSeries,
     check_fields,
     fitted_ar,
+    left_sum,
     log_terms,
     logsumexp,
+    quantile,
     row_sum,
     values_valid,
 )
@@ -233,7 +235,7 @@ def state_log_terms(
 def member_rows(state: ChainState) -> tuple[np.ndarray | None, ...]:
     """Each component's ascending positions t with z_t = k, built on first read.
 
-    A component holding every design point gets None, and the kernels read
+    A component holding every design point gets None, and `_gather` reads
     its row as it is: the values a gather of every position gives.
     """
     if state.rows is None:
@@ -251,6 +253,17 @@ def _gather(a: np.ndarray, rows: np.ndarray | None) -> np.ndarray:
     return a if rows is None else a.take(rows, axis=0)
 
 
+def gather_rows(a: np.ndarray, rows: tuple[np.ndarray | None, ...]) -> list[np.ndarray]:
+    """Row k of the (g, T) array a at `member_rows` k, for every k; elementwise arithmetic
+    commutes with the gather, so its bits do not depend on which comes first."""
+    return [_gather(row, rows_k) for row, rows_k in zip(a, rows)]
+
+
+def _total(xs: list[float]) -> float:
+    """numpy's sum of a short list of floats: `left_sum` below 8 terms, pairwise above."""
+    return left_sum(xs) if len(xs) < 8 else float(np.sum(xs))
+
+
 def draw_allocations(
     logw: np.ndarray, norm: np.ndarray, cond: int, rng: np.random.Generator
 ) -> np.ndarray:
@@ -262,7 +275,7 @@ def draw_allocations(
     label is 1, and the uniforms are still drawn).  A time whose norm is not
     finite, one no component explains, is refused by its 1-based index.
     """
-    if not np.isfinite(norm).all():
+    if not math.isfinite(norm.sum()) and not np.isfinite(norm).all():  # the sum is cheaper
         t_bad = cond + 1 + int(np.nonzero(~np.isfinite(norm))[0][0])
         raise ValueError(
             f"all component densities underflow at t={t_bad}; "
@@ -270,16 +283,23 @@ def draw_allocations(
         )
     u = rng.random(norm.size)
     z = np.ones(norm.size, dtype=np.int64)
-    for cum in itertools.accumulate(np.exp(logw[:-1] - norm)):
-        z += u > cum
+    if len(logw) > 1:
+        for cum in itertools.accumulate(np.exp(logw[:-1] - norm)):
+            z += u > cum
     return z
 
 
-def sample_weights(counts: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Draw pi from its full conditional Dirichlet(1 + counts)."""
-    w = rng.dirichlet(1.0 + counts)
-    w = np.maximum(w, 1e-300)
-    return w / w.sum()
+def sample_weights(counts: list[int], rng: np.random.Generator) -> np.ndarray:
+    """Draw pi from its full conditional Dirichlet(1 + counts), floored at 1e-300.
+
+    `Generator.dirichlet`'s draw, bit for bit from the same stream, without its array
+    calls: a standard gamma per component, times the reciprocal of their left-to-right total.
+    """
+    w = [rng.standard_gamma(1.0 + n) for n in counts]
+    inv = 1.0 / left_sum(w)
+    w = [max(x * inv, 1e-300) for x in w]
+    total = _total(w)
+    return np.array([x / total for x in w])
 
 
 def dirichlet_log_density(alpha: np.ndarray, log_weights: np.ndarray) -> float:
@@ -291,78 +311,60 @@ def dirichlet_log_density(alpha: np.ndarray, log_weights: np.ndarray) -> float:
 
 
 def means_conditional(
-    r: np.ndarray,
-    rows: tuple[np.ndarray | None, ...],
-    counts: np.ndarray,
-    tau: np.ndarray,
-    bk: np.ndarray,
-    hyper: Hyperparams,
-) -> tuple[np.ndarray, np.ndarray]:
+    r: list[np.ndarray], counts: list[int], tau: list[float], bk: list[float], hyper: Hyperparams
+) -> tuple[list[float], list[float]]:
     """Normal full conditional of the component means: (mean, precision) per component.
 
-    r holds the (g, T) shift-free residuals y_t - sum_i phi_ki y_{t-i}, row k
-    for component k, rows and counts the `member_rows` and tallies of the
-    allocations and bk = 1 - sum_i phi_ki.  The precision is tau_k n_k b_k^2 +
-    kappa and the mean (tau_k n_k ebar_k b_k + kappa zeta) / precision, where
-    ebar_k averages row k of r over the points assigned to k.  Empty
-    components fall back to the prior.
+    r[k] holds component k's shift-free residuals y_t - sum_i phi_ki y_{t-i}
+    at the counts[k] points assigned to it (`gather_rows`), tau[k] its
+    precision and bk[k] = 1 - sum_i phi_ki.  The precision is tau_k n_k b_k^2
+    + kappa and the mean (tau_k n_k ebar_k b_k + kappa zeta) / precision,
+    where ebar_k averages r[k].  Empty components fall back to the prior.
     """
-    mean = np.empty(counts.size)
-    prec = np.empty(counts.size)
-    for k, rows_k in enumerate(rows):
-        nk = counts[k]
-        ebar = _gather(r[k], rows_k).sum() / nk if nk > 0 else 0.0
-        prec[k] = tau[k] * nk * bk[k] ** 2 + hyper.kappa
-        mean[k] = (tau[k] * nk * ebar * bk[k] + hyper.kappa * hyper.zeta) / prec[k]
+    mean, prec = [], []
+    for r_k, nk, tau_k, b in zip(r, counts, tau, bk):
+        ebar = float(r_k.sum()) / nk if nk > 0 else 0.0
+        p = tau_k * nk * b**2 + hyper.kappa
+        mean.append((tau_k * nk * ebar * b + hyper.kappa * hyper.zeta) / p)
+        prec.append(p)
     return mean, prec
 
 
-def draw_lambda(scales: np.ndarray, hyper: Hyperparams, rng: np.random.Generator) -> float:
-    """Draw lambda ~ Gamma(a + g c, b + sum_k tau_k)."""
-    return float(
-        rng.gamma(hyper.a + scales.size * hyper.c, 1.0 / (hyper.b + (1.0 / scales**2).sum()))
-    )
+def draw_lambda(tau: list[float], hyper: Hyperparams, rng: np.random.Generator) -> float:
+    """Draw lambda ~ Gamma(a + g c, b + sum_k tau_k) from the precisions tau."""
+    return rng.gamma(hyper.a + len(tau) * hyper.c, 1.0 / (hyper.b + _total(tau)))
 
 
 def precisions_conditional(
-    e: np.ndarray, rows: tuple, counts: np.ndarray, lam: float, hyper: Hyperparams
-) -> tuple[np.ndarray, np.ndarray]:
+    e: list[np.ndarray], counts: list[int], lam: float, hyper: Hyperparams
+) -> tuple[list[float], list[float]]:
     """Gamma full conditional of the precisions: (shape, rate) = (c + n_k/2, lambda + SSE_k/2).
 
-    e holds the (g, T) residuals including the shifts, row k for component
-    k; SSE_k sums e^2 over the points assigned to k (`member_rows`).
+    e[k] holds component k's residuals, shift included, at the points
+    assigned to it (`gather_rows`); SSE_k sums their squares.
     """
-    sse = np.array(
-        [float((_gather(e[k], rows_k) ** 2).sum()) if counts[k] else 0.0
-         for k, rows_k in enumerate(rows)]
-    )
-    return hyper.c + counts / 2.0, lam + sse / 2.0
+    shape = [hyper.c + nk / 2.0 for nk in counts]
+    rate = [lam + float((e_k**2).sum()) / 2.0 for e_k in e]
+    return shape, rate
 
 
 def ar_log_ratio(
-    yt: np.ndarray,
-    lm: np.ndarray,
-    rows: np.ndarray | None,
-    shift: float,
-    scale: float,
-    cur: np.ndarray,
-    new: np.ndarray,
+    d: np.ndarray, x: np.ndarray, scale: float, cur: np.ndarray, new: np.ndarray
 ) -> float:
     """Log likelihood ratio of AR block `new` against `cur` for one component.
 
-    Restricted to the design rows at the integer positions `rows` (all of
-    them when None), the points allocated to the component
-    (`member_rows`); its shift and scale stay fixed.  The two blocks may
-    differ in length, as in a birth or death move.
+    d holds y_t minus the component's shift and x the rows of the lag
+    matrix, both at the points allocated to the component (`member_rows`);
+    its shift and scale stay fixed.  The two blocks may differ in length,
+    as in a birth or death move.
     """
-    r = _gather(yt, rows) - shift
-    if not r.size:
+    if not d.size:
         return 0.0
-    x = _gather(lm, rows)
-    e_cur = r - x[:, : cur.size] @ cur
-    e_new = r - x[:, : new.size] @ new
+    # ndarray.dot makes the same BLAS calls as @ at a third of the overhead
+    e_cur = d - x[:, : cur.size].dot(cur)
+    e_new = d - x[:, : new.size].dot(new)
     tau = 1.0 / scale**2
-    return -0.5 * tau * float(e_new @ e_new - e_cur @ e_cur)
+    return -0.5 * tau * float(e_new.dot(e_new) - e_cur.dot(e_cur))
 
 
 def swapped_ar(state: ChainState, k: int, coeffs: np.ndarray) -> tuple[np.ndarray, tuple]:
@@ -396,10 +398,9 @@ def swap_log_alpha(
     phi, orders = swapped_ar(state, k, coeffs)
     if not is_stable(state.weights, phi[:, : max(orders)]).stable:
         return -math.inf
-    log_lr = ar_log_ratio(
-        yt, lm, member_rows(state)[k - 1], state.shifts[k - 1], state.scales[k - 1],
-        state.phi[k - 1, : state.orders[k - 1]], coeffs,
-    )
+    rows = member_rows(state)[k - 1]
+    log_lr = ar_log_ratio(_gather(yt, rows) - state.shifts[k - 1], _gather(lm, rows),
+                          state.scales[k - 1], state.phi[k - 1, : state.orders[k - 1]], coeffs)
     return min(log_lr + log_move + log_q, 0.0)
 
 
@@ -431,30 +432,33 @@ def gibbs_sweep(
     fitted = state.terms[4]  # (g, T) AR parts of phi, memoized with the log terms
     z = draw_allocations(logw, norm, cond, rng)
     counts = np.bincount(z, minlength=g + 1)[1:]
-    weights = sample_weights(counts, rng)
+    n = counts.tolist()
+    weights = sample_weights(n, rng)
 
-    update_means = pinned <= g and not hyper.fixed_shift
-    update_precisions = pinned <= g + 1
-    rows = _member_rows(z, counts) if update_precisions else None
-    scales = state.scales
-    if update_means:
-        bk = 1.0 - row_sum(phi)
-        m, prec = means_conditional(yt - fitted, rows, counts, 1.0 / scales**2, bk, hyper)
+    # quantities of length g are lists of Python floats; x * x, not x ** 2,
+    # gives the bits of an array's ** 2
+    means, shifts, scales = state.means.tolist(), state.shifts.tolist(), state.scales.tolist()
+    tau = [1.0 / (s * s) for s in scales]
+    rows = None
+    if pinned <= g + 1:  # the precisions move, and the blocks before them may
+        rows = _member_rows(z, counts)
+        ys = [_gather(yt, rows_k) for rows_k in rows]
+        fs = gather_rows(fitted, rows)
+    if pinned <= g and not hyper.fixed_shift:
+        bk = [1.0 - x for x in row_sum(phi).tolist()]
+        m, prec = means_conditional([y - f for y, f in zip(ys, fs)], n, tau, bk, hyper)
         # mean + sd * z is how rng.normal draws; one standard-normal call for
         # all components gives the same values from the same stream position
-        means = m + np.sqrt(1.0 / prec) * rng.standard_normal(g)
-        shifts = means * bk
-    else:
-        means, shifts = state.means, state.shifts
+        means = [mk + math.sqrt(1.0 / pk) * e for mk, pk, e
+                 in zip(m, prec, rng.standard_normal(g).tolist())]
+        shifts = [mk * b for mk, b in zip(means, bk)]
 
-    lam = draw_lambda(scales, hyper, rng)
+    lam = draw_lambda(tau, hyper, rng)
 
-    if update_precisions:
-        e = yt - shifts[:, None] - fitted
-        shape, rate = precisions_conditional(e, rows, counts, lam, hyper)
-        scales = np.array(
-            [1.0 / math.sqrt(rng.gamma(a, 1.0 / b)) for a, b in zip(shape.tolist(), rate.tolist())]
-        )
+    if rows is not None:
+        ds = [y - s for y, s in zip(ys, shifts)]  # y_t minus the shift, per component
+        shape, rate = precisions_conditional([d - f for d, f in zip(ds, fs)], n, lam, hyper)
+        scales = [1.0 / math.sqrt(rng.gamma(a, 1.0 / b)) for a, b in zip(shape, rate)]
 
     orders = state.orders
     new_phi = phi
@@ -464,17 +468,19 @@ def gibbs_sweep(
         attempted[k] = True
         cur = new_phi[k, : orders[k]]
         proposal = cur + rng.normal(0.0, 1.0 / math.sqrt(gamma[k]), size=cur.size)
-        log_ratio = ar_log_ratio(yt, lm, rows[k], shifts[k], scales[k], cur, proposal)
+        log_ratio = ar_log_ratio(ds[k], _gather(lm, rows[k]), scales[k], cur, proposal)
         if math.log(rng.random()) < log_ratio:
             accepted[k] = True
             if new_phi is phi:
                 new_phi = phi.copy()
             new_phi[k, : orders[k]] = proposal
 
-    if not values_valid(weights, scales, shifts, new_phi):
-        check_fields(weights, shifts, scales, tuple(new_phi[k, :p] for k, p in enumerate(orders)))
+    if not values_valid(weights.tolist() + scales, shifts + new_phi.ravel().tolist()):
+        ar = tuple(new_phi[k, :p] for k, p in enumerate(orders))
+        check_fields(weights, np.array(shifts), np.array(scales), ar)
     if not is_stable(weights, new_phi[:, : max(orders)]).stable:
         return state, SweepInfo(attempted, accepted, True)
+    shifts, means, scales = np.array(shifts), np.array(means), np.array(scales)
     new_state = ChainState(weights, shifts, means, scales, new_phi, orders, z, counts, lam)
     new_state.rows = rows
     # memoized for the next allocation draw; the AR parts carry over unless a block moved
@@ -554,7 +560,7 @@ def initial_state(
     x_full = np.column_stack([np.ones(yt.size), lm[:, :p]])
     beta, *_ = np.linalg.lstsq(x_full, yt, rcond=None)
     resid = yt - x_full @ beta
-    edges = np.quantile(resid, np.linspace(0.0, 1.0, g + 1))[1:-1]
+    edges = quantile(resid, np.linspace(0.0, 1.0, g + 1))[1:-1]
     z0 = np.searchsorted(edges, resid, side="right")
     z0 = np.clip(z0, 0, g - 1)
 

@@ -497,6 +497,43 @@ def test_commands_leave_out_scipy_and_unused_generators(tmp_path):
         assert res.returncode == 0, res.stderr
 
 
+COMMANDS_WITHOUT_NUMPY_MA = """
+import sys
+from mixar.cli import main
+
+out = sys.argv[1]
+sets = lambda *pairs: [arg for pair in pairs for arg in ("--set", pair)]
+series, chain = f"input={out}/series.csv", ["n_iter=260", "burn_in=100", "gamma=40"]
+for argv in (
+    ["simulate", *sets(f"output_dir={out}", "n=120", "seed=3")],
+    ["fit", *sets(series, f"output_dir={out}", "g=2", "orders=1,1", "relabel_warm_start=50",
+                  *chain)],
+    ["select", *sets(series, f"output_dir={out}/select", "g_range=1", "p_max=1", "n_j=20",
+                     "n_i=20", "reduced_burn_in=5", "workers=1", *chain)],
+    ["forecast", *sets(series, f"draws={out}/draws.csv", "horizon=2", "thin=20",
+                       f"output_dir={out}/forecast")],
+):
+    assert main(argv) == 0, argv[0]
+assert "numpy.ma" not in sys.modules, "a command loaded numpy.ma"
+"""
+
+
+def test_commands_leave_out_numpy_ma(tmp_path):
+    """`fit`, `select` and `forecast` do not load numpy.ma.
+
+    np.quantile imports it, which costs 11-15 ms at every start; the
+    starting allocations and the forecast bands use `model.quantile`.
+    """
+    package_root = str(Path(mixar.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+    res = subprocess.run(
+        [sys.executable, "-c", COMMANDS_WITHOUT_NUMPY_MA, str(tmp_path)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert res.returncode == 0, res.stderr
+
+
 def test_cli_import_leaves_out_scipy_stats():
     """`import mixar.cli` must not pull in scipy.stats.
 
@@ -820,6 +857,20 @@ class TestSelect:
             }
             assert spans["order_chain_s"] == 0.0  # p_max = 1 runs no order chain
             assert min(spans["fit_chain_s"], spans["pi_ordinate_s"]) > 0.0
+        chains = json.loads((out / "manifest.json").read_text())["diagnostics"]["chains"]
+        assert set(chains) == {"1", "2"}
+        for g, chain in chains.items():
+            g = int(g)
+            assert set(chain) == {
+                "acceptance_rates", "stability_rejections", "reduced_stability_rejections",
+            }
+            assert len(chain["acceptance_rates"]) == g
+            assert all(0.0 <= a <= 1.0 for a in chain["acceptance_rates"])
+            runs = chain["reduced_stability_rejections"]
+            assert list(runs) == [f"phi_{k}_{side}" for k in range(1, g + 1)
+                                  for side in ("num", "den")] + ["mu", "tau", "pi"]
+            assert all(isinstance(n, int) and 0 <= n <= 40 for n in runs.values())
+            assert 0 <= chain["stability_rejections"] <= 200
 
 
 @QUIET

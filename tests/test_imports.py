@@ -1,8 +1,9 @@
-"""No mixar module imports scipy, every top-level import of a mixar module is
-used there (or re-exported by __all__), every public function has a caller in
-the package or is exported, every dataclass field is read somewhere in the
-package, every function the benchmark's traced run wraps still exists, and
-every configuration key has a reader."""
+"""No mixar module imports scipy or adds floats with the builtin sum, every
+top-level import of a mixar module is used there (or re-exported by __all__),
+every public function has a caller in the package or is exported, every
+dataclass field is read somewhere in the package, every function the
+benchmark's traced run wraps still exists, and every configuration key has a
+reader."""
 
 import ast
 import dataclasses
@@ -135,6 +136,45 @@ def test_guard_flags_an_eigensolver_call():
         f"stability:{last['stability'] - 1}",  # the import
         f"stability:{last['stability']}",  # the call
     ]
+
+
+# The builtin sum of floats is compensated from Python 3.12 on, so a result
+# built with it would move with the interpreter.  Counts of integers are
+# exact in any order.
+SUM_CALLS_KEPT = {"io.read_draws_csv"}  # the header's pi_k and ar_1_i column counts
+
+
+def builtin_sum_calls(sources: dict[str, str]) -> list[str]:
+    """Calls of the builtin sum, as module:line, outside the functions SUM_CALLS_KEPT names.
+
+    Floats are added with `model.left_sum`, whose order is fixed.
+    """
+    found = []
+    for module, text in sources.items():
+        tree = ast.parse(text)
+        owners = {}
+        for func in ast.walk(tree):
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for node in ast.walk(func):
+                    owners.setdefault(node, func.name)
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id == "sum"
+                    and f"{module}.{owners.get(node)}" not in SUM_CALLS_KEPT):
+                found.append(f"{module}:{node.lineno}")
+    return sorted(found)
+
+
+def test_no_builtin_sum_of_floats():
+    assert builtin_sum_calls(package_sources()) == []
+
+
+def test_guard_flags_a_builtin_sum():
+    sources = package_sources()
+    sources["evidence"] += "\n\ndef _total(parts):\n    return sum(parts.values())\n"
+    sources["io"] = "HEADER_WIDTH = sum([3, 4])\n" + sources["io"]
+    line = sources["evidence"].count("\n")
+    assert builtin_sum_calls(sources) == [f"evidence:{line}", "io:1"]
 
 
 def uncalled_functions(sources: dict[str, str]) -> list[str]:

@@ -22,6 +22,7 @@ from mixar.model import (
     lag_matrix,
     log_likelihood,
     logsumexp,
+    quantile,
     row_sum,
     shift_from_mean,
     simulate_path,
@@ -313,6 +314,31 @@ class TestKernels:
             e = (series.values[t - 1] - component_means_at(spec, series.values, t)) / spec.scales
             expect = float(np.dot(spec.weights, special.ndtr(e)))
             assert conditional_cdf(spec, series, t) == pytest.approx(expect, rel=0.0, abs=1e-15)
+
+
+class TestQuantile:
+    """`quantile` against np.quantile's default linear method, bit for bit."""
+
+    @staticmethod
+    def sample(rng, shape):
+        # rounded values give ties; a scale spread over decades varies the bits
+        digits, scale = int(rng.integers(1, 6)), 10.0 ** rng.integers(-3, 4)
+        return np.round(rng.normal(size=shape), digits) * scale
+
+    def test_cut_points_of_one_sample(self):
+        rng = np.random.default_rng(11)
+        for _ in range(4000):
+            n, g = int(rng.integers(2, 701)), int(rng.integers(1, 6))
+            a = self.sample(rng, n)
+            for q in (np.linspace(0.0, 1.0, g + 1), rng.random(3)):
+                assert quantile(a, q).tobytes() == np.quantile(a, q).tobytes()
+
+    def test_bands_over_the_first_axis(self):
+        rng = np.random.default_rng(12)
+        for _ in range(300):
+            a = self.sample(rng, (int(rng.integers(1, 120)), int(rng.integers(1, 40))))
+            for q in (0.05, 0.95, 0.5, 0.0, 1.0):
+                assert quantile(a, q).tobytes() == np.quantile(a, q, axis=0).tobytes()
 
 
 class TestLikelihood:

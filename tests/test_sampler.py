@@ -30,6 +30,7 @@ from mixar.sampler import (
     default_hyperparams,
     draw_allocations,
     draw_lambda,
+    gather_rows,
     gibbs_sweep,
     initial_state,
     log_prior_density,
@@ -94,17 +95,30 @@ def means_kernel(state, series, hyper):
     """(mean, precision) of the means conditional at state, as the sweep evaluates it."""
     yt, lm = _design(series.values, 1)
     phi_mat = state.phi
+    r = gather_rows(yt - (lm @ phi_mat.T).T, positions(state))
     return means_conditional(
-        yt - (lm @ phi_mat.T).T, positions(state), state.counts, 1.0 / state.scales**2,
-        1.0 - phi_mat.sum(axis=1), hyper,
+        r, state.counts.tolist(), (1.0 / state.scales**2).tolist(),
+        (1.0 - phi_mat.sum(axis=1)).tolist(), hyper,
     )
 
 
 def precisions_kernel(state, series, hyper):
     """(shape, rate) of the precisions conditional at state."""
     yt, lm = _design(series.values, 1)
-    e = yt - state.shifts[:, None] - (lm @ state.phi.T).T
-    return precisions_conditional(e, positions(state), state.counts, state.lam, hyper)
+    e = gather_rows(yt - state.shifts[:, None] - (lm @ state.phi.T).T, positions(state))
+    return precisions_conditional(e, state.counts.tolist(), state.lam, hyper)
+
+
+def precisions_of(scales):
+    """The precisions 1 / sigma_k^2 as the Python floats the sweep passes around."""
+    return (1.0 / np.asarray(scales) ** 2).tolist()
+
+
+def log_ratio_at(yt, lm, rows, shift, scale, cur, new):
+    """`ar_log_ratio` on the design rows at the positions rows (every row when None)."""
+    if rows is not None:
+        yt, lm = yt[rows], lm[rows]
+    return ar_log_ratio(yt - shift, lm, scale, cur, new)
 
 
 def kernel_sweep(state, series, hyper, rng, gamma=None):
@@ -120,7 +134,7 @@ def kernel_sweep(state, series, hyper, rng, gamma=None):
     mean, prec = means_kernel(drawn, series, hyper)
     means = np.array([rng.normal(m, math.sqrt(1.0 / p)) for m, p in zip(mean, prec)])
     shifts = means * (1.0 - state.phi[:, 0])
-    lam = draw_lambda(state.scales, hyper, rng)
+    lam = draw_lambda(precisions_of(state.scales), hyper, rng)
     moved = dataclasses.replace(drawn, weights=weights, shifts=shifts, means=means, lam=lam)
     shape, rate = precisions_kernel(moved, series, hyper)
     scales = np.array([1.0 / math.sqrt(rng.gamma(a, 1.0 / b)) for a, b in zip(shape, rate)])
@@ -129,7 +143,7 @@ def kernel_sweep(state, series, hyper, rng, gamma=None):
     for k in range(g) if gamma is not None else ():
         proposal = ar[k] + rng.normal(0.0, 1.0 / math.sqrt(gamma[k]), size=ar[k].size)
         rows = positions(drawn)[k]
-        log_ratio = ar_log_ratio(yt, lm, rows, shifts[k], scales[k], ar[k], proposal)
+        log_ratio = log_ratio_at(yt, lm, rows, shifts[k], scales[k], ar[k], proposal)
         if math.log(rng.random()) < log_ratio:
             accepted[k] = True
             ar[k] = proposal
@@ -334,6 +348,18 @@ class TestWeights:
             w = sample_weights(counts, rng)
             assert np.all(w > 0) and w.sum() == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("g", range(1, 6))
+    def test_equals_the_floored_dirichlet_draw_bitwise(self, g):
+        # Generator.dirichlet(1 + counts), floored at 1e-300 and renormalized,
+        # from a twin generator: the same bits and the same stream position
+        tally = np.random.default_rng(g)
+        for seed in range(300):
+            counts = tally.integers(0, 3, size=g) * tally.integers(0, 400, size=g)
+            rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
+            w = np.maximum(twin.dirichlet(1.0 + counts), 1e-300)
+            assert sample_weights(counts, rng).tobytes() == (w / w.sum()).tobytes()
+            assert rng.random() == twin.random()
+
 
 class TestMeans:
     def test_matches_closed_form_conditional(self):
@@ -389,7 +415,8 @@ class TestLambdaAndPrecisions:
         state = tiny_state()
         hyper = base_hyper(a=0.7, b=2.0, c=3.0)
         rng = np.random.default_rng(8)
-        draws = np.array([draw_lambda(state.scales, hyper, rng) for _ in range(20_000)])
+        tau = precisions_of(state.scales)
+        draws = np.array([draw_lambda(tau, hyper, rng) for _ in range(20_000)])
         shape = 0.7 + 2 * 3.0
         rate = 2.0 + float((1.0 / state.scales**2).sum())
         p = stats.kstest(draws, stats.gamma(a=shape, scale=1.0 / rate).cdf).pvalue
@@ -422,7 +449,7 @@ class TestRWM:
         # one allocated point: y=(1, 0.5), shift 0.3, phi 0.5 -> e_cur=-0.3;
         # proposal 0.2 -> e_new=0; ratio = -tau/2 (0 - 0.09) with tau=1/0.49
         yt, lm = _design(np.array([1.0, 0.5]), 1)
-        got = ar_log_ratio(yt, lm, np.array([0]), 0.3, 0.7, np.array([0.5]), np.array([0.2]))
+        got = log_ratio_at(yt, lm, np.array([0]), 0.3, 0.7, np.array([0.5]), np.array([0.2]))
         assert got == pytest.approx(0.09 / (2 * 0.49), abs=1e-14)
 
     def test_zero_step_and_empty_component(self):
@@ -430,9 +457,9 @@ class TestRWM:
         yt, lm = _design(tiny_series().values, 1)
         cur = state.phi[0]
         rows = member_rows(state)[0]
-        assert ar_log_ratio(yt, lm, rows, 0.3, 0.7, cur, cur) == 0.0
+        assert log_ratio_at(yt, lm, rows, 0.3, 0.7, cur, cur) == 0.0
         none = np.zeros(0, dtype=np.intp)
-        assert ar_log_ratio(yt, lm, none, -0.2, 1.5, cur, np.array([5.0])) == 0.0
+        assert log_ratio_at(yt, lm, none, -0.2, 1.5, cur, np.array([5.0])) == 0.0
 
     def test_blocks_of_different_length(self):
         # y=(1, 0.5, 0.2) conditioned on two values: one row, lags (0.5, 1.0).
@@ -442,8 +469,8 @@ class TestRWM:
         yt, lm = _design(np.array([1.0, 0.5, 0.2]), 2)
         short, long = np.array([0.5]), np.array([0.5, 0.3])
         rows = np.array([0])
-        assert ar_log_ratio(yt, lm, rows, 0.1, 0.5, short, long) == pytest.approx(-0.36)
-        assert ar_log_ratio(yt, lm, rows, 0.1, 0.5, long, short) == pytest.approx(0.36)
+        assert log_ratio_at(yt, lm, rows, 0.1, 0.5, short, long) == pytest.approx(-0.36)
+        assert log_ratio_at(yt, lm, rows, 0.1, 0.5, long, short) == pytest.approx(0.36)
 
     def test_single_gamma_applies_to_every_component(self):
         series = simulate_path(model_a_spec(), 60, seed=5)
@@ -717,7 +744,7 @@ class TestGibbsSweep:
             twin.standard_normal(g)  # the means draw
         np.testing.assert_array_equal(new_state.z, z)
         np.testing.assert_array_equal(new_state.weights, weights)
-        assert new_state.lam == draw_lambda(state.scales, hyper, twin)
+        assert new_state.lam == draw_lambda(precisions_of(state.scales), hyper, twin)
         # member positions are built only when a block that gathers runs
         assert (new_state.rows is None) == (pinned > g + 1)
 
@@ -895,18 +922,18 @@ class TestArrayState:
         every = np.arange(yt.size)
         cur, new = rng.uniform(-0.5, 0.5, p), rng.uniform(-0.5, 0.5, p + 1)
         for shift, scale in ((0.3, 0.7), (-1.2, 2.5)):
-            got = ar_log_ratio(yt, lm, None, shift, scale, cur, new)
-            assert got == ar_log_ratio(yt, lm, every, shift, scale, cur, new)
+            got = log_ratio_at(yt, lm, None, shift, scale, cur, new)
+            assert got == log_ratio_at(yt, lm, every, shift, scale, cur, new)
         r = rng.normal(size=(2, yt.size))
-        counts = np.array([yt.size, 0])
+        full, gathered = gather_rows(r, (None, every[:0])), gather_rows(r, (every, every[:0]))
+        assert [a.tobytes() for a in full] == [a.tobytes() for a in gathered]
+        counts = [yt.size, 0]
         hyper = base_hyper(zeta=0.4, kappa=2.0)
-        tau, bk = np.array([0.8, 1.3]), np.array([0.6, 1.1])
-        for a, b in zip(means_conditional(r, (None, every[:0]), counts, tau, bk, hyper),
-                        means_conditional(r, (every, every[:0]), counts, tau, bk, hyper)):
-            assert a.tobytes() == b.tobytes()
-        for a, b in zip(precisions_conditional(r, (None, every[:0]), counts, 1.7, hyper),
-                        precisions_conditional(r, (every, every[:0]), counts, 1.7, hyper)):
-            assert a.tobytes() == b.tobytes()
+        tau, bk = [0.8, 1.3], [0.6, 1.1]
+        assert (means_conditional(full, counts, tau, bk, hyper)
+                == means_conditional(gathered, counts, tau, bk, hyper))
+        assert (precisions_conditional(full, counts, 1.7, hyper)
+                == precisions_conditional(gathered, counts, 1.7, hyper))
 
     def test_fitted_parts_carry_over_until_an_ar_block_moves(self):
         series = simulate_path(model_b_spec(), 200, seed=41)

@@ -11,9 +11,9 @@ import numpy as np
 
 from mixar.datasets import model_a_spec, model_b_spec
 from mixar.evidence import EvidenceConfig, marginal_log_likelihood
-from mixar.model import simulate_path
+from mixar.model import TimeSeries, simulate_path
 from mixar.rjmcmc import OrderMoveConfig, rjmcmc_run
-from mixar.sampler import default_hyperparams, run_chain
+from mixar.sampler import Hyperparams, default_hyperparams, run_chain
 
 
 def chain_fingerprint(out):
@@ -228,3 +228,35 @@ def test_single_component_evidence_parts_are_pinned():
 
 def test_fixed_shift_chain_is_pinned():
     assert fixed_shift_chain() == FIXED_SHIFT_CHAIN
+
+
+# A chain whose whole-sweep stability veto binds: seven points, so the
+# posterior stays close to the prior and many end-of-sweep candidates are
+# unstable.  The pins above all have no rejection.
+
+
+def vetoed_chain():
+    series = TimeSeries(np.array([0.3, -1.1, 0.8, 1.9, -0.4, 0.2, -1.5]))
+    hyper = Hyperparams(
+        zeta=0.0, kappa=1.0, a=3.0, b=3.0, c=3.0, n_iter=400, burn_in=100, pilot_iters=500
+    )
+    return chain_fingerprint(run_chain(series, 2, (1, 1), hyper, seed=55))
+
+
+VETOED_CHAIN = {
+    "log_likelihood_sum": -3125.3447730988755,
+    "last_log_likelihood": -10.768882508044276,
+    "last_log_posterior": -16.44800587581601,
+    "last_draw": [
+        0.13862228796045517, 0.8613777120395448, -0.05157754465028434, -0.6014507768702475,
+        0.2284008809160532, -0.44496056793500727, 0.7276340130424188, 1.572857831666756,
+        0.5776303562289002, -0.5051438734436733, 0.8553465378371911,
+    ],
+    "acceptance": [0.48, 0.505],
+    "stability_rejections": 78,
+    "gamma": [0.552228002658792, 0.47057075013297034],
+}
+
+
+def test_vetoed_chain_is_pinned():
+    assert vetoed_chain() == VETOED_CHAIN
