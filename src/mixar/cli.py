@@ -34,7 +34,7 @@ from .io import (
     write_series_csv,
 )
 from .model import MARSpec, TimeSeries, simulate_path
-from .relabel import ClusterCentres, assign_permutation, relabel_chain
+from .relabel import assign_permutation, relabel_chain
 from .sampler import ChainOutput, default_hyperparams, run_chain
 from .stability import is_stable
 from .summary import DensityGrid, average_density, check_draw_count, density_grid, summarize
@@ -140,7 +140,9 @@ def cmd_fit(config: RunConfig, out: Path) -> tuple[list[str], dict]:
     g, orders, fixed_shift = _model_shape(config)
     if orders is None:
         raise ValueError("fit needs orders=<comma separated list, one per component>")
-    relabel = config.relabel_config(g)
+    if len(orders) != g:
+        raise ValueError("orders must list one order per component")
+    relabel = config.relabel_config(g, fixed_shift)
     check_draw_count(config.n_iter - config.burn_in)
     hyper = default_hyperparams(series, fixed_shift=fixed_shift, **config.chain_settings())
     output = run_chain(series, g, orders, hyper, config.seed)
@@ -162,6 +164,7 @@ def cmd_fit(config: RunConfig, out: Path) -> tuple[list[str], dict]:
             "stability_rejections": output.stability_rejections,
             "proposal_precisions": output.gamma,
             "timing": timing,
+            "relabel": output.relabelling,
         }
     )
     return [str(draws_path), str(summaries_path)], diag
@@ -172,6 +175,8 @@ def cmd_select(config: RunConfig, out: Path) -> tuple[list[str], dict]:
     if config.orders is not None and g_range != (len(config.orders),):
         raise ValueError(f"select pins orders={list(config.orders)} only for "
                          f"g_range={len(config.orders)}, got g_range={list(g_range)}")
+    if config.orders is not None and max(config.orders) > config.p_max:
+        raise ValueError("orders cannot exceed p_max")
     ev_config = config.evidence_config(max(g_range))
     series, echo = _load_series(config)
     hyper = default_hyperparams(series, fixed_shift=config.fixed_shift, **config.chain_settings())
@@ -224,8 +229,7 @@ def _align_to_truth(output: ChainOutput, truth: MARSpec) -> tuple[int, ...]:
         [output.weights.mean(axis=0), output.scales.mean(axis=0), output.ar[:, :, 0].mean(axis=0)]
     )
     target = np.concatenate([truth.weights, truth.scales, [c[0] for c in truth.ar_coeffs]])
-    centres = ClusterCentres(centre=target, variance=np.ones(target.size), count=1)
-    return assign_permutation(fitted, centres, truth.orders)
+    return assign_permutation(fitted, target, np.ones(target.size), truth.orders)
 
 
 def _replica_param_draws(output: ChainOutput, truth: MARSpec) -> dict[str, np.ndarray]:
@@ -255,7 +259,7 @@ def _replicate_worker(job) -> dict[str, np.ndarray]:
 def cmd_replicate(config: RunConfig, out: Path) -> tuple[list[str], dict]:
     truth = BUILTIN_SPECS[config.spec]()
     n = config.replica_length
-    relabel = config.relabel_config(truth.g)
+    relabel = config.relabel_config(truth.g, config.fixed_shift)
     overrides = dict(config.chain_settings(), fixed_shift=config.fixed_shift)
     children = np.random.SeedSequence(config.seed).spawn(config.replicas)
     jobs = []

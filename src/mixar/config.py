@@ -125,18 +125,18 @@ class RunConfig:
         return dict(a=self.a, c=self.c, gamma=self.gamma, n_iter=self.n_iter,
                     burn_in=self.burn_in, pilot_iters=self.pilot_iters)
 
-    def relabel_config(self, g: int = 1) -> RelabelConfig:
-        """Relabelling settings; a g >= 2 chain will be relabelled, so its draws are checked."""
+    def relabel_config(self, g: int, fixed_shift: bool) -> RelabelConfig:
+        """Relabelling settings; a g >= 2 chain will be relabelled, so it is checked."""
         relabel = RelabelConfig(m=self.relabel_warm_start, subset=self.relabel_subset)
         if g >= 2:
-            relabel.check_draws(self.n_iter - self.burn_in)
+            relabel.check_chain(self.n_iter - self.burn_in, fixed_shift)
         return relabel
 
     def evidence_config(self, g: int = 1) -> EvidenceConfig:
         """Evidence settings, order moves included, for candidates of at most g components."""
         return EvidenceConfig(
             order_config=OrderMoveConfig(**self._shared(OrderMoveConfig)),
-            relabel=self.relabel_config(g),
+            relabel=self.relabel_config(g, self.fixed_shift),
             **self._shared(EvidenceConfig),
         )
 
@@ -237,13 +237,8 @@ def validate_config(config: RunConfig) -> None:
     check_g_range(tuple(config.g_range))
     if config.g < 1:
         raise ValueError("g must be at least 1")
-    if config.orders is not None:
-        if len(config.orders) != config.g:
-            raise ValueError("orders must list one order per component")
-        if any(p < 1 for p in config.orders):
-            raise ValueError("orders must be positive")
-        if any(p > config.p_max for p in config.orders):
-            raise ValueError("orders cannot exceed p_max")
+    if config.orders is not None and min(config.orders) < 1:
+        raise ValueError("orders must be positive")
     if config.spec not in ("A", "B"):
         raise ValueError("spec must be A or B")
     if config.n is not None and config.n < 1:

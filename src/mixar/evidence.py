@@ -149,7 +149,7 @@ def starred_point(output: ChainOutput) -> StarredPoint:
 
 
 def _reduced_log_mean(
-    pinned, term, series, star, hyper, gamma, config, rng, cond, vetoes, n_keep=None
+    name, pinned, term, series, star, hyper, gamma, config, rng, cond, vetoes, n_keep=None
 ) -> float:
     """Run one reduced chain from theta*; log of the mean of exp(term(state)) over its draws.
 
@@ -157,7 +157,7 @@ def _reduced_log_mean(
     full conditionals, then sweeps with the first `pinned` blocks of the
     order phi_1, ..., phi_g, mu, tau held at theta* (see `gibbs_sweep`) for
     config.reduced_burn_in plus n_keep sweeps (default config.n_i).  Its
-    count of stability-vetoed sweeps is appended to the list `vetoes`.
+    count of stability-vetoed sweeps is recorded as `vetoes[name]`.
     """
     n_keep = config.n_i if n_keep is None else n_keep
     burn = config.reduced_burn_in
@@ -167,12 +167,13 @@ def _reduced_log_mean(
     lam = draw_lambda([1.0 / (s * s) for s in star.spec.scales.tolist()], hyper, rng)
     state = spec_state(star.spec, star.means, z, lam, cond)
     terms = np.empty(n_keep)
-    vetoes.append(0)
+    vetoed = 0
     for i in range(burn + n_keep):
         state, info = gibbs_sweep(state, series, hyper, rng, cond, gamma, pinned)
-        vetoes[-1] += info.stability_rejected
+        vetoed += info.stability_rejected
         if i >= burn:
             terms[i - burn] = term(state)
+    vetoes[name] = vetoed
     return float(logsumexp(terms) - math.log(n_keep))
 
 
@@ -189,7 +190,7 @@ def estimate_phi_ordinate(
     config: EvidenceConfig,
     rng: np.random.Generator,
     cond: int,
-    vetoes: list[int],
+    vetoes: dict[str, int],
 ) -> tuple[float, list[float]]:
     """Log posterior ordinate of the AR blocks at their starred values.
 
@@ -217,8 +218,8 @@ def estimate_phi_ordinate(
             prop = phi_star_k + rng.normal(0.0, 1.0 / math.sqrt(gamma_k), phi_star_k.size)
             return swap_log_alpha(state, yt, lm, k, prop)
 
-        log_num = _reduced_log_mean(k - 1, to_star, *args, n_keep=config.n_j)
-        log_den = _reduced_log_mean(k, from_star, *args)
+        log_num = _reduced_log_mean(f"phi_{k}_num", k - 1, to_star, *args, n_keep=config.n_j)
+        log_den = _reduced_log_mean(f"phi_{k}_den", k, from_star, *args)
         if not np.isfinite(log_num) or not np.isfinite(log_den):
             raise ValueError(
                 f"AR ordinate for component {k} degenerate (numerator {log_num}, "
@@ -236,7 +237,7 @@ def estimate_mu_ordinate(
     config: EvidenceConfig,
     rng: np.random.Generator,
     cond: int,
-    vetoes: list[int],
+    vetoes: dict[str, int],
 ) -> float:
     """Rao-Blackwellized log ordinate of the means given the starred AR blocks."""
     if hyper.fixed_shift:
@@ -254,7 +255,7 @@ def estimate_mu_ordinate(
         return left_sum(0.5 * (math.log(p) - LOG_2PI) - 0.5 * p * (mu - m_k) ** 2
                         for mu, m_k, p in zip(star.means.tolist(), m, prec))
 
-    return _reduced_log_mean(g, term, series, star, hyper, gamma, config, rng, cond, vetoes)
+    return _reduced_log_mean("mu", g, term, series, star, hyper, gamma, config, rng, cond, vetoes)
 
 
 def estimate_tau_ordinate(
@@ -265,7 +266,7 @@ def estimate_tau_ordinate(
     config: EvidenceConfig,
     rng: np.random.Generator,
     cond: int,
-    vetoes: list[int],
+    vetoes: dict[str, int],
 ) -> float:
     """Rao-Blackwellized log ordinate of the precisions given starred AR and means."""
     g = star.spec.g
@@ -281,7 +282,9 @@ def estimate_tau_ordinate(
         return left_sum(a * math.log(b) - math.lgamma(a) + (a - 1.0) * log_t - b * t
                         for a, b, t, log_t in zip(shape, rate, tau_star, log_tau_star))
 
-    return _reduced_log_mean(g + 1, term, series, star, hyper, gamma, config, rng, cond, vetoes)
+    return _reduced_log_mean(
+        "tau", g + 1, term, series, star, hyper, gamma, config, rng, cond, vetoes
+    )
 
 
 def estimate_pi_ordinate(
@@ -292,7 +295,7 @@ def estimate_pi_ordinate(
     config: EvidenceConfig,
     rng: np.random.Generator,
     cond: int,
-    vetoes: list[int],
+    vetoes: dict[str, int],
 ) -> float:
     """Rao-Blackwellized log ordinate of the weights given all other starred blocks.
 
@@ -305,7 +308,7 @@ def estimate_pi_ordinate(
         return dirichlet_log_density(1.0 + state.counts, log_pi_star)
 
     return _reduced_log_mean(
-        star.spec.g + 2, term, series, star, hyper, gamma, config, rng, cond, vetoes
+        "pi", star.spec.g + 2, term, series, star, hyper, gamma, config, rng, cond, vetoes
     )
 
 
@@ -359,7 +362,7 @@ def marginal_log_likelihood(
     cond = output.cond
     gamma = output.gamma
     rng = np.random.default_rng(s_ord)
-    vetoes: list[int] = []  # per reduced run, in the order the runs go
+    vetoes: dict[str, int] = {}  # per reduced run, in the order the runs go
     args = (series, star, hyper, gamma, config, rng, cond, vetoes)
 
     log_phi, per_k = timed("phi_ordinate_s", estimate_phi_ordinate, *args)
@@ -375,8 +378,6 @@ def marginal_log_likelihood(
     }
     for k, v in enumerate(per_k, start=1):
         parts[f"log_phi_ordinate_{k}"] = v
-    runs = [f"phi_{k}_{side}" for k in range(1, g + 1) for side in ("num", "den")]
-    runs += ["tau", "pi"] if hyper.fixed_shift else ["mu", "tau", "pi"]
     result = EvidenceResult(
         g=g,
         orders=orders,
@@ -386,7 +387,12 @@ def marginal_log_likelihood(
         timing=timing,
         chains={"acceptance_rates": output.acceptance.tolist(),
                 "stability_rejections": output.stability_rejections,
-                "reduced_stability_rejections": dict(zip(runs, vetoes))},
+                "reduced_stability_rejections": vetoes,
+                "relabel": output.relabelling,
+                "order_moves": {"birth_attempts": trace.birth_attempts,
+                                "birth_accepts": trace.birth_accepts,
+                                "death_attempts": trace.death_attempts,
+                                "death_accepts": trace.death_accepts}},
     )
     result.log_marginal = result.recompose()
     return result

@@ -47,31 +47,17 @@ class RelabelConfig:
         if len(set(self.subset)) != len(self.subset):
             raise ValueError("subset entries must be unique")
 
-    def check_draws(self, n_draws: int) -> None:
-        """The warm start must leave draws to relabel in a chain of n_draws."""
+    def check_chain(self, n_draws: int, fixed_shift: bool) -> None:
+        """Draws must remain after the warm start; fixed (all zero) shifts separate nothing."""
         if self.m >= n_draws:
             raise ValueError(
                 f"warm-start length m={self.m} must be below the number of draws ({n_draws})"
             )
-
-
-@dataclass(frozen=True)
-class ClusterCentres:
-    """Running per-coordinate centres, biased variances and the draw count."""
-
-    centre: np.ndarray
-    variance: np.ndarray
-    count: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "centre", np.asarray(self.centre, dtype=float).reshape(-1))
-        object.__setattr__(self, "variance", np.asarray(self.variance, dtype=float).reshape(-1))
-        if self.centre.size != self.variance.size:
-            raise ValueError("centre and variance must have equal length")
-        if self.count < 1:
-            raise ValueError("count must be positive")
-        if np.any(self.variance < 0):
-            raise ValueError("variances must be nonnegative")
+        if fixed_shift and "shifts" in self.subset:
+            raise ValueError(
+                "relabel_subset holds shifts, which fixed_shift holds at zero in every draw; "
+                "drop shifts from relabel_subset"
+            )
 
 
 def feature_matrix(output: ChainOutput, subset: tuple[str, ...]) -> np.ndarray:
@@ -80,8 +66,8 @@ def feature_matrix(output: ChainOutput, subset: tuple[str, ...]) -> np.ndarray:
     return np.concatenate([blocks[name] for name in subset], axis=1)
 
 
-def init_centres(theta: np.ndarray) -> ClusterCentres:
-    """Warm-start centres from the first m draws (rows of theta).
+def init_centres(theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Warm-start centres and variances from the first m draws (rows of theta).
 
     Variances are the biased (1/m) second moments about the warm mean.
     Raises when any coordinate has zero variance, which would make the
@@ -98,11 +84,7 @@ def init_centres(theta: np.ndarray) -> ClusterCentres:
             f"coordinate {bad} has zero warm-start variance; "
             "increase m or choose a different parameter subset"
         )
-    return ClusterCentres(centre=centre, variance=variance, count=theta.shape[0])
-
-
-def _permute_row(theta_row: np.ndarray, g: int, perm: tuple[int, ...]) -> np.ndarray:
-    return theta_row.reshape(-1, g)[:, perm].reshape(-1)
+    return centre, variance
 
 
 @functools.lru_cache(maxsize=None)
@@ -117,42 +99,29 @@ def _permutations(orders: tuple[int, ...]) -> np.ndarray:
 
 
 def assign_permutation(
-    theta_row: np.ndarray, centres: ClusterCentres, orders: tuple[int, ...]
+    theta_row: np.ndarray, centre: np.ndarray, variance: np.ndarray, orders: tuple[int, ...]
 ) -> tuple[int, ...]:
-    """Permutation of components minimizing the normalized squared distance.
+    """Permutation of components minimizing the variance-normalized squared distance.
 
-    orders gives each of the g components' AR order; only permutations that
-    keep every slot's order are scored, all at once.  Ties resolve to the
-    lexicographically smallest permutation (the first minimum in
-    `itertools.permutations` order).  The returned perm relabels the draw as
-    new_block[j] = old_block[perm[j]].
+    theta_row, centre and variance are (q,) arrays of g-long blocks; only the
+    permutations that keep every component's order are scored, all at once.
+    Ties go to the first minimum in `itertools.permutations` order.  The perm
+    relabels the draw as new_block[j] = old_block[perm[j]].
     """
-    g = len(orders)
-    theta_row = np.asarray(theta_row, dtype=float).reshape(-1)
-    if theta_row.size != centres.centre.size or theta_row.size % g != 0:
-        raise ValueError("draw length must equal the centre length and be a multiple of g")
     perms = _permutations(orders)
+    g = perms.shape[1]
     cands = theta_row.reshape(-1, g)[:, perms].transpose(1, 0, 2).reshape(perms.shape[0], -1)
-    d = np.sum((cands - centres.centre) ** 2 / centres.variance, axis=1)
+    d = np.sum((cands - centre) ** 2 / variance, axis=1)
     return tuple(perms[int(np.argmin(d))].tolist())
 
 
-def update_centres(centres: ClusterCentres, theta_row: np.ndarray) -> ClusterCentres:
-    """Fold one relabelled draw into the running centres.
-
-    With n draws seen so far, the mean update is (n*mean + theta)/(n+1) and
-    the biased variance update is
-    n/(n+1)*s2 + n/(n+1)*(mean_old - mean_new)^2 + (theta - mean_new)^2/(n+1).
-    """
-    theta_row = np.asarray(theta_row, dtype=float).reshape(-1)
-    n = centres.count
-    mean_new = (n * centres.centre + theta_row) / (n + 1)
-    var_new = (
-        n / (n + 1) * centres.variance
-        + n / (n + 1) * (centres.centre - mean_new) ** 2
-        + (theta_row - mean_new) ** 2 / (n + 1)
-    )
-    return ClusterCentres(centre=mean_new, variance=var_new, count=n + 1)
+def update_centres(
+    centre: np.ndarray, variance: np.ndarray, n: int, x: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Fold the relabelled draw x into centres and biased variances over n draws."""
+    new = (n * centre + x) / (n + 1)
+    var = n / (n + 1) * variance + n / (n + 1) * (centre - new) ** 2 + (x - new) ** 2 / (n + 1)
+    return new, var
 
 
 def relabel_chain(output: ChainOutput, config: RelabelConfig | None = None) -> ChainOutput:
@@ -161,19 +130,21 @@ def relabel_chain(output: ChainOutput, config: RelabelConfig | None = None) -> C
     The first m draws define the warm start and keep their labels.  When the
     warm-start variance of some coordinate exceeds a quarter of its
     full-chain variance, a warning suggests the warm window may already
-    contain label switches.
+    contain label switches.  The result's `relabelling` counts the draws
+    given another labelling and says whether that warning fired.
     """
     config = config or RelabelConfig()
     if output.g == 1:
-        return replace(output)
-    config.check_draws(output.n_draws)
+        return replace(output, relabelling={"draws_permuted": 0, "warm_window_warning": False})
+    config.check_chain(output.n_draws, output.fixed_shift)
     theta_all = feature_matrix(output, config.subset)
-    centres = init_centres(theta_all[: config.m])
+    centre, variance = init_centres(theta_all[: config.m])
 
     full_var = theta_all.var(axis=0)
     with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.where(full_var > 0, centres.variance / full_var, 0.0)
-    if np.any(ratio > 0.25):
+        ratio = np.where(full_var > 0, variance / full_var, 0.0)
+    warned = bool(np.any(ratio > 0.25))
+    if warned:
         warnings.warn(
             "warm-start variance exceeds 25% of the full-chain variance for some "
             "coordinate; the warm window may already contain label switches",
@@ -181,13 +152,17 @@ def relabel_chain(output: ChainOutput, config: RelabelConfig | None = None) -> C
         )
 
     g = output.g
-    orders = output.orders.tolist()
+    orders = [tuple(row) for row in output.orders.tolist()]
     perms = np.tile(np.arange(g), (output.n_draws, 1))  # row i relabels draw i
     for i in range(config.m, output.n_draws):
-        perm = assign_permutation(theta_all[i], centres, tuple(orders[i]))
+        perm = assign_permutation(theta_all[i], centre, variance, orders[i])
         perms[i] = perm
-        centres = update_centres(centres, _permute_row(theta_all[i], g, perm))
+        x = theta_all[i].reshape(-1, g)[:, perm].reshape(-1)
+        centre, variance = update_centres(centre, variance, i, x)  # i draws folded in so far
 
     rows = np.arange(output.n_draws)[:, None]
     names = ("weights", "shifts", "means", "scales", "ar", "orders")
-    return replace(output, **{name: getattr(output, name)[rows, perms] for name in names})
+    report = {"draws_permuted": int(np.any(perms != np.arange(g), axis=1).sum()),
+              "warm_window_warning": warned}
+    return replace(output, relabelling=report,
+                   **{name: getattr(output, name)[rows, perms] for name in names})

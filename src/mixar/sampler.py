@@ -163,7 +163,8 @@ class ChainOutput:
 
     Arrays are indexed [draw, component(, lag)]; ar is zero-padded to a
     common width and `orders` gives per-draw component orders.  `timing`
-    holds the seconds of the pilot, burn-in and retained sweeps.
+    holds the seconds of the pilot, burn-in and retained sweeps, and
+    `relabelling` what `relabel.relabel_chain` did to the draws.
     """
 
     g: int
@@ -182,6 +183,7 @@ class ChainOutput:
     gamma: np.ndarray | None
     fixed_shift: bool
     timing: dict = field(default_factory=dict)
+    relabelling: dict = field(default_factory=dict)
 
     @property
     def n_draws(self) -> int:

@@ -1,5 +1,6 @@
 """Configuration parsing and the five CLI subcommands, end to end."""
 
+import hashlib
 import importlib.metadata
 import itertools
 import json
@@ -105,10 +106,8 @@ class TestValidation:
             self.base(n_iter=100, burn_in=100)
         with pytest.raises(ValueError, match="g must be"):
             self.base(g=0)
-        with pytest.raises(ValueError, match="one order per component"):
-            self.base(g=2, orders=(1,))
-        with pytest.raises(ValueError, match="exceed p_max"):
-            self.base(g=1, orders=(9,))
+        with pytest.raises(ValueError, match="orders must be positive"):
+            self.base(orders=(1, 0))
         with pytest.raises(ValueError, match="gamma"):
             self.base(gamma=0.0)
         with pytest.raises(ValueError, match="spec must be"):
@@ -234,8 +233,40 @@ def test_align_to_truth_matches_the_permutation_loop(g):
             assert _align_to_truth(output, truth) == _old_align_to_truth(output, truth)
 
 
+def test_align_to_truth_pinned_permutations():
+    # the permutations of 200 random fitted/truth pairs per order layout, as
+    # recorded before the scorer moved to plain arrays; any change in the
+    # distance arithmetic or the tie rule moves this digest
+    digests, moved = {}, {}
+    for orders in ((1, 1), (2, 1, 1)):
+        rng = np.random.default_rng(len(orders))
+        g, perms = len(orders), []
+        for _ in range(200):
+            fitted = rng.uniform(0.0, 1.0, size=(4, 3, g))
+            true = rng.uniform(0.0, 1.0, size=(3, g))
+            output = SimpleNamespace(weights=fitted[:, 0], scales=fitted[:, 1],
+                                     ar=fitted[:, 2][:, :, None])
+            truth = SimpleNamespace(g=g, orders=orders, weights=true[0], scales=true[1],
+                                    ar_coeffs=[np.full(p, x) for p, x in zip(orders, true[2])])
+            perms.append(_align_to_truth(output, truth))
+        digests[orders] = hashlib.sha256(repr(perms).encode()).hexdigest()
+        moved[orders] = sum(perm != tuple(range(g)) for perm in perms)
+    assert digests == ALIGN_PINS
+    assert moved[(1, 1)] > 50 and moved[(2, 1, 1)] > 50
+
+
+ALIGN_PINS = {
+    (1, 1): "f5c16e7c7160a249df31a1c5bf9f77f36409a01a6e219484e3799cd34313b344",
+    (2, 1, 1): "ff866b30378ab474f3c15a2169ca915717eb54bd7f701b6582f0f7849a7a2e14",
+}
+
+
 def _no_chain(*args, **kwargs):
     raise AssertionError("a chain ran for a configuration that should be refused")
+
+
+def _chain_started(*args, **kwargs):
+    raise ValueError("chain started")
 
 
 @pytest.fixture
@@ -247,6 +278,8 @@ def b_series(tmp_path):
 
 RELABEL_REFUSALS = [
     (["relabel_subset=weigths"], "unknown subset entry 'weigths'"),
+    (["fixed_shift=true", "relabel_subset=weights,shifts"],
+     "relabel_subset holds shifts, which fixed_shift holds at zero"),
     (["relabel_warm_start=1"], "warm-start length m must be at least 2"),
     (["n_iter=300", "burn_in=100", "relabel_warm_start=200"],
      r"warm-start length m=200 must be below the number of draws \(200\)"),
@@ -319,6 +352,64 @@ class TestRefusedBeforeTheFirstSweep:
         assert code == 2
         assert "need at least 100 draws to summarize, got 50" in capsys.readouterr().err
         assert not (out / "draws.csv").exists()
+
+    def test_fit_recipe_with_fixed_shift_refuses_shifts(self, b_series, tmp_path, monkeypatch,
+                                                         capsys):
+        # the ibm recipe fixes the shifts, whatever the fixed_shift key says
+        monkeypatch.setattr(mixar.cli, "run_chain", _no_chain)
+        with pytest.warns(UserWarning, match="ibm"):
+            code = run_cli(["fit", *_sets([
+                f"input={b_series}", f"output_dir={tmp_path / 'fit'}", "recipe=ibm",
+                "relabel_subset=scales,shifts",
+            ])])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "relabel_subset holds shifts" in err and "fixed_shift" in err
+
+    def test_one_component_fixed_shift_chain_keeps_shifts(self, b_series, tmp_path):
+        # a one-component chain is never relabelled, so its subset is not checked
+        code = run_cli(["fit", *_sets([
+            f"input={b_series}", f"output_dir={tmp_path / 'fit'}", "g=1", "orders=1",
+            "fixed_shift=true", "relabel_subset=shifts", "n_iter=300", "burn_in=100",
+            "gamma=40",
+        ])])
+        assert code == 0
+
+    def test_fit_orders_follow_g(self, b_series, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(mixar.cli, "run_chain", _no_chain)
+        code = run_cli(["fit", *_sets([
+            f"input={b_series}", f"output_dir={tmp_path / 'fit'}", "g=2", "orders=1",
+        ])])
+        assert code == 2
+        assert "orders must list one order per component" in capsys.readouterr().err
+
+    def test_fit_does_not_read_p_max(self, b_series, tmp_path, monkeypatch, capsys):
+        # fit takes its orders as given; p_max bounds only select's order chain
+        monkeypatch.setattr(mixar.cli, "run_chain", _chain_started)
+        code = run_cli(["fit", *_sets([
+            f"input={b_series}", f"output_dir={tmp_path / 'fit'}", "g=2", "orders=6,1",
+            "p_max=5", "gamma=40",
+        ])])
+        assert code == 2
+        assert "chain started" in capsys.readouterr().err
+
+    def test_select_orders_follow_g_range_and_p_max(self, b_series, tmp_path, monkeypatch,
+                                                    capsys):
+        # select reads g_range, not g, so orders=2,1,1 pins its one candidate g=3
+        monkeypatch.setattr(mixar.cli, "select_g", _chain_started)
+        code = run_cli(["select", *_sets([
+            f"input={b_series}", f"output_dir={tmp_path / 'sel'}", "g_range=3",
+            "orders=2,1,1", "p_max=2", "workers=1",
+        ])])
+        assert code == 2
+        assert "chain started" in capsys.readouterr().err
+        monkeypatch.setattr(mixar.cli, "select_g", _no_chain)
+        code = run_cli(["select", *_sets([
+            f"input={b_series}", f"output_dir={tmp_path / 'sel'}", "g_range=1",
+            "orders=9", "p_max=5", "workers=1",
+        ])])
+        assert code == 2
+        assert "orders cannot exceed p_max" in capsys.readouterr().err
 
     def test_select_refuses_orders_it_would_ignore(self, b_series, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(mixar.cli, "select_g", _no_chain)
@@ -651,6 +742,10 @@ class TestFit:
         timing = diag["timing"]
         assert set(timing) == {"pilot_s", "burn_in_s", "retain_s", "relabel_s"}
         assert all(v >= 0.0 for v in timing.values()) and timing["retain_s"] > 0.0
+        relabel = diag["relabel"]
+        assert set(relabel) == {"draws_permuted", "warm_window_warning"}
+        assert 0 <= relabel["draws_permuted"] <= 500  # the 100 warm draws keep their labels
+        assert isinstance(relabel["warm_window_warning"], bool)
 
     def test_draws_layout(self, fitted):
         _, fit = fitted
@@ -803,7 +898,7 @@ class TestSelect:
         code = run_cli([
             "select",
             "--set", f"input={data}", "--set", f"output_dir={out}",
-            "--set", "g_range=1", "--set", "orders=1", "--set", "g=1",
+            "--set", "g_range=1", "--set", "orders=1",
             "--set", "p_max=1", "--set", "fixed_shift=true",
             "--set", "n_iter=800", "--set", "burn_in=300",
             "--set", "n_j=300", "--set", "n_i=300",
@@ -829,6 +924,26 @@ class TestSelect:
         assert model["log_marginal"] == pytest.approx(recomposed, abs=1e-9)
         diag = json.loads((out / "manifest.json").read_text())["diagnostics"]
         assert diag["best_g"] == 1 and diag["workers"] == 1
+
+    def test_order_chain_tallies_cover_every_sweep(self, tmp_path):
+        data = tmp_path / "y.csv"
+        write_series_csv(data, simulate_path(model_b_spec(), 120, seed=9).values)
+        out = tmp_path / "sel"
+        code = run_cli([
+            "select", *_sets([
+                f"input={data}", f"output_dir={out}", "gamma=50", "g_range=1", "p_max=2",
+                "n_iter=200", "burn_in=50", "n_j=30", "n_i=30", "reduced_burn_in=10",
+                "workers=1", "seed=8",
+            ]),
+        ])
+        assert code == 0
+        chain = json.loads((out / "manifest.json").read_text())["diagnostics"]["chains"]["1"]
+        moves = chain["order_moves"]
+        # one birth or death move follows each of the n_iter sweeps; the pilot moves nothing
+        assert moves["birth_attempts"] + moves["death_attempts"] == 200
+        assert 0 <= moves["birth_accepts"] <= moves["birth_attempts"]
+        assert 0 <= moves["death_accepts"] <= moves["death_attempts"]
+        assert chain["relabel"] == {"draws_permuted": 0, "warm_window_warning": False}
 
     def test_single_gamma_for_every_candidate(self, tmp_path):
         series = simulate_path(model_b_spec(), 120, seed=5)
@@ -863,7 +978,12 @@ class TestSelect:
             g = int(g)
             assert set(chain) == {
                 "acceptance_rates", "stability_rejections", "reduced_stability_rejections",
+                "relabel", "order_moves",
             }
+            # p_max = 1 runs no order chain, so it moves nothing
+            assert set(chain["order_moves"].values()) == {0}
+            assert set(chain["relabel"]) == {"draws_permuted", "warm_window_warning"}
+            assert 0 <= chain["relabel"]["draws_permuted"] <= (100 if g > 1 else 0)
             assert len(chain["acceptance_rates"]) == g
             assert all(0.0 <= a <= 1.0 for a in chain["acceptance_rates"])
             runs = chain["reduced_stability_rejections"]

@@ -144,7 +144,7 @@ class TestOrdinates:
 
         star = StarredPoint(spec=spec, means=np.zeros(1))
         val = estimate_mu_ordinate(
-            series, star, hyper, np.array([1.0]), EvidenceConfig(), None, 1, []
+            series, star, hyper, np.array([1.0]), EvidenceConfig(), None, 1, {}
         )
         assert val == 0.0
 
@@ -165,11 +165,11 @@ class TestOrdinates:
         star = StarredPoint(spec=spec, means=np.array([0.0, 50.0]))
         hyper = Hyperparams(zeta=0.0, kappa=1.0, b=1.0)
         config = EvidenceConfig(n_j=1, n_i=40, reduced_burn_in=5)
-        vetoes = []
+        vetoes = {}
         val = estimate_pi_ordinate(
             series, star, hyper, np.array([1.0, 1.0]), config, np.random.default_rng(0), 1, vetoes
         )
-        assert vetoes == [0]  # one reduced run, none of its sweeps vetoed
+        assert vetoes == {"pi": 0}  # one reduced run, none of its sweeps vetoed
         assert val == pytest.approx(math.log(5.0) + 4.0 * math.log(0.7), abs=1e-12)
 
     def test_phi_ordinate_degenerate_proposals_raise(self):
@@ -189,7 +189,7 @@ class TestOrdinates:
         config = EvidenceConfig(n_j=3, n_i=3, reduced_burn_in=2)
         with pytest.raises(ValueError, match="degenerate"):
             estimate_phi_ordinate(
-                series, star, hyper, np.array([1e-8]), config, np.random.default_rng(5), 1, []
+                series, star, hyper, np.array([1e-8]), config, np.random.default_rng(5), 1, {}
             )
 
 

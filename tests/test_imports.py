@@ -210,16 +210,6 @@ def test_guard_flags_a_function_nothing_calls():
     assert uncalled_functions(sources) == ["model.component_mean"]
 
 
-# OrderTrace's move tallies have no reader in the package yet; they are kept
-# for the order chain's birth/death rates, which a run's manifest is to report
-UNREAD_FIELDS_KEPT = {
-    "rjmcmc.OrderTrace.birth_attempts",
-    "rjmcmc.OrderTrace.birth_accepts",
-    "rjmcmc.OrderTrace.death_attempts",
-    "rjmcmc.OrderTrace.death_accepts",
-}
-
-
 def _is_dataclass_decorator(node: ast.expr) -> bool:
     target = node.func if isinstance(node, ast.Call) else node
     name = target.attr if isinstance(target, ast.Attribute) else getattr(target, "id", None)
@@ -255,15 +245,14 @@ def unread_fields(sources: dict[str, str]) -> list[str]:
 
 
 def test_every_dataclass_field_has_a_reader():
-    # a field that only the tests read is a second surface to keep in step;
-    # an exemption whose field has gained a reader is stale and fails too
-    assert unread_fields(package_sources()) == sorted(UNREAD_FIELDS_KEPT)
+    # a field that only the tests read is a second surface to keep in step
+    assert unread_fields(package_sources()) == []
 
 
 def test_guard_flags_a_field_nothing_reads():
     sources = package_sources()
     sources["stability"] += "\n\n@dataclass(frozen=True)\nclass Verdict:\n    matrix_dim: int\n"
-    assert set(unread_fields(sources)) - UNREAD_FIELDS_KEPT == {"stability.Verdict.matrix_dim"}
+    assert unread_fields(sources) == ["stability.Verdict.matrix_dim"]
 
 
 TRACE_RUN = Path(__file__).resolve().parents[1] / "benchmarks" / "trace_run.py"

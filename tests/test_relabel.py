@@ -1,6 +1,7 @@
 """Label-switching correction: centres, assignment, recursions, whole chains."""
 
 import dataclasses
+import hashlib
 import itertools
 
 import numpy as np
@@ -9,7 +10,6 @@ import pytest
 from mixar.datasets import model_a_spec
 from mixar.model import simulate_path
 from mixar.relabel import (
-    ClusterCentres,
     RelabelConfig,
     assign_permutation,
     feature_matrix,
@@ -92,10 +92,9 @@ def assert_outputs_equal(a, b):
 
 class TestCentres:
     def test_init_mean_and_biased_variance(self):
-        centres = init_centres(np.array([[1.0], [3.0]]))
-        assert centres.centre[0] == 2.0
-        assert centres.variance[0] == 1.0  # biased: ((1-2)^2 + (3-2)^2)/2
-        assert centres.count == 2
+        centre, variance = init_centres(np.array([[1.0], [3.0]]))
+        assert centre[0] == 2.0
+        assert variance[0] == 1.0  # biased: ((1-2)^2 + (3-2)^2)/2
 
     def test_init_rejects_degenerate(self):
         with pytest.raises(ValueError, match="m >= 2"):
@@ -104,54 +103,47 @@ class TestCentres:
             init_centres(np.array([[1.0, 5.0], [2.0, 5.0]]))
 
     def test_update_matches_batch_recompute(self):
-        centres = init_centres(np.array([[1.0], [3.0]]))
-        centres = update_centres(centres, np.array([5.0]))
-        assert centres.centre[0] == pytest.approx(3.0)
-        assert centres.variance[0] == pytest.approx(8.0 / 3.0)  # var of {1,3,5}
-        assert centres.count == 3
+        centre, variance = init_centres(np.array([[1.0], [3.0]]))
+        centre, variance = update_centres(centre, variance, 2, np.array([5.0]))
+        assert centre[0] == pytest.approx(3.0)
+        assert variance[0] == pytest.approx(8.0 / 3.0)  # var of {1,3,5}
 
     def test_update_recursion_equals_direct_moments(self):
         rng = np.random.default_rng(0)
         rows = rng.normal(size=(60, 3))
-        centres = init_centres(rows[:5])
+        centre, variance = init_centres(rows[:5])
         for i in range(5, 60):
-            centres = update_centres(centres, rows[i])
-        np.testing.assert_allclose(centres.centre, rows.mean(axis=0), atol=1e-12)
-        np.testing.assert_allclose(centres.variance, rows.var(axis=0), atol=1e-12)
-        assert centres.count == 60
-
-    def test_centres_validation(self):
-        with pytest.raises(ValueError):
-            ClusterCentres(centre=[0.0, 1.0], variance=[1.0], count=2)
-        with pytest.raises(ValueError):
-            ClusterCentres(centre=[0.0], variance=[-1.0], count=2)
-        with pytest.raises(ValueError):
-            ClusterCentres(centre=[0.0], variance=[1.0], count=0)
+            centre, variance = update_centres(centre, variance, i, rows[i])
+        np.testing.assert_allclose(centre, rows.mean(axis=0), atol=1e-12)
+        np.testing.assert_allclose(variance, rows.var(axis=0), atol=1e-12)
+        # the recursion's own bits, as recorded with its earlier record-based form:
+        # any change in the order of its operations moves the variances
+        assert centre.tolist() == [
+            -0.16751989257168323, 0.07583217716000114, 0.18543676606570034,
+        ]
+        assert variance.tolist() == [1.20181082178077, 0.6712004928646342, 0.8637588861015766]
 
 
 class TestAssignment:
     def test_swapped_draw_detected(self):
-        centres = ClusterCentres(
-            centre=[0.3, 0.7, 1.0, 2.0], variance=[0.01] * 4, count=10
-        )
+        centre, variance = np.array([0.3, 0.7, 1.0, 2.0]), np.full(4, 0.01)
         row = np.array([0.69, 0.31, 1.98, 1.02])
-        assert assign_permutation(row, centres, (1, 1)) == (1, 0)
+        assert assign_permutation(row, centre, variance, (1, 1)) == (1, 0)
         aligned = np.array([0.31, 0.69, 1.02, 1.98])
-        assert assign_permutation(aligned, centres, (1, 1)) == (0, 1)
+        assert assign_permutation(aligned, centre, variance, (1, 1)) == (0, 1)
 
     def test_tie_prefers_lexicographic(self):
-        centres = ClusterCentres(centre=[0.5, 0.5], variance=[1.0, 1.0], count=5)
-        assert assign_permutation(np.array([0.2, 0.8]), centres, (1, 1)) == (0, 1)
+        centre, variance = np.array([0.5, 0.5]), np.ones(2)
+        assert assign_permutation(np.array([0.2, 0.8]), centre, variance, (1, 1)) == (0, 1)
 
     def test_three_component_cycle(self):
-        centres = ClusterCentres(
-            centre=[1.0, 2.0, 3.0], variance=[0.1, 0.1, 0.1], count=9
-        )
+        centre, variance = np.array([1.0, 2.0, 3.0]), np.full(3, 0.1)
         # stored blocks are (3, 1, 2); new[j] = old[perm[j]] wants perm (1,2,0)
-        assert assign_permutation(np.array([3.0, 1.0, 2.0]), centres, (1, 1, 1)) == (1, 2, 0)
+        row = np.array([3.0, 1.0, 2.0])
+        assert assign_permutation(row, centre, variance, (1, 1, 1)) == (1, 2, 0)
 
     @staticmethod
-    def loop_oracle(theta_row, centres, orders):
+    def loop_oracle(theta_row, centre, variance, orders):
         """The search one order-keeping permutation at a time, strict improvements only."""
         g = len(orders)
         best, best_d = None, np.inf
@@ -159,7 +151,7 @@ class TestAssignment:
             if any(orders[p] != orders[j] for j, p in enumerate(perm)):
                 continue
             cand = theta_row.reshape(-1, g)[:, perm].reshape(-1)
-            d = float(np.sum((cand - centres.centre) ** 2 / centres.variance))
+            d = float(np.sum((cand - centre) ** 2 / variance))
             if d < best_d:
                 best, best_d = perm, d
         return best
@@ -177,13 +169,14 @@ class TestAssignment:
                 row[:, b] = row[:, a]
                 ties += 1
             if i % 5 == 0:
-                centres = ClusterCentres(np.zeros(blocks * g), np.ones(blocks * g), 4)
+                centre, variance = np.zeros(blocks * g), np.ones(blocks * g)
             else:
-                centres = ClusterCentres(
-                    rng.normal(size=blocks * g), rng.uniform(0.1, 2.0, size=blocks * g), 4
-                )
+                centre = rng.normal(size=blocks * g)
+                variance = rng.uniform(0.1, 2.0, size=blocks * g)
             row, orders = row.reshape(-1), (1,) * g
-            assert assign_permutation(row, centres, orders) == self.loop_oracle(row, centres, orders)
+            assert assign_permutation(row, centre, variance, orders) == self.loop_oracle(
+                row, centre, variance, orders
+            )
         assert ties == (200 if g > 1 else 0)
 
     @pytest.mark.parametrize("orders", [(2, 1), (2, 1, 1), (1, 2, 1, 2), (3, 1, 3, 1, 2)])
@@ -192,15 +185,15 @@ class TestAssignment:
         rng = np.random.default_rng(g)
         for _ in range(200):
             row = rng.normal(size=2 * g)
-            centres = ClusterCentres(rng.normal(size=2 * g), rng.uniform(0.1, 2.0, size=2 * g), 4)
-            perm = assign_permutation(row, centres, orders)
+            centre, variance = rng.normal(size=2 * g), rng.uniform(0.1, 2.0, size=2 * g)
+            perm = assign_permutation(row, centre, variance, orders)
             assert tuple(orders[p] for p in perm) == orders
-            assert perm == self.loop_oracle(row, centres, orders)
+            assert perm == self.loop_oracle(row, centre, variance, orders)
 
     def test_dimension_mismatch(self):
-        centres = ClusterCentres(centre=[0.0, 0.0], variance=[1.0, 1.0], count=3)
+        centre, variance = np.zeros(2), np.ones(2)
         with pytest.raises(ValueError):
-            assign_permutation(np.array([1.0, 2.0, 3.0]), centres, (1, 1))
+            assign_permutation(np.array([1.0, 2.0, 3.0]), centre, variance, (1, 1))
 
 
 class TestConfig:
@@ -232,6 +225,7 @@ class TestRelabelChain:
         res = relabel_chain(out, RelabelConfig(m=5))
         assert res is not out
         np.testing.assert_array_equal(res.weights, out.weights)
+        assert res.relabelling == {"draws_permuted": 0, "warm_window_warning": False}
 
     def test_warm_window_too_long(self):
         out = make_output(np.random.default_rng(3), n=100)
@@ -315,6 +309,26 @@ class TestRelabelChain:
         res = relabel_chain(out, RelabelConfig(m=200))
         assert_outputs_equal(res, ref)
 
+    def test_report_counts_permuted_draws(self):
+        out = make_output(np.random.default_rng(5))
+        swap_rows(out, slice(300, 400))
+        res = relabel_chain(out, RelabelConfig(m=200))
+        assert res.relabelling == {"draws_permuted": 100, "warm_window_warning": False}
+        with pytest.warns(RuntimeWarning, match="warm-start variance"):
+            again = relabel_chain(res, RelabelConfig(m=200))
+        assert again.relabelling == {"draws_permuted": 0, "warm_window_warning": True}
+
+    @QUIET
+    def test_fixed_shift_chain_refuses_shifts_up_front(self):
+        # every shift of a fixed-shift chain is zero, so no warm start could
+        # give them a variance; the subset is refused before any draw is read
+        out = dataclasses.replace(make_output(np.random.default_rng(12)), fixed_shift=True)
+        out.shifts[:] = 0.0
+        with pytest.raises(ValueError, match="relabel_subset holds shifts.*fixed_shift"):
+            relabel_chain(out, RelabelConfig(m=200, subset=("weights", "shifts")))
+        res = relabel_chain(out, RelabelConfig(m=200, subset=("weights",)))
+        assert res.fixed_shift
+
     def test_shift_subset_separates_on_shifts(self):
         out = make_output(np.random.default_rng(9))
         ref = copy_output(out)
@@ -332,3 +346,40 @@ class TestRelabelChain:
             np.sort(res.scales, axis=1), np.sort(raw.scales, axis=1)
         )
         assert res.n_draws == raw.n_draws
+
+
+def relabelled_digest(output, subsets):
+    """sha256 over the relabelled blocks of `output`, once per feature subset."""
+    h = hashlib.sha256()
+    for subset in subsets:
+        res = relabel_chain(output, RelabelConfig(m=100, subset=subset))
+        for name in ("weights", "shifts", "means", "scales", "ar", "orders"):
+            h.update(np.ascontiguousarray(getattr(res, name)).tobytes())
+    return h.hexdigest()
+
+
+@QUIET
+class TestPinnedRelabelling:
+    """Relabelled chains as recorded before the running centres became plain arrays."""
+
+    SUBSETS = (("weights", "scales"), ("shifts",), ("weights", "scales", "shifts"))
+
+    def test_mixed_order_chain_with_swaps(self):
+        rng = np.random.default_rng(12)
+        out = mixed_output(rng, n=600)
+        # blur the components so that many draws are near a tie
+        for block in (out.weights, out.scales, out.shifts, out.means):
+            block += rng.normal(0.0, 0.4, size=block.shape)
+        swap_rows(out, slice(250, 330), perm=(0, 2, 1))
+        swap_rows(out, slice(420, 480), perm=(0, 2, 1))
+        assert relabelled_digest(out, self.SUBSETS) == MIXED_CHAIN_PIN
+
+    def test_short_spec_a_chain(self):
+        series = simulate_path(model_a_spec(), 200, seed=32)
+        hyper = default_hyperparams(series, n_iter=500, burn_in=200, pilot_iters=500)
+        raw = run_chain(series, 2, (1, 1), hyper, seed=33)
+        assert relabelled_digest(raw, self.SUBSETS) == SPEC_A_CHAIN_PIN
+
+
+MIXED_CHAIN_PIN = "7bd5a56f5d8b7149f9ea0ec2e78ce9e2ed7ba0e9029160b2e787da7df9a270d3"
+SPEC_A_CHAIN_PIN = "a1b33ae624c2796026a3c4177f5721680a84f76838f22e06f24bd27141be65e3"
