@@ -20,7 +20,7 @@ import numpy as np
 
 from .config import RunConfig, build_config, check_workers, config_dict, parse_value
 from .datasets import BUILTIN_LENGTHS, BUILTIN_SPECS, RECIPES, apply_transform, prepare_recipe
-from .evidence import select_g
+from .evidence import _map_jobs, select_g
 from .forecast import posterior_averaged_forecast
 from .io import (
     evidence_payload,
@@ -95,12 +95,12 @@ def _load_series(config: RunConfig) -> tuple[TimeSeries, dict]:
     return TimeSeries(values), echo
 
 
-def _model_shape(config: RunConfig) -> tuple[int, tuple[int, ...] | None, bool]:
-    """(g, orders, fixed_shift), letting a named recipe set the model shape."""
+def _model_shape(config: RunConfig) -> tuple[int, tuple[int, ...] | None]:
+    """fit's (g, orders), letting a named recipe set them."""
     if config.recipe is not None:
         recipe = RECIPES[config.recipe]
-        return recipe.g, recipe.orders, recipe.fixed_shift
-    return config.g, config.orders, config.fixed_shift
+        return recipe.g, recipe.orders
+    return config.g, config.orders
 
 
 def _fit_summaries(output: ChainOutput):
@@ -137,14 +137,14 @@ def cmd_simulate(config: RunConfig, out: Path) -> tuple[list[str], dict]:
 
 def cmd_fit(config: RunConfig, out: Path) -> tuple[list[str], dict]:
     series, echo = _load_series(config)
-    g, orders, fixed_shift = _model_shape(config)
+    g, orders = _model_shape(config)
     if orders is None:
         raise ValueError("fit needs orders=<comma separated list, one per component>")
     if len(orders) != g:
         raise ValueError("orders must list one order per component")
-    relabel = config.relabel_config(g, fixed_shift)
+    relabel = config.relabel_config(g)
     check_draw_count(config.n_iter - config.burn_in)
-    hyper = default_hyperparams(series, fixed_shift=fixed_shift, **config.chain_settings())
+    hyper = default_hyperparams(series, fixed_shift=config.fixed_shift, **config.chain_settings())
     output = run_chain(series, g, orders, hyper, config.seed)
     start = time.perf_counter()
     output = relabel_chain(output, relabel)
@@ -159,7 +159,7 @@ def cmd_fit(config: RunConfig, out: Path) -> tuple[list[str], dict]:
         {
             "g": g,
             "orders": list(orders),
-            "fixed_shift": fixed_shift,
+            "fixed_shift": config.fixed_shift,
             "acceptance_rates": output.acceptance,
             "stability_rejections": output.stability_rejections,
             "proposal_precisions": output.gamma,
@@ -259,7 +259,7 @@ def _replicate_worker(job) -> dict[str, np.ndarray]:
 def cmd_replicate(config: RunConfig, out: Path) -> tuple[list[str], dict]:
     truth = BUILTIN_SPECS[config.spec]()
     n = config.replica_length
-    relabel = config.relabel_config(truth.g, config.fixed_shift)
+    relabel = config.relabel_config(truth.g)
     overrides = dict(config.chain_settings(), fixed_shift=config.fixed_shift)
     children = np.random.SeedSequence(config.seed).spawn(config.replicas)
     jobs = []
@@ -267,13 +267,7 @@ def cmd_replicate(config: RunConfig, out: Path) -> tuple[list[str], dict]:
         sim_seed, fit_seed = (int(s.generate_state(1)[0]) for s in child.spawn(2))
         jobs.append((truth, n, sim_seed, fit_seed, overrides, relabel))
     workers = _resolve_workers(config)
-    if workers > 1 and config.replicas > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            replica_draws = list(pool.map(_replicate_worker, jobs))
-    else:
-        replica_draws = [_replicate_worker(job) for job in jobs]
+    replica_draws = _map_jobs(_replicate_worker, jobs, workers)
 
     params = list(replica_draws[0])
     outputs: list[str] = []

@@ -14,6 +14,7 @@ import typing
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
+from .datasets import _recipe
 from .evidence import EvidenceConfig, check_g_range
 from .forecast import ForecastRequest
 from .relabel import RelabelConfig
@@ -125,18 +126,18 @@ class RunConfig:
         return dict(a=self.a, c=self.c, gamma=self.gamma, n_iter=self.n_iter,
                     burn_in=self.burn_in, pilot_iters=self.pilot_iters)
 
-    def relabel_config(self, g: int, fixed_shift: bool) -> RelabelConfig:
+    def relabel_config(self, g: int) -> RelabelConfig:
         """Relabelling settings; a g >= 2 chain will be relabelled, so it is checked."""
         relabel = RelabelConfig(m=self.relabel_warm_start, subset=self.relabel_subset)
         if g >= 2:
-            relabel.check_chain(self.n_iter - self.burn_in, fixed_shift)
+            relabel.check_chain(self.n_iter - self.burn_in, self.fixed_shift)
         return relabel
 
     def evidence_config(self, g: int = 1) -> EvidenceConfig:
         """Evidence settings, order moves included, for candidates of at most g components."""
         return EvidenceConfig(
             order_config=OrderMoveConfig(**self._shared(OrderMoveConfig)),
-            relabel=self.relabel_config(g, self.fixed_shift),
+            relabel=self.relabel_config(g),
             **self._shared(EvidenceConfig),
         )
 
@@ -227,10 +228,14 @@ def validate_config(config: RunConfig) -> None:
 
     Every sampler object a command builds from the configuration is built
     here once, so its own range checks apply to every command; the rules
-    below are the ones no such object owns.
+    below are the ones no such object owns.  Two settings are resolved
+    here, so every reader and the manifest's echo see the value that runs:
+    mode "mc" becomes "monte-carlo", and a named recipe sets fixed_shift.
     """
     if config.mode == "mc":
         config.mode = "monte-carlo"
+    if config.recipe is not None:
+        config.fixed_shift = _recipe(config.recipe).fixed_shift
     check_chain_settings(**config.chain_settings())
     config.evidence_config()
     config.forecast_request()

@@ -89,16 +89,20 @@ def apply_transform(values: np.ndarray, transform: str) -> np.ndarray:
     raise ValueError(f"unknown transform {transform!r}")
 
 
+def _recipe(name: str) -> DatasetRecipe:
+    try:
+        return RECIPES[name]
+    except KeyError:
+        raise ValueError(f"unknown recipe {name!r}; available: {sorted(RECIPES)}") from None
+
+
 def prepare_recipe(name: str, raw_values: np.ndarray) -> tuple[np.ndarray, DatasetRecipe]:
     """Validate a user-supplied raw series against a recipe and transform it.
 
     A length mismatch is a warning, not an error: the recipe still applies
     to a longer or shorter version of the same series.
     """
-    try:
-        recipe = RECIPES[name]
-    except KeyError:
-        raise ValueError(f"unknown recipe {name!r}; available: {sorted(RECIPES)}") from None
+    recipe = _recipe(name)
     raw_values = np.asarray(raw_values, dtype=float)
     if raw_values.size != recipe.expected_length:
         warnings.warn(

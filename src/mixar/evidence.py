@@ -22,6 +22,12 @@ p_max^g configurations, and the prior over g is uniform over the candidate
 range (stored separately, not folded into the evidence).  Every term
 conditions on the first p_max observations, as the order-move run does; with
 p_max = 1 that run could only visit orders (1, ..., 1), so it is skipped.
+
+theta* is held as the `ChainState` every sweep uses (`starred_point`), and
+its memo of log terms, column norms and fitted AR parts is computed once per
+component count.  The likelihood term, the mu and tau ordinates' residuals
+and every reduced run read it: each reduced run starts from theta*'s state,
+draws its labels from those log terms and hands the memo to its first sweep.
 """
 
 from __future__ import annotations
@@ -32,22 +38,12 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .model import (
-    LOG_2PI,
-    MARSpec,
-    TimeSeries,
-    _log_terms,
-    fitted_ar,
-    left_sum,
-    log_likelihood,
-    logsumexp,
-    row_sum,
-    shift_from_mean,
-)
+from .model import LOG_2PI, TimeSeries, check_fields, left_sum, logsumexp, row_sum
 from .relabel import RelabelConfig, relabel_chain
 from .rjmcmc import OrderMoveConfig, OrderTrace, rjmcmc_run
 from .sampler import (
     ChainOutput,
+    ChainState,
     Hyperparams,
     dirichlet_log_density,
     draw_allocations,
@@ -59,7 +55,7 @@ from .sampler import (
     member_rows,
     precisions_conditional,
     run_chain,
-    spec_state,
+    state_log_terms,
     swap_log_alpha,
 )
 from .stability import is_stable
@@ -86,18 +82,6 @@ class EvidenceConfig:
             raise ValueError("n_j and n_i must be positive")
         if self.reduced_burn_in < 0:
             raise ValueError("reduced_burn_in must be nonnegative")
-
-
-@dataclass(frozen=True)
-class StarredPoint:
-    """The evaluation point theta*: a spec plus the sampled means behind it.
-
-    Shifts are re-derived as mu*_k (1 - sum_i phi*_ki) so the point is
-    internally consistent regardless of within-sweep update order.
-    """
-
-    spec: MARSpec
-    means: np.ndarray
 
 
 @dataclass
@@ -135,17 +119,27 @@ def theta_star_index(output: ChainOutput) -> int:
     return int(np.argmax(output.log_posteriors))
 
 
-def starred_point(output: ChainOutput) -> StarredPoint:
-    """The self-consistent evaluation point at the draw `theta_star_index` picks."""
+def starred_point(output: ChainOutput) -> ChainState:
+    """theta*: the chain state of the draw `theta_star_index` picks.
+
+    Its AR matrix is zero-padded to output.cond.  Free shifts are re-derived
+    as mu*_k (1 - sum_i phi*_ki), as the sweep derives them, so the point is
+    internally consistent regardless of within-sweep update order.  Labels
+    are not stored per draw, so the state holds none (z empty, counts
+    zero); each reduced run draws its own from theta*'s log terms.
+    """
     i = theta_star_index(output)
-    spec = output.spec_at(i)
-    means = output.means[i].copy()
-    if not output.fixed_shift:
-        shifts = [shift_from_mean(m, a) for m, a in zip(means, spec.ar_coeffs)]
-        spec = replace(spec, shifts=np.array(shifts))
-    if not is_stable(spec.weights, spec.phi_matrix()).stable:
+    orders = tuple(output.orders[i].tolist())
+    phi = np.zeros((output.g, output.cond))
+    for k, p in enumerate(orders):
+        phi[k, :p] = output.ar[i, k, :p]
+    weights, means, scales = output.weights[i], output.means[i], output.scales[i]
+    shifts = output.shifts[i] if output.fixed_shift else means * (1.0 - row_sum(phi))
+    check_fields(weights, shifts, scales, tuple(phi))
+    if not is_stable(weights, phi[:, : max(orders)]).stable:
         raise ValueError("the selected high-density draw is unstable; chain is corrupted")
-    return StarredPoint(spec=spec, means=means)
+    return ChainState(weights, shifts, means, scales, phi, orders, np.zeros(0, dtype=np.int64),
+                      np.zeros(output.g, dtype=np.int64), float(output.lam[i]))
 
 
 def _reduced_log_mean(
@@ -153,19 +147,20 @@ def _reduced_log_mean(
 ) -> float:
     """Run one reduced chain from theta*; log of the mean of exp(term(state)) over its draws.
 
-    The chain starts at theta* with allocations and lambda drawn from their
-    full conditionals, then sweeps with the first `pinned` blocks of the
+    The chain starts at theta*'s state with allocations drawn from theta*'s
+    memoized log terms and lambda from its full conditional, and that memo
+    serves the first sweep.  It sweeps with the first `pinned` blocks of the
     order phi_1, ..., phi_g, mu, tau held at theta* (see `gibbs_sweep`) for
     config.reduced_burn_in plus n_keep sweeps (default config.n_i).  Its
     count of stability-vetoed sweeps is recorded as `vetoes[name]`.
     """
     n_keep = config.n_i if n_keep is None else n_keep
     burn = config.reduced_burn_in
-    yt, lm = series.design(cond)
-    logw = _log_terms(star.spec, yt, lm)
-    z = draw_allocations(logw, logsumexp(logw, axis=0), cond, rng)
-    lam = draw_lambda([1.0 / (s * s) for s in star.spec.scales.tolist()], hyper, rng)
-    state = spec_state(star.spec, star.means, z, lam, cond)
+    z = draw_allocations(*state_log_terms(star, series.values, *series.design(cond)), cond, rng)
+    lam = draw_lambda([1.0 / (s * s) for s in star.scales.tolist()], hyper, rng)
+    state = replace(star, z=z, counts=np.bincount(z, minlength=star.weights.size + 1)[1:],
+                    lam=lam)
+    state.terms = star.terms
     terms = np.empty(n_keep)
     vetoed = 0
     for i in range(burn + n_keep):
@@ -184,7 +179,7 @@ def _log_normal_q(phi_star_k, phi_cur, gamma_k):
 
 def estimate_phi_ordinate(
     series: TimeSeries,
-    star: StarredPoint,
+    star: ChainState,
     hyper: Hyperparams,
     gamma: np.ndarray,
     config: EvidenceConfig,
@@ -201,12 +196,12 @@ def estimate_phi_ordinate(
     alpha(phi*_k -> proposal draws).  Acceptance probabilities include the
     whole-model stability indicator.
     """
-    g = star.spec.g
+    g = star.weights.size
     yt, lm = series.design(cond)
     args = (series, star, hyper, gamma, config, rng, cond, vetoes)
     per_k: list[float] = []
     for k in range(1, g + 1):
-        phi_star_k = star.spec.ar_coeffs[k - 1]
+        phi_star_k = star.phi[k - 1, : star.orders[k - 1]]
         gamma_k = float(gamma[k - 1])
 
         def to_star(state):
@@ -231,7 +226,7 @@ def estimate_phi_ordinate(
 
 def estimate_mu_ordinate(
     series: TimeSeries,
-    star: StarredPoint,
+    star: ChainState,
     hyper: Hyperparams,
     gamma: np.ndarray,
     config: EvidenceConfig,
@@ -242,11 +237,11 @@ def estimate_mu_ordinate(
     """Rao-Blackwellized log ordinate of the means given the starred AR blocks."""
     if hyper.fixed_shift:
         return 0.0
-    g = star.spec.g
+    g = star.weights.size
     yt, lm = series.design(cond)
-    phi_star = star.spec.phi_matrix(lm.shape[1])
-    r_star = yt - fitted_ar(phi_star, lm)  # (g, T) shift-free residuals at phi*
-    bk = (1.0 - row_sum(phi_star)).tolist()
+    state_log_terms(star, series.values, yt, lm)
+    r_star = yt - star.terms[4]  # (g, T) shift-free residuals at phi*
+    bk = (1.0 - row_sum(star.phi)).tolist()
 
     def term(state):
         r = gather_rows(r_star, member_rows(state))
@@ -260,7 +255,7 @@ def estimate_mu_ordinate(
 
 def estimate_tau_ordinate(
     series: TimeSeries,
-    star: StarredPoint,
+    star: ChainState,
     hyper: Hyperparams,
     gamma: np.ndarray,
     config: EvidenceConfig,
@@ -269,11 +264,11 @@ def estimate_tau_ordinate(
     vetoes: dict[str, int],
 ) -> float:
     """Rao-Blackwellized log ordinate of the precisions given starred AR and means."""
-    g = star.spec.g
+    g = star.weights.size
     yt, lm = series.design(cond)
-    fitted = fitted_ar(star.spec.phi_matrix(lm.shape[1]), lm)
-    e_star = yt - star.spec.shifts[:, None] - fitted  # (g, T) residuals at phi*, mu*
-    tau_star = (1.0 / star.spec.scales**2).tolist()
+    state_log_terms(star, series.values, yt, lm)
+    e_star = yt - star.shifts[:, None] - star.terms[4]  # (g, T) residuals at phi*, mu*
+    tau_star = (1.0 / star.scales**2).tolist()
     log_tau_star = [math.log(t) for t in tau_star]
 
     def term(state):
@@ -289,7 +284,7 @@ def estimate_tau_ordinate(
 
 def estimate_pi_ordinate(
     series: TimeSeries,
-    star: StarredPoint,
+    star: ChainState,
     hyper: Hyperparams,
     gamma: np.ndarray,
     config: EvidenceConfig,
@@ -302,13 +297,13 @@ def estimate_pi_ordinate(
     Averages the Dirichlet(1 + counts) full-conditional density at pi* over
     the allocations of a chain that draws only allocations, weights and lambda.
     """
-    log_pi_star = np.log(star.spec.weights)
+    log_pi_star = np.log(star.weights)
 
     def term(state):
         return dirichlet_log_density(1.0 + state.counts, log_pi_star)
 
     return _reduced_log_mean(
-        "pi", star.spec.g + 2, term, series, star, hyper, gamma, config, rng, cond, vetoes
+        "pi", star.weights.size + 2, term, series, star, hyper, gamma, config, rng, cond, vetoes
     )
 
 
@@ -360,6 +355,9 @@ def marginal_log_likelihood(
     output = relabel_chain(output, config.relabel)
     star = starred_point(output)
     cond = output.cond
+    # theta*'s memo, filled once: the likelihood, the mu and tau residuals
+    # and every reduced run read its log terms, norms and fitted AR parts
+    _, norm = state_log_terms(star, series.values, *series.design(cond))
     gamma = output.gamma
     rng = np.random.default_rng(s_ord)
     vetoes: dict[str, int] = {}  # per reduced run, in the order the runs go
@@ -367,8 +365,8 @@ def marginal_log_likelihood(
 
     log_phi, per_k = timed("phi_ordinate_s", estimate_phi_ordinate, *args)
     parts = {
-        "log_likelihood": log_likelihood(star.spec, series, cond),
-        "log_prior": log_prior_density(star.spec.weights, star.means, star.spec.scales, hyper),
+        "log_likelihood": float(norm.sum()),
+        "log_prior": log_prior_density(star.weights, star.means, star.scales, hyper),
         "log_order_prior": -g * math.log(p_max),
         "log_phi_ordinate": log_phi,
         "log_mu_ordinate": timed("mu_ordinate_s", estimate_mu_ordinate, *args),
@@ -403,6 +401,17 @@ def check_g_range(g_range: tuple[int, ...]) -> None:
         raise ValueError("g_range must contain positive component counts")
 
 
+def _map_jobs(fn, jobs: list, workers: int) -> list:
+    """[fn(job) for job in jobs], in a pool of at most `workers` processes when
+    workers > 1 and there is more than one job; results keep the job order."""
+    if workers > 1 and len(jobs) > 1:
+        from concurrent.futures import ProcessPoolExecutor  # loaded only where a pool runs
+
+        with ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
+            return list(pool.map(fn, jobs))
+    return [fn(job) for job in jobs]
+
+
 def _evidence_worker(args):
     series_values, g, hyper, config, seed = args
     series = TimeSeries(series_values)
@@ -419,21 +428,16 @@ def select_g(
 ) -> tuple[int, list[EvidenceResult]]:
     """Evidence for every candidate component count; best g by log marginal.
 
-    Candidates get independent derived seeds; with workers > 1 they run in
-    separate processes, assembled by candidate order so results do not
-    depend on completion order.  Ties resolve to the smaller g.
+    Candidates get independent derived seeds; with workers > 1 and more
+    than one candidate they run in separate processes, assembled by
+    candidate order so results do not depend on completion order.  Ties
+    resolve to the smaller g.
     """
     g_range = tuple(int(x) for x in g_range)
     check_g_range(g_range)
     seeds = _child_seeds(seed, len(g_range))
     jobs = [(series.values, g, hyper, config, s) for g, s in zip(g_range, seeds)]
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_evidence_worker, jobs))
-    else:
-        results = [_evidence_worker(job) for job in jobs]
+    results = _map_jobs(_evidence_worker, jobs, workers)
     log_p_g = -math.log(len(g_range))
     for res in results:
         res.log_p_g = log_p_g

@@ -111,29 +111,21 @@ def read_draws_csv(path: str | Path) -> ChainOutput:
     if len(text) < 2:
         raise ValueError(f"{path} holds no draws")
     header = text[0].split(",")
-    g = sum(1 for name in header if name.startswith("pi_"))
+    g = [name.startswith("pi_") for name in header].count(True)
     if g < 1:
         raise ValueError(f"{path} has no pi_k columns; not a draws file")
-    width = sum(1 for name in header if name.startswith("ar_1_"))
-    expected = draws_header(g, width)
-    if header != expected:
+    # iteration, g blocks of (pi, shift, mean, sigma, order, ar_1..ar_width), 3 trailing columns
+    width = (len(header) - 4) // g - 5
+    if header != draws_header(g, width):
         raise ValueError(f"{path} column layout does not match a draws file for g={g}")
-    data = np.array([[float(x) for x in line.split(",")] for line in text[1:]])
-    n = data.shape[0]
-    idx = {name: j for j, name in enumerate(header)}
-
-    def block(prefix):
-        return np.column_stack([data[:, idx[f"{prefix}_{k}"]] for k in range(1, g + 1)])
-
-    weights = block("pi")
-    shifts = block("shift")
-    means = block("mean")
-    scales = block("sigma")
-    orders = block("order").astype(np.int64)
-    ar = np.zeros((n, g, width))
-    for k in range(1, g + 1):
-        for j in range(1, width + 1):
-            ar[:, k - 1, j - 1] = data[:, idx[f"ar_{k}_{j}"]]
+    rows = [line.split(",") for line in text[1:]]
+    if any(len(row) != len(header) for row in rows):
+        raise ValueError(f"{path} has a row that does not hold one value per header column")
+    data = np.array([[float(x) for x in row] for row in rows])
+    blocks = data[:, 1:-3].reshape(data.shape[0], g, 5 + width)
+    fields = np.ascontiguousarray(blocks[:, :, :5].transpose(2, 0, 1))
+    weights, shifts, means, scales, orders = fields
+    lam, log_likelihoods, log_posteriors = np.ascontiguousarray(data[:, -3:].T)
     return ChainOutput(
         g=g,
         cond=int(orders.max()),
@@ -141,11 +133,11 @@ def read_draws_csv(path: str | Path) -> ChainOutput:
         shifts=shifts,
         means=means,
         scales=scales,
-        ar=ar,
-        orders=orders,
-        lam=data[:, idx["lambda"]],
-        log_likelihoods=data[:, idx["loglik"]],
-        log_posteriors=data[:, idx["logpost"]],
+        ar=np.ascontiguousarray(blocks[:, :, 5:]),
+        orders=orders.astype(np.int64),
+        lam=lam,
+        log_likelihoods=log_likelihoods,
+        log_posteriors=log_posteriors,
         acceptance=None,
         stability_rejections=0,
         gamma=None,

@@ -329,11 +329,6 @@ def conditional_moments(spec: MARSpec, series: TimeSeries, t: int) -> tuple[floa
     return mean, var
 
 
-def shift_from_mean(mu: float, ar: np.ndarray) -> float:
-    """Inverse transform phi_k0 = mu_k (1 - sum_i phi_ki)."""
-    return float(mu) * (1.0 - float(np.sum(ar)))
-
-
 def log_likelihood(spec: MARSpec, series: TimeSeries, cond: int | None = None) -> float:
     """Conditional log likelihood sum_{t>cond} log f(y_t | past).
 

@@ -141,15 +141,6 @@ class ChainState:
     rows: tuple | None = field(default=None, init=False, repr=False)
 
 
-def spec_state(spec: MARSpec, means, z, lam: float, width: int) -> ChainState:
-    """The chain state at a validated spec, its AR matrix `width` columns wide."""
-    z = np.asarray(z, dtype=np.int64)
-    return ChainState(
-        spec.weights, spec.shifts, np.asarray(means, dtype=float), spec.scales,
-        spec.phi_matrix(width), spec.orders, z, np.bincount(z, minlength=spec.g + 1)[1:], lam,
-    )
-
-
 @dataclass(frozen=True)
 class SweepInfo:
     attempted: np.ndarray
@@ -548,7 +539,10 @@ def initial_state(
     Weights 1/g; allocations by quantile-binning the residuals of a global
     AR(p) least-squares fit; means at the series mean; precisions at
     1/var(y); per-component AR coefficients by ridge least squares on the
-    initial bins, shrunk toward zero until the whole model is stable.
+    initial bins, shrunk toward zero until the whole model is stable; shifts
+    mu_k (1 - sum_i phi_ki), as the sweep derives them.  The state's AR
+    matrix is zero-padded to cond, and `check_fields` names a bad value as
+    `MARSpec` would.
     """
     orders = tuple(int(p) for p in orders)
     if not 0 < g == len(orders) or any(p < 1 for p in orders):
@@ -592,10 +586,11 @@ def initial_state(
         phi = phi * 0.9
     else:
         raise RuntimeError("failed to find a stable starting point")
-    ar = tuple(phi[k, :pk] for k, pk in enumerate(orders))
-    shifts = np.array([0.0 if hyper.fixed_shift else ybar * (1.0 - a.sum()) for a in ar])
-    spec = MARSpec(weights=weights, shifts=shifts, ar_coeffs=ar, scales=scales)
-    return spec_state(spec, means, z0 + 1, hyper.a / hyper.b, cond)
+    shifts = np.zeros(g) if hyper.fixed_shift else ybar * (1.0 - row_sum(phi))
+    check_fields(weights, shifts, scales, tuple(phi))
+    z = z0 + 1
+    return ChainState(weights, shifts, means, scales, _padded(phi, orders, cond), orders, z,
+                      np.bincount(z, minlength=g + 1)[1:], hyper.a / hyper.b)
 
 
 # Pilot tuning: batches of TUNE_BATCH sweeps, each moving log gamma_k toward

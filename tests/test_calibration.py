@@ -36,7 +36,9 @@ import pytest
 
 from mixar import sampler
 from mixar.model import MARSpec, TimeSeries
-from mixar.sampler import Hyperparams, draw_allocations, gibbs_sweep, spec_state, state_log_terms
+from mixar.sampler import Hyperparams, draw_allocations, gibbs_sweep, state_log_terms
+
+from helpers import spec_state
 
 T = 6  # design points after the start values
 Z_LIMIT = 4.0  # largest |z| over the test functions that counts as agreement

@@ -120,11 +120,17 @@ class TestValidation:
             self.base(workers=0)
         with pytest.raises(ValueError, match="pilot_iters must be at least 500"):
             self.base(pilot_iters=100)
+        with pytest.raises(ValueError, match="unknown recipe 'ibn'"):
+            self.base(recipe="ibn")
         assert self.base(pilot_iters=100, gamma=50.0).pilot_iters == 100
 
     def test_mc_mode_normalized(self):
         cfg = self.base(mode="mc")
         assert cfg.mode == "monte-carlo"
+
+    def test_recipe_sets_fixed_shift(self):
+        assert self.base(recipe="ibm").fixed_shift is True
+        assert self.base(recipe="lynx", fixed_shift=True).fixed_shift is False
 
     def test_config_dict_lists_tuples(self):
         d = config_dict(self.base(orders=(1, 1)))
@@ -765,6 +771,40 @@ class TestFit:
         payload = jsonify(summaries_payload(_fit_summaries(reloaded)))
         assert payload == json.loads((fit / "summaries.json").read_text())
 
+    def test_draws_reload_bitwise_and_contiguous(self, tmp_path):
+        rng = np.random.default_rng(2)
+        n, g, width = 7, 3, 2
+        output = ChainOutput(
+            g=g, cond=width, weights=rng.random((n, g)), shifts=rng.normal(size=(n, g)),
+            means=rng.normal(size=(n, g)), scales=rng.random((n, g)),
+            ar=rng.normal(size=(n, g, width)), orders=rng.integers(1, width + 1, (n, g)),
+            lam=rng.random(n), log_likelihoods=rng.normal(size=n),
+            log_posteriors=rng.normal(size=n), acceptance=None, stability_rejections=0,
+            gamma=None, fixed_shift=False,
+        )
+        write_draws_csv(tmp_path / "draws.csv", output)
+        reloaded = read_draws_csv(tmp_path / "draws.csv")
+        assert (reloaded.g, reloaded.cond) == (g, width)
+        for name in ("weights", "shifts", "means", "scales", "ar", "orders", "lam",
+                     "log_likelihoods", "log_posteriors"):
+            got, want = getattr(reloaded, name), getattr(output, name)
+            assert got.dtype == want.dtype and got.flags.c_contiguous, name
+            assert got.tobytes() == want.tobytes(), name
+
+    @pytest.mark.parametrize("columns, values, message", [
+        (-1, -1, "column layout does not match"),
+        (0, -1, "a row that does not hold one value per header column"),
+        (0, 1, "a row that does not hold one value per header column"),
+    ])
+    def test_draws_file_of_another_layout_is_refused(self, tmp_path, columns, values, message):
+        path = tmp_path / "draws.csv"
+        header = draws_header(2, 1)
+        width = len(header)
+        path.write_text(",".join(header[: width + columns]) + "\n"
+                        + ",".join(["0.5"] * (width + values)) + "\n")
+        with pytest.raises(ValueError, match=message):
+            read_draws_csv(path)
+
     def test_repeat_run_is_bitwise_identical(self, fitted, tmp_path):
         sim, fit = fitted
         again = tmp_path / "again"
@@ -924,6 +964,24 @@ class TestSelect:
         assert model["log_marginal"] == pytest.approx(recomposed, abs=1e-9)
         diag = json.loads((out / "manifest.json").read_text())["diagnostics"]
         assert diag["best_g"] == 1 and diag["workers"] == 1
+
+    def test_recipe_fixes_the_shifts(self, tmp_path):
+        # the ibm recipe's fixed_shift holds for select too: no mean block, so
+        # the mu ordinate is exactly zero, and the manifest echoes the value that ran
+        data = tmp_path / "y.csv"
+        write_series_csv(data, simulate_path(model_b_spec(), 369, seed=2).values)
+        out = tmp_path / "sel"
+        code = run_cli(["select", *_sets([
+            f"input={data}", f"output_dir={out}", "recipe=ibm", "g_range=1", "p_max=1",
+            "gamma=50", "n_iter=200", "burn_in=50", "n_j=20", "n_i=20", "reduced_burn_in=5",
+            "workers=1", "seed=3",
+        ])])
+        assert code == 0
+        (model,) = json.loads((out / "evidence.json").read_text())["models"]
+        assert model["parts"]["log_mu_ordinate"] == 0.0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["config"]["fixed_shift"] is True
+        assert manifest["diagnostics"]["transform"] == "difference"
 
     def test_order_chain_tallies_cover_every_sweep(self, tmp_path):
         data = tmp_path / "y.csv"

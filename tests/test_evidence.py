@@ -18,9 +18,13 @@ from mixar.evidence import (
     starred_point,
     theta_star_index,
 )
+from mixar.datasets import model_a_spec
 from mixar.model import MARSpec, TimeSeries, log_likelihood, simulate_path
+from mixar.relabel import RelabelConfig
 from mixar.rjmcmc import OrderMoveConfig
 from mixar.sampler import ChainOutput, Hyperparams, default_hyperparams
+
+from helpers import spec_of, spec_state
 
 TOY_LOG_ML = -58.357429350547484  # 2-D quadrature over (phi, log tau), 8001^2 grid
 
@@ -68,7 +72,7 @@ class TestThetaStar:
             log_post=[1.0, 5.0, 2.0],
         )
         assert theta_star_index(out) == 1
-        np.testing.assert_array_equal(starred_point(out).spec.weights, [0.6, 0.4])
+        np.testing.assert_array_equal(starred_point(out).weights, [0.6, 0.4])
 
     def test_tie_takes_earliest(self):
         out = chain_output(
@@ -89,7 +93,7 @@ class TestThetaStar:
             log_post=[0.0],
         )
         star = starred_point(out)
-        assert star.spec.shifts[0] == pytest.approx(1.0)  # 2.0 * (1 - 0.5)
+        assert star.shifts[0] == pytest.approx(1.0)  # 2.0 * (1 - 0.5)
 
     def test_fixed_shift_stays_zero(self):
         out = chain_output(
@@ -100,7 +104,20 @@ class TestThetaStar:
             log_post=[0.0],
             fixed_shift=True,
         )
-        assert starred_point(out).spec.shifts[0] == 0.0
+        assert starred_point(out).shifts[0] == 0.0
+
+    def test_state_ar_matrix_padded_to_cond(self):
+        out = chain_output(
+            weights=[[1.0]],
+            means=[[2.0]],
+            ar=np.full((1, 1, 1), 0.5),
+            scales=[[1.0]],
+            log_post=[0.0],
+        )
+        out.cond = 3
+        star = starred_point(out)
+        np.testing.assert_array_equal(star.phi, [[0.5, 0.0, 0.0]])
+        assert star.orders == (1,) and star.shifts[0] == 2.0 * (1.0 - 0.5)
 
     def test_unstable_star_rejected(self):
         out = chain_output(
@@ -140,9 +157,7 @@ class TestOrdinates:
             ar_coeffs=(np.array([0.3]),),
             scales=np.array([1.0]),
         )
-        from mixar.evidence import StarredPoint
-
-        star = StarredPoint(spec=spec, means=np.zeros(1))
+        star = spec_state(spec, np.zeros(1), [], 1.0, 1)
         val = estimate_mu_ordinate(
             series, star, hyper, np.array([1.0]), EvidenceConfig(), None, 1, {}
         )
@@ -160,9 +175,7 @@ class TestOrdinates:
             ar_coeffs=(np.array([0.2]), np.array([0.0])),
             scales=np.array([1.0, 0.5]),
         )
-        from mixar.evidence import StarredPoint
-
-        star = StarredPoint(spec=spec, means=np.array([0.0, 50.0]))
+        star = spec_state(spec, np.array([0.0, 50.0]), [], 1.0, 1)
         hyper = Hyperparams(zeta=0.0, kappa=1.0, b=1.0)
         config = EvidenceConfig(n_j=1, n_i=40, reduced_burn_in=5)
         vetoes = {}
@@ -183,9 +196,7 @@ class TestOrdinates:
             ar_coeffs=(np.array([0.0]),),
             scales=np.array([1.0]),
         )
-        from mixar.evidence import StarredPoint
-
-        star = StarredPoint(spec=spec, means=np.zeros(1))
+        star = spec_state(spec, np.zeros(1), [], 1.0, 1)
         config = EvidenceConfig(n_j=3, n_i=3, reduced_burn_in=2)
         with pytest.raises(ValueError, match="degenerate"):
             estimate_phi_ordinate(
@@ -278,8 +289,64 @@ class TestEndToEnd:
         )
         res = marginal_log_likelihood(series, 1, hyper, config, seed=5)
         assert res.parts["log_likelihood"] == pytest.approx(
-            log_likelihood(stars[0].spec, series, 2), abs=1e-9
+            log_likelihood(spec_of(stars[0]), series, 2), abs=1e-9
         )
+
+    @pytest.mark.filterwarnings("ignore:warm-start variance")
+    def test_theta_star_terms_computed_once(self, monkeypatch):
+        # the likelihood part, the mu and tau residuals and all 2g + 3 reduced
+        # runs read one memo of theta*'s (g, T) log terms and fitted AR parts
+        from mixar import model, sampler
+
+        star, counts = {}, {"log_terms": 0, "fitted_ar": 0}
+        real_star = evidence.starred_point
+        real_terms, real_fitted = model.log_terms, model.fitted_ar
+
+        def spy_star(output):
+            i = theta_star_index(output)
+            star.update(weights=output.weights[i].copy(), ar=output.ar[i].copy())
+            return real_star(output)
+
+        def log_terms(weights, shifts, scales, yt, fitted):
+            counts["log_terms"] += bool(star) and np.array_equal(weights, star["weights"])
+            return real_terms(weights, shifts, scales, yt, fitted)
+
+        def fitted_ar(phi, lm):
+            counts["fitted_ar"] += bool(star) and np.array_equal(phi, star["ar"])
+            return real_fitted(phi, lm)
+
+        monkeypatch.setattr(evidence, "starred_point", spy_star)
+        for module in (model, sampler, evidence):
+            for name, real, fake in (("log_terms", real_terms, log_terms),
+                                     ("fitted_ar", real_fitted, fitted_ar)):
+                if getattr(module, name, None) is real:
+                    monkeypatch.setattr(module, name, fake)
+        series = simulate_path(model_a_spec(), 150, seed=4)
+        hyper = default_hyperparams(series, n_iter=300, burn_in=100, gamma=50.0)
+        config = EvidenceConfig(
+            order_config=OrderMoveConfig(p_max=1), n_j=20, n_i=20, reduced_burn_in=5,
+            relabel=RelabelConfig(m=50),
+        )
+        res = marginal_log_likelihood(series, 2, hyper, config, seed=3)
+        assert len(res.chains["reduced_stability_rejections"]) == 7  # 2g + 3 reduced runs
+        assert counts == {"log_terms": 1, "fitted_ar": 1}
+
+    def test_one_candidate_starts_no_pool(self, monkeypatch):
+        import concurrent.futures
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a process pool started for one job")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+        series = ar1_series(25)
+        hyper = default_hyperparams(
+            series, fixed_shift=True, n_iter=300, burn_in=100, gamma=50.0
+        )
+        config = EvidenceConfig(
+            order_config=OrderMoveConfig(p_max=1), n_j=20, n_i=20, reduced_burn_in=10
+        )
+        best, results = select_g(series, (1,), hyper, config, seed=7, workers=2)
+        assert best == 1 and [r.g for r in results] == [1]
 
     @pytest.mark.filterwarnings("ignore:warm-start variance")
     def test_select_g_orders_results_and_seeds(self):

@@ -1,9 +1,10 @@
 """No mixar module imports scipy or adds floats with the builtin sum, every
 top-level import of a mixar module is used there (or re-exported by __all__),
 every public function has a caller in the package or is exported, every
-dataclass field is read somewhere in the package, every function the
-benchmark's traced run wraps still exists, and every configuration key has a
-reader."""
+dataclass field is read somewhere in the package, the evidence module
+neither builds a model object nor recomputes theta*'s log terms, every
+function the benchmark's traced run wraps still exists, and every
+configuration key has a reader."""
 
 import ast
 import dataclasses
@@ -138,31 +139,21 @@ def test_guard_flags_an_eigensolver_call():
     ]
 
 
-# The builtin sum of floats is compensated from Python 3.12 on, so a result
-# built with it would move with the interpreter.  Counts of integers are
-# exact in any order.
-SUM_CALLS_KEPT = {"io.read_draws_csv"}  # the header's pi_k and ar_1_i column counts
-
-
 def builtin_sum_calls(sources: dict[str, str]) -> list[str]:
-    """Calls of the builtin sum, as module:line, outside the functions SUM_CALLS_KEPT names.
+    """Calls of the builtin sum, as module:line.
 
-    Floats are added with `model.left_sum`, whose order is fixed.
+    The builtin sum of floats is compensated from Python 3.12 on, so a
+    result built with it would move with the interpreter.  Floats are added
+    with `model.left_sum`, whose order is fixed, and counts with
+    `list.count`.
     """
-    found = []
-    for module, text in sources.items():
-        tree = ast.parse(text)
-        owners = {}
-        for func in ast.walk(tree):
-            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                for node in ast.walk(func):
-                    owners.setdefault(node, func.name)
-        for node in ast.walk(tree):
-            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
-                    and node.func.id == "sum"
-                    and f"{module}.{owners.get(node)}" not in SUM_CALLS_KEPT):
-                found.append(f"{module}:{node.lineno}")
-    return sorted(found)
+    return sorted(
+        f"{module}:{node.lineno}"
+        for module, text in sources.items()
+        for node in ast.walk(ast.parse(text))
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+        and node.func.id == "sum"
+    )
 
 
 def test_no_builtin_sum_of_floats():
@@ -175,6 +166,39 @@ def test_guard_flags_a_builtin_sum():
     sources["io"] = "HEADER_WIDTH = sum([3, 4])\n" + sources["io"]
     line = sources["evidence"].count("\n")
     assert builtin_sum_calls(sources) == [f"evidence:{line}", "io:1"]
+
+
+# theta* is a chain state with one memo of its log terms and fitted AR parts;
+# evidence reads that memo and never rebuilds the model or recomputes them
+EVIDENCE_UNCALLED = {"MARSpec", "_log_terms", "fitted_ar", "log_likelihood"}
+
+
+def calls_named(text: str, names: set[str]) -> list[str]:
+    """Calls in a module's source of the names given, bare or as an attribute, as name:line."""
+    found = []
+    for node in ast.walk(ast.parse(text)):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            if name in names:
+                found.append(f"{name}:{node.lineno}")
+    return sorted(found)
+
+
+def test_evidence_builds_no_spec_and_recomputes_no_terms():
+    assert calls_named(package_sources()["evidence"], EVIDENCE_UNCALLED) == []
+
+
+def test_guard_flags_a_spec_or_terms_call_in_evidence():
+    text = package_sources()["evidence"] + (
+        "\n\ndef _ll(state, series):\n"
+        "    spec = model.MARSpec(state.weights, state.shifts, (state.phi[0],), state.scales)\n"
+        "    return log_likelihood(spec, series)\n"
+    )
+    last = text.count("\n")
+    assert calls_named(text, EVIDENCE_UNCALLED) == [
+        f"MARSpec:{last - 1}", f"log_likelihood:{last}",
+    ]
 
 
 def uncalled_functions(sources: dict[str, str]) -> list[str]:

@@ -24,7 +24,6 @@ from mixar.model import (
     logsumexp,
     quantile,
     row_sum,
-    shift_from_mean,
     simulate_path,
     theoretical_acf,
 )
@@ -206,12 +205,6 @@ class TestConditionals:
         v_num = np.trapezoid(ys**2 * dens, ys) - m_num**2
         assert mean == pytest.approx(m_num, abs=1e-8)
         assert var == pytest.approx(v_num, abs=1e-6)
-
-    def test_component_mean_roundtrip(self):
-        # the component mean mu_k = phi_k0 / (1 - sum_i phi_ki) maps back to the shift
-        spec = tiny_spec()
-        mu1 = 0.3 / (1.0 - 0.5)
-        assert shift_from_mean(mu1, spec.ar_coeffs[0]) == pytest.approx(0.3)
 
 
 class TestKernels:

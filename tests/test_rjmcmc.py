@@ -11,7 +11,9 @@ from mixar import sampler
 from mixar.datasets import model_a_spec
 from mixar.model import MARSpec, TimeSeries, log_likelihood, simulate_path
 from mixar.rjmcmc import OrderMoveConfig, OrderTrace, order_move, rjmcmc_run
-from mixar.sampler import default_hyperparams, spec_state, swap_log_alpha, swapped_ar
+from mixar.sampler import default_hyperparams, swap_log_alpha, swapped_ar
+
+from helpers import spec_state
 
 
 def single_state(coeffs, scale=0.3):

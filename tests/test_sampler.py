@@ -39,11 +39,12 @@ from mixar.sampler import (
     precisions_conditional,
     run_chain,
     sample_weights,
-    spec_state,
     state_log_terms,
     swapped_ar,
     tune_gamma,
 )
+
+from helpers import spec_of, spec_state
 
 KS_ALPHA = 1e-3
 
@@ -67,12 +68,6 @@ def labelled(state, z):
     z = np.asarray(z, dtype=np.int64)
     counts = np.bincount(z, minlength=state.weights.size + 1)[1:]
     return dataclasses.replace(state, z=z, counts=counts)
-
-
-def spec_of(state):
-    """The MARSpec of a chain state's parameters."""
-    ar = tuple(state.phi[k, :p] for k, p in enumerate(state.orders))
-    return MARSpec(state.weights, state.shifts, ar, state.scales)
 
 
 def positions(state):
