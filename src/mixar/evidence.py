@@ -122,17 +122,16 @@ def theta_star_index(output: ChainOutput) -> int:
 def starred_point(output: ChainOutput) -> ChainState:
     """theta*: the chain state of the draw `theta_star_index` picks.
 
-    Its AR matrix is zero-padded to output.cond.  Free shifts are re-derived
-    as mu*_k (1 - sum_i phi*_ki), as the sweep derives them, so the point is
+    Its AR matrix is the stored row as it is, so the point conditions on the
+    chain's output.cond observations.  Free shifts are re-derived as
+    mu*_k (1 - sum_i phi*_ki), as the sweep derives them, so the point is
     internally consistent regardless of within-sweep update order.  Labels
     are not stored per draw, so the state holds none (z empty, counts
     zero); each reduced run draws its own from theta*'s log terms.
     """
     i = theta_star_index(output)
     orders = tuple(output.orders[i].tolist())
-    phi = np.zeros((output.g, output.cond))
-    for k, p in enumerate(orders):
-        phi[k, :p] = output.ar[i, k, :p]
+    phi = output.ar[i]
     weights, means, scales = output.weights[i], output.means[i], output.scales[i]
     shifts = output.shifts[i] if output.fixed_shift else means * (1.0 - row_sum(phi))
     check_fields(weights, shifts, scales, tuple(phi))
@@ -143,7 +142,7 @@ def starred_point(output: ChainOutput) -> ChainState:
 
 
 def _reduced_log_mean(
-    name, pinned, term, series, star, hyper, gamma, config, rng, cond, vetoes, n_keep=None
+    name, pinned, term, series, star, hyper, gamma, config, rng, vetoes, n_keep=None
 ) -> float:
     """Run one reduced chain from theta*; log of the mean of exp(term(state)) over its draws.
 
@@ -156,7 +155,7 @@ def _reduced_log_mean(
     """
     n_keep = config.n_i if n_keep is None else n_keep
     burn = config.reduced_burn_in
-    z = draw_allocations(*state_log_terms(star, series.values, *series.design(cond)), cond, rng)
+    z = draw_allocations(*state_log_terms(star, series), star.phi.shape[1], rng)
     lam = draw_lambda([1.0 / (s * s) for s in star.scales.tolist()], hyper, rng)
     state = replace(star, z=z, counts=np.bincount(z, minlength=star.weights.size + 1)[1:],
                     lam=lam)
@@ -164,7 +163,7 @@ def _reduced_log_mean(
     terms = np.empty(n_keep)
     vetoed = 0
     for i in range(burn + n_keep):
-        state, info = gibbs_sweep(state, series, hyper, rng, cond, gamma, pinned)
+        state, info = gibbs_sweep(state, series, hyper, rng, gamma, pinned)
         vetoed += info.stability_rejected
         if i >= burn:
             terms[i - burn] = term(state)
@@ -184,7 +183,6 @@ def estimate_phi_ordinate(
     gamma: np.ndarray,
     config: EvidenceConfig,
     rng: np.random.Generator,
-    cond: int,
     vetoes: dict[str, int],
 ) -> tuple[float, list[float]]:
     """Log posterior ordinate of the AR blocks at their starred values.
@@ -197,21 +195,20 @@ def estimate_phi_ordinate(
     whole-model stability indicator.
     """
     g = star.weights.size
-    yt, lm = series.design(cond)
-    args = (series, star, hyper, gamma, config, rng, cond, vetoes)
+    args = (series, star, hyper, gamma, config, rng, vetoes)
     per_k: list[float] = []
     for k in range(1, g + 1):
         phi_star_k = star.phi[k - 1, : star.orders[k - 1]]
         gamma_k = float(gamma[k - 1])
 
         def to_star(state):
-            log_alpha = swap_log_alpha(state, yt, lm, k, phi_star_k)
+            log_alpha = swap_log_alpha(state, series, k, phi_star_k)
             phi_k = state.phi[k - 1, : state.orders[k - 1]]
             return log_alpha + _log_normal_q(phi_star_k, phi_k, gamma_k)
 
         def from_star(state):
             prop = phi_star_k + rng.normal(0.0, 1.0 / math.sqrt(gamma_k), phi_star_k.size)
-            return swap_log_alpha(state, yt, lm, k, prop)
+            return swap_log_alpha(state, series, k, prop)
 
         log_num = _reduced_log_mean(f"phi_{k}_num", k - 1, to_star, *args, n_keep=config.n_j)
         log_den = _reduced_log_mean(f"phi_{k}_den", k, from_star, *args)
@@ -231,16 +228,15 @@ def estimate_mu_ordinate(
     gamma: np.ndarray,
     config: EvidenceConfig,
     rng: np.random.Generator,
-    cond: int,
     vetoes: dict[str, int],
 ) -> float:
     """Rao-Blackwellized log ordinate of the means given the starred AR blocks."""
     if hyper.fixed_shift:
         return 0.0
     g = star.weights.size
-    yt, lm = series.design(cond)
-    state_log_terms(star, series.values, yt, lm)
-    r_star = yt - star.terms[4]  # (g, T) shift-free residuals at phi*
+    state_log_terms(star, series)
+    yt = series.design(star.phi.shape[1])[0]
+    r_star = yt - star.terms[3]  # (g, T) shift-free residuals at phi*
     bk = (1.0 - row_sum(star.phi)).tolist()
 
     def term(state):
@@ -250,7 +246,7 @@ def estimate_mu_ordinate(
         return left_sum(0.5 * (math.log(p) - LOG_2PI) - 0.5 * p * (mu - m_k) ** 2
                         for mu, m_k, p in zip(star.means.tolist(), m, prec))
 
-    return _reduced_log_mean("mu", g, term, series, star, hyper, gamma, config, rng, cond, vetoes)
+    return _reduced_log_mean("mu", g, term, series, star, hyper, gamma, config, rng, vetoes)
 
 
 def estimate_tau_ordinate(
@@ -260,14 +256,13 @@ def estimate_tau_ordinate(
     gamma: np.ndarray,
     config: EvidenceConfig,
     rng: np.random.Generator,
-    cond: int,
     vetoes: dict[str, int],
 ) -> float:
     """Rao-Blackwellized log ordinate of the precisions given starred AR and means."""
     g = star.weights.size
-    yt, lm = series.design(cond)
-    state_log_terms(star, series.values, yt, lm)
-    e_star = yt - star.shifts[:, None] - star.terms[4]  # (g, T) residuals at phi*, mu*
+    state_log_terms(star, series)
+    yt = series.design(star.phi.shape[1])[0]
+    e_star = yt - star.shifts[:, None] - star.terms[3]  # (g, T) residuals at phi*, mu*
     tau_star = (1.0 / star.scales**2).tolist()
     log_tau_star = [math.log(t) for t in tau_star]
 
@@ -277,9 +272,7 @@ def estimate_tau_ordinate(
         return left_sum(a * math.log(b) - math.lgamma(a) + (a - 1.0) * log_t - b * t
                         for a, b, t, log_t in zip(shape, rate, tau_star, log_tau_star))
 
-    return _reduced_log_mean(
-        "tau", g + 1, term, series, star, hyper, gamma, config, rng, cond, vetoes
-    )
+    return _reduced_log_mean("tau", g + 1, term, series, star, hyper, gamma, config, rng, vetoes)
 
 
 def estimate_pi_ordinate(
@@ -289,7 +282,6 @@ def estimate_pi_ordinate(
     gamma: np.ndarray,
     config: EvidenceConfig,
     rng: np.random.Generator,
-    cond: int,
     vetoes: dict[str, int],
 ) -> float:
     """Rao-Blackwellized log ordinate of the weights given all other starred blocks.
@@ -303,7 +295,7 @@ def estimate_pi_ordinate(
         return dirichlet_log_density(1.0 + state.counts, log_pi_star)
 
     return _reduced_log_mean(
-        "pi", star.weights.size + 2, term, series, star, hyper, gamma, config, rng, cond, vetoes
+        "pi", star.weights.size + 2, term, series, star, hyper, gamma, config, rng, vetoes
     )
 
 
@@ -354,14 +346,13 @@ def marginal_log_likelihood(
     output = timed("fit_chain_s", run_chain, series, g, orders, hyper, s_fit, p_max)
     output = relabel_chain(output, config.relabel)
     star = starred_point(output)
-    cond = output.cond
     # theta*'s memo, filled once: the likelihood, the mu and tau residuals
     # and every reduced run read its log terms, norms and fitted AR parts
-    _, norm = state_log_terms(star, series.values, *series.design(cond))
+    _, norm = state_log_terms(star, series)
     gamma = output.gamma
     rng = np.random.default_rng(s_ord)
     vetoes: dict[str, int] = {}  # per reduced run, in the order the runs go
-    args = (series, star, hyper, gamma, config, rng, cond, vetoes)
+    args = (series, star, hyper, gamma, config, rng, vetoes)
 
     log_phi, per_k = timed("phi_ordinate_s", estimate_phi_ordinate, *args)
     parts = {

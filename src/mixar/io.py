@@ -105,7 +105,7 @@ def read_draws_csv(path: str | Path) -> ChainOutput:
     """Reload a draws CSV into a ChainOutput carrying the draws only.
 
     Run diagnostics that are not stored per draw come back as None; the
-    conditioning length is re-derived as the widest per-draw order.
+    conditioning length is the file's AR width.
     """
     text = Path(path).read_text().splitlines()
     if len(text) < 2:
@@ -128,7 +128,6 @@ def read_draws_csv(path: str | Path) -> ChainOutput:
     lam, log_likelihoods, log_posteriors = np.ascontiguousarray(data[:, -3:].T)
     return ChainOutput(
         g=g,
-        cond=int(orders.max()),
         weights=weights,
         shifts=shifts,
         means=means,

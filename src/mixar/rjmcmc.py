@@ -87,8 +87,7 @@ def order_move(
     if direction == "death" and abs(float(coeffs[-1])) >= w:
         log_alpha = -math.inf  # a birth could not have proposed the dropped coefficient
     else:
-        yt, lm = series.design(config.p_max)
-        log_alpha = swap_log_alpha(state, yt, lm, k, new_coeffs, log_move, log_q)
+        log_alpha = swap_log_alpha(state, series, k, new_coeffs, log_move, log_q)
     accepted = rng.random() < math.exp(log_alpha)
     if accepted:
         phi, orders = swapped_ar(state, k, new_coeffs)
@@ -151,7 +150,7 @@ def rjmcmc_run(
         moves[direction, accepted] += 1
         return state
 
-    output = _run(series, g, (1,) * g, hyper, seed, config.p_max, config.p_max, move)
+    output = _run(series, g, (1,) * g, hyper, seed, config.p_max, move)
     trace = OrderTrace(
         orders=output.orders,
         birth_attempts=moves["birth", True] + moves["birth", False],

@@ -122,8 +122,10 @@ def default_hyperparams(series: TimeSeries, **overrides) -> Hyperparams:
 class ChainState:
     """One point of the chain as plain arrays, never written once built.
 
-    phi is the (g, width) AR matrix, zero-padded; z the 1-based labels of
-    the design points and counts their tally per component.  The memos
+    phi is the (g, width) AR matrix, zero-padded beyond each order; its
+    width is the chain's conditioning length: every likelihood of the state
+    conditions on the first `width` observations.  z holds the 1-based labels
+    of the design points and counts their tally per component.  The memos
     `terms` (`state_log_terms`) and `rows` (`member_rows`) are not __init__
     arguments, so `dataclasses.replace` starts them empty.
     """
@@ -152,14 +154,14 @@ class SweepInfo:
 class ChainOutput:
     """Retained draws and run diagnostics of one chain.
 
-    Arrays are indexed [draw, component(, lag)]; ar is zero-padded to a
-    common width and `orders` gives per-draw component orders.  `timing`
+    Arrays are indexed [draw, component(, lag)]; ar is zero-padded to the
+    chain's conditioning length `cond` and `orders` gives per-draw component
+    orders.  `timing`
     holds the seconds of the pilot, burn-in and retained sweeps, and
     `relabelling` what `relabel.relabel_chain` did to the draws.
     """
 
     g: int
-    cond: int
     weights: np.ndarray
     shifts: np.ndarray
     means: np.ndarray
@@ -180,6 +182,11 @@ class ChainOutput:
     def n_draws(self) -> int:
         return self.weights.shape[0]
 
+    @property
+    def cond(self) -> int:
+        """The number of leading observations every likelihood of the chain conditions on."""
+        return self.ar.shape[2]
+
     def spec_at(self, i: int) -> MARSpec:
         orders = self.orders[i]
         ar = tuple(self.ar[i, k, : orders[k]].copy() for k in range(self.g))
@@ -192,37 +199,31 @@ class ChainOutput:
 
 
 # Block kernels, shared by the sweep, the reduced evidence chains and the
-# order moves; data enter as the design arrays (yt, lm) of `TimeSeries.design`.
-
-
-def _padded(phi: np.ndarray, orders: tuple[int, ...], width: int) -> np.ndarray:
-    """phi as a (g, width) matrix: itself at that width, else a zero-padded copy."""
-    if phi.shape[1] != width:
-        if width < max(orders):
-            raise ValueError("cannot condition on fewer observations than the maximum order")
-        phi = np.pad(phi[:, : max(orders)], ((0, 0), (0, width - max(orders))))
-    return phi
+# order moves; data enter as the design arrays (yt, lm) of `TimeSeries.design`
+# at the state's conditioning length.
 
 
 def state_log_terms(
-    state: ChainState, values: np.ndarray, yt: np.ndarray, lm: np.ndarray, fitted=None
+    state: ChainState, series: TimeSeries, fitted=None
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(g, T) log terms of state on the design (yt, lm) of `values`, and their column norms.
+    """(g, T) log terms of state on `series`, and their column norms.
 
-    Memoized on the state, keyed by the series values and cond =
-    lm.shape[1], as (values, cond, log terms, norms, fitted) with fitted
-    the (g, T) `fitted_ar` of state.phi (computed unless given): the terms
-    a sweep computes for its end state serve the next sweep's allocation
-    draw, and the fitted AR parts its means and precisions.
+    The design conditions on the first state.phi.shape[1] observations.
+    Memoized on the state, keyed by the series values, as (values, log
+    terms, norms, fitted) with fitted the (g, T) `fitted_ar` of state.phi
+    (computed unless given): the terms a sweep computes for its end state
+    serve the next sweep's allocation draw, and the fitted AR parts its
+    means and precisions.
     """
     memo = state.terms
-    if memo is None or memo[0] is not values or memo[1] != lm.shape[1]:
+    if memo is None or memo[0] is not series.values:
+        yt, lm = series.design(state.phi.shape[1])
         if fitted is None:
-            fitted = fitted_ar(_padded(state.phi, state.orders, lm.shape[1]), lm)
+            fitted = fitted_ar(state.phi, lm)
         logw = log_terms(state.weights, state.shifts, state.scales, yt, fitted)
-        memo = (values, lm.shape[1], logw, logsumexp(logw, axis=0), fitted)
+        memo = (series.values, logw, logsumexp(logw, axis=0), fitted)
         state.terms = memo
-    return memo[2], memo[3]
+    return memo[1], memo[2]
 
 
 def member_rows(state: ChainState) -> tuple[np.ndarray | None, ...]:
@@ -362,11 +363,12 @@ def ar_log_ratio(
 
 def swapped_ar(state: ChainState, k: int, coeffs: np.ndarray) -> tuple[np.ndarray, tuple]:
     """A new AR matrix, and the orders, of state with component k's block replaced by coeffs."""
+    if coeffs.size > state.phi.shape[1]:
+        raise ValueError(f"order {coeffs.size} exceeds the conditioning length "
+                         f"{state.phi.shape[1]} of the chain")
     orders = list(state.orders)
     orders[k - 1] = coeffs.size
-    g, width = state.phi.shape
-    phi = np.zeros((g, max(width, coeffs.size)))
-    phi[:, :width] = state.phi
+    phi = state.phi.copy()
     phi[k - 1] = 0.0
     phi[k - 1, : coeffs.size] = coeffs
     return phi, tuple(orders)
@@ -374,8 +376,7 @@ def swapped_ar(state: ChainState, k: int, coeffs: np.ndarray) -> tuple[np.ndarra
 
 def swap_log_alpha(
     state: ChainState,
-    yt: np.ndarray,
-    lm: np.ndarray,
+    series: TimeSeries,
     k: int,
     coeffs: np.ndarray,
     log_move: float = 0.0,
@@ -391,6 +392,7 @@ def swap_log_alpha(
     phi, orders = swapped_ar(state, k, coeffs)
     if not is_stable(state.weights, phi[:, : max(orders)]).stable:
         return -math.inf
+    yt, lm = series.design(phi.shape[1])
     rows = member_rows(state)[k - 1]
     log_lr = ar_log_ratio(_gather(yt, rows) - state.shifts[k - 1], _gather(lm, rows),
                           state.scales[k - 1], state.phi[k - 1, : state.orders[k - 1]], coeffs)
@@ -402,7 +404,6 @@ def gibbs_sweep(
     series: TimeSeries,
     hyper: Hyperparams,
     rng: np.random.Generator,
-    cond: int,
     gamma: np.ndarray,
     pinned: int = 0,
 ) -> tuple[ChainState, SweepInfo]:
@@ -417,12 +418,12 @@ def gibbs_sweep(
     positions are built only when a block that gathers runs, and the
     fitted AR parts only when an AR block moved.
     """
-    g = state.weights.size
+    phi = state.phi
+    g, cond = phi.shape
     yt, lm = series.design(cond)
-    phi = _padded(state.phi, state.orders, cond)
 
-    logw, norm = state_log_terms(state, series.values, yt, lm)
-    fitted = state.terms[4]  # (g, T) AR parts of phi, memoized with the log terms
+    logw, norm = state_log_terms(state, series)
+    fitted = state.terms[3]  # (g, T) AR parts of phi, memoized with the log terms
     z = draw_allocations(logw, norm, cond, rng)
     counts = np.bincount(z, minlength=g + 1)[1:]
     n = counts.tolist()
@@ -477,7 +478,7 @@ def gibbs_sweep(
     new_state = ChainState(weights, shifts, means, scales, new_phi, orders, z, counts, lam)
     new_state.rows = rows
     # memoized for the next allocation draw; the AR parts carry over unless a block moved
-    state_log_terms(new_state, series.values, yt, lm, fitted if new_phi is phi else None)
+    state_log_terms(new_state, series, fitted if new_phi is phi else None)
     return new_state, SweepInfo(attempted, accepted, False)
 
 
@@ -541,8 +542,8 @@ def initial_state(
     1/var(y); per-component AR coefficients by ridge least squares on the
     initial bins, shrunk toward zero until the whole model is stable; shifts
     mu_k (1 - sum_i phi_ki), as the sweep derives them.  The state's AR
-    matrix is zero-padded to cond, and `check_fields` names a bad value as
-    `MARSpec` would.
+    matrix is zero-padded to width cond, the chain's conditioning length,
+    and `check_fields` names a bad value as `MARSpec` would.
     """
     orders = tuple(int(p) for p in orders)
     if not 0 < g == len(orders) or any(p < 1 for p in orders):
@@ -589,8 +590,8 @@ def initial_state(
     shifts = np.zeros(g) if hyper.fixed_shift else ybar * (1.0 - row_sum(phi))
     check_fields(weights, shifts, scales, tuple(phi))
     z = z0 + 1
-    return ChainState(weights, shifts, means, scales, _padded(phi, orders, cond), orders, z,
-                      np.bincount(z, minlength=g + 1)[1:], hyper.a / hyper.b)
+    return ChainState(weights, shifts, means, scales, np.pad(phi, ((0, 0), (0, cond - p))),
+                      orders, z, np.bincount(z, minlength=g + 1)[1:], hyper.a / hyper.b)
 
 
 # Pilot tuning: batches of TUNE_BATCH sweeps, each moving log gamma_k toward
@@ -604,7 +605,6 @@ def tune_gamma(
     series: TimeSeries,
     hyper: Hyperparams,
     rng: np.random.Generator,
-    cond: int,
 ) -> tuple[np.ndarray, np.ndarray, ChainState]:
     """Stochastic-approximation tuning of the RWM proposal precisions.
 
@@ -623,9 +623,7 @@ def tune_gamma(
         acc = np.zeros(g)
         att = np.zeros(g)
         for _ in range(TUNE_BATCH):
-            state, info = gibbs_sweep(
-                state, series, hyper, rng, cond=cond, gamma=np.exp(log_gamma)
-            )
+            state, info = gibbs_sweep(state, series, hyper, rng, np.exp(log_gamma))
             acc += info.accepted
             att += info.attempted
         rates = acc / np.maximum(att, 1.0)
@@ -647,7 +645,6 @@ def _run(
     hyper: Hyperparams,
     seed: int,
     cond: int,
-    width: int,
     move=None,
 ) -> ChainOutput:
     """The chain loop shared by `run_chain` and `rjmcmc.rjmcmc_run`.
@@ -657,8 +654,10 @@ def _run(
     burn-in.  move(state, rng) -> state, when given, runs after every sweep.
     A recorded draw's log likelihood comes from the log terms memoized on
     its state: those of the sweep, or recomputed for a state the move
-    changed.  AR blocks are stored zero-padded to `width`.  The pilot, the
-    burn-in and the retained sweeps are timed with `time.perf_counter`.
+    changed.  Every likelihood conditions on the first `cond` observations,
+    and AR blocks are stored as the state holds them, zero-padded to `cond`.
+    The pilot, the burn-in and the retained sweeps are timed with
+    `time.perf_counter`.
     """
     rng = np.random.default_rng(seed)
     state = initial_state(series, g, orders, hyper, cond)
@@ -666,7 +665,7 @@ def _run(
     if hyper.gamma is not None:
         gamma = np.full(g, hyper.gamma)
     else:
-        gamma, _, state = tune_gamma(state, series, hyper, rng, cond)
+        gamma, _, state = tune_gamma(state, series, hyper, rng)
     marks.append(time.perf_counter())
 
     n_keep = hyper.n_iter - hyper.burn_in
@@ -674,12 +673,11 @@ def _run(
     shifts = np.empty((n_keep, g))
     means = np.empty((n_keep, g))
     scales = np.empty((n_keep, g))
-    ar = np.zeros((n_keep, g, width))
+    ar = np.empty((n_keep, g, cond))
     orders_arr = np.empty((n_keep, g), dtype=np.int64)
     lam = np.empty(n_keep)
     ll = np.empty(n_keep)
     lp = np.empty(n_keep)
-    yt, lm = series.design(cond)
     log_prior = make_log_prior(hyper, g)
 
     acc_counts = np.zeros(g)
@@ -687,7 +685,7 @@ def _run(
     for it in range(hyper.n_iter):
         if it == hyper.burn_in:
             marks.append(time.perf_counter())
-        state, info = gibbs_sweep(state, series, hyper, rng, cond=cond, gamma=gamma)
+        state, info = gibbs_sweep(state, series, hyper, rng, gamma)
         acc_counts += info.accepted
         stab_rej += int(info.stability_rejected)
         if move is not None:
@@ -699,16 +697,15 @@ def _run(
         shifts[j] = state.shifts
         means[j] = state.means
         scales[j] = state.scales
-        ar[j] = state.phi[:, :width]
+        ar[j] = state.phi
         orders_arr[j] = state.orders
         lam[j] = state.lam
-        ll[j] = float(state_log_terms(state, series.values, yt, lm)[1].sum())
+        ll[j] = float(state_log_terms(state, series)[1].sum())
         lp[j] = ll[j] + log_prior(state.weights, state.means, state.scales)
     marks.append(time.perf_counter())
 
     return ChainOutput(
         g=g,
-        cond=cond,
         weights=weights,
         shifts=shifts,
         means=means,
@@ -741,6 +738,4 @@ def run_chain(
     selection of high-density points.
     """
     orders = tuple(int(p) for p in orders)
-    p = max(orders)
-    c = p if cond is None else int(cond)
-    return _run(series, g, orders, hyper, seed, c, p)
+    return _run(series, g, orders, hyper, seed, max(orders) if cond is None else int(cond))

@@ -229,7 +229,6 @@ def three_component_chain(rng, n=600):
     means = shifts / (1.0 - ar[:, :, 0])
     return ChainOutput(
         g=3,
-        cond=1,
         weights=w,
         shifts=shifts,
         means=means,

@@ -162,9 +162,7 @@ def successive_conditional(design, rng, chains, length, joint):
             labels = (state.z - 1)[None] if joint else None
             y, z = design.simulate(rng, *(a[None] for a in theta), z=labels)
             record.append((*theta, state.lam, y[0], z[0]))
-            state, info = gibbs_sweep(
-                state, TimeSeries(y[0]), HYPER, rng, design.cond, GAMMA, design.pinned
-            )
+            state, info = gibbs_sweep(state, TimeSeries(y[0]), HYPER, rng, GAMMA, design.pinned)
             vetoes += info.stability_rejected
         columns = [np.array(column) for column in zip(*record)]
         means.append(functions_of(design, *columns, joint).mean(axis=0))
@@ -200,9 +198,9 @@ def test_guard_flags_a_sweep_without_the_veto(monkeypatch):
 def keep_new_labels(state, series, rng):
     """`gibbs_sweep` on P1, except that a veto keeps the labels the sweep drew."""
     twin = copy.deepcopy(rng)
-    new_state, info = gibbs_sweep(state, series, HYPER, rng, 1, GAMMA)
+    new_state, info = gibbs_sweep(state, series, HYPER, rng, GAMMA)
     if info.stability_rejected:
-        z = draw_allocations(*state_log_terms(state, series.values, *series.design(1)), 1, twin)
+        z = draw_allocations(*state_log_terms(state, series), 1, twin)
         new_state = dataclasses.replace(state, z=z, counts=np.bincount(z, minlength=3)[1:])
     return new_state, info
 
@@ -218,7 +216,7 @@ def test_labels_kept_by_a_veto_never_reach_the_parameters():
     rng, twin = np.random.default_rng(14), np.random.default_rng(14)
     vetoes = 0
     for _ in range(300):
-        a, info = gibbs_sweep(a, series, HYPER, rng, 1, GAMMA)
+        a, info = gibbs_sweep(a, series, HYPER, rng, GAMMA)
         b, _ = keep_new_labels(b, series, twin)
         vetoes += info.stability_rejected
         for name in ("weights", "shifts", "means", "scales", "phi", "lam"):

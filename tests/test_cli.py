@@ -701,7 +701,7 @@ def b_draws(tmp_path_factory):
     write_series_csv(root / "series.csv", simulate_path(spec, 100, seed=5).values)
     n = 3
     write_draws_csv(root / "draws.csv", ChainOutput(
-        g=3, cond=2,
+        g=3,
         weights=np.tile(spec.weights, (n, 1)), shifts=np.tile(spec.shifts, (n, 1)),
         means=np.tile(spec.shifts, (n, 1)), scales=np.tile(spec.scales, (n, 1)),
         ar=np.tile(spec.phi_matrix(), (n, 1, 1)), orders=np.tile(spec.orders, (n, 1)),
@@ -775,7 +775,7 @@ class TestFit:
         rng = np.random.default_rng(2)
         n, g, width = 7, 3, 2
         output = ChainOutput(
-            g=g, cond=width, weights=rng.random((n, g)), shifts=rng.normal(size=(n, g)),
+            g=g, weights=rng.random((n, g)), shifts=rng.normal(size=(n, g)),
             means=rng.normal(size=(n, g)), scales=rng.random((n, g)),
             ar=rng.normal(size=(n, g, width)), orders=rng.integers(1, width + 1, (n, g)),
             lam=rng.random(n), log_likelihoods=rng.normal(size=n),

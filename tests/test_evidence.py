@@ -21,8 +21,8 @@ from mixar.evidence import (
 from mixar.datasets import model_a_spec
 from mixar.model import MARSpec, TimeSeries, log_likelihood, simulate_path
 from mixar.relabel import RelabelConfig
-from mixar.rjmcmc import OrderMoveConfig
-from mixar.sampler import ChainOutput, Hyperparams, default_hyperparams
+from mixar.rjmcmc import OrderMoveConfig, rjmcmc_run
+from mixar.sampler import ChainOutput, Hyperparams, default_hyperparams, run_chain
 
 from helpers import spec_of, spec_state
 
@@ -45,7 +45,6 @@ def chain_output(weights, means, ar, scales, log_post, fixed_shift=False):
     shifts = np.zeros((n, g)) if fixed_shift else np.asarray(means) * (1 - ar.sum(axis=2))
     return ChainOutput(
         g=g,
-        cond=ar.shape[2],
         weights=np.asarray(weights, dtype=float),
         shifts=shifts,
         means=np.asarray(means, dtype=float),
@@ -107,15 +106,18 @@ class TestThetaStar:
         assert starred_point(out).shifts[0] == 0.0
 
     def test_state_ar_matrix_padded_to_cond(self):
+        # an order-1 draw of a chain conditioning on 3 observations: theta*
+        # holds the stored row, as wide as the chain's AR matrix
         out = chain_output(
             weights=[[1.0]],
             means=[[2.0]],
-            ar=np.full((1, 1, 1), 0.5),
+            ar=[[[0.5, 0.0, 0.0]]],
             scales=[[1.0]],
             log_post=[0.0],
         )
-        out.cond = 3
+        out.orders[:] = 1
         star = starred_point(out)
+        assert out.cond == 3
         np.testing.assert_array_equal(star.phi, [[0.5, 0.0, 0.0]])
         assert star.orders == (1,) and star.shifts[0] == 2.0 * (1.0 - 0.5)
 
@@ -159,7 +161,7 @@ class TestOrdinates:
         )
         star = spec_state(spec, np.zeros(1), [], 1.0, 1)
         val = estimate_mu_ordinate(
-            series, star, hyper, np.array([1.0]), EvidenceConfig(), None, 1, {}
+            series, star, hyper, np.array([1.0]), EvidenceConfig(), None, {}
         )
         assert val == 0.0
 
@@ -180,7 +182,7 @@ class TestOrdinates:
         config = EvidenceConfig(n_j=1, n_i=40, reduced_burn_in=5)
         vetoes = {}
         val = estimate_pi_ordinate(
-            series, star, hyper, np.array([1.0, 1.0]), config, np.random.default_rng(0), 1, vetoes
+            series, star, hyper, np.array([1.0, 1.0]), config, np.random.default_rng(0), vetoes
         )
         assert vetoes == {"pi": 0}  # one reduced run, none of its sweeps vetoed
         assert val == pytest.approx(math.log(5.0) + 4.0 * math.log(0.7), abs=1e-12)
@@ -200,7 +202,7 @@ class TestOrdinates:
         config = EvidenceConfig(n_j=3, n_i=3, reduced_burn_in=2)
         with pytest.raises(ValueError, match="degenerate"):
             estimate_phi_ordinate(
-                series, star, hyper, np.array([1e-8]), config, np.random.default_rng(5), 1, {}
+                series, star, hyper, np.array([1e-8]), config, np.random.default_rng(5), {}
             )
 
 
@@ -291,6 +293,45 @@ class TestEndToEnd:
         assert res.parts["log_likelihood"] == pytest.approx(
             log_likelihood(spec_of(stars[0]), series, 2), abs=1e-9
         )
+
+    @pytest.mark.filterwarnings("ignore:warm-start variance")
+    def test_every_state_holds_its_chains_conditioning_length(self, monkeypatch):
+        # the AR width is the one store of the conditioning length: every
+        # state a sweep reads or returns is as wide as its chain's draws
+        from mixar import sampler
+
+        widths, outputs = [], []
+        real_sweep, real_run = sampler.gibbs_sweep, evidence.run_chain
+
+        def sweep(state, *args):
+            new_state, info = real_sweep(state, *args)
+            widths.append((state.phi.shape[1], new_state.phi.shape[1]))
+            return new_state, info
+
+        def run(*args):
+            outputs.append(real_run(*args))
+            return outputs[-1]
+
+        for module in (sampler, evidence):
+            monkeypatch.setattr(module, "gibbs_sweep", sweep)
+        monkeypatch.setattr(evidence, "run_chain", run)
+        series = simulate_path(model_a_spec(), 120, seed=6)
+        hyper = default_hyperparams(series, n_iter=200, burn_in=100, gamma=50.0)
+
+        def check(output, cond):
+            assert output.ar.shape[2] == output.cond == cond
+            assert set(widths) == {(cond, cond)}
+            widths.clear()
+
+        check(run_chain(series, 2, (1, 2), hyper, seed=1, cond=3), 3)
+        check(rjmcmc_run(series, 2, hyper, OrderMoveConfig(p_max=3), seed=2)[1], 3)
+        config = EvidenceConfig(
+            order_config=OrderMoveConfig(p_max=2), n_j=10, n_i=10, reduced_burn_in=5,
+            relabel=RelabelConfig(m=50),
+        )
+        marginal_log_likelihood(series, 2, hyper, config, seed=3)
+        assert len(outputs) == 1 and outputs[0].cond == 2  # the refit, at p_max
+        check(outputs[0], 2)  # the order chain, the refit and the reduced runs
 
     @pytest.mark.filterwarnings("ignore:warm-start variance")
     def test_theta_star_terms_computed_once(self, monkeypatch):

@@ -291,7 +291,6 @@ def specs_output(specs):
     n = len(specs)
     return ChainOutput(
         g=specs[0].g,
-        cond=p,
         weights=np.array([s.weights for s in specs]),
         shifts=np.array([s.shifts for s in specs]),
         means=np.array([s.shifts for s in specs]),

@@ -33,7 +33,6 @@ def make_output(rng, n=500):
     )[:, :, None]
     return ChainOutput(
         g=2,
-        cond=1,
         weights=weights,
         shifts=shifts,
         means=shifts.copy(),

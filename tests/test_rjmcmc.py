@@ -17,23 +17,23 @@ from helpers import spec_state
 
 
 def single_state(coeffs, scale=0.3):
+    """A one-component state conditioning on p_max = 2 observations, as the order chain's are."""
     spec = MARSpec(
         weights=np.array([1.0]),
         shifts=np.array([0.1]),
         ar_coeffs=(np.asarray(coeffs, dtype=float),),
         scales=np.array([scale]),
     )
-    return spec_state(spec, np.zeros(1), np.ones(3), 1.0, spec.max_order)
+    return spec_state(spec, np.zeros(1), np.ones(3), 1.0, 2)
 
 
 SERIES = TimeSeries([1.0, 0.5, 0.2, -0.3, 0.4])
 
 
-def move_alpha(state, k, coeffs, log_move, log_q, p_max=2):
+def move_alpha(state, k, coeffs, log_move, log_q):
     """Acceptance probability of swapping component k's block for coeffs, as an
-    order move conditioning on p_max observations computes it."""
-    yt, lm = SERIES.design(p_max)
-    return math.exp(swap_log_alpha(state, yt, lm, k, np.asarray(coeffs), log_move, log_q))
+    order move on the state's conditioning length computes it."""
+    return math.exp(swap_log_alpha(state, SERIES, k, np.asarray(coeffs), log_move, log_q))
 
 
 class ScriptedRng:
@@ -146,10 +146,10 @@ class TestAcceptance:
             ar_coeffs=(np.array([0.2]), np.array([0.0])),
             scales=np.array([1.0, 1.0]),
         )
-        state = spec_state(spec, np.zeros(2), np.ones(2), 1.0, 1)
+        state = spec_state(spec, np.zeros(2), np.ones(2), 1.0, 3)
         # p_max = 3, w = 1.5 and LR = 1 for an empty component:
         # alpha = min(1, [d(2)/b(1)] * 2w) = min(1, 0.5 * 3)
-        alpha = move_alpha(state, 2, [0.0, 0.05], math.log(0.5 / 1.0), math.log(3.0), p_max=3)
+        alpha = move_alpha(state, 2, [0.0, 0.05], math.log(0.5 / 1.0), math.log(3.0))
         assert alpha == 1.0
 
 
@@ -186,14 +186,13 @@ class TestMoveKernel:
         )
         state = spec_state(spec, np.zeros(2), np.ones(3), 1.0, 3)
         cfg = OrderMoveConfig(p_max=3, birth_half_width=0.05)
-        yt, lm = series.design(3)
         for p, alpha in ((1, 0.05), (2, 0.2)):
             # birth alpha = [d(p + 1) / b(p)] * 2w, exact for any coefficient
             born = np.append(np.zeros(p), 0.01)
             ratio = cfg.death_prob(p + 1) / cfg.birth_prob(p)
             phi, orders = swapped_ar(state, 2, np.zeros(p))
             walk = dataclasses.replace(state, phi=phi, orders=orders)
-            log_alpha = swap_log_alpha(walk, yt, lm, 2, born, math.log(ratio), math.log(0.1))
+            log_alpha = swap_log_alpha(walk, series, 2, born, math.log(ratio), math.log(0.1))
             assert math.exp(log_alpha) == pytest.approx(alpha)
         rng = np.random.default_rng(3)
         n = 30_000

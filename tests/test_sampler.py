@@ -320,7 +320,7 @@ class TestComponentMajorLayout:
                 got_probs = probabilities(got, model_logsumexp(got, axis=0))
                 assert np.ascontiguousarray(got_probs.T).tobytes() == probs.tobytes()
                 state = spec_state(spec, np.zeros(g), np.ones(yt.size), 1.0, cond)
-                memo_terms, memo_norm = state_log_terms(state, series.values, yt, lm)
+                memo_terms, memo_norm = state_log_terms(state, series)
                 assert memo_terms.tobytes() == got.tobytes()
                 assert memo_norm.tobytes() == norm.tobytes()
                 underflow |= bool(np.any(probs == 0.0))
@@ -480,7 +480,7 @@ class TestRWM:
         rng = np.random.default_rng(11)
         gamma = np.array([1e12, 1e12])
         accepted = sum(
-            gibbs_sweep(state, tiny_series(), hyper, rng, 1, gamma)[1].accepted[0]
+            gibbs_sweep(state, tiny_series(), hyper, rng, gamma)[1].accepted[0]
             for _ in range(300)
         )
         assert accepted >= 290
@@ -492,7 +492,7 @@ class TestRWM:
         gamma = np.array([0.01, 0.01])
         saw_reject = False
         for _ in range(200):
-            new_state, info = gibbs_sweep(state, tiny_series(), hyper, rng, 1, gamma)
+            new_state, info = gibbs_sweep(state, tiny_series(), hyper, rng, gamma)
             if not info.accepted[0]:
                 np.testing.assert_array_equal(new_state.phi[0], state.phi[0])
                 saw_reject = True
@@ -510,7 +510,7 @@ class TestSweepWiring:
         """(new state, sweep info, kernel blocks) from one seed; both generators end level."""
         hyper = base_hyper(zeta=0.2, kappa=0.5)
         rng, twin = np.random.default_rng(self.SEED), np.random.default_rng(self.SEED)
-        new_state, info = gibbs_sweep(tiny_state(), tiny_series(), hyper, rng, 1, self.GAMMA)
+        new_state, info = gibbs_sweep(tiny_state(), tiny_series(), hyper, rng, self.GAMMA)
         expect = kernel_sweep(tiny_state(), tiny_series(), hyper, twin, self.GAMMA)
         assert not info.stability_rejected
         assert rng.random() == twin.random()
@@ -522,7 +522,7 @@ class TestSweepWiring:
         np.testing.assert_array_equal(new_state.counts, expect.counts)
         # the row norms memoized on the returned state sum to its log likelihood
         ll = log_likelihood(spec_of(new_state), tiny_series(), 1)
-        assert float(np.sum(new_state.terms[3])) == ll
+        assert float(np.sum(new_state.terms[2])) == ll
 
     def test_weights(self):
         new_state, _, expect = self.sweeps()
@@ -546,7 +546,7 @@ class TestSweepWiring:
         state = spec_state(spec, np.zeros(g), np.ones(series.n - 1), 1.3, 1)
         hyper = base_hyper(zeta=0.2, kappa=0.5)
         rng, twin = np.random.default_rng(g), np.random.default_rng(g)
-        new_state, info = gibbs_sweep(state, series, hyper, rng, 1, np.full(g, 50.0), pinned=g)
+        new_state, info = gibbs_sweep(state, series, hyper, rng, np.full(g, 50.0), pinned=g)
         assert not info.stability_rejected
         expect = kernel_sweep(state, series, hyper, twin)
         assert g == 1 or expect.counts[-1] == 0
@@ -587,12 +587,12 @@ class TestLogTermMemo:
         """The same fields in a new state, with nothing memoized."""
         return dataclasses.replace(state)
 
-    def same_sweep(self, state, series, hyper, seed, cond=2):
+    def same_sweep(self, state, series, hyper, seed):
         """Sweep `state` and a fresh copy from one seed; assert bitwise equal results."""
         out = []
         for s in (state, self.fresh(state)):
             rng = np.random.default_rng(seed)
-            out.append(gibbs_sweep(s, series, hyper, rng, cond, self.GAMMA))
+            out.append(gibbs_sweep(s, series, hyper, rng, self.GAMMA))
         (a, info_a), (b, info_b) = out
         for name in ("z", "counts", "weights", "shifts", "scales", "phi", "means"):
             np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
@@ -600,23 +600,23 @@ class TestLogTermMemo:
         assert a.lam == b.lam
         np.testing.assert_array_equal(info_a.accepted, info_b.accepted)
         assert info_a.stability_rejected == info_b.stability_rejected
-        np.testing.assert_array_equal(a.terms[3], b.terms[3])
+        np.testing.assert_array_equal(a.terms[2], b.terms[2])
         return a
 
     def swept(self):
-        """A chain three sweeps in, with the terms memoized for cond 2."""
+        """A chain three sweeps in, with its terms memoized."""
         series, hyper, state = self.start()
         for seed in range(3):
-            state, _ = gibbs_sweep(state, series, hyper, np.random.default_rng(seed), 2, self.GAMMA)
-        assert state.terms[0] is series.values and state.terms[1] == 2
+            state, _ = gibbs_sweep(state, series, hyper, np.random.default_rng(seed), self.GAMMA)
+        assert state.terms[0] is series.values
         return series, hyper, state
 
     def test_sweep_keeps_the_terms_of_the_state_it_returns(self):
         series, hyper, state = self.start()
         assert state.terms is None
-        new_state, _ = gibbs_sweep(state, series, hyper, np.random.default_rng(1), 2, self.GAMMA)
-        values, cond, logw, norm, fitted = new_state.terms
-        assert values is series.values and cond == 2
+        new_state, _ = gibbs_sweep(state, series, hyper, np.random.default_rng(1), self.GAMMA)
+        values, logw, norm, fitted = new_state.terms
+        assert values is series.values and new_state.phi.shape[1] == 2
         yt, lm = _design(series.values, 2)
         np.testing.assert_array_equal(logw, _log_terms(spec_of(new_state), yt, lm))
         np.testing.assert_array_equal(fitted, (lm @ new_state.phi.T).T)
@@ -648,11 +648,7 @@ class TestLogTermMemo:
         series, hyper, state = self.swept()
         born = self.born(state)
         for seed in range(3, 8):
-            born = self.same_sweep(born, series, hyper, seed, cond=2)
-
-    def test_memo_is_keyed_by_cond(self):
-        series, hyper, state = self.swept()
-        self.same_sweep(state, series, hyper, 10, cond=4)
+            born = self.same_sweep(born, series, hyper, seed)
 
     def test_memo_is_keyed_by_series(self):
         series, hyper, state = self.swept()
@@ -663,13 +659,13 @@ class TestLogTermMemo:
         series, spec, state = veto_setup()
         start = state.terms
         new_state, info = gibbs_sweep(
-            state, series, base_hyper(fixed_shift=True), np.random.default_rng(0), 1,
+            state, series, base_hyper(fixed_shift=True), np.random.default_rng(0),
             np.array([50.0, 1e-4]),
         )
         assert info.stability_rejected
         assert new_state is state
         assert start is None and new_state.terms is not None
-        assert float(np.sum(new_state.terms[3])) == log_likelihood(spec, series, 1)
+        assert float(np.sum(new_state.terms[2])) == log_likelihood(spec, series, 1)
 
 
 def veto_setup():
@@ -693,7 +689,7 @@ class TestGibbsSweep:
         series, spec, state = veto_setup()
         hyper = base_hyper(fixed_shift=True)
         rng = np.random.default_rng(0)
-        new_state, info = gibbs_sweep(state, series, hyper, rng, 1, np.array([50.0, 1e-4]))
+        new_state, info = gibbs_sweep(state, series, hyper, rng, np.array([50.0, 1e-4]))
         assert info.stability_rejected
         assert info.accepted[1]  # the per-move step itself was accepted
         assert new_state is state
@@ -711,7 +707,7 @@ class TestGibbsSweep:
         hyper = base_hyper(fixed_shift=True)
         state = initial_state(series, 1, (1,), hyper, 1)
         for _ in range(300):
-            state, _ = gibbs_sweep(state, series, hyper, rng, 1, np.array([2.0]))
+            state, _ = gibbs_sweep(state, series, hyper, rng, np.array([2.0]))
             assert abs(state.phi[0, 0]) < 1.0
 
     @pytest.mark.parametrize("pinned", range(5))
@@ -720,7 +716,7 @@ class TestGibbsSweep:
         state, series, hyper = tiny_state(), tiny_series(), base_hyper()
         g = state.weights.size
         new_state, info = gibbs_sweep(
-            state, series, hyper, np.random.default_rng(14), 1, np.array([400.0, 400.0]), pinned
+            state, series, hyper, np.random.default_rng(14), np.array([400.0, 400.0]), pinned
         )
         assert not info.stability_rejected
         assert set(np.flatnonzero(info.attempted) + 1) == set(range(pinned + 1, g + 1))
@@ -756,13 +752,13 @@ class TestTuning:
         hyper = default_hyperparams(series)
         rng = np.random.default_rng(16)
         start = initial_state(series, 2, (1, 1), hyper, 1)
-        gamma, _, state = tune_gamma(start, series, hyper, rng, 1)
+        gamma, _, state = tune_gamma(start, series, hyper, rng)
         assert np.all(gamma > 0)
         # measure the long-run acceptance at the frozen gamma
         acc = np.zeros(2)
         n_eval = 600
         for _ in range(n_eval):
-            state, info = gibbs_sweep(state, series, hyper, rng, 1, gamma)
+            state, info = gibbs_sweep(state, series, hyper, rng, gamma)
             acc += info.accepted
         rates = acc / n_eval
         assert np.all(rates >= 0.12) and np.all(rates <= 0.35)
@@ -938,27 +934,27 @@ class TestArrayState:
         rng = np.random.default_rng(5)
         moved = kept = 0
         for _ in range(60):
-            new_state, info = gibbs_sweep(state, series, hyper, rng, 2, np.full(3, 60.0))
-            fitted = new_state.terms[4]
+            new_state, info = gibbs_sweep(state, series, hyper, rng, np.full(3, 60.0))
+            fitted = new_state.terms[3]
             if new_state is state:
                 continue
             if info.accepted.any():
-                assert fitted is not state.terms[4]
+                assert fitted is not state.terms[3]
                 moved += 1
             else:
-                assert fitted is state.terms[4]
+                assert fitted is state.terms[3]
                 kept += 1
             np.testing.assert_array_equal(fitted, fitted_ar(new_state.phi, lm))
             np.testing.assert_array_equal(
-                new_state.terms[2],
+                new_state.terms[1],
                 log_terms(new_state.weights, new_state.shifts, new_state.scales, yt, fitted),
             )
             state = new_state
         assert moved and kept
         # a chain with every AR block pinned never recomputes them
         for _ in range(5):
-            new_state, _ = gibbs_sweep(state, series, hyper, rng, 2, np.full(3, 60.0), pinned=3)
-            assert new_state.terms[4] is state.terms[4]
+            new_state, _ = gibbs_sweep(state, series, hyper, rng, np.full(3, 60.0), pinned=3)
+            assert new_state.terms[3] is state.terms[3]
             state = new_state
 
     def test_nan_candidate_is_refused_naming_the_cause(self):
@@ -976,7 +972,7 @@ class TestArrayState:
 
         rng = NanNormals(np.random.default_rng(3))
         with pytest.raises(ValueError, match="every scale must be positive and finite"):
-            gibbs_sweep(tiny_state(), tiny_series(), base_hyper(), rng, 1, np.array([50.0, 50.0]))
+            gibbs_sweep(tiny_state(), tiny_series(), base_hyper(), rng, np.array([50.0, 50.0]))
 
 
 @pytest.mark.parametrize(
@@ -987,8 +983,7 @@ def test_sweeps_build_no_model_object(monkeypatch, g, orders, spec):
     # a MARSpec is built at the boundaries only: the start point, not the sweeps
     series = simulate_path(spec(), 300, seed=60 + g)
     hyper = default_hyperparams(series)
-    cond = max(orders)
-    state = initial_state(series, g, orders, hyper, cond)
+    state = initial_state(series, g, orders, hyper, max(orders))
     builds = []
     post_init = MARSpec.__post_init__
 
@@ -1000,7 +995,7 @@ def test_sweeps_build_no_model_object(monkeypatch, g, orders, spec):
     rng = np.random.default_rng(61)
     gamma = np.full(g, 40.0)
     for i in range(200):
-        state, _ = gibbs_sweep(state, series, hyper, rng, cond, gamma, pinned=i % (g + 3))
+        state, _ = gibbs_sweep(state, series, hyper, rng, gamma, pinned=i % (g + 3))
     assert builds == []
     spec_of(state)
     assert builds == [1]  # the patch counts
