@@ -13,8 +13,8 @@ precision hyperparameter lambda, precisions tau, then a random-walk
 Metropolis step on each component's AR coefficients.  The Dirichlet prior is
 exchangeable, so the posterior is invariant under relabelling components of
 equal order.  A whole-model stability check is applied once per sweep: if
-the end-of-sweep candidate is unstable the entire previous state is
-restored.  Proposal precisions are tuned in a pilot (`tune_gamma`) and then
+the end-of-sweep candidate is unstable every parameter keeps its previous
+value, and the allocations keep the sweep's draw from p(z | theta, y).  Proposal precisions are tuned in a pilot (`tune_gamma`) and then
 frozen.
 
 Gamma distributions are parameterized by (shape, rate) throughout.
@@ -26,7 +26,7 @@ import itertools
 import math
 import time
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -414,9 +414,11 @@ def gibbs_sweep(
     holds the first `pinned` blocks of the evidence order phi_1, ..., phi_g,
     mu, tau at their current values, as the reduced evidence chains do;
     allocations, weights and lambda are always drawn.  If the end-of-sweep
-    candidate is unstable, the previous state itself is returned.  Member
-    positions are built only when a block that gathers runs, and the
-    fitted AR parts only when an AR block moved.
+    candidate is unstable, the sweep returns the previous parameters, with
+    their memoized log terms, and this sweep's labels: a veto rejects the
+    parameter blocks, while the labels are a Gibbs draw given the previous
+    parameters either way.  Member positions are built only when a block
+    that gathers runs, and the fitted AR parts only when an AR block moved.
     """
     phi = state.phi
     g, cond = phi.shape
@@ -472,14 +474,17 @@ def gibbs_sweep(
     if not values_valid(weights.tolist() + scales, shifts + new_phi.ravel().tolist()):
         ar = tuple(new_phi[k, :p] for k, p in enumerate(orders))
         check_fields(weights, np.array(shifts), np.array(scales), ar)
-    if not is_stable(weights, new_phi[:, : max(orders)]).stable:
-        return state, SweepInfo(attempted, accepted, True)
-    shifts, means, scales = np.array(shifts), np.array(means), np.array(scales)
-    new_state = ChainState(weights, shifts, means, scales, new_phi, orders, z, counts, lam)
+    stable = is_stable(weights, new_phi[:, : max(orders)]).stable
+    if stable:
+        shifts, means, scales = np.array(shifts), np.array(means), np.array(scales)
+        new_state = ChainState(weights, shifts, means, scales, new_phi, orders, z, counts, lam)
+        # memoized for the next allocation draw; the AR parts carry over unless a block moved
+        state_log_terms(new_state, series, fitted if new_phi is phi else None)
+    else:  # every parameter as it was, with the labels drawn from p(z | theta, y)
+        new_state = replace(state, z=z, counts=counts)
+        new_state.terms = state.terms
     new_state.rows = rows
-    # memoized for the next allocation draw; the AR parts carry over unless a block moved
-    state_log_terms(new_state, series, fitted if new_phi is phi else None)
-    return new_state, SweepInfo(attempted, accepted, False)
+    return new_state, SweepInfo(attempted, accepted, not stable)
 
 
 def make_log_prior(hyper: Hyperparams, g: int):

@@ -663,9 +663,12 @@ class TestLogTermMemo:
             np.array([50.0, 1e-4]),
         )
         assert info.stability_rejected
-        assert new_state is state
-        assert start is None and new_state.terms is not None
+        # the vetoed state's parameters are the start's, and so are its log terms
+        assert start is None and new_state.terms is state.terms is not None
         assert float(np.sum(new_state.terms[2])) == log_likelihood(spec, series, 1)
+        # the member rows are those of the labels the sweep drew
+        assert member_rows(new_state) is new_state.rows
+        assert [r is None or r.size == 0 for r in new_state.rows] == [True, True]
 
 
 def veto_setup():
@@ -677,7 +680,7 @@ def veto_setup():
         ar_coeffs=(np.array([0.3]), np.array([0.0])),
         scales=np.array([1.0, 0.5]),
     )
-    state = spec_state(spec, np.zeros(2), np.ones(5), 1.0, 1)
+    state = spec_state(spec, np.zeros(2), [2, 1, 2, 1, 2], 1.0, 1)
     return series, spec, state
 
 
@@ -692,14 +695,17 @@ class TestGibbsSweep:
         new_state, info = gibbs_sweep(state, series, hyper, rng, np.array([50.0, 1e-4]))
         assert info.stability_rejected
         assert info.accepted[1]  # the per-move step itself was accepted
-        assert new_state is state
+        # every parameter is restored ...
         np.testing.assert_array_equal(new_state.weights, spec.weights)
         np.testing.assert_array_equal(new_state.shifts, spec.shifts)
         np.testing.assert_array_equal(new_state.scales, spec.scales)
         np.testing.assert_array_equal(new_state.phi, spec.phi_matrix())
-        np.testing.assert_array_equal(new_state.z, np.ones(5))
         np.testing.assert_array_equal(new_state.means, np.zeros(2))
-        assert new_state.lam == 1.0
+        assert new_state.orders == state.orders and new_state.lam == 1.0
+        # ... but the labels are the sweep's draw from p(z | theta, y), not the start's
+        np.testing.assert_array_equal(state.z, [2, 1, 2, 1, 2])
+        np.testing.assert_array_equal(new_state.z, np.ones(5))
+        np.testing.assert_array_equal(new_state.counts, [5, 0])
 
     def test_stable_chain_never_leaves_the_region(self):
         rng = np.random.default_rng(13)
@@ -936,7 +942,8 @@ class TestArrayState:
         for _ in range(60):
             new_state, info = gibbs_sweep(state, series, hyper, rng, np.full(3, 60.0))
             fitted = new_state.terms[3]
-            if new_state is state:
+            if info.stability_rejected:
+                assert new_state.terms is state.terms
                 continue
             if info.accepted.any():
                 assert fitted is not state.terms[3]
