@@ -41,7 +41,7 @@ from .sampler import (
     run_chain,
     tune_gamma,
 )
-from .stability import StabilityReport, is_stable, spectral_radius, stability_matrix
+from .stability import StabilityReport, is_stable, spectral_radius
 from .summary import DensityGrid, ParameterSummary, average_density, density_grid, summarize
 
 __version__ = "0.1.0"
@@ -84,7 +84,6 @@ __all__ = [
     "select_g",
     "simulate_path",
     "spectral_radius",
-    "stability_matrix",
     "summarize",
     "theoretical_acf",
     "tune_gamma",

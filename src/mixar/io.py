@@ -17,6 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .model import WEIGHT_SUM_TOL
 from .sampler import ChainOutput
 
 FLOAT_FMT = "{:.17g}"
@@ -104,8 +105,9 @@ def write_draws_csv(path: str | Path, output: ChainOutput) -> None:
 def read_draws_csv(path: str | Path) -> ChainOutput:
     """Reload a draws CSV into a ChainOutput carrying the draws only.
 
-    Run diagnostics that are not stored per draw come back as None; the
-    conditioning length is the file's AR width.
+    Every row is checked (`_check_draws`).  Run diagnostics that are not
+    stored per draw come back as None; the conditioning length is the
+    file's AR width.
     """
     text = Path(path).read_text().splitlines()
     if len(text) < 2:
@@ -121,10 +123,11 @@ def read_draws_csv(path: str | Path) -> ChainOutput:
     rows = [line.split(",") for line in text[1:]]
     if any(len(row) != len(header) for row in rows):
         raise ValueError(f"{path} has a row that does not hold one value per header column")
-    data = np.array([[float(x) for x in row] for row in rows])
+    data = np.array([[_number(x) for x in row] for row in rows])
     blocks = data[:, 1:-3].reshape(data.shape[0], g, 5 + width)
     fields = np.ascontiguousarray(blocks[:, :, :5].transpose(2, 0, 1))
     weights, shifts, means, scales, orders = fields
+    _check_draws(path, rows, header, data, width, weights, scales, orders)
     lam, log_likelihoods, log_posteriors = np.ascontiguousarray(data[:, -3:].T)
     return ChainOutput(
         g=g,
@@ -137,11 +140,46 @@ def read_draws_csv(path: str | Path) -> ChainOutput:
         lam=lam,
         log_likelihoods=log_likelihoods,
         log_posteriors=log_posteriors,
-        acceptance=None,
-        stability_rejections=0,
-        gamma=None,
         fixed_shift=bool(np.all(shifts == 0.0)),
     )
+
+
+def _number(text: str) -> float:
+    """float(text), or NaN for text that is not a number, which `_check_draws` refuses."""
+    try:
+        return float(text)
+    except ValueError:
+        return math.nan
+
+
+def _check_draws(path, rows, header, data, width, weights, scales, orders) -> None:
+    """Refuse the first bad value of a draws file, naming its iteration and column.
+
+    Every value must be a finite number and every order an integer in
+    1..width, and each draw must pass `model.check_fields`' rules: positive
+    weights summing to one and positive scales.  AR entries beyond a draw's
+    order are not read.
+    """
+    g = orders.shape[1]
+    pi_col = 1 + (5 + width) * np.arange(g)  # the column of pi_k, for 0-based k
+    for bad, offset, reason in (
+        (~np.isfinite(data), None, "is not a finite number"),
+        (~((orders == np.round(orders)) & (orders >= 1) & (orders <= width)), 4,
+         f"is not an integer in 1..{width}"),
+        (~(weights > 0.0), 0, "is not a positive mixing weight"),
+        (~(scales > 0.0), 3, "is not a positive scale"),
+    ):
+        if bad.any():
+            i, j = np.argwhere(bad)[0].tolist()
+            j = j if offset is None else int(pi_col[j]) + offset
+            raise ValueError(f"{path}: iteration {rows[i][0]}, column {header[j]}: "
+                             f"{rows[i][j]} {reason}")
+    total = weights.sum(axis=1)
+    off = np.abs(total - 1.0) > WEIGHT_SUM_TOL
+    if off.any():
+        i = int(off.argmax())
+        raise ValueError(f"{path}: iteration {rows[i][0]}, columns pi_1..pi_{g}: "
+                         f"mixing weights must sum to 1, got {float(total[i])}")
 
 
 def write_grid_csv(path: str | Path, abscissa: np.ndarray, columns: dict[str, np.ndarray]) -> None:

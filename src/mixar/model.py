@@ -29,6 +29,7 @@ import numpy as np
 LOG_2PI = math.log(2.0 * math.pi)
 SQRT_2 = math.sqrt(2.0)
 SIM_BURN_IN = 500  # warm-up steps `simulate_path` discards
+WEIGHT_SUM_TOL = 1e-8  # how far from one the mixing weights may sum
 
 
 @dataclass(frozen=True)
@@ -111,8 +112,8 @@ def check_fields(w, sh, sc, ar) -> None:
         raise ValueError("weights, shifts, ar_coeffs and scales must all have length g")
     if not np.all(np.isfinite(w)) or np.any(w <= 0.0):
         raise ValueError("every mixing weight must be positive and finite")
-    if abs(w.sum() - 1.0) > 1e-8:
-        raise ValueError(f"mixing weights must sum to 1, got {w.sum()!r}")
+    if abs(w.sum() - 1.0) > WEIGHT_SUM_TOL:
+        raise ValueError(f"mixing weights must sum to 1, got {float(w.sum())}")
     if not np.all(np.isfinite(sc)) or np.any(sc <= 0.0):
         raise ValueError("every scale must be positive and finite")
     if not np.all(np.isfinite(sh)):

@@ -14,8 +14,8 @@ Metropolis step on each component's AR coefficients.  The Dirichlet prior is
 exchangeable, so the posterior is invariant under relabelling components of
 equal order.  A whole-model stability check is applied once per sweep: if
 the end-of-sweep candidate is unstable every parameter keeps its previous
-value, and the allocations keep the sweep's draw from p(z | theta, y).  Proposal precisions are tuned in a pilot (`tune_gamma`) and then
-frozen.
+value, and the allocations keep the sweep's draw from p(z | theta, y).
+Proposal precisions are tuned in a pilot (`tune_gamma`) and then frozen.
 
 Gamma distributions are parameterized by (shape, rate) throughout.
 """
@@ -72,7 +72,7 @@ class Hyperparams:
         for name in ("kappa", "b"):
             v = getattr(self, name)
             if not (np.isfinite(v) and v > 0):
-                raise ValueError(f"{name} must be positive and finite, got {v!r}")
+                raise ValueError(f"{name} must be positive and finite, got {float(v)}")
         if not np.isfinite(self.zeta):
             raise ValueError("zeta must be finite")
         if self.gamma is not None:
@@ -156,9 +156,9 @@ class ChainOutput:
 
     Arrays are indexed [draw, component(, lag)]; ar is zero-padded to the
     chain's conditioning length `cond` and `orders` gives per-draw component
-    orders.  `timing`
-    holds the seconds of the pilot, burn-in and retained sweeps, and
-    `relabelling` what `relabel.relabel_chain` did to the draws.
+    orders.  The run diagnostics default to none, as for draws read from a
+    file; `timing` holds the seconds of the pilot, burn-in and retained
+    sweeps, and `relabelling` what `relabel.relabel_chain` did to the draws.
     """
 
     g: int
@@ -171,10 +171,10 @@ class ChainOutput:
     lam: np.ndarray
     log_likelihoods: np.ndarray
     log_posteriors: np.ndarray
-    acceptance: np.ndarray | None
-    stability_rejections: int
-    gamma: np.ndarray | None
-    fixed_shift: bool
+    acceptance: np.ndarray | None = None
+    stability_rejections: int = 0
+    gamma: np.ndarray | None = None
+    fixed_shift: bool = False
     timing: dict = field(default_factory=dict)
     relabelling: dict = field(default_factory=dict)
 

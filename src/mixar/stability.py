@@ -19,12 +19,8 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
 
 import numpy as np
-
-if TYPE_CHECKING:
-    from .model import MARSpec
 
 
 @dataclass(frozen=True, eq=False)
@@ -59,6 +55,12 @@ def companion_matrices(phi: np.ndarray) -> np.ndarray:
 
 
 def _kron_sum(weights: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    """Weighted Kronecker-square matrix A = sum_k pi_k (A_k kron A_k) of a (g, p) AR matrix.
+
+    The Kronecker squares come from one broadcast, entry (i p + r, j p + s)
+    of the k-th being A_k[i, j] A_k[r, s] as in `np.kron`; the weighted
+    squares are added to a zero matrix in component order.
+    """
     g, p = phi.shape
     a = companion_matrices(phi)
     krons = (a[:, :, None, :, None] * a[:, None, :, None, :]).reshape(g, p * p, p * p)
@@ -66,16 +68,6 @@ def _kron_sum(weights: np.ndarray, phi: np.ndarray) -> np.ndarray:
     for term in weights[:, None, None] * krons:
         out += term
     return out
-
-
-def stability_matrix(spec: "MARSpec") -> np.ndarray:
-    """Weighted Kronecker-square matrix A = sum_k pi_k (A_k kron A_k).
-
-    The Kronecker squares come from one broadcast, entry (i p + r, j p + s)
-    of the k-th being A_k[i, j] A_k[r, s] as in `np.kron`; the weighted
-    squares are added to a zero matrix in component order.
-    """
-    return _kron_sum(spec.weights, spec.phi_matrix())
 
 
 def spectral_radius(matrix: np.ndarray) -> float:

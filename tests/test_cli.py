@@ -775,7 +775,7 @@ class TestFit:
         rng = np.random.default_rng(2)
         n, g, width = 7, 3, 2
         output = ChainOutput(
-            g=g, weights=rng.random((n, g)), shifts=rng.normal(size=(n, g)),
+            g=g, weights=rng.dirichlet(np.ones(g), n), shifts=rng.normal(size=(n, g)),
             means=rng.normal(size=(n, g)), scales=rng.random((n, g)),
             ar=rng.normal(size=(n, g, width)), orders=rng.integers(1, width + 1, (n, g)),
             lam=rng.random(n), log_likelihoods=rng.normal(size=n),
@@ -913,6 +913,46 @@ class TestForecast:
         ])
         assert code == 0
         assert json.loads((fc / "manifest.json").read_text())["diagnostics"]["integral_ok"] is True
+
+    @staticmethod
+    def edited_draws(draws, path, column, value):
+        """The draws file with `column` of iteration 1 set to the text `value`."""
+        lines = [line.split(",") for line in draws.read_text().splitlines()]
+        lines[2][lines[0].index(column)] = value
+        path.write_text("\n".join(",".join(line) for line in lines) + "\n")
+        return path
+
+    @pytest.mark.parametrize("column, value, reason", [
+        ("order_1", "1.5", "column order_1: 1.5 is not an integer in 1..2"),
+        ("order_2", "3", "column order_2: 3 is not an integer in 1..2"),
+        ("order_3", "0", "column order_3: 0 is not an integer in 1..2"),
+        ("pi_2", "nan", "column pi_2: nan is not a finite number"),
+        ("ar_1_2", "inf", "column ar_1_2: inf is not a finite number"),
+        ("lambda", "-inf", "column lambda: -inf is not a finite number"),
+        ("shift_3", "abc", "column shift_3: abc is not a finite number"),
+        ("pi_3", "-0.1", "column pi_3: -0.1 is not a positive mixing weight"),
+        ("sigma_2", "0", "column sigma_2: 0 is not a positive scale"),
+        ("pi_1", "0.75", "columns pi_1..pi_3: mixing weights must sum to 1, got 1.25"),
+    ])
+    def test_malformed_draws_file_is_refused(self, b_draws, tmp_path, capsys, column, value,
+                                             reason):
+        series, draws = b_draws
+        bad = self.edited_draws(draws, tmp_path / "bad.csv", column, value)
+        code = run_cli(["forecast", "--set", f"input={series}", "--set", f"draws={bad}",
+                        "--set", f"output_dir={tmp_path / 'fc'}", "--set", "horizon=2"])
+        assert code == 2
+        assert f"{bad}: iteration 1, {reason}" in capsys.readouterr().err
+
+    def test_ar_entries_beyond_the_order_are_ignored(self, b_draws, tmp_path):
+        # spec B has orders (2, 1, 1): ar_2_2 lies beyond component 2's order
+        series, draws = b_draws
+        edited = self.edited_draws(draws, tmp_path / "edited.csv", "ar_2_2", "99")
+        for name, path in (("plain", draws), ("edited", edited)):
+            code = run_cli(["forecast", "--set", f"input={series}", "--set", f"draws={path}",
+                            "--set", f"output_dir={tmp_path / name}", "--set", "horizon=2"])
+            assert code == 0
+        assert ((tmp_path / "plain" / "forecast.csv").read_bytes()
+                == (tmp_path / "edited" / "forecast.csv").read_bytes())
 
     def test_missing_draws_file(self, fitted, tmp_path, capsys):
         sim, _ = fitted

@@ -114,7 +114,7 @@ def spec_kwargs(**changes):
         (dict(weights=np.array([1.0, 0.0])), "every mixing weight must be positive and finite"),
         (dict(weights=np.array([1.2, -0.2])), "every mixing weight must be positive and finite"),
         (dict(weights=np.array([np.nan, 0.4])), "every mixing weight must be positive and finite"),
-        (dict(weights=np.array([0.6, 0.5])), "mixing weights must sum to 1, got"),
+        (dict(weights=np.array([0.6, 0.5])), "mixing weights must sum to 1, got 1.1"),
         (dict(scales=np.array([0.7, 0.0])), "every scale must be positive and finite"),
         (dict(scales=np.array([np.inf, 1.5])), "every scale must be positive and finite"),
         (dict(shifts=np.array([0.3, np.nan])), "shifts must be finite"),

@@ -154,6 +154,12 @@ class TestAcceptance:
 
 
 class TestMoveKernel:
+    def test_birth_beyond_the_conditioning_length_is_refused(self):
+        # the state's AR width is its chain's conditioning length; no move widens it
+        state = single_state([0.5, 0.3])
+        with pytest.raises(ValueError, match="order 3 exceeds the conditioning length 2"):
+            swapped_ar(state, 1, np.array([0.5, 0.3, 0.1]))
+
     def test_accepted_birth_appends(self):
         state = single_state([0.5])
         cfg = OrderMoveConfig(p_max=2)

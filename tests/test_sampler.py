@@ -169,8 +169,8 @@ class TestHyperparams:
         series = TimeSeries(np.array([0.0, 1.0]))
         hyper = default_hyperparams(series, a=0.5, fixed_shift=True, n_iter=100, burn_in=10)
         assert hyper.a == 0.5 and hyper.fixed_shift
-        with pytest.raises(ValueError):
-            base_hyper(kappa=-1.0)
+        with pytest.raises(ValueError, match=r"kappa must be positive and finite, got -1.0$"):
+            base_hyper(kappa=np.float64(-1.0))
         with pytest.raises(ValueError):
             base_hyper(burn_in=100, n_iter=100)
         with pytest.raises(ValueError):

@@ -7,16 +7,21 @@ from mixar.datasets import model_a_spec, model_b_spec
 from mixar.model import MARSpec, simulate_path
 from mixar.stability import (
     StabilityReport,
+    _kron_sum,
     companion_matrices,
     is_stable,
     spectral_radius,
-    stability_matrix,
 )
 
 
 def verdict(spec):
     """The stability report on a spec's weights and AR matrix."""
     return is_stable(spec.weights, spec.phi_matrix())
+
+
+def stability_matrix(spec):
+    """The Kronecker-square matrix sum_k pi_k (A_k kron A_k) of a spec."""
+    return _kron_sum(spec.weights, spec.phi_matrix())
 
 
 def ar1_spec(phi, weight_pairs=None):
