@@ -5,87 +5,40 @@ random-walk step over the full stability region of the AR coefficients,
 relabelled online to undo label switching, extended across model orders by
 birth and death moves, compared through marginal likelihoods, and used for
 posterior-averaged density forecasts.
+
+`import mixar` loads no submodule: each public name is imported from its
+home module (`_EXPORTS`) when first read, so a command that forecasts from
+stored draws never loads the samplers.
 """
 
-from .datasets import DatasetRecipe, model_a_spec, model_b_spec, prepare_recipe
-from .evidence import (
-    EvidenceConfig,
-    EvidenceResult,
-    marginal_log_likelihood,
-    select_g,
-)
-from .forecast import (
-    ForecastRequest,
-    ForecastResult,
-    posterior_averaged_forecast,
-    predictive_density_fixed,
-    predictive_moments,
-)
-from .model import (
-    MARSpec,
-    TimeSeries,
-    conditional_cdf,
-    conditional_moments,
-    conditional_pdf,
-    log_likelihood,
-    simulate_path,
-    theoretical_acf,
-)
-from .relabel import RelabelConfig, relabel_chain
-from .rjmcmc import OrderMoveConfig, OrderTrace, rjmcmc_run
-from .sampler import (
-    ChainOutput,
-    Hyperparams,
-    default_hyperparams,
-    gibbs_sweep,
-    run_chain,
-    tune_gamma,
-)
-from .stability import StabilityReport, is_stable, spectral_radius
-from .summary import DensityGrid, ParameterSummary, average_density, density_grid, summarize
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ChainOutput",
-    "DatasetRecipe",
-    "DensityGrid",
-    "EvidenceConfig",
-    "EvidenceResult",
-    "ForecastRequest",
-    "ForecastResult",
-    "Hyperparams",
-    "MARSpec",
-    "OrderMoveConfig",
-    "OrderTrace",
-    "ParameterSummary",
-    "RelabelConfig",
-    "StabilityReport",
-    "TimeSeries",
-    "average_density",
-    "conditional_cdf",
-    "conditional_moments",
-    "conditional_pdf",
-    "default_hyperparams",
-    "density_grid",
-    "gibbs_sweep",
-    "is_stable",
-    "log_likelihood",
-    "marginal_log_likelihood",
-    "model_a_spec",
-    "model_b_spec",
-    "posterior_averaged_forecast",
-    "predictive_density_fixed",
-    "predictive_moments",
-    "prepare_recipe",
-    "relabel_chain",
-    "rjmcmc_run",
-    "run_chain",
-    "select_g",
-    "simulate_path",
-    "spectral_radius",
-    "summarize",
-    "theoretical_acf",
-    "tune_gamma",
-    "__version__",
-]
+_EXPORTS = {
+    "Hyperparams": "config", "RelabelConfig": "config", "OrderMoveConfig": "config",
+    "EvidenceConfig": "config", "ForecastRequest": "config",
+    "DatasetRecipe": "datasets", "model_a_spec": "datasets", "model_b_spec": "datasets",
+    "prepare_recipe": "datasets",
+    "ChainOutput": "model", "MARSpec": "model", "TimeSeries": "model",
+    "conditional_cdf": "model", "conditional_moments": "model", "conditional_pdf": "model",
+    "log_likelihood": "model", "simulate_path": "model", "theoretical_acf": "model",
+    "StabilityReport": "stability", "is_stable": "stability", "spectral_radius": "stability",
+    "default_hyperparams": "sampler", "gibbs_sweep": "sampler", "run_chain": "sampler",
+    "tune_gamma": "sampler",
+    "relabel_chain": "relabel",
+    "OrderTrace": "rjmcmc", "rjmcmc_run": "rjmcmc",
+    "EvidenceResult": "evidence", "marginal_log_likelihood": "evidence", "select_g": "evidence",
+    "ForecastResult": "forecast", "posterior_averaged_forecast": "forecast",
+    "predictive_density_fixed": "forecast", "predictive_moments": "forecast",
+    "DensityGrid": "summary", "ParameterSummary": "summary", "average_density": "summary",
+    "density_grid": "summary", "summarize": "summary",
+}
+
+__all__ = [*_EXPORTS, "__version__"]
+
+
+def __getattr__(name: str):
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f"{__name__}.{_EXPORTS[name]}"), name)

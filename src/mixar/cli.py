@@ -4,7 +4,8 @@ Every subcommand takes an optional key=value config file plus repeatable
 --set key=value overrides, writes its data files into output_dir, and
 finishes with a manifest recording the config echo, seed, package versions,
 wall clock and diagnostics.  Re-running a command with the manifest's
-config and seed reproduces the data outputs bit for bit.
+config and seed reproduces the data outputs bit for bit.  Each command
+imports the compute modules it runs, so `forecast` loads no sampler.
 """
 
 from __future__ import annotations
@@ -20,8 +21,6 @@ import numpy as np
 
 from .config import RunConfig, build_config, check_workers, config_dict, parse_value
 from .datasets import BUILTIN_LENGTHS, BUILTIN_SPECS, RECIPES, apply_transform, prepare_recipe
-from .evidence import _map_jobs, select_g
-from .forecast import posterior_averaged_forecast
 from .io import (
     evidence_payload,
     read_draws_csv,
@@ -33,11 +32,7 @@ from .io import (
     write_manifest,
     write_series_csv,
 )
-from .model import MARSpec, TimeSeries, simulate_path
-from .relabel import assign_permutation, relabel_chain
-from .sampler import ChainOutput, default_hyperparams, run_chain
-from .stability import is_stable
-from .summary import DensityGrid, average_density, check_draw_count, density_grid, summarize
+from .model import ChainOutput, MARSpec, TimeSeries, simulate_path
 
 WORKERS_ENV = "MIXAR_WORKERS"
 
@@ -61,8 +56,12 @@ def _existing_path(value: str | None, key: str, needs: str) -> Path:
     return path
 
 
-def _load_spec_file(path: str) -> MARSpec:
-    raw = json.loads(Path(path).read_text())
+def _true_spec(config: RunConfig) -> MARSpec:
+    """The spec `simulate` and `replicate` draw from: spec_file when set, else the built-in spec."""
+    if config.spec_file is None:
+        return BUILTIN_SPECS[config.spec]()
+    path = _existing_path(config.spec_file, "spec_file", "")
+    raw = json.loads(path.read_text())
     try:
         return MARSpec(
             weights=np.asarray(raw["weights"], dtype=float),
@@ -104,6 +103,8 @@ def _model_shape(config: RunConfig) -> tuple[int, tuple[int, ...] | None]:
 
 
 def _fit_summaries(output: ChainOutput):
+    from .summary import summarize
+
     names = []
     for k in range(1, output.g + 1):
         names.append((f"pi_{k}", output.weights[:, k - 1]))
@@ -119,10 +120,9 @@ def _fit_summaries(output: ChainOutput):
 
 
 def cmd_simulate(config: RunConfig, out: Path) -> tuple[list[str], dict]:
-    if config.spec_file is not None:
-        spec = _load_spec_file(config.spec_file)
-    else:
-        spec = BUILTIN_SPECS[config.spec]()
+    from .stability import is_stable
+
+    spec = _true_spec(config)
     n = config.n if config.n is not None else BUILTIN_LENGTHS.get(config.spec, 300)
     series = simulate_path(spec, n, seed=config.seed)
     path = out / "series.csv"
@@ -136,6 +136,10 @@ def cmd_simulate(config: RunConfig, out: Path) -> tuple[list[str], dict]:
 
 
 def cmd_fit(config: RunConfig, out: Path) -> tuple[list[str], dict]:
+    from .relabel import relabel_chain
+    from .sampler import default_hyperparams, run_chain
+    from .summary import check_draw_count
+
     series, echo = _load_series(config)
     g, orders = _model_shape(config)
     if orders is None:
@@ -171,6 +175,9 @@ def cmd_fit(config: RunConfig, out: Path) -> tuple[list[str], dict]:
 
 
 def cmd_select(config: RunConfig, out: Path) -> tuple[list[str], dict]:
+    from .evidence import select_g
+    from .sampler import default_hyperparams
+
     g_range = tuple(config.g_range)
     if config.orders is not None and g_range != (len(config.orders),):
         raise ValueError(f"select pins orders={list(config.orders)} only for "
@@ -191,6 +198,9 @@ def cmd_select(config: RunConfig, out: Path) -> tuple[list[str], dict]:
 
 
 def cmd_forecast(config: RunConfig, out: Path) -> tuple[list[str], dict]:
+    from .forecast import posterior_averaged_forecast
+    from .summary import DensityGrid
+
     series, echo = _load_series(config)
     needs = "forecast needs draws=<draws CSV from a fit run>"
     output = read_draws_csv(_existing_path(config.draws, "draws", needs))
@@ -225,6 +235,8 @@ def _align_to_truth(output: ChainOutput, truth: MARSpec) -> tuple[int, ...]:
     the one minimizing the summed squared distance to the true values wins,
     ties going to the first in permutation order.
     """
+    from .relabel import assign_permutation
+
     fitted = np.concatenate(
         [output.weights.mean(axis=0), output.scales.mean(axis=0), output.ar[:, :, 0].mean(axis=0)]
     )
@@ -248,6 +260,9 @@ def _replica_param_draws(output: ChainOutput, truth: MARSpec) -> dict[str, np.nd
 
 
 def _replicate_worker(job) -> dict[str, np.ndarray]:
+    from .relabel import relabel_chain
+    from .sampler import default_hyperparams, run_chain
+
     truth, n, sim_seed, fit_seed, overrides, relabel = job
     series = simulate_path(truth, n, seed=sim_seed)
     hyper = default_hyperparams(series, **overrides)
@@ -257,7 +272,10 @@ def _replicate_worker(job) -> dict[str, np.ndarray]:
 
 
 def cmd_replicate(config: RunConfig, out: Path) -> tuple[list[str], dict]:
-    truth = BUILTIN_SPECS[config.spec]()
+    from .evidence import _map_jobs
+    from .summary import average_density, density_grid
+
+    truth = _true_spec(config)
     n = config.replica_length
     relabel = config.relabel_config(truth.g)
     overrides = dict(config.chain_settings(), fixed_shift=config.fixed_shift)
@@ -283,7 +301,7 @@ def cmd_replicate(config: RunConfig, out: Path) -> tuple[list[str], dict]:
         outputs.append(str(path))
         modes[name] = avg.mode()
     diag = {
-        "spec": config.spec,
+        "spec": config.spec_file or config.spec,
         "replicas": config.replicas,
         "replica_length": n,
         "workers": workers,

@@ -1,25 +1,26 @@
-"""Run configuration: a flat key=value file plus command-line overrides.
+"""Run configuration: the settings objects, and a flat key=value file plus
+command-line overrides that build them.
 
-Every command reads the same schema; unknown keys are rejected up front and
-all values are validated before any sampling starts, so a typo cannot burn
-an hour of chain time.  A key's type is its `RunConfig` annotation: booleans
-accept true/false/1/0/yes/no, lists are comma separated, and "none" clears
-an optional value.  Settings that feed a sampler object take their default
+The settings objects (`Hyperparams`, `RelabelConfig`, `OrderMoveConfig`,
+`EvidenceConfig`, `ForecastRequest`) live here, below the modules that run
+them, so reading a configuration loads no sampler.  Every command reads the
+same schema; unknown keys are rejected up front and all values are
+validated before any sampling starts, so a typo cannot burn an hour of
+chain time.  A key's type is its `RunConfig` annotation: booleans accept
+true/false/1/0/yes/no, lists are comma separated, and "none" clears an
+optional value.  Settings that feed a settings object take their default
 from that object and are range-checked by building it.
 """
 
 from __future__ import annotations
 
 import typing
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
+import numpy as np
+
 from .datasets import _recipe
-from .evidence import EvidenceConfig, check_g_range
-from .forecast import ForecastRequest
-from .relabel import RelabelConfig
-from .rjmcmc import OrderMoveConfig
-from .sampler import Hyperparams, check_chain_settings
 
 
 def _parse_bool(text: str) -> bool:
@@ -51,9 +52,207 @@ _BASE_PARSERS = {
 }
 
 
+@dataclass(frozen=True)
+class Hyperparams:
+    """Prior constants and run lengths.
+
+    zeta, kappa: mean and precision of the component-mean prior.
+    a, b: shape and rate of the Gamma prior on lambda.
+    c: shape of the Gamma prior on the precisions tau_k.
+    gamma: the RWM proposal precision of every component (None means tune
+        a pilot).
+    fixed_shift: pin all shifts phi_k0 at zero and skip the mean update.
+    """
+
+    zeta: float
+    kappa: float
+    b: float
+    a: float = 0.2
+    c: float = 2.0
+    gamma: float | None = None
+    fixed_shift: bool = False
+    burn_in: int = 10_000
+    n_iter: int = 20_000
+    pilot_iters: int = 2_000
+
+    def __post_init__(self):
+        for name in ("kappa", "b"):
+            v = getattr(self, name)
+            if not (np.isfinite(v) and v > 0):
+                raise ValueError(f"{name} must be positive and finite, got {float(v)}")
+        if not np.isfinite(self.zeta):
+            raise ValueError("zeta must be finite")
+        if self.gamma is not None:
+            try:
+                gamma = float(self.gamma)
+            except (TypeError, ValueError):
+                raise ValueError(f"gamma must be a number, got {self.gamma!r}") from None
+            object.__setattr__(self, "gamma", gamma)
+        check_chain_settings(
+            self.a, self.c, self.gamma, self.n_iter, self.burn_in, self.pilot_iters
+        )
+
+
+def check_chain_settings(a, c, gamma, n_iter, burn_in, pilot_iters) -> None:
+    """Range rules on the Hyperparams fields that a run configuration sets."""
+    if not (a > 0 and c > 0):
+        raise ValueError("prior shape parameters a and c must be positive")
+    if gamma is not None and not gamma > 0:
+        raise ValueError("gamma must be positive")
+    if not np.all(np.isfinite((a, c) + (() if gamma is None else (gamma,)))):
+        raise ValueError("a, c and gamma must be finite")
+    if n_iter < 1:
+        raise ValueError("n_iter must be positive")
+    if not 0 <= burn_in < n_iter:
+        raise ValueError("burn_in must satisfy 0 <= burn_in < n_iter")
+    if gamma is None and pilot_iters < 500:
+        raise ValueError("pilot_iters must be at least 500 when gamma is tuned")
+
+
+
+_VALID_SUBSET = ("weights", "scales", "shifts")
+
+
+@dataclass(frozen=True)
+class RelabelConfig:
+    """Warm-start length m and the parameter blocks forming the feature vector.
+
+    The feature vector theta concatenates one g-long block per selected name
+    (any of "weights", "scales", "shifts"); the default uses mixing weights
+    plus scales, which separate components more reliably than AR coefficients.
+    """
+
+    m: int = 200
+    subset: tuple[str, ...] = ("weights", "scales")
+
+    def __post_init__(self):
+        if self.m < 2:
+            raise ValueError("warm-start length m must be at least 2")
+        if not self.subset:
+            raise ValueError("subset must name at least one parameter block")
+        for name in self.subset:
+            if name not in _VALID_SUBSET:
+                raise ValueError(f"unknown subset entry {name!r}; choose from {_VALID_SUBSET}")
+        if len(set(self.subset)) != len(self.subset):
+            raise ValueError("subset entries must be unique")
+
+    def check_chain(self, n_draws: int, fixed_shift: bool) -> None:
+        """Draws must remain after the warm start; fixed (all zero) shifts separate nothing."""
+        if self.m >= n_draws:
+            raise ValueError(
+                f"warm-start length m={self.m} must be below the number of draws ({n_draws})"
+            )
+        if fixed_shift and "shifts" in self.subset:
+            raise ValueError(
+                "relabel_subset holds shifts, which fixed_shift holds at zero in every draw; "
+                "drop shifts from relabel_subset"
+            )
+
+
+
+@dataclass(frozen=True)
+class OrderMoveConfig:
+    """Birth/death order moves (`rjmcmc`): the order cap p_max, and the
+    half-width w of the uniform a birth draws its new coefficient from."""
+
+    p_max: int = 5
+    birth_half_width: float = 1.5
+
+    def __post_init__(self):
+        if self.p_max < 1:
+            raise ValueError("p_max must be at least 1")
+        if not (np.isfinite(self.birth_half_width) and self.birth_half_width > 0):
+            raise ValueError("birth_half_width must be positive")
+
+    def birth_prob(self, p: int) -> float:
+        """b(p): 1 at p=1, 0 at p_max, 1/2 in between."""
+        if not 1 <= p <= self.p_max:
+            raise ValueError(f"order {p} outside 1..{self.p_max}")
+        if p == self.p_max:
+            return 0.0
+        if p == 1:
+            return 1.0
+        return 0.5
+
+    def death_prob(self, p: int) -> float:
+        return 1.0 - self.birth_prob(p)
+
+
+
+@dataclass(frozen=True)
+class EvidenceConfig:
+    """Run lengths and settings for one evidence computation.
+
+    orders pins the order configuration whose evidence is wanted (None uses
+    the modal configuration of the order-move run; either way the visit
+    share of that configuration supplies the order-posterior ordinate).
+    """
+
+    order_config: OrderMoveConfig = field(default_factory=OrderMoveConfig)
+    n_j: int = 10_000
+    n_i: int = 10_000
+    reduced_burn_in: int = 500
+    orders: tuple[int, ...] | None = None
+    relabel: RelabelConfig = field(default_factory=RelabelConfig)
+
+    def __post_init__(self):
+        if self.n_j < 1 or self.n_i < 1:
+            raise ValueError("n_j and n_i must be positive")
+        if self.reduced_burn_in < 0:
+            raise ValueError("reduced_burn_in must be nonnegative")
+
+
+
+def check_g_range(g_range: tuple[int, ...]) -> None:
+    """Candidate component counts: at least one, each positive and listed once."""
+    if not g_range or any(x < 1 for x in g_range):
+        raise ValueError("g_range must contain positive component counts")
+    for i, g in enumerate(g_range):
+        if g in g_range[:i]:
+            raise ValueError(f"g_range lists g={g} more than once")
+
+
+
+@dataclass(frozen=True)
+class ForecastRequest:
+    """What to forecast: horizon, forecast origin, grid and evaluation mode.
+
+    origin is the 1-based time of the last observation used (None: the end
+    of the series).  mode is "exact" or "monte-carlo"; thin subsamples the
+    retained draws for posterior averaging.
+    """
+
+    horizon: int
+    origin: int | None = None
+    grid: np.ndarray | None = None
+    mode: str = "exact"
+    mc_paths: int = 10_000
+    thin: int = 10
+    seed: int = 0
+
+    def __post_init__(self):
+        if self.horizon < 1:
+            raise ValueError("horizon must be at least 1")
+        if self.origin is not None and self.origin < 1:
+            raise ValueError("origin must be a positive time index")
+        if self.mode not in ("exact", "monte-carlo"):
+            raise ValueError("mode must be exact or monte-carlo")
+        if self.mc_paths < 1:
+            raise ValueError("mc_paths must be positive")
+        if self.thin < 1:
+            raise ValueError("thin must be positive")
+        if self.grid is not None:
+            g = np.asarray(self.grid, dtype=float).reshape(-1)
+            if g.size < 2 or np.any(np.diff(g) <= 0):
+                raise ValueError("grid must be strictly increasing with >= 2 points")
+            object.__setattr__(self, "grid", g)
+
+
+
+
 @dataclass
 class RunConfig:
-    """Parameters for every subcommand, mirrored into the sampler objects.
+    """Parameters for every subcommand, mirrored into the settings objects above.
 
     A key named like a field of OrderMoveConfig, EvidenceConfig or
     ForecastRequest feeds that field.
@@ -226,7 +425,7 @@ def check_workers(workers: int | None, name: str = "workers") -> None:
 def validate_config(config: RunConfig) -> None:
     """Reject impossible settings before any chain starts.
 
-    Every sampler object a command builds from the configuration is built
+    Every settings object a command builds from the configuration is built
     here once, so its own range checks apply to every command; the rules
     below are the ones no such object owns.  Two settings are resolved
     here, so every reader and the manifest's echo see the value that runs:

@@ -38,13 +38,12 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .model import LOG_2PI, TimeSeries, check_fields, left_sum, logsumexp, row_sum
-from .relabel import RelabelConfig, relabel_chain
-from .rjmcmc import OrderMoveConfig, OrderTrace, rjmcmc_run
+from .config import EvidenceConfig, Hyperparams, check_g_range
+from .model import LOG_2PI, ChainOutput, TimeSeries, check_fields, left_sum, logsumexp, row_sum
+from .relabel import relabel_chain
+from .rjmcmc import OrderTrace, rjmcmc_run
 from .sampler import (
-    ChainOutput,
     ChainState,
-    Hyperparams,
     dirichlet_log_density,
     draw_allocations,
     draw_lambda,
@@ -59,29 +58,6 @@ from .sampler import (
     swap_log_alpha,
 )
 from .stability import is_stable
-
-
-@dataclass(frozen=True)
-class EvidenceConfig:
-    """Run lengths and settings for one evidence computation.
-
-    orders pins the order configuration whose evidence is wanted (None uses
-    the modal configuration of the order-move run; either way the visit
-    share of that configuration supplies the order-posterior ordinate).
-    """
-
-    order_config: OrderMoveConfig = field(default_factory=OrderMoveConfig)
-    n_j: int = 10_000
-    n_i: int = 10_000
-    reduced_burn_in: int = 500
-    orders: tuple[int, ...] | None = None
-    relabel: RelabelConfig = field(default_factory=RelabelConfig)
-
-    def __post_init__(self):
-        if self.n_j < 1 or self.n_i < 1:
-            raise ValueError("n_j and n_i must be positive")
-        if self.reduced_burn_in < 0:
-            raise ValueError("reduced_burn_in must be nonnegative")
 
 
 @dataclass
@@ -385,11 +361,6 @@ def marginal_log_likelihood(
     )
     result.log_marginal = result.recompose()
     return result
-
-
-def check_g_range(g_range: tuple[int, ...]) -> None:
-    if not g_range or any(x < 1 for x in g_range):
-        raise ValueError("g_range must contain positive component counts")
 
 
 def _map_jobs(fn, jobs: list, workers: int) -> list:

@@ -21,48 +21,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import MARSpec, TimeSeries, quantile
-from .sampler import ChainOutput
+from .config import ForecastRequest
+from .model import ChainOutput, MARSpec, TimeSeries, quantile
 from .summary import mixture_density
 
 MAX_EXACT_PATHS = 1_000_000
 PRUNE_WEIGHT = 1e-12
 MC_CHUNK = 4096  # Monte Carlo paths simulated and evaluated together
-
-
-@dataclass(frozen=True)
-class ForecastRequest:
-    """What to forecast: horizon, forecast origin, grid and evaluation mode.
-
-    origin is the 1-based time of the last observation used (None: the end
-    of the series).  mode is "exact" or "monte-carlo"; thin subsamples the
-    retained draws for posterior averaging.
-    """
-
-    horizon: int
-    origin: int | None = None
-    grid: np.ndarray | None = None
-    mode: str = "exact"
-    mc_paths: int = 10_000
-    thin: int = 10
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.horizon < 1:
-            raise ValueError("horizon must be at least 1")
-        if self.origin is not None and self.origin < 1:
-            raise ValueError("origin must be a positive time index")
-        if self.mode not in ("exact", "monte-carlo"):
-            raise ValueError("mode must be exact or monte-carlo")
-        if self.mc_paths < 1:
-            raise ValueError("mc_paths must be positive")
-        if self.thin < 1:
-            raise ValueError("thin must be positive")
-        if self.grid is not None:
-            g = np.asarray(self.grid, dtype=float).reshape(-1)
-            if g.size < 2 or np.any(np.diff(g) <= 0):
-                raise ValueError("grid must be strictly increasing with >= 2 points")
-            object.__setattr__(self, "grid", g)
 
 
 @dataclass(frozen=True)

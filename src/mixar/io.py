@@ -17,8 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .model import WEIGHT_SUM_TOL
-from .sampler import ChainOutput
+from .model import WEIGHT_SUM_TOL, ChainOutput
 
 FLOAT_FMT = "{:.17g}"
 
@@ -65,22 +64,26 @@ def write_series_csv(path: str | Path, values: np.ndarray) -> None:
 
 
 def read_series_csv(path: str | Path) -> np.ndarray:
-    """Load a one-column CSV; a single non-numeric first line is a header."""
-    lines = [ln.strip() for ln in Path(path).read_text().splitlines()]
-    lines = [ln for ln in lines if ln]
+    """Load a one-column CSV; a single non-numeric first line is a header.
+
+    Blank lines are skipped.  Every other entry must be a finite number; the
+    first that is not is refused by its 1-based line.
+    """
+    lines = [(i, ln.strip()) for i, ln in enumerate(Path(path).read_text().splitlines(), 1)]
+    lines = [(i, ln) for i, ln in lines if ln]
     if not lines:
         raise ValueError(f"{path} is empty")
-    start = 0
     try:
-        float(lines[0])
+        float(lines[0][1])
     except ValueError:
-        start = 1
-    if start == len(lines):
+        lines = lines[1:]
+    if not lines:
         raise ValueError(f"{path} has a header but no data")
-    try:
-        return np.array([float(ln) for ln in lines[start:]])
-    except ValueError as exc:
-        raise ValueError(f"{path}: non-numeric entry in series column: {exc}") from None
+    values = [_number(ln) for _, ln in lines]
+    for (i, ln), x in zip(lines, values):
+        if not math.isfinite(x):
+            raise ValueError(f"{path}:{i}: {ln!r} is not a finite number")
+    return np.array(values)
 
 
 def draws_header(g: int, width: int) -> list[str]:

@@ -6,8 +6,9 @@ its conditional distribution given the past,
     F(y_t | past) = sum_k pi_k * Phi((y_t - phi_k0 - sum_i phi_ki y_{t-i}) / sigma_k),
 
 a g-component mixture of Gaussian AR regressions.  This module holds the model
-specification type and the deterministic quantities derived from it:
-one-step conditional densities and moments, likelihoods, the theoretical
+specification type, the record of a chain's retained draws (`ChainOutput`)
+and the deterministic quantities derived from a specification: one-step
+conditional densities and moments, likelihoods, the theoretical
 autocorrelation function and path simulation.
 
 Conventions used throughout the package:
@@ -123,6 +124,55 @@ def check_fields(w, sh, sc, ar) -> None:
             raise ValueError(f"component {k} must have order >= 1")
         if not np.all(np.isfinite(a)):
             raise ValueError(f"AR coefficients of component {k} must be finite")
+
+
+@dataclass
+class ChainOutput:
+    """Retained draws and run diagnostics of one chain.
+
+    Arrays are indexed [draw, component(, lag)]; ar is zero-padded to the
+    chain's conditioning length `cond` and `orders` gives per-draw component
+    orders.  The run diagnostics default to none, as for draws read from a
+    file; `timing` holds the seconds of the pilot, burn-in and retained
+    sweeps, and `relabelling` what `relabel.relabel_chain` did to the draws.
+    """
+
+    g: int
+    weights: np.ndarray
+    shifts: np.ndarray
+    means: np.ndarray
+    scales: np.ndarray
+    ar: np.ndarray
+    orders: np.ndarray
+    lam: np.ndarray
+    log_likelihoods: np.ndarray
+    log_posteriors: np.ndarray
+    acceptance: np.ndarray | None = None
+    stability_rejections: int = 0
+    gamma: np.ndarray | None = None
+    fixed_shift: bool = False
+    timing: dict = field(default_factory=dict)
+    relabelling: dict = field(default_factory=dict)
+
+    @property
+    def n_draws(self) -> int:
+        return self.weights.shape[0]
+
+    @property
+    def cond(self) -> int:
+        """The number of leading observations every likelihood of the chain conditions on."""
+        return self.ar.shape[2]
+
+    def spec_at(self, i: int) -> MARSpec:
+        orders = self.orders[i]
+        ar = tuple(self.ar[i, k, : orders[k]].copy() for k in range(self.g))
+        return MARSpec(
+            weights=self.weights[i].copy(),
+            shifts=self.shifts[i].copy(),
+            ar_coeffs=ar,
+            scales=self.scales[i].copy(),
+        )
+
 
 
 @dataclass(frozen=True)

@@ -15,50 +15,12 @@ from __future__ import annotations
 import functools
 import itertools
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 
-from .sampler import ChainOutput
-
-_VALID_SUBSET = ("weights", "scales", "shifts")
-
-
-@dataclass(frozen=True)
-class RelabelConfig:
-    """Warm-start length m and the parameter blocks forming the feature vector.
-
-    The feature vector theta concatenates one g-long block per selected name
-    (any of "weights", "scales", "shifts"); the default uses mixing weights
-    plus scales, which separate components more reliably than AR coefficients.
-    """
-
-    m: int = 200
-    subset: tuple[str, ...] = ("weights", "scales")
-
-    def __post_init__(self):
-        if self.m < 2:
-            raise ValueError("warm-start length m must be at least 2")
-        if not self.subset:
-            raise ValueError("subset must name at least one parameter block")
-        for name in self.subset:
-            if name not in _VALID_SUBSET:
-                raise ValueError(f"unknown subset entry {name!r}; choose from {_VALID_SUBSET}")
-        if len(set(self.subset)) != len(self.subset):
-            raise ValueError("subset entries must be unique")
-
-    def check_chain(self, n_draws: int, fixed_shift: bool) -> None:
-        """Draws must remain after the warm start; fixed (all zero) shifts separate nothing."""
-        if self.m >= n_draws:
-            raise ValueError(
-                f"warm-start length m={self.m} must be below the number of draws ({n_draws})"
-            )
-        if fixed_shift and "shifts" in self.subset:
-            raise ValueError(
-                "relabel_subset holds shifts, which fixed_shift holds at zero in every draw; "
-                "drop shifts from relabel_subset"
-            )
-
+from .config import RelabelConfig
+from .model import ChainOutput
 
 def feature_matrix(output: ChainOutput, subset: tuple[str, ...]) -> np.ndarray:
     """(n_draws, q) matrix of the selected blocks, block order as given."""

@@ -25,33 +25,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .model import TimeSeries
-from .sampler import ChainOutput, ChainState, Hyperparams, _run, swap_log_alpha, swapped_ar
-
-
-@dataclass(frozen=True)
-class OrderMoveConfig:
-    p_max: int = 5
-    birth_half_width: float = 1.5
-
-    def __post_init__(self):
-        if self.p_max < 1:
-            raise ValueError("p_max must be at least 1")
-        if not (np.isfinite(self.birth_half_width) and self.birth_half_width > 0):
-            raise ValueError("birth_half_width must be positive")
-
-    def birth_prob(self, p: int) -> float:
-        """b(p): 1 at p=1, 0 at p_max, 1/2 in between."""
-        if not 1 <= p <= self.p_max:
-            raise ValueError(f"order {p} outside 1..{self.p_max}")
-        if p == self.p_max:
-            return 0.0
-        if p == 1:
-            return 1.0
-        return 0.5
-
-    def death_prob(self, p: int) -> float:
-        return 1.0 - self.birth_prob(p)
+from .config import Hyperparams, OrderMoveConfig
+from .model import ChainOutput, TimeSeries
+from .sampler import ChainState, _run, swap_log_alpha, swapped_ar
 
 
 def order_move(

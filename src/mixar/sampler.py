@@ -30,8 +30,9 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .config import Hyperparams
 from .model import (
-    MARSpec,
+    ChainOutput,
     TimeSeries,
     check_fields,
     fitted_ar,
@@ -43,63 +44,6 @@ from .model import (
     values_valid,
 )
 from .stability import is_stable
-
-
-@dataclass(frozen=True)
-class Hyperparams:
-    """Prior constants and run lengths.
-
-    zeta, kappa: mean and precision of the component-mean prior.
-    a, b: shape and rate of the Gamma prior on lambda.
-    c: shape of the Gamma prior on the precisions tau_k.
-    gamma: the RWM proposal precision of every component (None means tune
-        a pilot).
-    fixed_shift: pin all shifts phi_k0 at zero and skip the mean update.
-    """
-
-    zeta: float
-    kappa: float
-    b: float
-    a: float = 0.2
-    c: float = 2.0
-    gamma: float | None = None
-    fixed_shift: bool = False
-    burn_in: int = 10_000
-    n_iter: int = 20_000
-    pilot_iters: int = 2_000
-
-    def __post_init__(self):
-        for name in ("kappa", "b"):
-            v = getattr(self, name)
-            if not (np.isfinite(v) and v > 0):
-                raise ValueError(f"{name} must be positive and finite, got {float(v)}")
-        if not np.isfinite(self.zeta):
-            raise ValueError("zeta must be finite")
-        if self.gamma is not None:
-            try:
-                gamma = float(self.gamma)
-            except (TypeError, ValueError):
-                raise ValueError(f"gamma must be a number, got {self.gamma!r}") from None
-            object.__setattr__(self, "gamma", gamma)
-        check_chain_settings(
-            self.a, self.c, self.gamma, self.n_iter, self.burn_in, self.pilot_iters
-        )
-
-
-def check_chain_settings(a, c, gamma, n_iter, burn_in, pilot_iters) -> None:
-    """Range rules on the Hyperparams fields that a run configuration sets."""
-    if not (a > 0 and c > 0):
-        raise ValueError("prior shape parameters a and c must be positive")
-    if gamma is not None and not gamma > 0:
-        raise ValueError("gamma must be positive")
-    if not np.all(np.isfinite((a, c) + (() if gamma is None else (gamma,)))):
-        raise ValueError("a, c and gamma must be finite")
-    if n_iter < 1:
-        raise ValueError("n_iter must be positive")
-    if not 0 <= burn_in < n_iter:
-        raise ValueError("burn_in must satisfy 0 <= burn_in < n_iter")
-    if gamma is None and pilot_iters < 500:
-        raise ValueError("pilot_iters must be at least 500 when gamma is tuned")
 
 
 def default_hyperparams(series: TimeSeries, **overrides) -> Hyperparams:
@@ -148,54 +92,6 @@ class SweepInfo:
     attempted: np.ndarray
     accepted: np.ndarray
     stability_rejected: bool
-
-
-@dataclass
-class ChainOutput:
-    """Retained draws and run diagnostics of one chain.
-
-    Arrays are indexed [draw, component(, lag)]; ar is zero-padded to the
-    chain's conditioning length `cond` and `orders` gives per-draw component
-    orders.  The run diagnostics default to none, as for draws read from a
-    file; `timing` holds the seconds of the pilot, burn-in and retained
-    sweeps, and `relabelling` what `relabel.relabel_chain` did to the draws.
-    """
-
-    g: int
-    weights: np.ndarray
-    shifts: np.ndarray
-    means: np.ndarray
-    scales: np.ndarray
-    ar: np.ndarray
-    orders: np.ndarray
-    lam: np.ndarray
-    log_likelihoods: np.ndarray
-    log_posteriors: np.ndarray
-    acceptance: np.ndarray | None = None
-    stability_rejections: int = 0
-    gamma: np.ndarray | None = None
-    fixed_shift: bool = False
-    timing: dict = field(default_factory=dict)
-    relabelling: dict = field(default_factory=dict)
-
-    @property
-    def n_draws(self) -> int:
-        return self.weights.shape[0]
-
-    @property
-    def cond(self) -> int:
-        """The number of leading observations every likelihood of the chain conditions on."""
-        return self.ar.shape[2]
-
-    def spec_at(self, i: int) -> MARSpec:
-        orders = self.orders[i]
-        ar = tuple(self.ar[i, k, : orders[k]].copy() for k in range(self.g))
-        return MARSpec(
-            weights=self.weights[i].copy(),
-            shifts=self.shifts[i].copy(),
-            ar_coeffs=ar,
-            scales=self.scales[i].copy(),
-        )
 
 
 # Block kernels, shared by the sweep, the reduced evidence chains and the

@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 import mixar
-import mixar.cli
+import mixar.evidence
 import mixar.sampler
 from mixar.cli import _align_to_truth, _fit_summaries, _resolve_workers, main
 from mixar.config import (
@@ -122,6 +122,8 @@ class TestValidation:
             self.base(pilot_iters=100)
         with pytest.raises(ValueError, match="unknown recipe 'ibn'"):
             self.base(recipe="ibn")
+        with pytest.raises(ValueError, match="g_range lists g=2 more than once"):
+            self.base(g_range=(1, 2, 3, 2))
         assert self.base(pilot_iters=100, gamma=50.0).pilot_iters == 100
 
     def test_mc_mode_normalized(self):
@@ -299,7 +301,7 @@ def _sets(pairs):
 class TestRefusedBeforeTheFirstSweep:
     @pytest.mark.parametrize("pairs, message", RELABEL_REFUSALS)
     def test_fit(self, b_series, tmp_path, monkeypatch, capsys, pairs, message):
-        monkeypatch.setattr(mixar.cli, "run_chain", _no_chain)
+        monkeypatch.setattr(mixar.sampler, "run_chain", _no_chain)
         code = run_cli(["fit", *_sets([
             f"input={b_series}", f"output_dir={tmp_path / 'fit'}", "g=3", "orders=2,1,1",
             "gamma=40", *pairs,
@@ -309,7 +311,7 @@ class TestRefusedBeforeTheFirstSweep:
 
     @pytest.mark.parametrize("pairs, message", RELABEL_REFUSALS)
     def test_replicate(self, tmp_path, monkeypatch, capsys, pairs, message):
-        monkeypatch.setattr(mixar.cli, "run_chain", _no_chain)
+        monkeypatch.setattr(mixar.sampler, "run_chain", _no_chain)
         code = run_cli(["replicate", *_sets([
             f"output_dir={tmp_path / 'rep'}", "spec=B", "replicas=2", "replica_length=120",
             "gamma=40", "workers=1", *pairs,
@@ -319,7 +321,7 @@ class TestRefusedBeforeTheFirstSweep:
 
     @pytest.mark.parametrize("pairs, message", RELABEL_REFUSALS)
     def test_select(self, b_series, tmp_path, monkeypatch, capsys, pairs, message):
-        monkeypatch.setattr(mixar.cli, "select_g", _no_chain)
+        monkeypatch.setattr(mixar.evidence, "select_g", _no_chain)
         code = run_cli(["select", *_sets([
             f"input={b_series}", f"output_dir={tmp_path / 'sel'}", "g_range=1,3",
             "workers=1", *pairs,
@@ -337,7 +339,7 @@ class TestRefusedBeforeTheFirstSweep:
 
     def test_short_pilot(self, b_series, tmp_path, monkeypatch, capsys):
         # a tuned gamma needs a pilot of at least 500 sweeps
-        monkeypatch.setattr(mixar.cli, "run_chain", _no_chain)
+        monkeypatch.setattr(mixar.sampler, "run_chain", _no_chain)
         out = tmp_path / "fit"
         code = run_cli(["fit", *_sets([
             f"input={b_series}", f"output_dir={out}", "g=3", "orders=2,1,1", "pilot_iters=100",
@@ -362,7 +364,7 @@ class TestRefusedBeforeTheFirstSweep:
     def test_fit_recipe_with_fixed_shift_refuses_shifts(self, b_series, tmp_path, monkeypatch,
                                                          capsys):
         # the ibm recipe fixes the shifts, whatever the fixed_shift key says
-        monkeypatch.setattr(mixar.cli, "run_chain", _no_chain)
+        monkeypatch.setattr(mixar.sampler, "run_chain", _no_chain)
         with pytest.warns(UserWarning, match="ibm"):
             code = run_cli(["fit", *_sets([
                 f"input={b_series}", f"output_dir={tmp_path / 'fit'}", "recipe=ibm",
@@ -382,7 +384,7 @@ class TestRefusedBeforeTheFirstSweep:
         assert code == 0
 
     def test_fit_orders_follow_g(self, b_series, tmp_path, monkeypatch, capsys):
-        monkeypatch.setattr(mixar.cli, "run_chain", _no_chain)
+        monkeypatch.setattr(mixar.sampler, "run_chain", _no_chain)
         code = run_cli(["fit", *_sets([
             f"input={b_series}", f"output_dir={tmp_path / 'fit'}", "g=2", "orders=1",
         ])])
@@ -391,7 +393,7 @@ class TestRefusedBeforeTheFirstSweep:
 
     def test_fit_does_not_read_p_max(self, b_series, tmp_path, monkeypatch, capsys):
         # fit takes its orders as given; p_max bounds only select's order chain
-        monkeypatch.setattr(mixar.cli, "run_chain", _chain_started)
+        monkeypatch.setattr(mixar.sampler, "run_chain", _chain_started)
         code = run_cli(["fit", *_sets([
             f"input={b_series}", f"output_dir={tmp_path / 'fit'}", "g=2", "orders=6,1",
             "p_max=5", "gamma=40",
@@ -402,14 +404,14 @@ class TestRefusedBeforeTheFirstSweep:
     def test_select_orders_follow_g_range_and_p_max(self, b_series, tmp_path, monkeypatch,
                                                     capsys):
         # select reads g_range, not g, so orders=2,1,1 pins its one candidate g=3
-        monkeypatch.setattr(mixar.cli, "select_g", _chain_started)
+        monkeypatch.setattr(mixar.evidence, "select_g", _chain_started)
         code = run_cli(["select", *_sets([
             f"input={b_series}", f"output_dir={tmp_path / 'sel'}", "g_range=3",
             "orders=2,1,1", "p_max=2", "workers=1",
         ])])
         assert code == 2
         assert "chain started" in capsys.readouterr().err
-        monkeypatch.setattr(mixar.cli, "select_g", _no_chain)
+        monkeypatch.setattr(mixar.evidence, "select_g", _no_chain)
         code = run_cli(["select", *_sets([
             f"input={b_series}", f"output_dir={tmp_path / 'sel'}", "g_range=1",
             "orders=9", "p_max=5", "workers=1",
@@ -418,7 +420,7 @@ class TestRefusedBeforeTheFirstSweep:
         assert "orders cannot exceed p_max" in capsys.readouterr().err
 
     def test_select_refuses_orders_it_would_ignore(self, b_series, tmp_path, monkeypatch, capsys):
-        monkeypatch.setattr(mixar.cli, "select_g", _no_chain)
+        monkeypatch.setattr(mixar.evidence, "select_g", _no_chain)
         code = run_cli(["select", *_sets([
             f"input={b_series}", f"output_dir={tmp_path / 'sel'}", "orders=1,1",
         ])])
@@ -522,17 +524,8 @@ class TestSimulate:
             f"from {entry.module} import {entry.attr} as main; "
             "sys.exit(main())"
         )
-        package_root = str(Path(mixar.__file__).resolve().parents[1])
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            filter(None, [package_root, env.get("PYTHONPATH")])
-        )
         out = tmp_path / "entry_point"
-        res = subprocess.run(
-            [sys.executable, "-c", wrapper, *args,
-             "--set", f"output_dir={out}"],
-            capture_output=True, text=True, env=env, timeout=120,
-        )
+        res = run_fresh(wrapper, *args, "--set", f"output_dir={out}")
         assert res.returncode == 0, res.stderr
         assert (out / "series.csv").exists()
 
@@ -549,6 +542,16 @@ class TestSimulate:
         )
         assert res.returncode == 0, res.stderr
         assert (out / "series.csv").exists()
+
+
+def run_fresh(code: str, *args: str) -> subprocess.CompletedProcess:
+    """Run Python source, with sys.argv[1:] = args, in a new interpreter that
+    imports mixar from the tree under test."""
+    package_root = str(Path(mixar.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-c", code, *args],
+                          capture_output=True, text=True, env=env, timeout=120)
 
 
 COMMANDS_WITHOUT_SCIPY = """
@@ -583,14 +586,8 @@ def test_commands_leave_out_scipy_and_unused_generators(tmp_path):
     loading scipy would add 18-30 ms to every command, and numpy.random
     about 20 ms to a forecast that draws nothing.
     """
-    package_root = str(Path(mixar.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
     for steps in (["simulate", "fit", "mc"], ["exact"]):
-        res = subprocess.run(
-            [sys.executable, "-c", COMMANDS_WITHOUT_SCIPY, str(tmp_path), *steps],
-            capture_output=True, text=True, env=env, timeout=120,
-        )
+        res = run_fresh(COMMANDS_WITHOUT_SCIPY, str(tmp_path), *steps)
         assert res.returncode == 0, res.stderr
 
 
@@ -621,64 +618,87 @@ def test_commands_leave_out_numpy_ma(tmp_path):
     np.quantile imports it, which costs 11-15 ms at every start; the
     starting allocations and the forecast bands use `model.quantile`.
     """
-    package_root = str(Path(mixar.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
-    res = subprocess.run(
-        [sys.executable, "-c", COMMANDS_WITHOUT_NUMPY_MA, str(tmp_path)],
-        capture_output=True, text=True, env=env, timeout=120,
-    )
+    res = run_fresh(COMMANDS_WITHOUT_NUMPY_MA, str(tmp_path))
     assert res.returncode == 0, res.stderr
 
 
-def test_cli_import_leaves_out_scipy_stats():
-    """`import mixar.cli` must not pull in scipy.stats.
+@pytest.mark.parametrize("module", ["scipy.stats", "scipy.special", "concurrent.futures"])
+def test_cli_import_leaves_out(module):
+    """`import mixar.cli` loads neither scipy nor the process pool.
 
-    No mixar module uses it, and importing it would add about as much start-up
-    time to every command as the rest of the package does.
+    No mixar module uses scipy.stats or scipy.special (the package has its
+    own logsumexp and normal CDF); either would add about as much start-up
+    time to every command as the package does.  Only runs with workers > 1
+    start a process pool, and they import it themselves; loading it up
+    front adds about 20 ms to every command.
     """
-    package_root = str(Path(mixar.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
-    res = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, mixar.cli; assert 'scipy.stats' not in sys.modules"],
-        capture_output=True, text=True, env=env, timeout=120,
-    )
+    res = run_fresh(f"import sys, mixar.cli; assert {module!r} not in sys.modules")
     assert res.returncode == 0, res.stderr
 
 
-def test_cli_import_leaves_out_scipy_special():
-    """`import mixar.cli` must not pull in scipy.special.
+LOADED_MODULES = """
+import sys
+from mixar.cli import main
 
-    The package has its own logsumexp and normal CDF; loading scipy.special
-    would add about half of the package's import time to every command.
-    """
-    package_root = str(Path(mixar.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
-    res = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, mixar.cli; assert 'scipy.special' not in sys.modules"],
-        capture_output=True, text=True, env=env, timeout=120,
-    )
+assert main(sys.argv[1:]) == 0
+print(*sorted(m for m in sys.modules if m.startswith("mixar.")))
+"""
+
+
+@QUIET
+@pytest.mark.parametrize("command, modules", [
+    ("simulate", "cli config datasets io model stability"),
+    ("fit", "cli config datasets io model relabel sampler stability summary"),
+    ("forecast", "cli config datasets forecast io model summary"),
+], ids=["simulate", "fit", "forecast"])
+def test_command_loads_only_the_modules_it_runs(fitted, tmp_path, command, modules):
+    """A command imports the compute modules it calls and no others: an exact
+    forecast from stored draws loads no sampler, and `fit` loads neither the
+    evidence, the order moves nor the forecast."""
+    sim, fit = fitted
+    series = f"input={sim / 'series.csv'}"
+    pairs = {
+        "simulate": ["n=50"],
+        "fit": [series, "g=1", "orders=1", "n_iter=260", "burn_in=100", "gamma=40"],
+        "forecast": [series, f"draws={fit / 'draws.csv'}", "horizon=3", "thin=20"],
+    }[command]
+    args = [arg for pair in [*pairs, f"output_dir={tmp_path}"] for arg in ("--set", pair)]
+    res = run_fresh(LOADED_MODULES, command, *args)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.splitlines()[-1].split() == [f"mixar.{m}" for m in modules.split()]
+
+
+def test_package_import_loads_no_submodule():
+    res = run_fresh("import sys, mixar\n"
+                    "loaded = [m for m in sys.modules if m.startswith('mixar.')]\n"
+                    "assert not loaded, loaded")
     assert res.returncode == 0, res.stderr
 
 
-def test_cli_import_leaves_out_the_process_pool():
-    """`import mixar.cli` must not load concurrent.futures.
+PUBLIC_NAMES = """
+import importlib
+import mixar
 
-    Only runs with workers > 1 start a process pool, and they import it
-    themselves; loading it up front adds about 20 ms to every command.
-    """
-    package_root = str(Path(mixar.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
-    res = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, mixar.cli; assert 'concurrent.futures' not in sys.modules"],
-        capture_output=True, text=True, env=env, timeout=120,
-    )
+for name in mixar.__all__:
+    obj = getattr(mixar, name)
+    if name == "__version__":
+        assert isinstance(obj, str)
+        continue
+    home = f"mixar.{mixar._EXPORTS[name]}"
+    assert obj.__module__ == home and getattr(importlib.import_module(home), name) is obj, name
+"""
+
+
+def test_every_public_name_resolves_to_its_home_module():
+    res = run_fresh(PUBLIC_NAMES)
+    assert res.returncode == 0, res.stderr
+
+
+def test_unknown_package_attribute_is_an_attribute_error():
+    res = run_fresh("import mixar\n"
+                    "try:\n    mixar.no_such_name\n"
+                    "except AttributeError as exc:\n    assert 'no_such_name' in str(exc)\n"
+                    "else:\n    raise SystemExit('mixar.no_such_name resolved')")
     assert res.returncode == 0, res.stderr
 
 
@@ -843,6 +863,15 @@ class TestFit:
                         "--set", "orders=1,1"])
         assert code == 2
         assert "input" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("entry", ["nan", "-inf", "1.5x"])
+    def test_series_entry_that_is_not_a_finite_number(self, tmp_path, capsys, entry):
+        series = tmp_path / "series.csv"
+        series.write_text(f"y\n0.5\n\n{entry}\n1.5\n")
+        code = run_cli(["fit", "--set", f"input={series}", "--set", f"output_dir={tmp_path}",
+                        "--set", "orders=1,1"])
+        assert code == 2
+        assert f"error: {series}:4: {entry!r} is not a finite number" in capsys.readouterr().err
 
 
 @QUIET
@@ -1149,6 +1178,22 @@ class TestReplicate:
         assert code == 0
         assert (out / "replicate_ar_1_2.csv").exists()
         assert not list(out.glob("replicate_ar_2_2.csv"))
+
+    def test_spec_file_sets_the_truth(self, tmp_path, capsys):
+        spec_file = tmp_path / "spec.json"
+        spec_file.write_text(json.dumps({
+            "weights": [0.6, 0.4], "shifts": [0.0, 1.0], "ar_coeffs": [[0.5, -0.3], [0.2]],
+            "scales": [1.0, 0.5],
+        }))
+        out = tmp_path / "rep"
+        assert self.short_study(out, "--set", f"spec_file={spec_file}") == 0
+        diag = json.loads((out / "manifest.json").read_text())["diagnostics"]
+        assert diag["spec"] == str(spec_file)
+        assert set(diag["density_modes"]) == {"pi_1", "shift_1", "sigma_1", "ar_1_1", "ar_1_2",
+                                              "pi_2", "shift_2", "sigma_2", "ar_2_1"}
+        missing = tmp_path / "missing.json"
+        assert self.short_study(tmp_path / "none", "--set", f"spec_file={missing}") == 2
+        assert f"spec_file path {missing} does not exist" in capsys.readouterr().err
 
     def test_fixed_shift_pins_the_shifts(self, tmp_path):
         out = tmp_path / "rep"

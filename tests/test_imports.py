@@ -1,10 +1,10 @@
 """No mixar module imports scipy or adds floats with the builtin sum, every
-top-level import of a mixar module is used there (or re-exported by __all__),
-every public function has a caller in the package or is exported, every
-dataclass field is read somewhere in the package, the evidence module
-neither builds a model object nor recomputes theta*'s log terms, every
-function the benchmark's traced run wraps still exists, and every
-configuration key has a reader."""
+top-level import of a mixar module is used there (the package re-exports
+nothing by import), every public function has a caller in the package or is
+exported, every dataclass field is read somewhere in the package, the
+evidence module neither builds a model object nor recomputes theta*'s log
+terms, every function the benchmark's traced run wraps still exists, and
+every configuration key has a reader."""
 
 import ast
 import dataclasses
@@ -20,7 +20,6 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "mixar"
 def unused_imports(path: Path) -> list[str]:
     tree = ast.parse(path.read_text())
     imported: dict[str, int] = {}
-    exported: set[str] = set()
     for node in tree.body:
         if isinstance(node, ast.Import):
             for alias in node.names:
@@ -28,16 +27,8 @@ def unused_imports(path: Path) -> list[str]:
         elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
             for alias in node.names:
                 imported[alias.asname or alias.name] = node.lineno
-        elif isinstance(node, ast.Assign) and any(
-            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
-        ):
-            exported = set(ast.literal_eval(node.value))
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-    return sorted(
-        f"{name} (line {line})"
-        for name, line in imported.items()
-        if name not in used and name not in exported
-    )
+    return sorted(f"{name} (line {line})" for name, line in imported.items() if name not in used)
 
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
