@@ -250,7 +250,8 @@ def _replica_param_draws(output: ChainOutput, truth: MARSpec) -> dict[str, np.nd
     for j in range(truth.g):
         src = perm[j]
         k = j + 1
-        draws[f"pi_{k}"] = output.weights[:, src].copy()
+        if truth.g > 1:  # a lone component's weight is 1 in every draw: no density
+            draws[f"pi_{k}"] = output.weights[:, src].copy()
         if not output.fixed_shift:
             draws[f"shift_{k}"] = output.shifts[:, src].copy()
         draws[f"sigma_{k}"] = output.scales[:, src].copy()

@@ -109,7 +109,6 @@ def check_chain_settings(a, c, gamma, n_iter, burn_in, pilot_iters) -> None:
         raise ValueError("pilot_iters must be at least 500 when gamma is tuned")
 
 
-
 _VALID_SUBSET = ("weights", "scales", "shifts")
 
 
@@ -149,7 +148,6 @@ class RelabelConfig:
             )
 
 
-
 @dataclass(frozen=True)
 class OrderMoveConfig:
     """Birth/death order moves (`rjmcmc`): the order cap p_max, and the
@@ -178,7 +176,6 @@ class OrderMoveConfig:
         return 1.0 - self.birth_prob(p)
 
 
-
 @dataclass(frozen=True)
 class EvidenceConfig:
     """Run lengths and settings for one evidence computation.
@@ -202,7 +199,6 @@ class EvidenceConfig:
             raise ValueError("reduced_burn_in must be nonnegative")
 
 
-
 def check_g_range(g_range: tuple[int, ...]) -> None:
     """Candidate component counts: at least one, each positive and listed once."""
     if not g_range or any(x < 1 for x in g_range):
@@ -210,7 +206,6 @@ def check_g_range(g_range: tuple[int, ...]) -> None:
     for i, g in enumerate(g_range):
         if g in g_range[:i]:
             raise ValueError(f"g_range lists g={g} more than once")
-
 
 
 @dataclass(frozen=True)
@@ -246,8 +241,6 @@ class ForecastRequest:
             if g.size < 2 or np.any(np.diff(g) <= 0):
                 raise ValueError("grid must be strictly increasing with >= 2 points")
             object.__setattr__(self, "grid", g)
-
-
 
 
 @dataclass

@@ -174,7 +174,6 @@ class ChainOutput:
         )
 
 
-
 @dataclass(frozen=True)
 class TimeSeries:
     """An observed univariate series y_1, ..., y_n."""

@@ -1180,17 +1180,17 @@ class TestReplicate:
         assert not list(out.glob("replicate_ar_2_2.csv"))
 
     def test_spec_file_sets_the_truth(self, tmp_path, capsys):
+        # one AR(2) component, where spec A has two AR(1) components; its
+        # weight is 1 in every draw and gets no density
         spec_file = tmp_path / "spec.json"
         spec_file.write_text(json.dumps({
-            "weights": [0.6, 0.4], "shifts": [0.0, 1.0], "ar_coeffs": [[0.5, -0.3], [0.2]],
-            "scales": [1.0, 0.5],
+            "weights": [1.0], "shifts": [0.5], "ar_coeffs": [[0.5, -0.3]], "scales": [1.0],
         }))
         out = tmp_path / "rep"
         assert self.short_study(out, "--set", f"spec_file={spec_file}") == 0
         diag = json.loads((out / "manifest.json").read_text())["diagnostics"]
         assert diag["spec"] == str(spec_file)
-        assert set(diag["density_modes"]) == {"pi_1", "shift_1", "sigma_1", "ar_1_1", "ar_1_2",
-                                              "pi_2", "shift_2", "sigma_2", "ar_2_1"}
+        assert set(diag["density_modes"]) == {"shift_1", "sigma_1", "ar_1_1", "ar_1_2"}
         missing = tmp_path / "missing.json"
         assert self.short_study(tmp_path / "none", "--set", f"spec_file={missing}") == 2
         assert f"spec_file path {missing} does not exist" in capsys.readouterr().err
