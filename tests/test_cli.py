@@ -662,8 +662,7 @@ def test_command_loads_only_the_modules_it_runs(fitted, tmp_path, command, modul
         "fit": [series, "g=1", "orders=1", "n_iter=260", "burn_in=100", "gamma=40"],
         "forecast": [series, f"draws={fit / 'draws.csv'}", "horizon=3", "thin=20"],
     }[command]
-    args = [arg for pair in [*pairs, f"output_dir={tmp_path}"] for arg in ("--set", pair)]
-    res = run_fresh(LOADED_MODULES, command, *args)
+    res = run_fresh(LOADED_MODULES, command, *_sets([*pairs, f"output_dir={tmp_path}"]))
     assert res.returncode == 0, res.stderr
     assert res.stdout.splitlines()[-1].split() == [f"mixar.{m}" for m in modules.split()]
 
