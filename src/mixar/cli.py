@@ -61,8 +61,10 @@ def _true_spec(config: RunConfig) -> MARSpec:
     if config.spec_file is None:
         return BUILTIN_SPECS[config.spec]()
     path = _existing_path(config.spec_file, "spec_file", "")
-    raw = json.loads(path.read_text())
     try:
+        raw = json.loads(path.read_text())
+        if not isinstance(raw, dict):
+            raise ValueError("expected a JSON object with keys weights, shifts, ar_coeffs, scales")
         return MARSpec(
             weights=np.asarray(raw["weights"], dtype=float),
             shifts=np.asarray(raw["shifts"], dtype=float),
@@ -71,6 +73,8 @@ def _true_spec(config: RunConfig) -> MARSpec:
         )
     except KeyError as exc:
         raise ValueError(f"spec file {path} is missing key {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"spec file {path}: {exc}") from None
 
 
 def _load_series(config: RunConfig) -> tuple[TimeSeries, dict]:

@@ -428,6 +428,10 @@ def validate_config(config: RunConfig) -> None:
         config.mode = "monte-carlo"
     if config.recipe is not None:
         config.fixed_shift = _recipe(config.recipe).fixed_shift
+        for key in ("difference", "log_transform"):
+            if getattr(config, key):
+                raise ValueError(f"recipe {config.recipe!r} applies its own transform; "
+                                 f"drop {key}=true or the recipe")
     check_chain_settings(**config.chain_settings())
     config.evidence_config()
     config.forecast_request()

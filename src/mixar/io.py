@@ -1,33 +1,37 @@
 """Serialization: series and draws CSVs, grid CSVs, JSON reports, manifests.
 
-All numeric output goes through a 17-significant-digit format so every
-written value reloads to the identical double.  Draws CSVs carry one row
-per retained iteration with labelled columns and reload into a ChainOutput
-whose summaries match the originals bit for bit; run diagnostics that are
-not per-draw (acceptance rates, proposal precisions, seed) live in the
-manifest instead.
+CSV values are written in 17 significant digits and JSON floats as their
+shortest repr, so every written value reloads to the identical double.
+Draws CSVs carry one row per retained iteration with labelled columns and
+reload into a ChainOutput whose summaries match the originals bit for bit;
+run diagnostics that are not per-draw (acceptance rates, proposal
+precisions, seed) live in the manifest instead.  CSV tables pass through
+numpy's C text writer and reader, so a draws file costs memory in
+proportion to its array, not a Python object per value.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import platform
+import warnings
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
 from .model import WEIGHT_SUM_TOL, ChainOutput
 
-FLOAT_FMT = "{:.17g}"
-
-
-def fmt(x: float) -> str:
-    return FLOAT_FMT.format(float(x))
+# Characters that str.splitlines breaks a line at, or that float() refuses
+# next to a number, but that np.loadtxt reads as whitespace.  A draws file
+# holding one is read line by line, as str.splitlines and float() see it.
+_LOADTXT_BLIND = "\x0b\x0c\x1c\x1d\x1e\x1f\x85\u2028\u2029"
 
 
 def jsonify(obj):
-    """Convert to plain JSON types, routing floats through the 17-digit format."""
+    """Convert to plain JSON types; a non-finite float becomes its str."""
     if isinstance(obj, dict):
         return {str(k): jsonify(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -38,7 +42,7 @@ def jsonify(obj):
         return bool(obj)
     if isinstance(obj, (np.floating, float)):
         x = float(obj)
-        return float(fmt(x)) if math.isfinite(x) else str(x)
+        return x if math.isfinite(x) else str(x)
     if isinstance(obj, (np.integer, int)):
         return int(obj)
     return obj
@@ -50,12 +54,13 @@ def write_json(path: str | Path, obj) -> None:
 
 def _write_columns(path: str | Path, header: list[str], columns: list[np.ndarray]) -> None:
     """The one CSV writer: a header line, then one row per index of the equal-length
-    columns, every value through `fmt` (which prints an integer-valued double
-    below 1e17, such as an order, as `str(int)` does)."""
+    columns, every value as `%.17g` (which prints an integer-valued double below
+    1e17, such as an order, as `str(int)` does).  np.savetxt gets an open file:
+    given a path, it opens one through numpy's data-source layer, which imports
+    gzip."""
     table = np.column_stack([np.asarray(c, dtype=float) for c in columns])
-    lines = [",".join(header)]
-    lines.extend(",".join(map(fmt, row.tolist())) for row in table)
-    Path(path).write_text("\n".join(lines) + "\n")
+    with open(path, "w") as fh:
+        np.savetxt(fh, table, fmt="%.17g", delimiter=",", header=",".join(header), comments="")
 
 
 def write_series_csv(path: str | Path, values: np.ndarray) -> None:
@@ -110,12 +115,74 @@ def read_draws_csv(path: str | Path) -> ChainOutput:
 
     Every row is checked (`_check_draws`).  Run diagnostics that are not
     stored per draw come back as None; the conditioning length is the
-    file's AR width.
+    file's AR width.  np.loadtxt parses the body in C.  A file it refuses,
+    or one whose lines it would split or skip otherwise than str.splitlines
+    does (a blank line, a `_LOADTXT_BLIND` character), is read again line by
+    line, so its refusal names the offending text as before.
     """
-    text = Path(path).read_text().splitlines()
-    if len(text) < 2:
+    with open(path) as fh:
+        n_lines = _plain_line_count(fh)
+        fh.seek(0)
+        if n_lines is not None and n_lines >= 2:
+            header = fh.readline().rstrip("\n").split(",")
+            g, width = _draws_layout(path, header)
+            data = _load_table(fh)
+            if data is not None and data.shape == (n_lines - 1, len(header)):
+                return _draws_output(path, header, g, width, data, partial(_row_tokens, path))
+            fh.seek(0)
+        return _read_draws_lines(path, fh.read().splitlines())
+
+
+def _plain_line_count(fh) -> int | None:
+    """The number of lines left in text file `fh`, read in chunks; None when it
+    holds a `_LOADTXT_BLIND` character or does not decode."""
+    count, last = 0, "\n"
+    try:
+        while chunk := fh.read(1 << 16):
+            if any(c in chunk for c in _LOADTXT_BLIND):
+                return None
+            count += chunk.count("\n")
+            last = chunk[-1]
+    except UnicodeDecodeError:
+        return None
+    return count + (last != "\n")
+
+
+def _load_table(fh) -> np.ndarray | None:
+    """The rest of `fh` as a 2-d float array, or None where np.loadtxt refuses it.
+
+    np.loadtxt skips blank lines and warns when nothing else is left; the
+    caller compares the row count with the line count instead.
+    """
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        try:
+            return np.loadtxt(fh, delimiter=",", ndmin=2, comments=None)
+        except ValueError:
+            return None
+
+
+def _row_tokens(path: str | Path, i: int) -> list[str]:
+    """The values of draw i (body line i) as written in the file."""
+    with open(path) as fh:
+        return next(itertools.islice(fh, i + 1, None)).rstrip("\n").split(",")
+
+
+def _read_draws_lines(path: str | Path, lines: list[str]) -> ChainOutput:
+    """`read_draws_csv` on the file's lines, every value through `_number`."""
+    if len(lines) < 2:
         raise ValueError(f"{path} holds no draws")
-    header = text[0].split(",")
+    header = lines[0].split(",")
+    g, width = _draws_layout(path, header)
+    rows = [line.split(",") for line in lines[1:]]
+    if any(len(row) != len(header) for row in rows):
+        raise ValueError(f"{path} has a row that does not hold one value per header column")
+    data = np.array([[_number(x) for x in row] for row in rows])
+    return _draws_output(path, header, g, width, data, rows.__getitem__)
+
+
+def _draws_layout(path: str | Path, header: list[str]) -> tuple[int, int]:
+    """(g, AR width) of a draws header, refusing any other layout."""
     g = [name.startswith("pi_") for name in header].count(True)
     if g < 1:
         raise ValueError(f"{path} has no pi_k columns; not a draws file")
@@ -123,14 +190,15 @@ def read_draws_csv(path: str | Path) -> ChainOutput:
     width = (len(header) - 4) // g - 5
     if header != draws_header(g, width):
         raise ValueError(f"{path} column layout does not match a draws file for g={g}")
-    rows = [line.split(",") for line in text[1:]]
-    if any(len(row) != len(header) for row in rows):
-        raise ValueError(f"{path} has a row that does not hold one value per header column")
-    data = np.array([[_number(x) for x in row] for row in rows])
+    return g, width
+
+
+def _draws_output(path, header, g, width, data, row_tokens) -> ChainOutput:
+    """The checked ChainOutput of a draws table; `row_tokens(i)` gives draw i's text."""
     blocks = data[:, 1:-3].reshape(data.shape[0], g, 5 + width)
     fields = np.ascontiguousarray(blocks[:, :, :5].transpose(2, 0, 1))
     weights, shifts, means, scales, orders = fields
-    _check_draws(path, rows, header, data, width, weights, scales, orders)
+    _check_draws(path, row_tokens, header, data, width, weights, scales, orders)
     lam, log_likelihoods, log_posteriors = np.ascontiguousarray(data[:, -3:].T)
     return ChainOutput(
         g=g,
@@ -155,13 +223,14 @@ def _number(text: str) -> float:
         return math.nan
 
 
-def _check_draws(path, rows, header, data, width, weights, scales, orders) -> None:
+def _check_draws(path, row_tokens, header, data, width, weights, scales, orders) -> None:
     """Refuse the first bad value of a draws file, naming its iteration and column.
 
     Every value must be a finite number and every order an integer in
     1..width, and each draw must pass `model.check_fields`' rules: positive
     weights summing to one and positive scales.  AR entries beyond a draw's
-    order are not read.
+    order are not read.  The message quotes the file's text, which
+    `row_tokens(i)` gives for draw i.
     """
     g = orders.shape[1]
     pi_col = 1 + (5 + width) * np.arange(g)  # the column of pi_k, for 0-based k
@@ -175,13 +244,14 @@ def _check_draws(path, rows, header, data, width, weights, scales, orders) -> No
         if bad.any():
             i, j = np.argwhere(bad)[0].tolist()
             j = j if offset is None else int(pi_col[j]) + offset
-            raise ValueError(f"{path}: iteration {rows[i][0]}, column {header[j]}: "
-                             f"{rows[i][j]} {reason}")
+            row = row_tokens(i)
+            raise ValueError(f"{path}: iteration {row[0]}, column {header[j]}: "
+                             f"{row[j]} {reason}")
     total = weights.sum(axis=1)
     off = np.abs(total - 1.0) > WEIGHT_SUM_TOL
     if off.any():
         i = int(off.argmax())
-        raise ValueError(f"{path}: iteration {rows[i][0]}, columns pi_1..pi_{g}: "
+        raise ValueError(f"{path}: iteration {row_tokens(i)[0]}, columns pi_1..pi_{g}: "
                          f"mixing weights must sum to 1, got {float(total[i])}")
 
 

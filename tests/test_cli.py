@@ -9,6 +9,7 @@ import re
 import shutil
 import subprocess
 import sys
+import tracemalloc
 import typing
 from dataclasses import fields
 from pathlib import Path
@@ -122,6 +123,9 @@ class TestValidation:
             self.base(pilot_iters=100)
         with pytest.raises(ValueError, match="unknown recipe 'ibn'"):
             self.base(recipe="ibn")
+        for key in ("difference", "log_transform"):
+            with pytest.raises(ValueError, match=f"recipe 'lynx' .* drop {key}=true"):
+                self.base(recipe="lynx", **{key: True})
         with pytest.raises(ValueError, match="g_range lists g=2 more than once"):
             self.base(g_range=(1, 2, 3, 2))
         assert self.base(pilot_iters=100, gamma=50.0).pilot_iters == 100
@@ -496,6 +500,17 @@ class TestSimulate:
         assert code == 2
         assert "missing key" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text", ["[1, 2]", "3", "{"], ids=["array", "number", "not-json"])
+    def test_spec_file_that_is_not_a_spec_object(self, tmp_path, capsys, text):
+        spec_file = tmp_path / "spec.json"
+        spec_file.write_text(text)
+        code = run_cli([
+            "simulate", "--set", f"output_dir={tmp_path / 'out'}",
+            "--set", f"spec_file={spec_file}",
+        ])
+        assert code == 2
+        assert f"spec file {spec_file}: " in capsys.readouterr().err
+
     def test_unknown_override_is_a_clean_error(self, tmp_path, capsys):
         # a key whose option was removed is refused like any other unknown key
         for key in ("bogus", "literal_death_density"):
@@ -641,6 +656,7 @@ import sys
 from mixar.cli import main
 
 assert main(sys.argv[1:]) == 0
+assert "gzip" not in sys.modules, "the command loaded gzip"
 print(*sorted(m for m in sys.modules if m.startswith("mixar.")))
 """
 
@@ -654,7 +670,8 @@ print(*sorted(m for m in sys.modules if m.startswith("mixar.")))
 def test_command_loads_only_the_modules_it_runs(fitted, tmp_path, command, modules):
     """A command imports the compute modules it calls and no others: an exact
     forecast from stored draws loads no sampler, and `fit` loads neither the
-    evidence, the order moves nor the forecast."""
+    evidence, the order moves nor the forecast.  No command loads gzip, which
+    numpy's text routines import when handed a path instead of a file."""
     sim, fit = fitted
     series = f"input={sim / 'series.csv'}"
     pairs = {
@@ -810,17 +827,50 @@ class TestFit:
             assert got.dtype == want.dtype and got.flags.c_contiguous, name
             assert got.tobytes() == want.tobytes(), name
 
+    def test_draws_file_io_memory_is_proportional_to_the_array(self, tmp_path):
+        # numpy's C text routines parse and format the values; a Python float
+        # and str per value took 17 and 8 times the array to read and write
+        rng = np.random.default_rng(4)
+        n, g, width = 2000, 3, 2
+        output = ChainOutput(
+            g=g, weights=rng.dirichlet(np.ones(g), n), shifts=rng.normal(size=(n, g)),
+            means=rng.normal(size=(n, g)), scales=rng.random((n, g)),
+            ar=rng.normal(size=(n, g, width)), orders=rng.integers(1, width + 1, (n, g)),
+            lam=rng.random(n), log_likelihoods=rng.normal(size=n),
+            log_posteriors=rng.normal(size=n), acceptance=None, stability_rejections=0,
+            gamma=None, fixed_shift=False,
+        )
+        path = tmp_path / "draws.csv"
+        array_bytes = n * len(draws_header(g, width)) * 8
+        for step in (write_draws_csv, lambda p, _: read_draws_csv(p)):
+            tracemalloc.start()
+            try:
+                step(path, output)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 3 * array_bytes, (step, peak / array_bytes)
+
     @pytest.mark.parametrize("columns, values, message", [
         (-1, -1, "column layout does not match"),
         (0, -1, "a row that does not hold one value per header column"),
         (0, 1, "a row that does not hold one value per header column"),
+        # np.loadtxt skips a blank line; the reader must not
+        pytest.param(0, (0, None, 0), "a row that does not hold one value per header column",
+                     id="blank-line-mid-file"),
+        pytest.param(0, (0, None), "a row that does not hold one value per header column",
+                     id="blank-line-at-end"),
     ])
     def test_draws_file_of_another_layout_is_refused(self, tmp_path, columns, values, message):
+        # `values` is the row's length less the header's, or a tuple of them
+        # for several rows, None standing for a blank line
         path = tmp_path / "draws.csv"
         header = draws_header(2, 1)
         width = len(header)
+        rows = values if isinstance(values, tuple) else (values,)
         path.write_text(",".join(header[: width + columns]) + "\n"
-                        + ",".join(["0.5"] * (width + values)) + "\n")
+                        + "".join("\n" if v is None else ",".join(["0.5"] * (width + v)) + "\n"
+                                  for v in rows))
         with pytest.raises(ValueError, match=message):
             read_draws_csv(path)
 
