@@ -354,7 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        config = build_config(args.config, args.overrides)
+        config = build_config(args.config, args.overrides, args.command)
         out = Path(config.output_dir)
         out.mkdir(parents=True, exist_ok=True)
         started = time.perf_counter()

@@ -397,9 +397,13 @@ def parse_overrides(pairs: list[str]) -> dict[str, object]:
 
 
 def build_config(
-    config_path: str | Path | None, overrides: list[str] | None = None
+    config_path: str | Path | None, overrides: list[str] | None = None, command: str | None = None
 ) -> RunConfig:
-    """Assemble a validated RunConfig from an optional file plus overrides."""
+    """Assemble a validated RunConfig from an optional file plus overrides.
+
+    `fit` takes g and orders from a named recipe, so for that command either
+    key set beside a recipe is refused rather than ignored.
+    """
     values: dict[str, object] = {}
     if config_path is not None:
         values.update(parse_config_file(config_path))
@@ -407,6 +411,11 @@ def build_config(
         values.update(parse_overrides(overrides))
     config = RunConfig(**values)
     validate_config(config)
+    if command == "fit" and config.recipe is not None:
+        for key in ("g", "orders"):
+            if key in values:
+                raise ValueError(f"recipe {config.recipe!r} sets fit's g and orders; "
+                                 f"drop {key} or the recipe")
     return config
 
 

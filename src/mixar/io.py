@@ -5,9 +5,10 @@ shortest repr, so every written value reloads to the identical double.
 Draws CSVs carry one row per retained iteration with labelled columns and
 reload into a ChainOutput whose summaries match the originals bit for bit;
 run diagnostics that are not per-draw (acceptance rates, proposal
-precisions, seed) live in the manifest instead.  CSV tables pass through
-numpy's C text writer and reader, so a draws file costs memory in
-proportion to its array, not a Python object per value.
+precisions, seed) live in the manifest instead.  CSV tables are written by
+np.savetxt; a draws file is read one line at a time into a preallocated
+array, so it costs memory in proportion to its array, not a Python object
+per value.
 """
 
 from __future__ import annotations
@@ -16,18 +17,11 @@ import itertools
 import json
 import math
 import platform
-import warnings
-from functools import partial
 from pathlib import Path
 
 import numpy as np
 
 from .model import WEIGHT_SUM_TOL, ChainOutput
-
-# Characters that str.splitlines breaks a line at, or that float() refuses
-# next to a number, but that np.loadtxt reads as whitespace.  A draws file
-# holding one is read line by line, as str.splitlines and float() see it.
-_LOADTXT_BLIND = "\x0b\x0c\x1c\x1d\x1e\x1f\x85\u2028\u2029"
 
 
 def jsonify(obj):
@@ -115,70 +109,38 @@ def read_draws_csv(path: str | Path) -> ChainOutput:
 
     Every row is checked (`_check_draws`).  Run diagnostics that are not
     stored per draw come back as None; the conditioning length is the
-    file's AR width.  np.loadtxt parses the body in C.  A file it refuses,
-    or one whose lines it would split or skip otherwise than str.splitlines
-    does (a blank line, a `_LOADTXT_BLIND` character), is read again line by
-    line, so its refusal names the offending text as before.
+    file's AR width.  The file is read one line at a time into a float
+    array preallocated from its line count.  A line without one value per
+    header column, or one that str.splitlines would break (at a form feed,
+    say), is refused; a value that float() refuses reads as NaN, so that
+    `_check_draws` names its text.
     """
     with open(path) as fh:
-        n_lines = _plain_line_count(fh)
+        n_lines = 0
+        for n_lines, _ in enumerate(fh, 1):
+            pass
+        if n_lines < 2:
+            raise ValueError(f"{path} holds no draws")
         fh.seek(0)
-        if n_lines is not None and n_lines >= 2:
-            header = fh.readline().rstrip("\n").split(",")
-            g, width = _draws_layout(path, header)
-            data = _load_table(fh)
-            if data is not None and data.shape == (n_lines - 1, len(header)):
-                return _draws_output(path, header, g, width, data, partial(_row_tokens, path))
-            fh.seek(0)
-        return _read_draws_lines(path, fh.read().splitlines())
-
-
-def _plain_line_count(fh) -> int | None:
-    """The number of lines left in text file `fh`, read in chunks; None when it
-    holds a `_LOADTXT_BLIND` character or does not decode."""
-    count, last = 0, "\n"
-    try:
-        while chunk := fh.read(1 << 16):
-            if any(c in chunk for c in _LOADTXT_BLIND):
-                return None
-            count += chunk.count("\n")
-            last = chunk[-1]
-    except UnicodeDecodeError:
-        return None
-    return count + (last != "\n")
-
-
-def _load_table(fh) -> np.ndarray | None:
-    """The rest of `fh` as a 2-d float array, or None where np.loadtxt refuses it.
-
-    np.loadtxt skips blank lines and warns when nothing else is left; the
-    caller compares the row count with the line count instead.
-    """
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UserWarning)
-        try:
-            return np.loadtxt(fh, delimiter=",", ndmin=2, comments=None)
-        except ValueError:
-            return None
+        header = fh.readline().rstrip("\n").split(",")
+        g, width = _draws_layout(path, header)
+        data = np.empty((n_lines - 1, len(header)))
+        for i, line in enumerate(fh):
+            text, *rest = line.splitlines()
+            row = text.split(",")
+            if rest or len(row) != len(header):
+                raise ValueError(f"{path} has a row that does not hold one value per header column")
+            try:
+                data[i] = row
+            except ValueError:
+                data[i] = [_number(x) for x in row]
+    return _draws_output(path, header, g, width, data)
 
 
 def _row_tokens(path: str | Path, i: int) -> list[str]:
     """The values of draw i (body line i) as written in the file."""
     with open(path) as fh:
-        return next(itertools.islice(fh, i + 1, None)).rstrip("\n").split(",")
-
-
-def _read_draws_lines(path: str | Path, lines: list[str]) -> ChainOutput:
-    """`read_draws_csv` on the file's lines, every value through `_number`."""
-    if len(lines) < 2:
-        raise ValueError(f"{path} holds no draws")
-    header = lines[0].split(",")
-    g, width = _draws_layout(path, header)
-    rows = [line.split(",") for line in lines[1:]]
-    if any(len(row) != len(header) for row in rows):
-        raise ValueError(f"{path} has a row that does not hold one value per header column")
-    data = np.array([[_number(x) for x in row] for row in rows])
-    return _draws_output(path, header, g, width, data, rows.__getitem__)
+        return next(itertools.islice(fh, i + 1, None)).splitlines()[0].split(",")
 
 
 def _draws_layout(path: str | Path, header: list[str]) -> tuple[int, int]:
@@ -193,12 +155,12 @@ def _draws_layout(path: str | Path, header: list[str]) -> tuple[int, int]:
     return g, width
 
 
-def _draws_output(path, header, g, width, data, row_tokens) -> ChainOutput:
-    """The checked ChainOutput of a draws table; `row_tokens(i)` gives draw i's text."""
+def _draws_output(path, header, g, width, data) -> ChainOutput:
+    """The checked ChainOutput of a draws table."""
     blocks = data[:, 1:-3].reshape(data.shape[0], g, 5 + width)
     fields = np.ascontiguousarray(blocks[:, :, :5].transpose(2, 0, 1))
     weights, shifts, means, scales, orders = fields
-    _check_draws(path, row_tokens, header, data, width, weights, scales, orders)
+    _check_draws(path, header, data, width, weights, scales, orders)
     lam, log_likelihoods, log_posteriors = np.ascontiguousarray(data[:, -3:].T)
     return ChainOutput(
         g=g,
@@ -223,14 +185,13 @@ def _number(text: str) -> float:
         return math.nan
 
 
-def _check_draws(path, row_tokens, header, data, width, weights, scales, orders) -> None:
+def _check_draws(path, header, data, width, weights, scales, orders) -> None:
     """Refuse the first bad value of a draws file, naming its iteration and column.
 
     Every value must be a finite number and every order an integer in
     1..width, and each draw must pass `model.check_fields`' rules: positive
     weights summing to one and positive scales.  AR entries beyond a draw's
-    order are not read.  The message quotes the file's text, which
-    `row_tokens(i)` gives for draw i.
+    order are not read.  The message quotes the file's text (`_row_tokens`).
     """
     g = orders.shape[1]
     pi_col = 1 + (5 + width) * np.arange(g)  # the column of pi_k, for 0-based k
@@ -244,14 +205,14 @@ def _check_draws(path, row_tokens, header, data, width, weights, scales, orders)
         if bad.any():
             i, j = np.argwhere(bad)[0].tolist()
             j = j if offset is None else int(pi_col[j]) + offset
-            row = row_tokens(i)
+            row = _row_tokens(path, i)
             raise ValueError(f"{path}: iteration {row[0]}, column {header[j]}: "
                              f"{row[j]} {reason}")
     total = weights.sum(axis=1)
     off = np.abs(total - 1.0) > WEIGHT_SUM_TOL
     if off.any():
         i = int(off.argmax())
-        raise ValueError(f"{path}: iteration {row_tokens(i)[0]}, columns pi_1..pi_{g}: "
+        raise ValueError(f"{path}: iteration {_row_tokens(path, i)[0]}, columns pi_1..pi_{g}: "
                          f"mixing weights must sum to 1, got {float(total[i])}")
 
 

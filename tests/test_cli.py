@@ -39,7 +39,7 @@ from mixar.io import (
     write_draws_csv,
     write_series_csv,
 )
-from mixar.datasets import model_b_spec
+from mixar.datasets import RECIPES, model_b_spec
 from mixar.model import MARSpec, simulate_path
 from mixar.sampler import ChainOutput
 
@@ -377,6 +377,50 @@ class TestRefusedBeforeTheFirstSweep:
         assert code == 2
         err = capsys.readouterr().err
         assert "relabel_subset holds shifts" in err and "fixed_shift" in err
+
+    @pytest.mark.parametrize("pair, key", [("g=1", "g"), ("g=2", "g"), ("orders=1,2", "orders")])
+    @pytest.mark.parametrize("in_file", [False, True], ids=["set", "config-file"])
+    def test_fit_recipe_refuses_g_and_orders(self, b_series, tmp_path, monkeypatch, capsys, pair,
+                                             key, in_file):
+        # the recipe sets fit's shape, so a g or orders beside it would be echoed, not run
+        monkeypatch.setattr(mixar.sampler, "run_chain", _no_chain)
+        args = _sets([f"input={b_series}", f"output_dir={tmp_path / 'fit'}", "recipe=lynx"])
+        if in_file:
+            (tmp_path / "run.cfg").write_text(pair + "\n")
+            args += ["--config", str(tmp_path / "run.cfg")]
+        else:
+            args += _sets([pair])
+        assert run_cli(["fit", *args]) == 2
+        assert f"recipe 'lynx' sets fit's g and orders; drop {key} or the recipe" in (
+            capsys.readouterr().err)
+
+    @pytest.mark.parametrize("name", ["lynx", "ibm"])
+    def test_fit_runs_the_recipe_shape(self, tmp_path, monkeypatch, capsys, name):
+        recipe = RECIPES[name]
+        data = tmp_path / "y.csv"
+        values = simulate_path(model_b_spec(), recipe.expected_length, seed=2).values
+        write_series_csv(data, np.exp(values / 10.0))  # positive, as lynx's log needs
+        shapes = []
+
+        def chain_shape(series, g, orders, *args):
+            shapes.append((g, orders))
+            raise ValueError("chain started")
+
+        monkeypatch.setattr(mixar.sampler, "run_chain", chain_shape)
+        code = run_cli(["fit", *_sets([f"input={data}", f"output_dir={tmp_path / 'fit'}",
+                                       f"recipe={name}", "gamma=40"])])
+        assert code == 2 and "chain started" in capsys.readouterr().err
+        assert shapes == [(recipe.g, recipe.orders)]
+
+    def test_select_recipe_keeps_pinned_orders(self, tmp_path, monkeypatch, capsys):
+        data = tmp_path / "y.csv"
+        write_series_csv(data, simulate_path(model_b_spec(), 369, seed=2).values)
+        monkeypatch.setattr(mixar.evidence, "select_g", _chain_started)
+        code = run_cli(["select", *_sets([
+            f"input={data}", f"output_dir={tmp_path / 'sel'}", "recipe=ibm", "g_range=1",
+            "orders=1", "p_max=1", "workers=1",
+        ])])
+        assert code == 2 and "chain started" in capsys.readouterr().err
 
     def test_one_component_fixed_shift_chain_keeps_shifts(self, b_series, tmp_path):
         # a one-component chain is never relabelled, so its subset is not checked
@@ -729,6 +773,9 @@ def _declared_scripts():
         return tomllib.load(fh).get("project", {}).get("scripts", {})
 
 
+ROW_REFUSAL = "a row that does not hold one value per header column"
+
+
 @pytest.fixture(scope="module")
 def b_draws(tmp_path_factory):
     """A spec-B series and a draws file holding spec B three times (g=3)."""
@@ -855,7 +902,7 @@ class TestFit:
         (-1, -1, "column layout does not match"),
         (0, -1, "a row that does not hold one value per header column"),
         (0, 1, "a row that does not hold one value per header column"),
-        # np.loadtxt skips a blank line; the reader must not
+        # a blank line is a row, not a line to skip
         pytest.param(0, (0, None, 0), "a row that does not hold one value per header column",
                      id="blank-line-mid-file"),
         pytest.param(0, (0, None), "a row that does not hold one value per header column",
@@ -873,6 +920,38 @@ class TestFit:
                                   for v in rows))
         with pytest.raises(ValueError, match=message):
             read_draws_csv(path)
+
+    @pytest.mark.parametrize("edit, message", [
+        *[pytest.param(lambda row, c=c: row.replace(",", c + ",", 1), ROW_REFUSAL,
+                       id=f"{ord(c):#x}-in-a-row") for c in "\x0b\x0c\x85\u2028"],
+        *[pytest.param(lambda row, c=c: row + c, ROW_REFUSAL, id=f"{ord(c):#x}-ends-a-row")
+          for c in "\x0b\x0c\x85\u2028"],
+        pytest.param(lambda row: row + "\x1f", "is not a finite number", id="0x1f-after-a-value"),
+        pytest.param(lambda row: " \t", ROW_REFUSAL, id="whitespace-only-line"),
+    ])
+    def test_draws_line_that_splitlines_or_float_refuses(self, fitted, tmp_path, edit, message):
+        # float() reads the first four characters as whitespace, yet str.splitlines
+        # breaks a line at each; it refuses 0x1f beside a number
+        lines = (fitted[1] / "draws.csv").read_text().split("\n")
+        lines[2] = edit(lines[2])
+        path = tmp_path / "draws.csv"
+        path.write_text("\n".join(lines))
+        with pytest.raises(ValueError, match=message):
+            read_draws_csv(path)
+
+    @pytest.mark.parametrize("edit", [
+        lambda text: text.replace(b"\n", b"\r\n"),
+        lambda text: text.replace(b"\n", b"\r"),
+        lambda text: text[:-1],
+    ], ids=["crlf", "cr-only", "no-final-newline"])
+    def test_draws_file_line_endings_reload_bitwise(self, fitted, tmp_path, edit):
+        draws = fitted[1] / "draws.csv"
+        path = tmp_path / "draws.csv"
+        path.write_bytes(edit(draws.read_bytes()))
+        want, got = read_draws_csv(draws), read_draws_csv(path)
+        for name in ("weights", "shifts", "means", "scales", "ar", "orders", "lam",
+                     "log_likelihoods", "log_posteriors"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
 
     def test_repeat_run_is_bitwise_identical(self, fitted, tmp_path):
         sim, fit = fitted
