@@ -19,7 +19,6 @@ _EXPORTS = {
     "Hyperparams": "config", "RelabelConfig": "config", "OrderMoveConfig": "config",
     "EvidenceConfig": "config", "ForecastRequest": "config",
     "DatasetRecipe": "datasets", "model_a_spec": "datasets", "model_b_spec": "datasets",
-    "prepare_recipe": "datasets",
     "ChainOutput": "model", "MARSpec": "model", "TimeSeries": "model",
     "conditional_cdf": "model", "conditional_moments": "model", "conditional_pdf": "model",
     "log_likelihood": "model", "simulate_path": "model", "theoretical_acf": "model",

@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import RunConfig, build_config, check_workers, config_dict, parse_value
-from .datasets import BUILTIN_LENGTHS, BUILTIN_SPECS, RECIPES, apply_transform, prepare_recipe
+from .datasets import BUILTIN_LENGTHS, BUILTIN_SPECS, RECIPES, apply_transform
 from .io import (
     evidence_payload,
     read_draws_csv,
@@ -81,29 +81,13 @@ def _load_series(config: RunConfig) -> tuple[TimeSeries, dict]:
     """Read, optionally transform, and describe the input series."""
     path = _existing_path(config.input, "input", "this command needs input=<series CSV path>")
     raw = read_series_csv(path)
-    echo: dict = {"input": str(path), "raw_length": int(raw.size)}
     if config.recipe is not None:
-        values, recipe = prepare_recipe(config.recipe, raw)
-        echo["recipe"] = recipe.name
-        echo["transform"] = recipe.transform
-    else:
-        transform = "none"
-        if config.difference:
-            transform = "difference"
-        elif config.log_transform:
-            transform = "log"
-        values = apply_transform(raw, transform)
-        echo["transform"] = transform
-    echo["length"] = int(values.size)
+        RECIPES[config.recipe].check_length(raw.size)
+    transform = config.transform or "none"
+    values = apply_transform(raw, transform)
+    echo = {"input": str(path), "raw_length": int(raw.size), "transform": transform,
+            "length": int(values.size)}
     return TimeSeries(values), echo
-
-
-def _model_shape(config: RunConfig) -> tuple[int, tuple[int, ...] | None]:
-    """fit's (g, orders), letting a named recipe set them."""
-    if config.recipe is not None:
-        recipe = RECIPES[config.recipe]
-        return recipe.g, recipe.orders
-    return config.g, config.orders
 
 
 def _fit_summaries(output: ChainOutput):
@@ -127,7 +111,7 @@ def cmd_simulate(config: RunConfig, out: Path) -> tuple[list[str], dict]:
     from .stability import is_stable
 
     spec = _true_spec(config)
-    n = config.n if config.n is not None else BUILTIN_LENGTHS.get(config.spec, 300)
+    n = config.n if config.n is not None else BUILTIN_LENGTHS[config.spec]
     series = simulate_path(spec, n, seed=config.seed)
     path = out / "series.csv"
     write_series_csv(path, series.values)
@@ -145,14 +129,14 @@ def cmd_fit(config: RunConfig, out: Path) -> tuple[list[str], dict]:
     from .summary import check_draw_count
 
     series, echo = _load_series(config)
-    g, orders = _model_shape(config)
+    g, orders = config.g, config.orders
     if orders is None:
         raise ValueError("fit needs orders=<comma separated list, one per component>")
     if len(orders) != g:
         raise ValueError("orders must list one order per component")
     relabel = config.relabel_config(g)
     check_draw_count(config.n_iter - config.burn_in)
-    hyper = default_hyperparams(series, fixed_shift=config.fixed_shift, **config.chain_settings())
+    hyper = default_hyperparams(series, **config.chain_settings())
     output = run_chain(series, g, orders, hyper, config.seed)
     start = time.perf_counter()
     output = relabel_chain(output, relabel)
@@ -190,7 +174,7 @@ def cmd_select(config: RunConfig, out: Path) -> tuple[list[str], dict]:
         raise ValueError("orders cannot exceed p_max")
     ev_config = config.evidence_config(max(g_range))
     series, echo = _load_series(config)
-    hyper = default_hyperparams(series, fixed_shift=config.fixed_shift, **config.chain_settings())
+    hyper = default_hyperparams(series, **config.chain_settings())
     workers = _resolve_workers(config)
     best_g, results = select_g(series, g_range, hyper, ev_config, config.seed, workers)
     report_path = out / "evidence.json"
@@ -283,7 +267,7 @@ def cmd_replicate(config: RunConfig, out: Path) -> tuple[list[str], dict]:
     truth = _true_spec(config)
     n = config.replica_length
     relabel = config.relabel_config(truth.g)
-    overrides = dict(config.chain_settings(), fixed_shift=config.fixed_shift)
+    overrides = config.chain_settings()
     children = np.random.SeedSequence(config.seed).spawn(config.replicas)
     jobs = []
     for child in children:

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .datasets import _recipe
+from .datasets import TRANSFORMS, _recipe
 
 
 def _parse_bool(text: str) -> bool:
@@ -88,25 +88,19 @@ class Hyperparams:
             except (TypeError, ValueError):
                 raise ValueError(f"gamma must be a number, got {self.gamma!r}") from None
             object.__setattr__(self, "gamma", gamma)
-        check_chain_settings(
-            self.a, self.c, self.gamma, self.n_iter, self.burn_in, self.pilot_iters
-        )
-
-
-def check_chain_settings(a, c, gamma, n_iter, burn_in, pilot_iters) -> None:
-    """Range rules on the Hyperparams fields that a run configuration sets."""
-    if not (a > 0 and c > 0):
-        raise ValueError("prior shape parameters a and c must be positive")
-    if gamma is not None and not gamma > 0:
-        raise ValueError("gamma must be positive")
-    if not np.all(np.isfinite((a, c) + (() if gamma is None else (gamma,)))):
-        raise ValueError("a, c and gamma must be finite")
-    if n_iter < 1:
-        raise ValueError("n_iter must be positive")
-    if not 0 <= burn_in < n_iter:
-        raise ValueError("burn_in must satisfy 0 <= burn_in < n_iter")
-    if gamma is None and pilot_iters < 500:
-        raise ValueError("pilot_iters must be at least 500 when gamma is tuned")
+        if not (self.a > 0 and self.c > 0):
+            raise ValueError("prior shape parameters a and c must be positive")
+        if self.gamma is not None and not self.gamma > 0:
+            raise ValueError("gamma must be positive")
+        shapes = (self.a, self.c) + (() if self.gamma is None else (self.gamma,))
+        if not np.all(np.isfinite(shapes)):
+            raise ValueError("a, c and gamma must be finite")
+        if self.n_iter < 1:
+            raise ValueError("n_iter must be positive")
+        if not 0 <= self.burn_in < self.n_iter:
+            raise ValueError("burn_in must satisfy 0 <= burn_in < n_iter")
+        if self.gamma is None and self.pilot_iters < 500:
+            raise ValueError("pilot_iters must be at least 500 when gamma is tuned")
 
 
 _VALID_SUBSET = ("weights", "scales", "shifts")
@@ -275,8 +269,7 @@ class RunConfig:
 
     # data preprocessing
     recipe: str | None = None
-    difference: bool = False
-    log_transform: bool = False
+    transform: str | None = None
 
     # relabelling
     relabel_warm_start: int = RelabelConfig.m
@@ -313,10 +306,10 @@ class RunConfig:
         return {f.name: getattr(self, f.name) for f in fields(cls) if f.name in _FIELD_TYPES}
 
     def chain_settings(self) -> dict:
-        """Hyperparams overrides for every chain: prior shapes, run lengths and,
-        when set, the one RWM proposal precision shared by every component."""
-        return dict(a=self.a, c=self.c, gamma=self.gamma, n_iter=self.n_iter,
-                    burn_in=self.burn_in, pilot_iters=self.pilot_iters)
+        """Hyperparams overrides for every chain: prior shapes, run lengths,
+        fixed_shift and, when set, the one RWM proposal precision shared by
+        every component."""
+        return self._shared(Hyperparams)
 
     def relabel_config(self, g: int) -> RelabelConfig:
         """Relabelling settings; a g >= 2 chain will be relabelled, so it is checked."""
@@ -401,8 +394,9 @@ def build_config(
 ) -> RunConfig:
     """Assemble a validated RunConfig from an optional file plus overrides.
 
-    `fit` takes g and orders from a named recipe, so for that command either
-    key set beside a recipe is refused rather than ignored.
+    `fit` takes g and orders from a named recipe: they are resolved here, so
+    the manifest echoes the shape that ran, and a g or orders set beside the
+    recipe to another value is refused rather than ignored.
     """
     values: dict[str, object] = {}
     if config_path is not None:
@@ -412,10 +406,12 @@ def build_config(
     config = RunConfig(**values)
     validate_config(config)
     if command == "fit" and config.recipe is not None:
+        recipe = _recipe(config.recipe)
         for key in ("g", "orders"):
-            if key in values:
+            if key in values and values[key] != getattr(recipe, key):
                 raise ValueError(f"recipe {config.recipe!r} sets fit's g and orders; "
                                  f"drop {key} or the recipe")
+        config.g, config.orders = recipe.g, recipe.orders
     return config
 
 
@@ -429,19 +425,23 @@ def validate_config(config: RunConfig) -> None:
 
     Every settings object a command builds from the configuration is built
     here once, so its own range checks apply to every command; the rules
-    below are the ones no such object owns.  Two settings are resolved
-    here, so every reader and the manifest's echo see the value that runs:
-    mode "mc" becomes "monte-carlo", and a named recipe sets fixed_shift.
+    below are the ones no such object owns.  Settings are resolved here, so
+    every reader and the manifest's echo see the value that runs: mode "mc"
+    becomes "monte-carlo", and a named recipe sets transform (refusing
+    another) and fixed_shift.
     """
     if config.mode == "mc":
         config.mode = "monte-carlo"
+    if config.transform not in (None, *TRANSFORMS):
+        raise ValueError(f"unknown transform {config.transform!r}; choose from {TRANSFORMS}")
     if config.recipe is not None:
-        config.fixed_shift = _recipe(config.recipe).fixed_shift
-        for key in ("difference", "log_transform"):
-            if getattr(config, key):
-                raise ValueError(f"recipe {config.recipe!r} applies its own transform; "
-                                 f"drop {key}=true or the recipe")
-    check_chain_settings(**config.chain_settings())
+        recipe = _recipe(config.recipe)
+        if config.transform not in (None, recipe.transform):
+            raise ValueError(f"recipe {config.recipe!r} applies its own transform; "
+                             f"drop transform={config.transform} or the recipe")
+        config.transform, config.fixed_shift = recipe.transform, recipe.fixed_shift
+    # zeta, kappa and b come from the series; any valid values check the rest
+    Hyperparams(zeta=0.0, kappa=1.0, b=1.0, **config.chain_settings())
     config.evidence_config()
     config.forecast_request()
     check_g_range(tuple(config.g_range))
@@ -458,8 +458,6 @@ def validate_config(config: RunConfig) -> None:
     if config.replica_length < 2:
         raise ValueError("replica_length must be at least 2")
     check_workers(config.workers)
-    if config.difference and config.log_transform:
-        raise ValueError("choose at most one of difference and log_transform")
 
 
 def config_dict(config: RunConfig) -> dict[str, object]:

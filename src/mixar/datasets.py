@@ -46,11 +46,21 @@ class DatasetRecipe:
     """Preprocessing and default fit settings for a named series."""
 
     name: str
-    transform: str  # "difference" | "log" | "none"
+    transform: str  # one of TRANSFORMS
     expected_length: int  # raw length before any transform
     g: int
     orders: tuple[int, ...]
     fixed_shift: bool
+
+    def check_length(self, raw_length: int) -> None:
+        """Warn, not refuse, on a raw series of another length: the recipe
+        still applies to a longer or shorter version of the same series."""
+        if raw_length != self.expected_length:
+            warnings.warn(
+                f"recipe {self.name!r} expects {self.expected_length} raw observations, "
+                f"got {raw_length}",
+                stacklevel=2,
+            )
 
 
 RECIPES = {
@@ -73,8 +83,11 @@ RECIPES = {
 }
 
 
+TRANSFORMS = ("difference", "log")
+
+
 def apply_transform(values: np.ndarray, transform: str) -> np.ndarray:
-    """Apply a named preprocessing step to a raw series."""
+    """Apply a named preprocessing step (one of TRANSFORMS, or "none") to a raw series."""
     values = np.asarray(values, dtype=float)
     if transform == "none":
         return values.copy()
@@ -94,20 +107,3 @@ def _recipe(name: str) -> DatasetRecipe:
         return RECIPES[name]
     except KeyError:
         raise ValueError(f"unknown recipe {name!r}; available: {sorted(RECIPES)}") from None
-
-
-def prepare_recipe(name: str, raw_values: np.ndarray) -> tuple[np.ndarray, DatasetRecipe]:
-    """Validate a user-supplied raw series against a recipe and transform it.
-
-    A length mismatch is a warning, not an error: the recipe still applies
-    to a longer or shorter version of the same series.
-    """
-    recipe = _recipe(name)
-    raw_values = np.asarray(raw_values, dtype=float)
-    if raw_values.size != recipe.expected_length:
-        warnings.warn(
-            f"recipe {name!r} expects {recipe.expected_length} raw observations, "
-            f"got {raw_values.size}",
-            stacklevel=2,
-        )
-    return apply_transform(raw_values, recipe.transform), recipe

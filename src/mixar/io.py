@@ -237,7 +237,7 @@ def summaries_payload(summaries) -> dict:
     }
 
 
-def evidence_payload(results, best_g: int | None = None) -> dict:
+def evidence_payload(results, best_g: int) -> dict:
     rows = []
     for r in results:
         rows.append(
@@ -250,10 +250,7 @@ def evidence_payload(results, best_g: int | None = None) -> dict:
                 "parts": dict(r.parts),
             }
         )
-    payload = {"models": rows}
-    if best_g is not None:
-        payload["best_g"] = best_g
-    return payload
+    return {"models": rows, "best_g": best_g}
 
 
 def _versions() -> dict[str, str]:
@@ -273,7 +270,7 @@ def write_manifest(
     seed: int,
     wall_clock_seconds: float,
     outputs: list[str],
-    diagnostics: dict | None = None,
+    diagnostics: dict,
 ) -> None:
     """Record everything needed to reproduce the run bit for bit."""
     manifest = {
@@ -283,6 +280,6 @@ def write_manifest(
         "versions": _versions(),
         "wall_clock_seconds": wall_clock_seconds,
         "outputs": sorted(outputs),
-        "diagnostics": diagnostics or {},
+        "diagnostics": diagnostics,
     }
     write_json(path, manifest)

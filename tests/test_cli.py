@@ -21,7 +21,7 @@ import pytest
 import mixar
 import mixar.evidence
 import mixar.sampler
-from mixar.cli import _align_to_truth, _fit_summaries, _resolve_workers, main
+from mixar.cli import _align_to_truth, _fit_summaries, _resolve_workers, build_parser, main
 from mixar.config import (
     RunConfig,
     build_config,
@@ -115,17 +115,18 @@ class TestValidation:
             self.base(spec="C")
         with pytest.raises(ValueError, match="mode"):
             self.base(mode="both")
-        with pytest.raises(ValueError, match="at most one"):
-            self.base(difference=True, log_transform=True)
+        with pytest.raises(ValueError, match="unknown transform 'sqrt'"):
+            self.base(transform="sqrt")
         with pytest.raises(ValueError, match="workers"):
             self.base(workers=0)
         with pytest.raises(ValueError, match="pilot_iters must be at least 500"):
             self.base(pilot_iters=100)
         with pytest.raises(ValueError, match="unknown recipe 'ibn'"):
             self.base(recipe="ibn")
-        for key in ("difference", "log_transform"):
-            with pytest.raises(ValueError, match=f"recipe 'lynx' .* drop {key}=true"):
-                self.base(recipe="lynx", **{key: True})
+        with pytest.raises(ValueError, match="recipe 'lynx' .* drop transform=difference"):
+            self.base(recipe="lynx", transform="difference")
+        with pytest.raises(ValueError, match="recipe 'ibm' .* drop transform=log"):
+            self.base(recipe="ibm", transform="log")
         with pytest.raises(ValueError, match="g_range lists g=2 more than once"):
             self.base(g_range=(1, 2, 3, 2))
         assert self.base(pilot_iters=100, gamma=50.0).pilot_iters == 100
@@ -137,6 +138,12 @@ class TestValidation:
     def test_recipe_sets_fixed_shift(self):
         assert self.base(recipe="ibm").fixed_shift is True
         assert self.base(recipe="lynx", fixed_shift=True).fixed_shift is False
+
+    def test_recipe_sets_transform(self):
+        # the recipe's own transform is what runs, so setting it beside the recipe is no conflict
+        assert self.base(recipe="ibm").transform == "difference"
+        assert self.base(recipe="lynx", transform="log").transform == "log"
+        assert self.base().transform is None
 
     def test_config_dict_lists_tuples(self):
         d = config_dict(self.base(orders=(1, 1)))
@@ -378,11 +385,11 @@ class TestRefusedBeforeTheFirstSweep:
         err = capsys.readouterr().err
         assert "relabel_subset holds shifts" in err and "fixed_shift" in err
 
-    @pytest.mark.parametrize("pair, key", [("g=1", "g"), ("g=2", "g"), ("orders=1,2", "orders")])
+    @pytest.mark.parametrize("pair, key", [("g=1", "g"), ("orders=2,1", "orders")])
     @pytest.mark.parametrize("in_file", [False, True], ids=["set", "config-file"])
     def test_fit_recipe_refuses_g_and_orders(self, b_series, tmp_path, monkeypatch, capsys, pair,
                                              key, in_file):
-        # the recipe sets fit's shape, so a g or orders beside it would be echoed, not run
+        # the recipe sets fit's shape, so another g or orders beside it would not run
         monkeypatch.setattr(mixar.sampler, "run_chain", _no_chain)
         args = _sets([f"input={b_series}", f"output_dir={tmp_path / 'fit'}", "recipe=lynx"])
         if in_file:
@@ -411,6 +418,48 @@ class TestRefusedBeforeTheFirstSweep:
                                        f"recipe={name}", "gamma=40"])])
         assert code == 2 and "chain started" in capsys.readouterr().err
         assert shapes == [(recipe.g, recipe.orders)]
+
+    @QUIET
+    @pytest.mark.parametrize("pair", ["g=2", "orders=1,2"])
+    def test_fit_recipe_runs_its_own_g_and_orders(self, tmp_path, pair):
+        # lynx's g=2 and orders=1,2 are the shape that runs, so they are accepted and echoed
+        data = tmp_path / "y.csv"
+        values = simulate_path(model_b_spec(), RECIPES["lynx"].expected_length, seed=2).values
+        write_series_csv(data, np.exp(values / 10.0))
+        out = tmp_path / "fit"
+        assert run_cli(["fit", *_sets([
+            f"input={data}", f"output_dir={out}", "recipe=lynx", pair, "n_iter=300",
+            "burn_in=100", "relabel_warm_start=50", "gamma=40",
+        ])]) == 0
+        echo = json.loads((out / "manifest.json").read_text())["config"]
+        assert (echo["g"], echo["orders"], echo["transform"]) == (2, [1, 2], "log")
+
+    @pytest.mark.parametrize("name", ["ibm", "lynx"])
+    def test_transform_key_gives_the_recipe_series(self, tmp_path, monkeypatch, capsys, name):
+        # transform=difference is ibm's preprocessing and transform=log is lynx's
+        recipe = RECIPES[name]
+        data = tmp_path / "y.csv"
+        values = simulate_path(model_b_spec(), recipe.expected_length, seed=2).values
+        write_series_csv(data, np.exp(values / 10.0))
+        seen = []
+
+        def chain_series(series, *args):
+            seen.append(series.values)
+            raise ValueError("chain started")
+
+        monkeypatch.setattr(mixar.sampler, "run_chain", chain_series)
+        base = [f"input={data}", f"output_dir={tmp_path / 'fit'}", "gamma=40"]
+        for pairs in ([f"recipe={name}"], [f"transform={recipe.transform}", "g=2", "orders=1,1"]):
+            assert run_cli(["fit", *_sets(base + pairs)]) == 2
+            assert "chain started" in capsys.readouterr().err
+        by_recipe, by_key = seen
+        assert by_key.size == by_recipe.size and by_key.tobytes() == by_recipe.tobytes()
+
+    def test_unknown_transform_is_refused_before_the_input_is_read(self, tmp_path, capsys):
+        code = run_cli(["fit", *_sets([f"input={tmp_path / 'missing.csv'}", "transform=sqrt",
+                                       "g=1", "orders=1"])])
+        assert code == 2
+        assert "unknown transform 'sqrt'" in capsys.readouterr().err
 
     def test_select_recipe_keeps_pinned_orders(self, tmp_path, monkeypatch, capsys):
         data = tmp_path / "y.csv"
@@ -478,7 +527,20 @@ class TestRefusedBeforeTheFirstSweep:
 
 
 def run_cli(args):
-    return main(args)
+    """`mixar` in process; a run that exits 0 must echo a config that rebuilds it."""
+    code = main(args)
+    if code == 0:
+        parsed = build_parser().parse_args(args)
+        config = build_config(parsed.config, parsed.overrides, parsed.command)
+        echo = json.loads((Path(config.output_dir) / "manifest.json").read_text())["config"]
+        assert build_config(None, echo_pairs(echo), parsed.command) == config
+    return code
+
+
+def echo_pairs(echo):
+    """A manifest's config echo as key=value texts."""
+    return [f"{key}={','.join(map(str, v)) if isinstance(v, list) else v}"
+            for key, v in echo.items()]
 
 
 def csv_columns(path):
@@ -875,8 +937,9 @@ class TestFit:
             assert got.tobytes() == want.tobytes(), name
 
     def test_draws_file_io_memory_is_proportional_to_the_array(self, tmp_path):
-        # numpy's C text routines parse and format the values; a Python float
-        # and str per value took 17 and 8 times the array to read and write
+        # np.savetxt formats the values and the reader fills a preallocated float
+        # array line by line; a Python float and str per value took 17 and 8
+        # times the array to read and write
         rng = np.random.default_rng(4)
         n, g, width = 2000, 3, 2
         output = ChainOutput(
@@ -976,6 +1039,26 @@ class TestFit:
         m1["config"].pop("output_dir")
         m2["config"].pop("output_dir")
         assert m1["config"] == m2["config"] and m1["seed"] == m2["seed"]
+
+    def test_recipe_run_reruns_from_its_echo(self, tmp_path):
+        # the echo names the g, orders, transform and fixed_shift that the ibm
+        # recipe ran, so the echo alone, as a config file, reproduces the run
+        data = tmp_path / "y.csv"
+        write_series_csv(data, simulate_path(model_b_spec(), 369, seed=2).values)
+        first, again = tmp_path / "first", tmp_path / "again"
+        assert run_cli(["fit", *_sets([
+            f"input={data}", f"output_dir={first}", "recipe=ibm", "n_iter=300",
+            "burn_in=100", "relabel_warm_start=50", "gamma=40", "seed=5",
+        ])]) == 0
+        echo = json.loads((first / "manifest.json").read_text())["config"]
+        assert (echo["g"], echo["orders"]) == (3, [4, 1, 1])
+        assert (echo["transform"], echo["fixed_shift"]) == ("difference", True)
+        cfg = tmp_path / "echo.cfg"
+        cfg.write_text("".join(f"{pair}\n" for pair in echo_pairs(echo)))
+        assert run_cli(["fit", "--config", str(cfg), "--set", f"output_dir={again}"]) == 0
+        for name in ("draws.csv", "summaries.json"):
+            digests = [hashlib.sha256((d / name).read_bytes()).hexdigest() for d in (first, again)]
+            assert digests[0] == digests[1], name
 
     def test_missing_orders_is_an_error(self, fitted, tmp_path, capsys):
         sim, _ = fitted
