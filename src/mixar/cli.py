@@ -6,6 +6,9 @@ finishes with a manifest recording the config echo, seed, package versions,
 wall clock and diagnostics.  Re-running a command with the manifest's
 config and seed reproduces the data outputs bit for bit.  Each command
 imports the compute modules it runs, so `forecast` loads no sampler.
+Importing this module keeps OpenSSL's libcrypto out of a process that has
+not loaded `_hashlib` yet, so hashlib there offers only CPython's built-in
+algorithms.
 """
 
 from __future__ import annotations
@@ -16,6 +19,14 @@ import os
 import sys
 import time
 from pathlib import Path
+
+# numpy.random imports secrets, hence hmac, hence _hashlib, which maps
+# OpenSSL's libcrypto: about 3.4 MB resident in every command that draws,
+# though mixar hashes nothing.  Blocked, hashlib and hmac fall back to
+# CPython's built-in digests and constant-time compare.  setdefault keeps a
+# _hashlib the host process already loaded; only the command line does
+# this, so `import mixar` leaves a host's modules alone.
+sys.modules.setdefault("_hashlib", None)
 
 import numpy as np
 

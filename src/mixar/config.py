@@ -396,7 +396,9 @@ def build_config(
 
     `fit` takes g and orders from a named recipe: they are resolved here, so
     the manifest echoes the shape that ran, and a g or orders set beside the
-    recipe to another value is refused rather than ignored.
+    recipe to another value is refused rather than ignored.  So is a
+    fixed_shift set to another value than the recipe's, for every command:
+    only here can a set value be told from the default.
     """
     values: dict[str, object] = {}
     if config_path is not None:
@@ -405,13 +407,17 @@ def build_config(
         values.update(parse_overrides(overrides))
     config = RunConfig(**values)
     validate_config(config)
-    if command == "fit" and config.recipe is not None:
+    if config.recipe is not None:
         recipe = _recipe(config.recipe)
-        for key in ("g", "orders"):
-            if key in values and values[key] != getattr(recipe, key):
-                raise ValueError(f"recipe {config.recipe!r} sets fit's g and orders; "
-                                 f"drop {key} or the recipe")
-        config.g, config.orders = recipe.g, recipe.orders
+        if values.get("fixed_shift", recipe.fixed_shift) != recipe.fixed_shift:
+            raise ValueError(f"recipe {config.recipe!r} sets fixed_shift; "
+                             "drop fixed_shift or the recipe")
+        if command == "fit":
+            for key in ("g", "orders"):
+                if key in values and values[key] != getattr(recipe, key):
+                    raise ValueError(f"recipe {config.recipe!r} sets fit's g and orders; "
+                                     f"drop {key} or the recipe")
+            config.g, config.orders = recipe.g, recipe.orders
     return config
 
 

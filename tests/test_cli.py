@@ -1,6 +1,7 @@
 """Configuration parsing and the five CLI subcommands, end to end."""
 
 import hashlib
+import importlib.machinery
 import importlib.metadata
 import itertools
 import json
@@ -136,8 +137,13 @@ class TestValidation:
         assert cfg.mode == "monte-carlo"
 
     def test_recipe_sets_fixed_shift(self):
-        assert self.base(recipe="ibm").fixed_shift is True
-        assert self.base(recipe="lynx", fixed_shift=True).fixed_shift is False
+        # another value set beside the recipe is refused; the recipe's own is what runs
+        for command in ("simulate", "fit", "select", "forecast", "replicate"):
+            assert build_config(None, ["recipe=ibm"], command).fixed_shift is True
+            assert build_config(None, ["recipe=ibm", "fixed_shift=true"], command).fixed_shift
+            with pytest.raises(ValueError, match="recipe 'lynx' sets fixed_shift; "
+                                                 "drop fixed_shift or the recipe"):
+                build_config(None, ["recipe=lynx", "fixed_shift=true"], command)
 
     def test_recipe_sets_transform(self):
         # the recipe's own transform is what runs, so setting it beside the recipe is no conflict
@@ -743,6 +749,77 @@ def test_commands_leave_out_numpy_ma(tmp_path):
     assert res.returncode == 0, res.stderr
 
 
+COMMANDS_WITHOUT_OPENSSL = """
+import sys
+from mixar.cli import main
+
+out = sys.argv[1]
+sets = lambda *pairs: [arg for pair in pairs for arg in ("--set", pair)]
+series = f"input={out}/series.csv"
+chain = ["n_iter=260", "burn_in=100", "gamma=40", "relabel_warm_start=50"]
+evidence = ["g_range=1,2", "p_max=1", "n_j=20", "n_i=20", "reduced_burn_in=5"]
+for argv in (
+    ["simulate", *sets(f"output_dir={out}", "n=120", "seed=3")],
+    ["fit", *sets(series, f"output_dir={out}", "g=1", "orders=1", *chain)],
+    *(["select", *sets(series, f"output_dir={out}/select{w}", *evidence, f"workers={w}",
+                       *chain)] for w in (1, 2)),
+    ["forecast", *sets(series, f"draws={out}/draws.csv", "horizon=2", "thin=20",
+                       "mode=monte-carlo", "mc_paths=200", f"output_dir={out}/forecast")],
+    ["replicate", *sets(f"output_dir={out}/replicate", "replicas=2", "replica_length=80",
+                        "workers=2", *chain)],
+):
+    assert main(argv) == 0, argv[0]
+assert sys.modules["_hashlib"] is None, "a command loaded _hashlib"
+if sys.platform.startswith("linux"):
+    with open("/proc/self/maps") as maps:
+        assert "libcrypto" not in maps.read(), "a command mapped libcrypto"
+import hashlib, hmac
+
+assert hashlib.sha256(b"abc").hexdigest() == (
+    "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad")
+assert hmac.new(b"k", b"m", "sha256").hexdigest() == (
+    "b60090e3052297aeb5a080889ce2fc4bca957e756faeb4df7d31800ca1e771ec")
+"""
+
+
+@QUIET
+def test_commands_leave_out_openssl(tmp_path):
+    """No command loads `_hashlib`, so none maps OpenSSL's libcrypto.
+
+    numpy.random imports it through secrets and hmac, at about 3.4 MB
+    resident per process; `mixar.cli` blocks it, and hashlib and hmac still
+    give the standard digests from CPython's own code.
+    """
+    res = run_fresh(COMMANDS_WITHOUT_OPENSSL, str(tmp_path))
+    assert res.returncode == 0, res.stderr
+
+
+# found on sys.path, since this process's sys.modules may hold the CLI's block
+NEEDS_HASHLIB = pytest.mark.skipif(importlib.machinery.PathFinder.find_spec("_hashlib") is None,
+                                   reason="Python built without OpenSSL's _hashlib")
+
+
+@NEEDS_HASHLIB
+def test_cli_import_keeps_a_loaded_hashlib():
+    # the block is a default: a host that loaded OpenSSL first keeps it
+    res = run_fresh("import sys, _hashlib, mixar.cli\n"
+                    "assert sys.modules['_hashlib'] is _hashlib")
+    assert res.returncode == 0, res.stderr
+
+
+@NEEDS_HASHLIB
+def test_library_import_leaves_hashlib_alone():
+    # only the command line blocks _hashlib; the library leaves its host's modules alone
+    res = run_fresh("import importlib, pkgutil, sys, mixar\n"
+                    "import numpy as np\n"
+                    "for info in pkgutil.iter_modules(mixar.__path__):\n"
+                    "    if info.name != 'cli':\n"
+                    "        importlib.import_module(f'mixar.{info.name}')\n"
+                    "np.random.default_rng(0)\n"
+                    "assert sys.modules['_hashlib'] is not None")
+    assert res.returncode == 0, res.stderr
+
+
 @pytest.mark.parametrize("module", ["scipy.stats", "scipy.special", "concurrent.futures"])
 def test_cli_import_leaves_out(module):
     """`import mixar.cli` loads neither scipy nor the process pool.
@@ -772,18 +849,28 @@ print(*sorted(m for m in sys.modules if m.startswith("mixar.")))
     ("simulate", "cli config datasets io model stability"),
     ("fit", "cli config datasets io model relabel sampler stability summary"),
     ("forecast", "cli config datasets forecast io model summary"),
-], ids=["simulate", "fit", "forecast"])
+    ("select", "cli config datasets evidence io model relabel rjmcmc sampler stability"),
+    ("replicate", "cli config datasets evidence io model relabel rjmcmc sampler stability "
+                  "summary"),
+], ids=["simulate", "fit", "forecast", "select", "replicate"])
 def test_command_loads_only_the_modules_it_runs(fitted, tmp_path, command, modules):
     """A command imports the compute modules it calls and no others: an exact
     forecast from stored draws loads no sampler, and `fit` loads neither the
-    evidence, the order moves nor the forecast.  No command loads gzip, which
-    numpy's text routines import when handed a path instead of a file."""
+    evidence, the order moves nor the forecast.  `replicate` loads evidence,
+    and through it rjmcmc, only for the `_map_jobs` pool helper; the list
+    pins what loads today.  No command loads gzip, which numpy's text
+    routines import when handed a path instead of a file."""
     sim, fit = fitted
     series = f"input={sim / 'series.csv'}"
+    chain = ["n_iter=260", "burn_in=100", "gamma=40"]
     pairs = {
         "simulate": ["n=50"],
-        "fit": [series, "g=1", "orders=1", "n_iter=260", "burn_in=100", "gamma=40"],
+        "fit": [series, "g=1", "orders=1", *chain],
         "forecast": [series, f"draws={fit / 'draws.csv'}", "horizon=3", "thin=20"],
+        "select": [series, "g_range=1", "p_max=1", "n_j=20", "n_i=20", "reduced_burn_in=5",
+                   "workers=1", *chain],
+        "replicate": ["replicas=2", "replica_length=80", "relabel_warm_start=50", "workers=1",
+                      *chain],
     }[command]
     res = run_fresh(LOADED_MODULES, command, *_sets([*pairs, f"output_dir={tmp_path}"]))
     assert res.returncode == 0, res.stderr

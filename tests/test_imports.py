@@ -1,10 +1,10 @@
-"""No mixar module imports scipy or adds floats with the builtin sum, every
-top-level import of a mixar module is used there (the package re-exports
-nothing by import), every public function has a caller in the package or is
-exported, every dataclass field is read somewhere in the package, the
-evidence module neither builds a model object nor recomputes theta*'s log
-terms, every function the benchmark's traced run wraps still exists, and
-every configuration key has a reader."""
+"""No mixar module imports scipy or a hashing module or adds floats with
+the builtin sum, every top-level import of a mixar module is used there (the
+package re-exports nothing by import), every public function has a caller in
+the package or is exported, every dataclass field is read somewhere in the
+package, the evidence module neither builds a model object nor recomputes
+theta*'s log terms, every function the benchmark's traced run wraps still
+exists, and every configuration key has a reader."""
 
 import ast
 import dataclasses
@@ -50,23 +50,22 @@ def package_sources() -> dict[str, str]:
     return {path.stem: path.read_text() for path in sorted(SRC.glob("*.py"))}
 
 
-def scipy_imports(sources: dict[str, str]) -> list[str]:
-    """Every import of scipy, at any depth of a module, as module:line.
-
-    At run time the package needs only numpy; scipy is a test dependency.
-    """
+def imports_of(sources: dict[str, str], roots: set[str]) -> list[str]:
+    """Every import of a module under one of the top-level names `roots`, at
+    any depth of a module, as module:line."""
     return sorted(
         f"{module}:{node.lineno}"
         for module, text in sources.items()
         for node in ast.walk(ast.parse(text))
         if (isinstance(node, ast.Import)
-            and any(alias.name.split(".")[0] == "scipy" for alias in node.names))
-        or (isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "scipy")
+            and any(alias.name.split(".")[0] in roots for alias in node.names))
+        or (isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] in roots)
     )
 
 
 def test_no_module_imports_scipy():
-    assert scipy_imports(package_sources()) == []
+    # at run time the package needs only numpy; scipy is a test dependency
+    assert imports_of(package_sources(), {"scipy"}) == []
 
 
 def test_guard_flags_a_scipy_import_inside_a_function():
@@ -74,7 +73,25 @@ def test_guard_flags_a_scipy_import_inside_a_function():
     sources["io"] += "\n\ndef _scipy_version():\n    import scipy.special\n    return scipy.__version__\n"
     sources["summary"] = "from scipy.stats import norm\n" + sources["summary"]
     line = sources["io"].count("\n") - 1
-    assert scipy_imports(sources) == [f"io:{line}", "summary:1"]
+    assert imports_of(sources, {"scipy"}) == [f"io:{line}", "summary:1"]
+
+
+HASHING = {"hashlib", "hmac", "secrets", "ssl", "_hashlib"}
+
+
+def test_no_module_imports_a_hashing_module():
+    # the command line blocks _hashlib to keep OpenSSL out, which costs nothing
+    # only while mixar hashes nothing
+    assert imports_of(package_sources(), HASHING) == []
+
+
+def test_guard_flags_a_hashing_import_inside_a_function():
+    sources = package_sources()
+    sources["io"] += "\n\ndef _digest(data):\n    import hashlib\n    return hashlib.sha256(data)\n"
+    sources["cli"] = "from hmac import compare_digest\n" + sources["cli"]
+    sources["sampler"] = "import os, secrets\n" + sources["sampler"]
+    line = sources["io"].count("\n") - 1
+    assert imports_of(sources, HASHING) == ["cli:1", f"io:{line}", "sampler:1"]
 
 
 EIGENSOLVERS = {"eig", "eigvals"}
