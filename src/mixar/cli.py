@@ -2,9 +2,12 @@
 
 Every subcommand takes an optional key=value config file plus repeatable
 --set key=value overrides, writes its data files into output_dir, and
-finishes with a manifest recording the config echo, seed, package versions,
-wall clock and diagnostics.  Re-running a command with the manifest's
-config and seed reproduces the data outputs bit for bit.  Each command
+finishes with a manifest recording the config echo, package versions, wall
+clock and diagnostics.  `config` checks and resolves every setting before
+a handler runs, so the echo holds each setting as it ran and the handlers
+only read files, run and write; the diagnostics hold only what a run
+measured or derived from its data.  Re-running a command with the
+manifest's config reproduces the data outputs bit for bit.  Each command
 imports the compute modules it runs, so `forecast` loads no sampler.
 Importing this module keeps OpenSSL's libcrypto out of a process that has
 not loaded `_hashlib` yet, so hashlib there offers only CPython's built-in
@@ -15,7 +18,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from pathlib import Path
@@ -30,8 +32,8 @@ sys.modules.setdefault("_hashlib", None)
 
 import numpy as np
 
-from .config import RunConfig, build_config, check_workers, config_dict, parse_value
-from .datasets import BUILTIN_LENGTHS, BUILTIN_SPECS, RECIPES, apply_transform
+from .config import RunConfig, build_config, config_dict
+from .datasets import BUILTIN_SPECS, RECIPES, apply_transform
 from .io import (
     evidence_payload,
     read_draws_csv,
@@ -44,18 +46,6 @@ from .io import (
     write_series_csv,
 )
 from .model import ChainOutput, MARSpec, TimeSeries, simulate_path
-
-WORKERS_ENV = "MIXAR_WORKERS"
-
-
-def _resolve_workers(config: RunConfig) -> int:
-    """The workers setting, else MIXAR_WORKERS parsed like it, else the CPU count."""
-    workers = config.workers
-    if workers is None:
-        workers = parse_value("workers", os.environ.get(WORKERS_ENV, ""), WORKERS_ENV)
-        check_workers(workers, WORKERS_ENV)
-    return workers or os.cpu_count() or 1
-
 
 def _existing_path(value: str | None, key: str, needs: str) -> Path:
     """The path a key names, which must be set (else the error `needs`) and exist."""
@@ -89,16 +79,13 @@ def _true_spec(config: RunConfig) -> MARSpec:
 
 
 def _load_series(config: RunConfig) -> tuple[TimeSeries, dict]:
-    """Read, optionally transform, and describe the input series."""
+    """Read and optionally transform the input series, with its lengths before and after."""
     path = _existing_path(config.input, "input", "this command needs input=<series CSV path>")
     raw = read_series_csv(path)
     if config.recipe is not None:
         RECIPES[config.recipe].check_length(raw.size)
-    transform = config.transform or "none"
-    values = apply_transform(raw, transform)
-    echo = {"input": str(path), "raw_length": int(raw.size), "transform": transform,
-            "length": int(values.size)}
-    return TimeSeries(values), echo
+    values = apply_transform(raw, config.transform or "none")
+    return TimeSeries(values), {"raw_length": int(raw.size), "length": int(values.size)}
 
 
 def _fit_summaries(output: ChainOutput):
@@ -122,47 +109,30 @@ def cmd_simulate(config: RunConfig, out: Path) -> tuple[list[str], dict]:
     from .stability import is_stable
 
     spec = _true_spec(config)
-    n = config.n if config.n is not None else BUILTIN_LENGTHS[config.spec]
-    series = simulate_path(spec, n, seed=config.seed)
+    series = simulate_path(spec, config.n, seed=config.seed)
     path = out / "series.csv"
     write_series_csv(path, series.values)
-    diag = {
-        "spec": config.spec_file or config.spec,
-        "n": n,
-        "spectral_radius": is_stable(spec.weights, spec.phi_matrix()).spectral_radius,
-    }
-    return [str(path)], diag
+    radius = is_stable(spec.weights, spec.phi_matrix()).spectral_radius
+    return [str(path)], {"spectral_radius": radius}
 
 
 def cmd_fit(config: RunConfig, out: Path) -> tuple[list[str], dict]:
     from .relabel import relabel_chain
     from .sampler import default_hyperparams, run_chain
-    from .summary import check_draw_count
 
-    series, echo = _load_series(config)
-    g, orders = config.g, config.orders
-    if orders is None:
-        raise ValueError("fit needs orders=<comma separated list, one per component>")
-    if len(orders) != g:
-        raise ValueError("orders must list one order per component")
-    relabel = config.relabel_config(g)
-    check_draw_count(config.n_iter - config.burn_in)
+    series, diag = _load_series(config)
     hyper = default_hyperparams(series, **config.chain_settings())
-    output = run_chain(series, g, orders, hyper, config.seed)
+    output = run_chain(series, config.g, config.orders, hyper, config.seed)
     start = time.perf_counter()
-    output = relabel_chain(output, relabel)
+    output = relabel_chain(output, config.relabel_config(config.g))
     timing = {**output.timing, "relabel_s": time.perf_counter() - start}
     summaries = _fit_summaries(output)
     draws_path = out / "draws.csv"
     summaries_path = out / "summaries.json"
     write_draws_csv(draws_path, output)
     write_json(summaries_path, summaries_payload(summaries))
-    diag = dict(echo)
     diag.update(
         {
-            "g": g,
-            "orders": list(orders),
-            "fixed_shift": config.fixed_shift,
             "acceptance_rates": output.acceptance,
             "stability_rejections": output.stability_rejections,
             "proposal_precisions": output.gamma,
@@ -177,21 +147,14 @@ def cmd_select(config: RunConfig, out: Path) -> tuple[list[str], dict]:
     from .evidence import select_g
     from .sampler import default_hyperparams
 
-    g_range = tuple(config.g_range)
-    if config.orders is not None and g_range != (len(config.orders),):
-        raise ValueError(f"select pins orders={list(config.orders)} only for "
-                         f"g_range={len(config.orders)}, got g_range={list(g_range)}")
-    if config.orders is not None and max(config.orders) > config.p_max:
-        raise ValueError("orders cannot exceed p_max")
-    ev_config = config.evidence_config(max(g_range))
-    series, echo = _load_series(config)
+    series, diag = _load_series(config)
     hyper = default_hyperparams(series, **config.chain_settings())
-    workers = _resolve_workers(config)
-    best_g, results = select_g(series, g_range, hyper, ev_config, config.seed, workers)
+    ev_config = config.evidence_config(max(config.g_range))
+    best_g, results = select_g(series, config.g_range, hyper, ev_config, config.seed,
+                               config.workers)
     report_path = out / "evidence.json"
     write_json(report_path, evidence_payload(results, best_g))
-    diag = dict(echo)
-    diag.update({"best_g": best_g, "workers": workers, "timing": {r.g: r.timing for r in results},
+    diag.update({"best_g": best_g, "timing": {r.g: r.timing for r in results},
                  "chains": {r.g: r.chains for r in results}})
     return [str(report_path)], diag
 
@@ -200,7 +163,7 @@ def cmd_forecast(config: RunConfig, out: Path) -> tuple[list[str], dict]:
     from .forecast import posterior_averaged_forecast
     from .summary import DensityGrid
 
-    series, echo = _load_series(config)
+    series, diag = _load_series(config)
     needs = "forecast needs draws=<draws CSV from a fit run>"
     output = read_draws_csv(_existing_path(config.draws, "draws", needs))
     result = posterior_averaged_forecast(output, series, config.forecast_request())
@@ -211,12 +174,8 @@ def cmd_forecast(config: RunConfig, out: Path) -> tuple[list[str], dict]:
         {"mean": result.mean_density, "lo90": result.lower_90, "hi90": result.upper_90},
     )
     integral = DensityGrid(result.grid, result.mean_density).integral()
-    diag = dict(echo)
     diag.update(
         {
-            "horizon": config.horizon,
-            "origin": config.origin,
-            "mode": config.mode,
             "integral": integral,
             "integral_ok": bool(abs(integral - 1.0) <= 1e-3),
             "predictive_mean": result.predictive_mean,
@@ -272,7 +231,7 @@ def _replicate_worker(job) -> dict[str, np.ndarray]:
 
 
 def cmd_replicate(config: RunConfig, out: Path) -> tuple[list[str], dict]:
-    from .evidence import _map_jobs
+    from .sampler import map_jobs
     from .summary import average_density, density_grid
 
     truth = _true_spec(config)
@@ -284,8 +243,7 @@ def cmd_replicate(config: RunConfig, out: Path) -> tuple[list[str], dict]:
     for child in children:
         sim_seed, fit_seed = (int(s.generate_state(1)[0]) for s in child.spawn(2))
         jobs.append((truth, n, sim_seed, fit_seed, overrides, relabel))
-    workers = _resolve_workers(config)
-    replica_draws = _map_jobs(_replicate_worker, jobs, workers)
+    replica_draws = map_jobs(_replicate_worker, jobs, config.workers)
 
     params = list(replica_draws[0])
     outputs: list[str] = []
@@ -300,14 +258,7 @@ def cmd_replicate(config: RunConfig, out: Path) -> tuple[list[str], dict]:
         write_grid_csv(path, avg.x, {"density": avg.density})
         outputs.append(str(path))
         modes[name] = avg.mode()
-    diag = {
-        "spec": config.spec_file or config.spec,
-        "replicas": config.replicas,
-        "replica_length": n,
-        "workers": workers,
-        "density_modes": modes,
-    }
-    return outputs, diag
+    return outputs, {"density_modes": modes}
 
 
 _HANDLERS = {
@@ -360,7 +311,6 @@ def main(argv: list[str] | None = None) -> int:
             manifest_path,
             args.command,
             config_dict(config),
-            config.seed,
             elapsed,
             outputs,
             diag,

@@ -4,23 +4,25 @@ command-line overrides that build them.
 The settings objects (`Hyperparams`, `RelabelConfig`, `OrderMoveConfig`,
 `EvidenceConfig`, `ForecastRequest`) live here, below the modules that run
 them, so reading a configuration loads no sampler.  Every command reads the
-same schema; unknown keys are rejected up front and all values are
-validated before any sampling starts, so a typo cannot burn an hour of
-chain time.  A key's type is its `RunConfig` annotation: booleans accept
-true/false/1/0/yes/no, lists are comma separated, and "none" clears an
-optional value.  Settings that feed a settings object take their default
-from that object and are range-checked by building it.
+same schema; unknown keys are rejected up front, and every rule that
+depends on the settings alone, a command's own rules included, is checked
+and every default resolved here, before any file is read, so a typo cannot
+burn an hour of chain time.  A key's type is its `RunConfig` annotation:
+booleans accept true/false/1/0/yes/no, lists are comma separated, and
+"none" clears an optional value.  Settings that feed a settings object take
+their default from that object and are range-checked by building it.
 """
 
 from __future__ import annotations
 
+import os
 import typing
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
-from .datasets import TRANSFORMS, _recipe
+from .datasets import BUILTIN_LENGTHS, TRANSFORMS, _recipe
 
 
 def _parse_bool(text: str) -> bool:
@@ -333,16 +335,14 @@ class RunConfig:
 _FIELD_TYPES = typing.get_type_hints(RunConfig)
 
 
-def parse_value(key: str, text: str, name: str | None = None) -> object:
-    """Parse one setting by its RunConfig annotation.
+def parse_value(key: str, text: str) -> object:
+    """Parse one setting by its RunConfig annotation; errors name the key.
 
-    Errors name the key, or `name` when the text comes from elsewhere (an
-    environment variable).  "none" or an empty text clears an optional
-    value; "none" is an error for any other.
+    "none" or an empty text clears an optional value; "none" is an error
+    for any other.
     """
     if key not in _FIELD_TYPES:
         raise ValueError(f"unknown configuration key {key!r}")
-    name = name or key
     hint = _FIELD_TYPES[key]
     args = typing.get_args(hint)
     word = text.strip().lower()
@@ -351,11 +351,11 @@ def parse_value(key: str, text: str, name: str | None = None) -> object:
             return None
         (hint,) = (t for t in args if t is not type(None))
     elif word == "none":
-        raise ValueError(f"bad value for {name}: {name} cannot be none")
+        raise ValueError(f"bad value for {key}: {key} cannot be none")
     try:
         return _BASE_PARSERS[hint](text)
     except ValueError as exc:
-        raise ValueError(f"bad value for {name}: {exc}") from None
+        raise ValueError(f"bad value for {key}: {exc}") from None
 
 
 def _parse_pair(pair: str, malformed: str) -> tuple[str, object]:
@@ -398,7 +398,8 @@ def build_config(
     the manifest echoes the shape that ran, and a g or orders set beside the
     recipe to another value is refused rather than ignored.  So is a
     fixed_shift set to another value than the recipe's, for every command:
-    only here can a set value be told from the default.
+    only here can a set value be told from the default.  `command` names
+    the command whose own rules and defaults `validate_config` applies.
     """
     values: dict[str, object] = {}
     if config_path is not None:
@@ -406,7 +407,6 @@ def build_config(
     if overrides:
         values.update(parse_overrides(overrides))
     config = RunConfig(**values)
-    validate_config(config)
     if config.recipe is not None:
         recipe = _recipe(config.recipe)
         if values.get("fixed_shift", recipe.fixed_shift) != recipe.fixed_shift:
@@ -418,23 +418,21 @@ def build_config(
                     raise ValueError(f"recipe {config.recipe!r} sets fit's g and orders; "
                                      f"drop {key} or the recipe")
             config.g, config.orders = recipe.g, recipe.orders
+    validate_config(config, command)
     return config
 
 
-def check_workers(workers: int | None, name: str = "workers") -> None:
-    if workers is not None and workers < 1:
-        raise ValueError(f"{name} must be positive")
-
-
-def validate_config(config: RunConfig) -> None:
-    """Reject impossible settings before any chain starts.
+def validate_config(config: RunConfig, command: str | None = None) -> None:
+    """Reject impossible settings before any file is read or chain starts.
 
     Every settings object a command builds from the configuration is built
     here once, so its own range checks apply to every command; the rules
-    below are the ones no such object owns.  Settings are resolved here, so
-    every reader and the manifest's echo see the value that runs: mode "mc"
-    becomes "monte-carlo", and a named recipe sets transform (refusing
-    another) and fixed_shift.
+    below are the ones no such object owns, then the rules of `command`
+    alone.  Settings are resolved here, so every reader and the manifest's
+    echo see the value that runs: mode "mc" becomes "monte-carlo", a named
+    recipe sets transform (refusing another) and fixed_shift, `simulate`'s
+    unset n becomes its built-in spec's length, and the unset workers of
+    `select` and `replicate` become the CPU count.
     """
     if config.mode == "mc":
         config.mode = "monte-carlo"
@@ -463,7 +461,29 @@ def validate_config(config: RunConfig) -> None:
         raise ValueError("replicas must be positive")
     if config.replica_length < 2:
         raise ValueError("replica_length must be at least 2")
-    check_workers(config.workers)
+    if config.workers is not None and config.workers < 1:
+        raise ValueError("workers must be positive")
+    if command == "simulate" and config.n is None:
+        config.n = BUILTIN_LENGTHS[config.spec]
+    if command in ("select", "replicate") and config.workers is None:
+        config.workers = os.cpu_count() or 1
+    if command == "fit":
+        from .summary import check_draw_count  # fit loads summary anyway; others need not
+
+        if config.orders is None:
+            raise ValueError("fit needs orders=<comma separated list, one per component>")
+        if len(config.orders) != config.g:
+            raise ValueError("orders must list one order per component")
+        config.relabel_config(config.g)
+        check_draw_count(config.n_iter - config.burn_in)
+    if command == "select":
+        g_range = tuple(config.g_range)
+        if config.orders is not None and g_range != (len(config.orders),):
+            raise ValueError(f"select pins orders={list(config.orders)} only for "
+                             f"g_range={len(config.orders)}, got g_range={list(g_range)}")
+        if config.orders is not None and max(config.orders) > config.p_max:
+            raise ValueError("orders cannot exceed p_max")
+        config.evidence_config(max(g_range))
 
 
 def config_dict(config: RunConfig) -> dict[str, object]:

@@ -49,7 +49,8 @@ from .sampler import (
     draw_lambda,
     gather_rows,
     gibbs_sweep,
-    log_prior_density,
+    make_log_prior,
+    map_jobs,
     means_conditional,
     member_rows,
     precisions_conditional,
@@ -333,7 +334,7 @@ def marginal_log_likelihood(
     log_phi, per_k = timed("phi_ordinate_s", estimate_phi_ordinate, *args)
     parts = {
         "log_likelihood": float(norm.sum()),
-        "log_prior": log_prior_density(star.weights, star.means, star.scales, hyper),
+        "log_prior": make_log_prior(hyper, g)(star.weights, star.means, star.scales),
         "log_order_prior": -g * math.log(p_max),
         "log_phi_ordinate": log_phi,
         "log_mu_ordinate": timed("mu_ordinate_s", estimate_mu_ordinate, *args),
@@ -363,17 +364,6 @@ def marginal_log_likelihood(
     return result
 
 
-def _map_jobs(fn, jobs: list, workers: int) -> list:
-    """[fn(job) for job in jobs], in a pool of at most `workers` processes when
-    workers > 1 and there is more than one job; results keep the job order."""
-    if workers > 1 and len(jobs) > 1:
-        from concurrent.futures import ProcessPoolExecutor  # loaded only where a pool runs
-
-        with ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
-            return list(pool.map(fn, jobs))
-    return [fn(job) for job in jobs]
-
-
 def _evidence_worker(args):
     series_values, g, hyper, config, seed = args
     series = TimeSeries(series_values)
@@ -399,7 +389,7 @@ def select_g(
     check_g_range(g_range)
     seeds = _child_seeds(seed, len(g_range))
     jobs = [(series.values, g, hyper, config, s) for g, s in zip(g_range, seeds)]
-    results = _map_jobs(_evidence_worker, jobs, workers)
+    results = map_jobs(_evidence_worker, jobs, workers)
     log_p_g = -math.log(len(g_range))
     for res in results:
         res.log_p_g = log_p_g

@@ -267,7 +267,6 @@ def write_manifest(
     path: str | Path,
     command: str,
     config_echo: dict,
-    seed: int,
     wall_clock_seconds: float,
     outputs: list[str],
     diagnostics: dict,
@@ -276,7 +275,6 @@ def write_manifest(
     manifest = {
         "command": command,
         "config": config_echo,
-        "seed": seed,
         "versions": _versions(),
         "wall_clock_seconds": wall_clock_seconds,
         "outputs": sorted(outputs),

@@ -384,12 +384,15 @@ def gibbs_sweep(
 
 
 def make_log_prior(hyper: Hyperparams, g: int):
-    """`log_prior_density` for g components as a function of (weights, means, scales).
+    """Joint log prior of (pi, mu, tau) with lambda integrated out, for g
+    components, as a function of (weights, means, scales).
 
-    The terms that depend on the hyperparameters alone are computed here,
-    once, and enter the sums at the same place as in a direct evaluation.
     The Dirichlet(1, ..., 1) density is the constant (g - 1)! on the simplex,
-    so the weights fix only g.
+    so the weights fix only g.  The precision block uses the analytic
+    compound density from integrating Gamma(tau_k | c, lambda) against
+    Gamma(lambda | a, b), and the flat stable-region prior on the AR blocks
+    contributes zero.  The mean term is skipped for fixed-shift models.  The
+    terms that depend on the hyperparameters alone are computed here, once.
     """
     weights_const = math.lgamma(g)
     mean_const = -0.5 * math.log(2.0 * math.pi / hyper.kappa)
@@ -411,22 +414,6 @@ def make_log_prior(hyper: Hyperparams, g: int):
         return lp
 
     return log_prior
-
-
-def log_prior_density(
-    weights: np.ndarray,
-    means: np.ndarray,
-    scales: np.ndarray,
-    hyper: Hyperparams,
-) -> float:
-    """Joint log prior of (pi, mu, tau) with lambda integrated out.
-
-    The Dirichlet term is evaluated on the simplex, the precision block uses
-    the analytic compound density from integrating Gamma(tau_k | c, lambda)
-    against Gamma(lambda | a, b), and the flat stable-region prior on the AR
-    blocks contributes zero.  The mean term is skipped for fixed-shift models.
-    """
-    return make_log_prior(hyper, weights.size)(weights, means, scales)
 
 
 def initial_state(
@@ -509,21 +496,21 @@ def tune_gamma(
 ) -> tuple[np.ndarray, np.ndarray, ChainState]:
     """Stochastic-approximation tuning of the RWM proposal precisions.
 
-    Starts every gamma_k at 100 and runs hyper.pilot_iters // TUNE_BATCH
-    batches of TUNE_BATCH sweeps from `state` (pilot_iters = 520 runs 500
-    sweeps), moving log gamma_k after each batch toward the target
-    acceptance rate, then freezes the result.  Returns the tuned gamma, the
-    last batch's acceptance rates and the pilot's final state so the main
-    chain can continue from it.
+    Starts every gamma_k at 100 and runs hyper.pilot_iters sweeps from
+    `state` in batches of TUNE_BATCH, the last batch holding the remainder
+    (pilot_iters = 520 runs ten batches of 50 and one of 20), moving log
+    gamma_k after each batch toward the target acceptance rate, then
+    freezes the result.  Returns the tuned gamma, the last batch's
+    acceptance rates and the pilot's final state so the main chain can
+    continue from it.
     """
     g = state.weights.size
     log_gamma = np.log(np.full(g, 100.0))
-    n_batches = hyper.pilot_iters // TUNE_BATCH
     rates = np.zeros(g)
-    for bi in range(n_batches):
+    for bi, done in enumerate(range(0, hyper.pilot_iters, TUNE_BATCH)):
         acc = np.zeros(g)
         att = np.zeros(g)
-        for _ in range(TUNE_BATCH):
+        for _ in range(min(TUNE_BATCH, hyper.pilot_iters - done)):
             state, info = gibbs_sweep(state, series, hyper, rng, np.exp(log_gamma))
             acc += info.accepted
             att += info.attempted
@@ -640,3 +627,14 @@ def run_chain(
     """
     orders = tuple(int(p) for p in orders)
     return _run(series, g, orders, hyper, seed, max(orders) if cond is None else int(cond))
+
+
+def map_jobs(fn, jobs: list, workers: int) -> list:
+    """[fn(job) for job in jobs], in a pool of at most `workers` processes when
+    workers > 1 and there is more than one job; results keep the job order."""
+    if workers > 1 and len(jobs) > 1:
+        from concurrent.futures import ProcessPoolExecutor  # loaded only where a pool runs
+
+        with ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
+            return list(pool.map(fn, jobs))
+    return [fn(job) for job in jobs]

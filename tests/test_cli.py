@@ -22,7 +22,7 @@ import pytest
 import mixar
 import mixar.evidence
 import mixar.sampler
-from mixar.cli import _align_to_truth, _fit_summaries, _resolve_workers, build_parser, main
+from mixar.cli import _align_to_truth, _fit_summaries, build_parser, main
 from mixar.config import (
     RunConfig,
     build_config,
@@ -151,28 +151,22 @@ class TestValidation:
         assert self.base(recipe="lynx", transform="log").transform == "log"
         assert self.base().transform is None
 
+    def test_n_and_workers_resolve_for_the_commands_that_read_them(self):
+        # simulate's unset n is its spec's length, and the unset workers of
+        # select and replicate the CPU count, so the echo holds what ran
+        assert build_config(None, ["spec=B"], "simulate").n == 600
+        assert build_config(None, ["spec=B", "n=50"], "simulate").n == 50
+        for command in ("select", "replicate"):
+            assert build_config(None, [], command).workers == (os.cpu_count() or 1)
+            assert build_config(None, ["workers=3"], command).workers == 3
+        config = build_config(None, [], "forecast")
+        assert config.n is None and config.workers is None
+
     def test_config_dict_lists_tuples(self):
         d = config_dict(self.base(orders=(1, 1)))
         assert d["orders"] == [1, 1]
         assert d["g_range"] == [2, 3]
         assert d["relabel_subset"] == ["weights", "scales"]
-
-
-class TestWorkers:
-    def test_config_beats_environment(self, monkeypatch):
-        monkeypatch.setenv("MIXAR_WORKERS", "7")
-        assert _resolve_workers(RunConfig(workers=3)) == 3
-
-    def test_environment_fallback(self, monkeypatch):
-        monkeypatch.setenv("MIXAR_WORKERS", "2")
-        assert _resolve_workers(RunConfig()) == 2
-        monkeypatch.setenv("MIXAR_WORKERS", "0")
-        with pytest.raises(ValueError, match="MIXAR_WORKERS"):
-            _resolve_workers(RunConfig())
-
-    def test_cpu_count_default(self, monkeypatch):
-        monkeypatch.delenv("MIXAR_WORKERS", raising=False)
-        assert _resolve_workers(RunConfig()) >= 1
 
 
 class TestDerivedParsers:
@@ -199,11 +193,6 @@ class TestDerivedParsers:
     def test_set_parse_error_names_the_key(self):
         with pytest.raises(ValueError, match="bad value for n_iter"):
             parse_overrides(["n_iter=soon"])
-
-    def test_environment_parse_error_names_the_variable(self, monkeypatch):
-        monkeypatch.setenv("MIXAR_WORKERS", "two")
-        with pytest.raises(ValueError, match="bad value for MIXAR_WORKERS"):
-            _resolve_workers(RunConfig())
 
 
 def _old_align_to_truth(output, truth):
@@ -382,11 +371,10 @@ class TestRefusedBeforeTheFirstSweep:
                                                          capsys):
         # the ibm recipe fixes the shifts, whatever the fixed_shift key says
         monkeypatch.setattr(mixar.sampler, "run_chain", _no_chain)
-        with pytest.warns(UserWarning, match="ibm"):
-            code = run_cli(["fit", *_sets([
-                f"input={b_series}", f"output_dir={tmp_path / 'fit'}", "recipe=ibm",
-                "relabel_subset=scales,shifts",
-            ])])
+        code = run_cli(["fit", *_sets([
+            f"input={b_series}", f"output_dir={tmp_path / 'fit'}", "recipe=ibm",
+            "relabel_subset=scales,shifts",
+        ])])
         assert code == 2
         err = capsys.readouterr().err
         assert "relabel_subset holds shifts" in err and "fixed_shift" in err
@@ -522,6 +510,28 @@ class TestRefusedBeforeTheFirstSweep:
         assert code == 2
         assert "orders cannot exceed p_max" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, pairs, message", [
+        ("fit", [], "fit needs orders="),
+        ("fit", ["g=2", "orders=1"], "orders must list one order per component"),
+        ("fit", ["g=1", "orders=1", "n_iter=2150", "burn_in=2100"],
+         "need at least 100 draws to summarize, got 50"),
+        ("fit", ["g=2", "orders=1,1", "n_iter=300", "burn_in=100", "relabel_warm_start=200"],
+         r"warm-start length m=200 must be below the number of draws \(200\)"),
+        ("select", ["orders=1,1"], r"select pins orders=\[1, 1\] only for g_range=2"),
+        ("select", ["g_range=1", "orders=9", "p_max=5"], "orders cannot exceed p_max"),
+        ("select", ["g_range=1,3", "n_iter=300", "burn_in=100", "relabel_warm_start=200"],
+         r"warm-start length m=200 must be below the number of draws \(200\)"),
+    ])
+    def test_settings_refusal_comes_before_the_input_is_read(self, tmp_path, capsys, command,
+                                                             pairs, message):
+        # the input is missing too, but a rule of the settings alone is checked first
+        missing = tmp_path / "missing.csv"
+        code = run_cli([command, *_sets([f"input={missing}", f"output_dir={tmp_path / 'out'}",
+                                         *pairs])])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert re.search(message, err) and str(missing) not in err
+
     def test_select_refuses_orders_it_would_ignore(self, b_series, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(mixar.evidence, "select_g", _no_chain)
         code = run_cli(["select", *_sets([
@@ -533,13 +543,17 @@ class TestRefusedBeforeTheFirstSweep:
 
 
 def run_cli(args):
-    """`mixar` in process; a run that exits 0 must echo a config that rebuilds it."""
+    """`mixar` in process; a run that exits 0 must echo a config that rebuilds it,
+    and record each setting once: in the echo, not beside it."""
     code = main(args)
     if code == 0:
         parsed = build_parser().parse_args(args)
         config = build_config(parsed.config, parsed.overrides, parsed.command)
-        echo = json.loads((Path(config.output_dir) / "manifest.json").read_text())["config"]
+        manifest = json.loads((Path(config.output_dir) / "manifest.json").read_text())
+        echo = manifest["config"]
         assert build_config(None, echo_pairs(echo), parsed.command) == config
+        assert "seed" not in manifest
+        assert not set(manifest["diagnostics"]) & set(echo)
     return code
 
 
@@ -576,11 +590,12 @@ class TestSimulate:
         assert read_series_csv(d / "series.csv").size == 600
         manifest = json.loads((d / "manifest.json").read_text())
         assert manifest["command"] == "simulate"
-        assert manifest["seed"] == 0
+        assert manifest["config"]["seed"] == 0
         assert manifest["config"]["spec"] == "B"
         assert set(manifest["versions"]) == {"python", "numpy", "mixar"}
         assert manifest["outputs"] == sorted(manifest["outputs"])
-        assert manifest["diagnostics"]["n"] == 600
+        assert manifest["config"]["n"] == 600  # the spec's length, resolved into the echo
+        assert set(manifest["diagnostics"]) == {"spectral_radius"}
         assert manifest["wall_clock_seconds"] >= 0
 
     def test_model_a_radius_in_manifest(self, tmp_path):
@@ -850,16 +865,14 @@ print(*sorted(m for m in sys.modules if m.startswith("mixar.")))
     ("fit", "cli config datasets io model relabel sampler stability summary"),
     ("forecast", "cli config datasets forecast io model summary"),
     ("select", "cli config datasets evidence io model relabel rjmcmc sampler stability"),
-    ("replicate", "cli config datasets evidence io model relabel rjmcmc sampler stability "
-                  "summary"),
+    ("replicate", "cli config datasets io model relabel sampler stability summary"),
 ], ids=["simulate", "fit", "forecast", "select", "replicate"])
 def test_command_loads_only_the_modules_it_runs(fitted, tmp_path, command, modules):
     """A command imports the compute modules it calls and no others: an exact
-    forecast from stored draws loads no sampler, and `fit` loads neither the
-    evidence, the order moves nor the forecast.  `replicate` loads evidence,
-    and through it rjmcmc, only for the `_map_jobs` pool helper; the list
-    pins what loads today.  No command loads gzip, which numpy's text
-    routines import when handed a path instead of a file."""
+    forecast from stored draws loads no sampler, and `fit` and `replicate`
+    load neither the evidence, the order moves nor the forecast.  No command
+    loads gzip, which numpy's text routines import when handed a path
+    instead of a file."""
     sim, fit = fitted
     series = f"input={sim / 'series.csv'}"
     chain = ["n_iter=260", "burn_in=100", "gamma=40"]
@@ -972,10 +985,10 @@ class TestFit:
         assert (fit / "summaries.json").exists()
         manifest = json.loads((fit / "manifest.json").read_text())
         assert manifest["command"] == "fit"
-        diag = manifest["diagnostics"]
-        assert diag["g"] == 2 and diag["orders"] == [1, 1]
+        echo, diag = manifest["config"], manifest["diagnostics"]
+        assert echo["g"] == 2 and echo["orders"] == [1, 1]
         assert len(diag["acceptance_rates"]) == 2
-        assert diag["transform"] == "none"
+        assert echo["transform"] is None and diag["raw_length"] == diag["length"] == 300
         # perf_counter spans of the run's phases; the draws and summaries carry no times
         timing = diag["timing"]
         assert set(timing) == {"pilot_s", "burn_in_s", "retain_s", "relabel_s"}
@@ -1125,7 +1138,7 @@ class TestFit:
         assert m1["config"] != m2["config"]  # output_dir differs
         m1["config"].pop("output_dir")
         m2["config"].pop("output_dir")
-        assert m1["config"] == m2["config"] and m1["seed"] == m2["seed"]
+        assert m1["config"] == m2["config"]
 
     def test_recipe_run_reruns_from_its_echo(self, tmp_path):
         # the echo names the g, orders, transform and fixed_shift that the ibm
@@ -1189,10 +1202,11 @@ class TestForecast:
         assert list(cols) == ["y", "mean", "lo90", "hi90"]
         assert cols["y"].size == 512
         assert np.all(cols["lo90"] <= cols["hi90"] + 1e-12)
-        diag = json.loads((fc / "manifest.json").read_text())["diagnostics"]
+        manifest = json.loads((fc / "manifest.json").read_text())
+        diag = manifest["diagnostics"]
         assert diag["integral_ok"] is True
         assert abs(diag["integral"] - 1.0) <= 1e-3
-        assert diag["mode"] == "exact" and diag["horizon"] == 2
+        assert manifest["config"]["mode"] == "exact" and manifest["config"]["horizon"] == 2
         assert diag["predictive_sd"] > 0
 
     def test_monte_carlo_mode(self, fitted, tmp_path):
@@ -1207,9 +1221,9 @@ class TestForecast:
             "--set", "mode=mc", "--set", "mc_paths=2000",
         ])
         assert code == 0
-        diag = json.loads((fc / "manifest.json").read_text())["diagnostics"]
-        assert diag["mode"] == "monte-carlo"
-        assert abs(diag["integral"] - 1.0) <= 5e-3
+        manifest = json.loads((fc / "manifest.json").read_text())
+        assert manifest["config"]["mode"] == "monte-carlo"
+        assert abs(manifest["diagnostics"]["integral"] - 1.0) <= 5e-3
 
     def test_long_horizon_monte_carlo_on_three_components(self, b_draws, tmp_path, capsys):
         # 3^13 paths exceed the exact expansion's limit; the Monte Carlo mode
@@ -1329,8 +1343,8 @@ class TestSelect:
             - parts["log_order_posterior"]
         )
         assert model["log_marginal"] == pytest.approx(recomposed, abs=1e-9)
-        diag = json.loads((out / "manifest.json").read_text())["diagnostics"]
-        assert diag["best_g"] == 1 and diag["workers"] == 1
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["diagnostics"]["best_g"] == 1 and manifest["config"]["workers"] == 1
 
     def test_recipe_fixes_the_shifts(self, tmp_path):
         # the ibm recipe's fixed_shift holds for select too: no mean block, so
@@ -1348,7 +1362,7 @@ class TestSelect:
         assert model["parts"]["log_mu_ordinate"] == 0.0
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["config"]["fixed_shift"] is True
-        assert manifest["diagnostics"]["transform"] == "difference"
+        assert manifest["config"]["transform"] == "difference"
 
     def test_order_chain_tallies_cover_every_sweep(self, tmp_path):
         data = tmp_path / "y.csv"
@@ -1440,9 +1454,9 @@ class TestReplicate:
             assert list(cols) == ["y", "density"]
             assert cols["y"].size == 512
             assert np.all(cols["density"] >= 0)
-        diag = json.loads((out / "manifest.json").read_text())["diagnostics"]
-        assert diag["replicas"] == 2
-        assert set(diag["density_modes"]) == set(names)
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["config"]["replicas"] == 2
+        assert set(manifest["diagnostics"]["density_modes"]) == set(names)
 
     def short_study(self, out, *extra):
         return run_cli([
@@ -1486,9 +1500,10 @@ class TestReplicate:
         }))
         out = tmp_path / "rep"
         assert self.short_study(out, "--set", f"spec_file={spec_file}") == 0
-        diag = json.loads((out / "manifest.json").read_text())["diagnostics"]
-        assert diag["spec"] == str(spec_file)
-        assert set(diag["density_modes"]) == {"shift_1", "sigma_1", "ar_1_1", "ar_1_2"}
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["config"]["spec_file"] == str(spec_file)
+        assert set(manifest["diagnostics"]["density_modes"]) == {
+            "shift_1", "sigma_1", "ar_1_1", "ar_1_2"}
         missing = tmp_path / "missing.json"
         assert self.short_study(tmp_path / "none", "--set", f"spec_file={missing}") == 2
         assert f"spec_file path {missing} does not exist" in capsys.readouterr().err

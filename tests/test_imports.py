@@ -1,10 +1,11 @@
-"""No mixar module imports scipy or a hashing module or adds floats with
-the builtin sum, every top-level import of a mixar module is used there (the
-package re-exports nothing by import), every public function has a caller in
-the package or is exported, every dataclass field is read somewhere in the
-package, the evidence module neither builds a model object nor recomputes
-theta*'s log terms, every function the benchmark's traced run wraps still
-exists, and every configuration key has a reader."""
+"""No mixar module imports scipy or a hashing module, reads the process
+environment or adds floats with the builtin sum, every top-level import of
+a mixar module is used there (the package re-exports nothing by import),
+every public function has a caller in the package or is exported, every
+dataclass field is read somewhere in the package, the evidence module
+neither builds a model object nor recomputes theta*'s log terms, every
+function the benchmark's traced run wraps still exists, and every
+configuration key has a reader."""
 
 import ast
 import dataclasses
@@ -92,6 +93,37 @@ def test_guard_flags_a_hashing_import_inside_a_function():
     sources["sampler"] = "import os, secrets\n" + sources["sampler"]
     line = sources["io"].count("\n") - 1
     assert imports_of(sources, HASHING) == ["cli:1", f"io:{line}", "sampler:1"]
+
+
+ENVIRONMENT = {"environ", "environb", "getenv", "getenvb"}
+
+
+def environment_reads(sources: dict[str, str]) -> list[str]:
+    """Reads of the process environment, as module:line: an attribute named
+    like os.environ or os.getenv (or their bytes forms), or one of them
+    imported from os by name."""
+    return sorted(
+        f"{module}:{node.lineno}"
+        for module, text in sources.items()
+        for node in ast.walk(ast.parse(text))
+        if (isinstance(node, ast.Attribute) and node.attr in ENVIRONMENT)
+        or (isinstance(node, ast.ImportFrom) and node.module == "os"
+            and any(alias.name in ENVIRONMENT for alias in node.names))
+    )
+
+
+def test_no_module_reads_the_environment():
+    # every setting comes from the config file or --set, so the manifest's echo records it
+    assert environment_reads(package_sources()) == []
+
+
+def test_guard_flags_an_environment_read():
+    sources = package_sources()
+    sources["io"] += "\n\ndef _home():\n    return os.environ.get('HOME')\n"
+    sources["cli"] = "from os import getenv\n" + sources["cli"]
+    sources["sampler"] = "import os\nDEBUG = os.getenv('MIXAR_DEBUG')\n" + sources["sampler"]
+    line = sources["io"].count("\n")
+    assert environment_reads(sources) == ["cli:1", f"io:{line}", "sampler:2"]
 
 
 EIGENSOLVERS = {"eig", "eigvals"}

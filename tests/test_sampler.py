@@ -10,6 +10,7 @@ import pytest
 from scipy import stats
 from scipy.special import gammaln, logsumexp
 
+import mixar.sampler
 from mixar.datasets import model_a_spec, model_b_spec
 from mixar.model import (
     LOG_2PI,
@@ -33,7 +34,7 @@ from mixar.sampler import (
     gather_rows,
     gibbs_sweep,
     initial_state,
-    log_prior_density,
+    make_log_prior,
     means_conditional,
     member_rows,
     precisions_conditional,
@@ -753,6 +754,21 @@ class TestTuning:
             base_hyper(pilot_iters=499)
         assert base_hyper(pilot_iters=0, gamma=50.0).pilot_iters == 0
 
+    def test_pilot_runs_exactly_pilot_iters_sweeps(self, monkeypatch):
+        # 520 sweeps are ten batches of 50 and a last one of 20, not 500 sweeps
+        series = simulate_path(model_a_spec(), 120, seed=7)
+        hyper = default_hyperparams(series, pilot_iters=520)
+        sweeps = []
+
+        def counted(*args):
+            sweeps.append(1)
+            return gibbs_sweep(*args)
+
+        monkeypatch.setattr(mixar.sampler, "gibbs_sweep", counted)
+        start = initial_state(series, 2, (1, 1), hyper, 1)
+        tune_gamma(start, series, hyper, np.random.default_rng(3))
+        assert len(sweeps) == 520
+
     def test_acceptance_lands_in_band(self):
         series = simulate_path(model_a_spec(), 300, seed=7)
         hyper = default_hyperparams(series)
@@ -784,8 +800,8 @@ class TestPrior:
     def test_dirichlet_block_uniform_is_zero_only_for_degenerate(self):
         hyper = base_hyper(fixed_shift=True)
         # with all-ones Dirichlet the weight term is log (g-1)! = log 1 for g=2
-        lp2 = log_prior_density(np.array([0.5, 0.5]), np.zeros(2), np.ones(2), hyper)
-        lp3 = log_prior_density(np.array([0.4, 0.3, 0.3]), np.zeros(3), np.ones(3), hyper)
+        lp2 = make_log_prior(hyper, 2)(np.array([0.5, 0.5]), np.zeros(2), np.ones(2))
+        lp3 = make_log_prior(hyper, 3)(np.array([0.4, 0.3, 0.3]), np.zeros(3), np.ones(3))
         # difference in the weight block: log 2! - log 1! = log 2 plus the
         # precision-block change from adding one component
         def tau_block(g):
@@ -806,14 +822,14 @@ class TestPrior:
             lam_grid, a=hyper.a, scale=1.0 / hyper.b
         )
         expect = math.log(np.trapezoid(integrand, lam_grid))
-        got = log_prior_density(np.array([1.0]), np.zeros(1), 1.0 / np.sqrt(tau), hyper)
+        got = make_log_prior(hyper, 1)(np.array([1.0]), np.zeros(1), 1.0 / np.sqrt(tau))
         assert got == pytest.approx(expect, abs=1e-6)
 
     def test_mean_block_is_gaussian(self):
         fixed = base_hyper(zeta=1.0, kappa=4.0, fixed_shift=True)
         free = dataclasses.replace(fixed, fixed_shift=False)
-        lp_fixed = log_prior_density(np.array([1.0]), np.array([2.0]), np.ones(1), fixed)
-        lp_free = log_prior_density(np.array([1.0]), np.array([2.0]), np.ones(1), free)
+        lp_fixed = make_log_prior(fixed, 1)(np.array([1.0]), np.array([2.0]), np.ones(1))
+        lp_free = make_log_prior(free, 1)(np.array([1.0]), np.array([2.0]), np.ones(1))
         assert lp_free - lp_fixed == pytest.approx(stats.norm(1.0, 0.5).logpdf(2.0))
 
 
@@ -853,8 +869,8 @@ class TestRunChain:
         out = run_chain(series, 2, (1, 1), hyper, seed=26)
         for i in (0, 57, 199):
             spec = out.spec_at(i)
-            expect = log_likelihood(spec, series, out.cond) + log_prior_density(
-                spec.weights, out.means[i], spec.scales, hyper
+            expect = log_likelihood(spec, series, out.cond) + make_log_prior(hyper, 2)(
+                spec.weights, out.means[i], spec.scales
             )
             assert out.log_posteriors[i] == pytest.approx(expect, abs=1e-8)
 
